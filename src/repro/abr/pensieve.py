@@ -151,6 +151,13 @@ class PensieveABR(ABRAlgorithm):
         """Pick an action with the current policy."""
         state = self.encode_state(observation)
         action = self.agent.select_action(state, greedy=self.greedy)
+        return self.decision_for_action(observation, state, action)
+
+    def decision_for_action(
+        self, observation: PlayerObservation, state: np.ndarray, action: int
+    ) -> Decision:
+        """The decision for ``action``, chosen in ``state`` (the encoded
+        ``observation``); records the pair while capturing."""
         decision = self.action_to_decision(action)
         if decision.proactive_stall_s > 0:
             # Keep streaming at the previously chosen level during a

@@ -16,10 +16,15 @@ overhead once per *session*.  The lockstep core runs a whole shard of
   hot path — throughput prediction and candidate scoring — is evaluated
   *across sessions*: predictor state is kept as arrays over the shard,
   planner inputs (buffer levels, histories, previous levels) are sliced
-  straight out of the SoA arrays, and
-  :func:`~repro.abr.planner.evaluate_candidates_batch` scores one stacked
+  straight out of the SoA arrays, and each family's batched *planner
+  round* (:func:`plan_round`, :func:`sensei_round` — the latter holding
+  SENSEI's stall gate and budgets) emits plan requests that
+  :func:`plan_batch` merges into
+  :func:`~repro.abr.planner.evaluate_candidates_batch` calls, one stacked
   ``(session x stall x scenario x candidate)`` tensor per candidate-tree
-  group;
+  group.  The decision service (:mod:`repro.service.decisions`) runs the
+  same rounds through the same :func:`plan_batch`, with a flush's stacked
+  observations in place of the shard;
 * the Pensieve-family RL policies (greedy *and* exploration mode) run
   through a dedicated batched driver: per-session states are encoded
   straight off the SoA shard arrays, the actor MLP runs one forward per
@@ -288,11 +293,12 @@ def _run_shard(
     history rings — advances as one SoA batch across every order of the
     shard, whatever its ABR; *decisions* are taken per ABR group by the
     most batched driver that reproduces that ABR exactly.  Planner drivers
-    go further: instead of calling the kernel themselves they emit *plan
-    requests*, and the shard coordinator merges compatible requests
-    **across ABR instances** — same candidate tree, stall options,
-    scenario count, quality coefficients and weights mode, e.g. several
-    MPC or Fugu variants swept in one grid — into shared kernel calls.
+    go further: instead of calling the kernel themselves they hand
+    :func:`plan_batch` a *planner round* emitting plan requests, and
+    compatible requests are merged **across ABR instances** — same
+    candidate tree, stall options, scenario count, quality coefficients
+    and weights mode, e.g. several MPC or Fugu variants swept in one grid
+    — into shared kernel calls.
     The kernel's bit-identity contract is exactly that adding sessions to
     a call's batch axis cannot change any session's values, so
     cross-instance merging is free of semantic risk by the same argument
@@ -338,29 +344,21 @@ def _run_shard(
     while live.size:
         levels = np.empty(live.size, dtype=int)
         stalls = np.empty(live.size)
-        requests: List[_PlanRequest] = []
-        finishers = []
+        planned = []
+        rounds = []
         for group_rows, driver in drivers:
             rows = group_rows[num_chunks[group_rows] > shard.step_index]
             if not rows.size:
                 continue
             positions = np.searchsorted(live, rows)
             if isinstance(driver, _PlannerDriverBase):
-                group_requests, finish = driver.begin_round(rows)
-                requests.extend(group_requests)
-                finishers.append((positions, finish))
+                planned.append(positions)
+                rounds.append(driver.begin_round(rows))
             else:
-                group_levels, group_stalls = driver.decide(rows)
-                levels[positions] = group_levels
-                stalls[positions] = group_stalls
-        if requests:
-            # Covers request merging/splitting *and* the kernel calls; the
-            # kernel's own time lands under the nested ``planner.kernel``
-            # span recorded inside evaluate_candidates_batch.
-            with trace_span("engine.lockstep.plan"):
-                _execute_plan_requests(requests, shard)
-        for positions, finish in finishers:
-            group_levels, group_stalls = finish()
+                levels[positions], stalls[positions] = driver.decide(rows)
+        for positions, (group_levels, group_stalls) in zip(
+            planned, plan_batch(rounds, shard)
+        ):
             levels[positions] = group_levels
             stalls[positions] = group_stalls
         shard.step(live, levels, stalls)
@@ -373,39 +371,55 @@ def _run_shard(
     ]
 
 
+#: The kinds :func:`decision_kind` sorts ABRs into.
+KIND_GENERIC = "generic"
+KIND_BBA = "bba"
+KIND_RL = "rl"
+KIND_MPC = "mpc"
+KIND_FUGU = "fugu"
+KIND_SENSEI = "sensei"
+
+_PLANNER_KINDS = {
+    ModelPredictiveABR: KIND_MPC,
+    FuguABR: KIND_FUGU,
+    SenseiFuguABR: KIND_SENSEI,
+}
+
+
+def decision_kind(abr: ABRAlgorithm) -> str:
+    """Which batched decision path reproduces ``abr.decide`` exactly.
+
+    Exact-type checks: a subclass may override ``decide``, so anything not
+    literally BBA, one of the two Pensieve RL classes (with the stock
+    actor–critic agent) or one of the three planner classes (with its
+    stock predictor and the fast planner enabled) is
+    :data:`KIND_GENERIC` and decides on its own per-session clone.
+    """
+    if type(abr) is BufferBasedABR:
+        return KIND_BBA
+    if _is_batched_rl(abr):
+        return KIND_RL
+    if getattr(abr, "use_fast_planner", False):
+        kind = _PLANNER_KINDS.get(type(abr))
+        stock = (
+            HarmonicMeanPredictor if kind == KIND_MPC
+            else ErrorDistributionPredictor
+        )
+        if kind is not None and type(abr.predictor) is stock:
+            return kind
+    return KIND_GENERIC
+
+
 def _driver_for(
     abr: ABRAlgorithm, shard: ShardState, orders: Sequence["WorkOrder"] = (),
 ):
-    """The most batched driver that still reproduces ``abr.decide`` exactly.
-
-    Exact-type checks: a subclass may override ``decide``, so anything not
-    literally one of the three planner classes (with its stock predictor
-    and the fast planner enabled), one of the two Pensieve RL classes
-    (with the stock actor–critic agent) or BBA takes the generic
-    per-session path.  ``orders`` carries the shard's work orders so the
-    RL driver can read per-row exploration seeds.
-    """
-    if type(abr) is BufferBasedABR:
-        return _BBADriver(abr, shard)
-    if _is_batched_rl(abr):
+    """The driver for ``abr``'s :func:`decision_kind`.  ``orders`` carries
+    the shard's work orders so the RL driver can read per-row exploration
+    seeds."""
+    kind = decision_kind(abr)
+    if kind == KIND_RL:
         return _RLDriver(abr, shard, orders)
-    if getattr(abr, "use_fast_planner", False):
-        if (
-            type(abr) is ModelPredictiveABR
-            and type(abr.predictor) is HarmonicMeanPredictor
-        ):
-            return _MPCDriver(abr, shard)
-        if (
-            type(abr) is FuguABR
-            and type(abr.predictor) is ErrorDistributionPredictor
-        ):
-            return _FuguDriver(abr, shard)
-        if (
-            type(abr) is SenseiFuguABR
-            and type(abr.predictor) is ErrorDistributionPredictor
-        ):
-            return _SenseiFuguDriver(abr, shard)
-    return _PerSessionDriver(abr, shard)
+    return _DRIVERS.get(kind, _PerSessionDriver)(abr, shard)
 
 
 # ---------------------------------------------------------------- drivers
@@ -715,44 +729,49 @@ class _ErrorDistributionState:
         np.add.at(self.bin_counts, (recorded, indices), 1)
 
 
+class _PlanOutputs:
+    """Per-row kernel outputs of one batch of plan requests, aligned with
+    the rows the requests were emitted for (:func:`_plan_requests`)."""
+
+    __slots__ = ("levels", "stalls", "scores", "rebuffer")
+
+    def __init__(self, count: int) -> None:
+        self.levels = np.zeros(count, dtype=int)
+        self.stalls = np.zeros(count)
+        self.scores = np.zeros(count)
+        self.rebuffer = np.zeros(count)
+
+
 class _PlanRequest:
-    """One pending kernel evaluation emitted by a planner driver.
+    """One pending kernel evaluation emitted by a planner round.
 
-    Requests whose :attr:`key` matches plan over the *same* memoised
-    candidate tree with the same stall options, scenario count, quality
-    coefficients and weights mode; the shard coordinator concatenates
-    them — across ABR instances — into one kernel call and scatters the
-    per-session results back through :meth:`scatter`.  Merging is
-    bit-safe because the kernel is elementwise over the session axis.
-
-    A request carries its planner inputs either as *member indices* into
-    the shard's SoA matrices (the grid drivers' form: ``members`` plus the
-    shard passed to :func:`_execute_plan_requests`) or as *direct arrays*
-    (``sizes``/``quality``/``weights``/``chunk_duration``/
-    ``buffer_capacity``, the grid-free form :func:`plan_batch` builds from
-    standalone observations).  The kernel call is identical either way.
+    ``members`` are rows of the *planner-input source* the request is
+    executed against — the lockstep shard's :class:`ShardState`, or the
+    decision service's stacked flush observations, which share its
+    ``sizes_all``/``quality_all``/``weights_all`` layout.  ``positions``
+    index the round's :class:`_PlanOutputs`.  Requests whose :attr:`key`
+    matches plan over the *same* memoised candidate tree with the same
+    stall options, scenario count, quality coefficients and weights mode;
+    :func:`_execute_plan_requests` concatenates them — across rounds and
+    ABR instances — into shared kernel calls.  Merging is bit-safe because
+    the kernel is elementwise over the session axis.
     """
 
     __slots__ = (
-        "key", "start_level", "max_level_step", "bitrates", "stall_options",
+        "key", "start_level", "max_level_step", "stall_options",
         "quality_model", "members", "positions", "buffer_s", "last_levels",
         "scenario_tputs", "scenario_probs", "use_weights", "need_rebuffer",
-        "levels_out", "scores_out", "rebuffer_out", "stalls_out",
-        "sizes", "quality", "weights", "chunk_duration", "buffer_capacity",
+        "out",
     )
 
     def __init__(
-        self, *, key, start_level, max_level_step, bitrates, stall_options,
+        self, *, key, start_level, max_level_step, stall_options,
         quality_model, members, positions, buffer_s, last_levels,
-        scenario_tputs, scenario_probs, use_weights, need_rebuffer,
-        levels_out, scores_out, rebuffer_out, stalls_out=None,
-        sizes=None, quality=None, weights=None, chunk_duration=None,
-        buffer_capacity=None,
+        scenario_tputs, scenario_probs, use_weights, need_rebuffer, out,
     ) -> None:
         self.key = key
         self.start_level = start_level
         self.max_level_step = max_level_step
-        self.bitrates = bitrates
         self.stall_options = stall_options
         self.quality_model = quality_model
         self.members = members
@@ -763,24 +782,95 @@ class _PlanRequest:
         self.scenario_probs = scenario_probs
         self.use_weights = use_weights
         self.need_rebuffer = need_rebuffer
-        self.levels_out = levels_out
-        self.scores_out = scores_out
-        self.rebuffer_out = rebuffer_out
-        self.stalls_out = stalls_out
-        self.sizes = sizes
-        self.quality = quality
-        self.weights = weights
-        self.chunk_duration = chunk_duration
-        self.buffer_capacity = buffer_capacity
+        self.out = out
 
-    def scatter(self, levels, stalls, scores, rebuffer) -> None:
-        self.levels_out[self.positions] = levels
-        if self.stalls_out is not None:
-            self.stalls_out[self.positions] = stalls
-        if self.scores_out is not None:
-            self.scores_out[self.positions] = scores
-        if self.rebuffer_out is not None:
-            self.rebuffer_out[self.positions] = rebuffer
+
+def coefficient_key(quality_model) -> tuple:
+    """The quality coefficients as a hashable key (plan requests of equal
+    keys may share a kernel call)."""
+    coeffs = quality_model.coefficients
+    return (
+        coeffs.intercept, coeffs.quality_weight,
+        coeffs.rebuffer_weight, coeffs.switch_weight,
+    )
+
+
+def _plan_requests(
+    abr, source, rows: np.ndarray, horizons: List[int],
+    last_levels: np.ndarray, buffer_s: np.ndarray,
+    scenario_tputs: np.ndarray, scenario_probs: np.ndarray, *,
+    stall_options, use_weights: bool, need_rebuffer: bool,
+) -> Tuple[List[_PlanRequest], _PlanOutputs]:
+    """Group ``rows`` by candidate tree into plan requests.
+
+    Primary grouping is by candidate-tree signature — (horizon, ladder,
+    previously-played level under the ``max_step`` restriction, stall
+    options) — which evaluates each group's exact (smallest) subtree.
+    Rows without a restriction, and groups smaller than
+    :attr:`_PlannerDriverBase.MERGE_BELOW`, share one request per
+    (horizon, ladder, stall options) over the *unrestricted-start* tree
+    (``start_level=None``); the kernel then masks each row down to its own
+    subtree, an order-preserving first-level filter of the union tree, so
+    selection — ties included — matches the per-row tree exactly.
+    Splitting oversized groups is left to :func:`_execute_plan_requests`,
+    which slices after merging every round's requests.
+
+    ``stall_options`` is one tuple for every row, or a list of per-row
+    tuples (SENSEI's affordable options).  Returns the requests and the
+    :class:`_PlanOutputs` their results land in, aligned with ``rows``.
+    """
+    max_step = abr.max_level_step
+    ladder_keys = source.ladder_keys
+    per_row_stalls = isinstance(stall_options, list)
+    subtree: Dict[tuple, List[int]] = {}
+    for position, (row, start) in enumerate(
+        zip(rows.tolist(), last_levels.tolist())
+    ):
+        if max_step is None or start < 0:
+            start = -1  # one shared tree regardless of history
+        key = (
+            horizons[position], ladder_keys[row], start,
+            stall_options[position] if per_row_stalls else stall_options,
+        )
+        subtree.setdefault(key, []).append(position)
+    groups: Dict[tuple, List[int]] = {}
+    for (horizon, ladder, start, stalls), positions in subtree.items():
+        if start < 0 or len(positions) < _PlannerDriverBase.MERGE_BELOW:
+            start = None
+        groups.setdefault((horizon, ladder, start, stalls), []).extend(
+            positions
+        )
+    coeff_key = coefficient_key(abr.quality_model)
+    num_scenarios = scenario_tputs.shape[1]
+    out = _PlanOutputs(rows.size)
+    requests = []
+    for (horizon, ladder, start, stalls), positions in groups.items():
+        requests.append(
+            _PlanRequest(
+                # use_weights is part of the key: merging weighted and
+                # unweighted rounds would push the unweighted rows through
+                # the kernel's (costlier) weighted path — bit-identical,
+                # but slower than two separate calls.
+                key=(
+                    horizon, ladder, start, max_step, stalls, num_scenarios,
+                    coeff_key, use_weights,
+                ),
+                start_level=start,
+                max_level_step=max_step,
+                stall_options=stalls,
+                quality_model=abr.quality_model,
+                members=rows[positions],
+                positions=positions,
+                buffer_s=buffer_s[positions],
+                last_levels=last_levels[positions],
+                scenario_tputs=scenario_tputs[positions],
+                scenario_probs=scenario_probs[positions],
+                use_weights=use_weights,
+                need_rebuffer=need_rebuffer,
+                out=out,
+            )
+        )
+    return requests, out
 
 
 #: Shared all-ones weight matrices per shape (the kernel never writes into
@@ -796,30 +886,25 @@ def _uniform_weights(num_sessions: int, horizon: int) -> np.ndarray:
     return weights
 
 
-def _execute_plan_requests(
-    requests: List[_PlanRequest], shard: Optional[ShardState] = None
-) -> None:
-    """Run every pending plan request, merging compatible ones.
+def _execute_plan_requests(requests: List[_PlanRequest], source) -> None:
+    """Run every pending plan request against ``source``, merging
+    compatible ones — the one place the planner kernel is called.
 
     Requests are bucketed by :attr:`_PlanRequest.key`; each bucket is one
-    candidate tree evaluated for the concatenation of its requests'
-    sessions, sliced into cache-blocked tiles: the per-call session count
-    comes from :func:`repro.abr.planner.kernel_block_sessions`, which
-    sizes the kernel's working set to the L2 target (never below the
-    pre-arena :attr:`_PlannerDriverBase.SPLIT_ABOVE` cap).  Because the
-    kernel is elementwise over the session axis, every session's outputs
-    are bitwise those of evaluating its own request alone — whatever the
-    tile size.
-
-    With ``shard`` the per-session planner inputs are sliced from the
-    shard's SoA matrices through each request's ``members``; without it
-    (the :func:`plan_batch` path) every request carries its inputs as
-    direct arrays.  Both forms feed the kernel identical values.
+    candidate tree evaluated for the concatenation of its requests' rows,
+    sliced into cache-blocked tiles: the per-call row count comes from
+    :func:`repro.abr.planner.kernel_block_sessions`, which sizes the
+    kernel's working set to the L2 target (never below the pre-arena
+    :attr:`_PlannerDriverBase.SPLIT_ABOVE` cap).  Per-row planner inputs
+    are sliced from the source's padded matrices at its ``step_index``
+    through each request's ``members``.  Because the kernel is elementwise
+    over the session axis, every row's outputs are bitwise those of
+    evaluating its own request alone — whatever the tile size.
     """
     buckets: Dict[tuple, List[_PlanRequest]] = {}
     for request in requests:
         buckets.setdefault(request.key, []).append(request)
-    chunk = shard.step_index if shard is not None else 0
+    chunk = source.step_index
     split_above = _PlannerDriverBase.SPLIT_ABOVE
     for bucket in buckets.values():
         first = bucket[0]
@@ -836,12 +921,13 @@ def _execute_plan_requests(
             scenario_tputs = np.vstack([r.scenario_tputs for r in bucket])
             scenario_probs = np.vstack([r.scenario_probs for r in bucket])
         horizon = first.key[0]
+        bitrates = source.bitrates[members[0]]
         candidates = enumerate_level_sequences(
-            first.bitrates.size, horizon, max_step=first.max_level_step,
+            bitrates.size, horizon, max_step=first.max_level_step,
             start_level=first.start_level,
         )
         if first.start_level is not None or first.max_level_step is None:
-            candidate_mask = None
+            candidate_mask = None  # the tree is already each row's own
         else:
             candidate_mask = (last_levels[:, None] < 0) | (
                 np.abs(candidates[None, :, 0] - last_levels[:, None])
@@ -849,49 +935,26 @@ def _execute_plan_requests(
             )
         # use_weights is part of the request key, so a bucket is uniformly
         # weighted or uniformly unweighted.
-        use_weights = bucket[0].use_weights
+        use_weights = first.use_weights
         need_rebuffer = any(r.need_rebuffer for r in bucket)
-        if shard is not None:
-            sizes = shard.sizes_all[members, chunk:chunk + horizon]
-            quality = shard.quality_all[members, chunk:chunk + horizon]
-            if use_weights:
-                weights = shard.weights_all[members, chunk:chunk + horizon]
-            else:
-                weights = _uniform_weights(members.size, horizon)
-            durations = (
-                shard.chunk_duration_shared
-                if shard.chunk_duration_shared is not None
-                else shard.chunk_duration[members]
-            )
-            capacity = shard.buffer_capacity
+        sizes = source.sizes_all[members, chunk:chunk + horizon]
+        quality = source.quality_all[members, chunk:chunk + horizon]
+        if use_weights:
+            weights = source.weights_all[members, chunk:chunk + horizon]
         else:
-            if len(bucket) == 1:
-                sizes = first.sizes
-                quality = first.quality
-                direct_weights = first.weights
-                durations = first.chunk_duration
-                capacity = first.buffer_capacity
-            else:
-                sizes = np.concatenate([r.sizes for r in bucket])
-                quality = np.concatenate([r.quality for r in bucket])
-                direct_weights = (
-                    np.concatenate([r.weights for r in bucket])
-                    if use_weights else None
-                )
-                durations = np.concatenate(
-                    [r.chunk_duration for r in bucket]
-                )
-                capacity = np.concatenate(
-                    [r.buffer_capacity for r in bucket]
-                )
-            weights = (
-                direct_weights if use_weights
-                else _uniform_weights(members.size, horizon)
-            )
+            weights = _uniform_weights(members.size, horizon)
+        durations = (
+            source.chunk_duration_shared
+            if source.chunk_duration_shared is not None
+            else source.chunk_duration[members]
+        )
+        capacity = source.buffer_capacity
+        if isinstance(capacity, np.ndarray):
+            capacity = capacity[members]
 
         count = members.size
         block = kernel_block_sessions(
-            first.bitrates.size, horizon, first.max_level_step,
+            bitrates.size, horizon, first.max_level_step,
             scenario_tputs.shape[1],
             floor=split_above if split_above is not None else count,
         )
@@ -913,16 +976,16 @@ def _execute_plan_requests(
                 last_level=last_levels[start:stop],
                 scenario_tputs=scenario_tputs[start:stop],
                 scenario_probs=scenario_probs[start:stop],
-                bitrates_kbps=first.bitrates,
+                bitrates_kbps=bitrates,
                 quality_model=first.quality_model,
                 stall_options_s=first.stall_options,
                 chunk_duration_s=(
-                    durations if isinstance(durations, float)
-                    else durations[start:stop]
+                    durations[start:stop]
+                    if isinstance(durations, np.ndarray) else durations
                 ),
                 buffer_capacity_s=(
-                    capacity if isinstance(capacity, float)
-                    else capacity[start:stop]
+                    capacity[start:stop]
+                    if isinstance(capacity, np.ndarray) else capacity
                 ),
                 candidate_mask=(
                     None if candidate_mask is None
@@ -938,332 +1001,160 @@ def _execute_plan_requests(
         offset = 0
         for r in bucket:
             stop = offset + r.members.size
-            r.scatter(
-                levels[offset:stop], stalls[offset:stop],
-                scores[offset:stop], rebuffer[offset:stop],
-            )
+            out, positions = r.out, r.positions
+            out.levels[positions] = levels[offset:stop]
+            out.stalls[positions] = stalls[offset:stop]
+            out.scores[positions] = scores[offset:stop]
+            out.rebuffer[positions] = rebuffer[offset:stop]
             offset = stop
 
 
-class PlanJob:
-    """One standalone planner evaluation for :func:`plan_batch`.
+def plan_batch(rounds: Sequence, source) -> list:
+    """Drive planner rounds to completion against one planner-input source.
 
-    The grid-free counterpart of a shard driver's per-session planner
-    round: everything the kernel needs is taken from a single
-    :class:`~repro.abr.base.PlayerObservation` plus the scalar scenario
-    list the ABR's own predictor produced — exactly the inputs the serial
-    ``decide()`` hands :func:`~repro.abr.planner.evaluate_candidates`.
-    Jobs submitted together are merged by candidate-tree signature and
-    evaluated through the same coordinator as the lockstep grid path, so
-    each job's outputs are bitwise those of the serial evaluation.
+    A *round* (:func:`plan_round`, :func:`sensei_round`) is a generator
+    that yields lists of plan requests and finally returns its decisions.
+    Each pass gathers the requests every unfinished round yields, executes
+    them together through :func:`_execute_plan_requests` — so compatible
+    requests of different rounds, ABR instances and families share kernel
+    calls — and resumes the rounds.  Returns each round's result, aligned
+    with ``rounds``.
+
+    The one planning path of the lockstep shard coordinator (``source`` is
+    the :class:`ShardState`) and the decision service (``source`` is a
+    flush's stacked observations).  Because the kernel is elementwise over
+    the session axis, each row's decision is bitwise that of evaluating it
+    alone — and therefore the serial ``decide()``'s, which routes through
+    the same kernel with a one-session stack.
     """
+    results: list = [None] * len(rounds)
+    pending = list(enumerate(rounds))
+    while pending:
+        requests: List[_PlanRequest] = []
+        waiting = []
+        for index, round_ in pending:
+            try:
+                requests.extend(next(round_))
+            except StopIteration as done:
+                results[index] = done.value
+            else:
+                waiting.append((index, round_))
+        if requests:
+            # Covers request merging/splitting *and* the kernel calls; the
+            # kernel's own time lands under the nested ``planner.kernel``
+            # span recorded inside evaluate_candidates_batch.
+            with trace_span("engine.lockstep.plan"):
+                _execute_plan_requests(requests, source)
+        pending = waiting
+    return results
 
-    __slots__ = (
-        "observation", "horizon", "scenario_tputs", "scenario_probs",
-        "quality_model", "stall_options", "max_level_step", "use_weights",
-        "need_rebuffer", "bitrates", "ladder_key", "coeff_key",
+
+def plan_round(
+    abr, source, rows, horizons, last_levels, buffer_s, scenario_tputs,
+    scenario_probs,
+):
+    """MPC's and Fugu's planner round: one unweighted, no-stall plan per
+    row over the scenarios its predictor produced.  Yields one request
+    list; returns ``(levels, stalls)`` aligned with ``rows``."""
+    requests, out = _plan_requests(
+        abr, source, rows, horizons, last_levels, buffer_s, scenario_tputs,
+        scenario_probs, stall_options=(0.0,), use_weights=False,
+        need_rebuffer=False,
     )
-
-    def __init__(
-        self,
-        *,
-        observation,
-        horizon: int,
-        scenarios: Sequence[Tuple[float, float]],
-        quality_model,
-        stall_options: Sequence[float] = (0.0,),
-        max_level_step: Optional[int] = None,
-        use_weights: bool = False,
-        need_rebuffer: bool = False,
-    ) -> None:
-        if not (1 <= horizon <= observation.horizon):
-            raise ValueError(
-                f"plan horizon {horizon} outside the observation's "
-                f"1..{observation.horizon}"
-            )
-        if not scenarios:
-            raise ValueError("need at least one throughput scenario")
-        self.observation = observation
-        self.horizon = int(horizon)
-        self.scenario_tputs = np.array(
-            [t for t, _ in scenarios], dtype=float
-        )
-        self.scenario_probs = np.array(
-            [p for _, p in scenarios], dtype=float
-        )
-        self.quality_model = quality_model
-        self.stall_options = tuple(float(s) for s in stall_options)
-        self.max_level_step = max_level_step
-        self.use_weights = bool(use_weights)
-        self.need_rebuffer = bool(need_rebuffer)
-        self.bitrates = np.asarray(
-            observation.ladder.bitrates_kbps, dtype=float
-        )
-        self.ladder_key = tuple(self.bitrates.tolist())
-        coeffs = quality_model.coefficients
-        self.coeff_key = (
-            coeffs.intercept, coeffs.quality_weight,
-            coeffs.rebuffer_weight, coeffs.switch_weight,
-        )
+    yield requests
+    return out.levels, out.stalls
 
 
-class PlanResult:
-    """Per-job outcome of :func:`plan_batch` (the scalar fields a
-    ``decide()`` consumes, mirroring
-    :class:`~repro.abr.planner.PlanEvaluation`)."""
+def sensei_round(
+    abr, source, rows, horizons, last_levels, buffer_s, scenario_tputs,
+    scenario_probs, spent,
+):
+    """SENSEI-Fugu's planner round: the batched :meth:`SenseiFuguABR.decide`.
 
-    __slots__ = ("level", "proactive_stall_s", "score", "expected_rebuffer_s")
-
-    def __init__(self, level, proactive_stall_s, score, expected_rebuffer_s):
-        self.level = level
-        self.proactive_stall_s = proactive_stall_s
-        self.score = score
-        self.expected_rebuffer_s = expected_rebuffer_s
-
-
-def plan_batch(jobs: Sequence[PlanJob]) -> List[PlanResult]:
-    """Evaluate standalone planner jobs through the batched kernel.
-
-    The reusable, grid-free entry point onto the lockstep batch-planning
-    path: jobs are grouped by candidate-tree signature — (horizon, ladder,
-    previously-played level under the ``max_step`` restriction, stall
-    options, scenario count, quality coefficients, weights mode) — with
-    the same :attr:`_PlannerDriverBase.MERGE_BELOW` union-tree merging and
-    :attr:`_PlannerDriverBase.SPLIT_ABOVE` cache-friendliness slicing the
-    shard coordinator applies, then executed by
-    :func:`_execute_plan_requests` with direct per-job arrays instead of
-    shard SoA slices.  Because the kernel is elementwise over the session
-    axis, each job's result is bitwise equal to evaluating it alone — and
-    therefore to the serial ``decide()`` path, which routes through the
-    same kernel with a one-session stack.  This is what lets an online
-    decision service micro-batch requests from unrelated sessions without
-    perturbing any session's decisions.
+    Phase one plans every row with the sensitivity-weighted objective
+    (Eq. 4) and no stall.  The stall gate then opens for the rows where a
+    stall is likely anyway (expected rebuffering at least
+    ``stall_risk_threshold_s``), the buffer can absorb one, a later chunk
+    is meaningfully more sensitive than the next, and proactive-stall
+    budget remains.  Phase two re-plans those rows over the stall options
+    their budget still affords and adopts a plan only when it scores
+    strictly better.  ``spent`` is each row's proactive stall time so far.
+    Yields one request list per phase; returns ``(levels, stalls, spent)``
+    with the rows' updated budgets.
     """
-    if not jobs:
-        return []
-    count = len(jobs)
-    levels = np.zeros(count, dtype=int)
-    stalls = np.zeros(count)
-    scores = np.zeros(count)
-    rebuffer = np.zeros(count)
-    subtree: Dict[tuple, List[int]] = {}
-    for position, job in enumerate(jobs):
-        start = int(job.observation.last_level)
-        if job.max_level_step is None or start < 0:
-            start = -1  # one shared tree regardless of history
-        key = (
-            job.horizon, job.ladder_key, start, job.max_level_step,
-            job.stall_options, job.scenario_tputs.size, job.coeff_key,
-            job.use_weights,
+    count = rows.size
+    # Pre-gates that do not depend on the plan: buffer floor, budget,
+    # weight shift.  When no row passes them, phase one skips its
+    # rebuffer-expectation work — the gate is closed regardless (the
+    # common steady state once a session's stall budget is spent).
+    pre_gate = np.zeros(count, dtype=bool)
+    if len(abr.stall_options_s) > 1:
+        open_rows = (buffer_s >= abr.min_stall_buffer_s) & (
+            spent < abr.max_total_proactive_stall_s
         )
-        subtree.setdefault(key, []).append(position)
-    groups: Dict[tuple, Tuple[Optional[int], List[int]]] = {}
-    for key, positions in subtree.items():
-        if len(positions) >= _PlannerDriverBase.MERGE_BELOW:
-            start = key[2]
-            groups[key] = (start if start >= 0 else None, positions)
-        else:
-            merged_key = key[:2] + ("merged",) + key[3:]
-            entry = groups.setdefault(merged_key, (None, []))
-            entry[1].extend(positions)
-    requests: List[_PlanRequest] = []
-    for key, (start_level, positions) in groups.items():
-        group = [jobs[position] for position in positions]
-        first = group[0]
-        horizon = first.horizon
-        indices = np.asarray(positions, dtype=int)
-        requests.append(
-            _PlanRequest(
-                key=key,
-                start_level=start_level,
-                max_level_step=first.max_level_step,
-                bitrates=first.bitrates,
-                stall_options=first.stall_options,
-                quality_model=first.quality_model,
-                members=indices,
-                positions=indices,
-                buffer_s=np.array(
-                    [job.observation.buffer_s for job in group]
-                ),
-                last_levels=np.array(
-                    [int(job.observation.last_level) for job in group]
-                ),
-                scenario_tputs=np.stack(
-                    [job.scenario_tputs for job in group]
-                ),
-                scenario_probs=np.stack(
-                    [job.scenario_probs for job in group]
-                ),
-                use_weights=first.use_weights,
-                need_rebuffer=any(job.need_rebuffer for job in group),
-                levels_out=levels,
-                scores_out=scores,
-                rebuffer_out=rebuffer,
-                stalls_out=stalls,
-                sizes=np.stack(
-                    [
-                        job.observation.upcoming_sizes_bytes[:horizon]
-                        for job in group
-                    ]
-                ),
-                quality=np.stack(
-                    [
-                        job.observation.upcoming_quality[:horizon]
-                        for job in group
-                    ]
-                ),
-                weights=(
-                    np.stack(
-                        [
-                            np.asarray(
-                                job.observation.upcoming_weights,
-                                dtype=float,
-                            )[:horizon]
-                            for job in group
-                        ]
-                    )
-                    if first.use_weights else None
-                ),
-                chunk_duration=np.array(
-                    [job.observation.chunk_duration_s for job in group]
-                ),
-                buffer_capacity=np.array(
-                    [job.observation.buffer_capacity_s for job in group]
-                ),
+        # Weight-shift gate, vectorised per distinct horizon: a stall only
+        # helps when some upcoming chunk is meaningfully more sensitive
+        # than the next one.
+        chunk = source.step_index
+        weights_all = source.weights_all
+        horizon_arr = np.asarray(horizons)
+        for span in np.unique(horizon_arr[open_rows]):
+            if span <= 1:
+                continue
+            group = np.flatnonzero(open_rows & (horizon_arr == span))
+            ahead = weights_all[
+                rows[group][:, None], chunk + 1 + np.arange(span - 1)[None, :]
+            ]
+            first = weights_all[rows[group], chunk]
+            pre_gate[group] = ahead.max(axis=1) > first * 1.05
+
+    requests, plan = _plan_requests(
+        abr, source, rows, horizons, last_levels, buffer_s, scenario_tputs,
+        scenario_probs, stall_options=(0.0,), use_weights=True,
+        need_rebuffer=bool(np.any(pre_gate)),
+    )
+    yield requests
+    levels, stalls = plan.levels, plan.stalls
+    gated = np.flatnonzero(
+        pre_gate & (plan.rebuffer >= abr.stall_risk_threshold_s)
+    )
+    if gated.size:
+        remaining = abr.max_total_proactive_stall_s - spent[gated]
+        affordable = [
+            tuple(
+                option for option in abr.stall_options_s
+                if option <= budget + 1e-9
             )
+            for budget in remaining.tolist()
+        ]
+        requests, stalling = _plan_requests(
+            abr, source, rows[gated],
+            [horizons[position] for position in gated.tolist()],
+            last_levels[gated], buffer_s[gated], scenario_tputs[gated],
+            scenario_probs[gated], stall_options=affordable,
+            use_weights=True, need_rebuffer=False,
         )
-    with trace_span("engine.lockstep.plan"):
-        _execute_plan_requests(requests)
-    return [
-        PlanResult(
-            level=int(levels[index]),
-            proactive_stall_s=float(stalls[index]),
-            score=float(scores[index]),
-            expected_rebuffer_s=float(rebuffer[index]),
-        )
-        for index in range(count)
-    ]
+        yield requests
+        # Strictly better, exactly like the serial gate: ties keep the
+        # no-stall plan.
+        better = stalling.scores > plan.scores[gated]
+        adopted = gated[better]
+        levels[adopted] = stalling.levels[better]
+        stalls[adopted] = stalling.stalls[better]
+    # Phase one never stalls, so adding every row's stall (0.0 unless a
+    # stall was adopted) is the serial ``if stall > 0: spent += stall``.
+    return levels, stalls, spent + stalls
 
 
 class _PlannerDriverBase:
     """Shared machinery of the batched planner drivers.
 
-    Planner inputs come straight off the shard's SoA arrays (no
-    per-session gather) and live sessions are grouped by candidate-tree
-    signature (sessions at a different previously-played level or a
-    shorter end-of-video horizon plan over different trees).  Instead of
-    evaluating each group itself, ``begin_round`` emits the groups as
-    :class:`_PlanRequest`\\ s; the shard coordinator merges compatible
-    requests across every planner family of the shard and runs one 4-D
-    kernel call per merged group.
+    A driver keeps its family's predictor state as arrays over the shard
+    and, per chunk step, turns the live rows' predictions into a planner
+    round (:func:`plan_round` / :func:`sensei_round`) whose plan requests
+    the shard coordinator runs through :func:`plan_batch`.  Planner inputs
+    come straight off the shard's SoA arrays.
     """
-
-    def __init__(self, abr, shard: ShardState) -> None:
-        self.abr = abr
-        self.shard = shard
-        self.quality_model = abr.quality_model
-        coeffs = abr.quality_model.coefficients
-        self.coeff_key = (
-            coeffs.intercept, coeffs.quality_weight,
-            coeffs.rebuffer_weight, coeffs.switch_weight,
-        )
-        self.max_level_step = abr.max_level_step
-        self.plan_horizon = abr.horizon
-        self.chunk_durations = (
-            shard.chunk_duration_shared
-            if shard.chunk_duration_shared is not None
-            else shard.chunk_duration
-        )
-        self.buffer_capacity = shard.buffer_capacity
-        self.obs_horizon = shard.config.observation_horizon
-        self.bitrates = [
-            np.asarray(encoded.ladder.bitrates_kbps, dtype=float)
-            for encoded in shard.encoded
-        ]
-        self.ladder_keys = [
-            tuple(bitrates.tolist()) for bitrates in self.bitrates
-        ]
-        # Shard-wide (session, chunk, level) matrices: one gather per
-        # kernel call instead of a Python stacking loop.  Zero-padded
-        # rows/levels past a shorter video's end (or a narrower ladder)
-        # are never read — horizons shrink with the chunks remaining,
-        # grouping is by (horizon, ladder), and candidate levels stay
-        # within the group's ladder.  Shared across the shard's drivers.
-        self.sizes_all = shard.sizes_all
-        self.quality_all = shard.quality_all
-        self.weights_all = shard.weights_all
-
-    def _histories(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), samples) throughput histories — rectangular because
-        every live session has completed the same number of chunks."""
-        return self.shard.throughput_history.matrix(rows)
-
-    def _emit_requests(
-        self,
-        rows: np.ndarray,
-        horizons: List[int],
-        last_levels: np.ndarray,
-        buffer_s: np.ndarray,
-        scenario_tputs: np.ndarray,
-        scenario_probs: np.ndarray,
-        use_weights: bool,
-        need_rebuffer: bool,
-        levels_out: np.ndarray,
-        scores_out: Optional[np.ndarray] = None,
-        rebuffer_out: Optional[np.ndarray] = None,
-    ) -> List[_PlanRequest]:
-        """One :class:`_PlanRequest` per candidate-tree group of ``rows``."""
-        num_scenarios = scenario_tputs.shape[1]
-        requests = []
-        for key, (start_level, positions) in self._plan_groups(
-            rows, horizons, last_levels, split=False
-        ).items():
-            members = rows[positions]
-            requests.append(
-                _PlanRequest(
-                    # use_weights is part of the key: merging weighted and
-                    # unweighted rounds would push the unweighted sessions
-                    # through the kernel's (costlier) weighted path —
-                    # bit-identical, but slower than two separate calls.
-                    key=(
-                        key[0], key[1], start_level, self.max_level_step,
-                        self.stall_options, num_scenarios, self.coeff_key,
-                        use_weights,
-                    ),
-                    start_level=start_level,
-                    max_level_step=self.max_level_step,
-                    bitrates=self.bitrates[members[0]],
-                    stall_options=self.stall_options,
-                    quality_model=self.quality_model,
-                    members=members,
-                    positions=positions,
-                    buffer_s=buffer_s[positions],
-                    last_levels=last_levels[positions],
-                    scenario_tputs=scenario_tputs[positions],
-                    scenario_probs=scenario_probs[positions],
-                    use_weights=use_weights,
-                    need_rebuffer=need_rebuffer,
-                    levels_out=levels_out,
-                    scores_out=scores_out,
-                    rebuffer_out=rebuffer_out,
-                )
-            )
-        return requests
-
-    #: The stall options of the mergeable (phase-one / no-stall) round.
-    stall_options = (0.0,)
-
-    def _gather(self, rows: np.ndarray):
-        """Per-session planner inputs for one chunk step — array slices of
-        the shard state rather than a per-session Python gather."""
-        shard = self.shard
-        buffer_s = shard.buffer_s[rows]
-        last_levels = shard.last_levels(rows)
-        horizons = np.minimum(
-            min(self.plan_horizon, self.obs_horizon),
-            shard.num_chunks[rows] - shard.step_index,
-        ).tolist()
-        return buffer_s, last_levels, horizons
 
     #: Subtree groups smaller than this are merged into one masked-union
     #: call: below it the per-call overhead outweighs the extra (masked-out)
@@ -1288,124 +1179,23 @@ class _PlannerDriverBase:
     #: spot moved up from 8.)
     SPLIT_ABOVE = 12
 
-    def _plan_groups(
-        self,
-        live: Sequence[int],
-        horizons: List[int],
-        last_levels: np.ndarray,
-        extra_keys: Optional[List[tuple]] = None,
-        split: bool = True,
-        num_scenarios: int = 1,
-    ) -> Dict[tuple, Tuple[Optional[int], List[int]]]:
-        """Kernel-call groups: ``key -> (start_level, positions into live)``.
+    def __init__(self, abr, shard: ShardState) -> None:
+        self.abr = abr
+        self.shard = shard
+        self.plan_horizon = min(abr.horizon, shard.config.observation_horizon)
 
-        Primary grouping is by candidate-tree signature — (horizon, ladder,
-        previously-played level under the ``max_step`` restriction) — which
-        evaluates each group's exact (smallest) subtree.  Groups too small
-        to amortise a kernel call are merged per (horizon, ladder) into one
-        evaluation of the *unrestricted-start* tree with ``start_level ==
-        None``; the kernel then masks each merged session down to its own
-        subtree, which is an order-preserving first-level filter of the
-        union tree, so selection — ties included — matches the per-session
-        tree exactly.
-        """
-        subtree: Dict[tuple, List[int]] = {}
-        for position, index in enumerate(live):
-            start = int(last_levels[position])
-            if self.max_level_step is None or start < 0:
-                start = -1  # one shared tree regardless of history
-            key = (horizons[position], self.ladder_keys[index], start)
-            if extra_keys is not None:
-                key = key + (extra_keys[position],)
-            subtree.setdefault(key, []).append(position)
-        groups: Dict[tuple, Tuple[Optional[int], List[int]]] = {}
-        for key, positions in subtree.items():
-            if len(positions) >= self.MERGE_BELOW:
-                start = key[2]
-                groups[key] = (start if start >= 0 else None, positions)
-            else:
-                merged_key = key[:2] + ("merged",) + key[3:]
-                entry = groups.setdefault(merged_key, (None, []))
-                entry[1].extend(positions)
-        if self.SPLIT_ABOVE is None or not split:
-            # Request emission leaves splitting to the coordinator, which
-            # slices *after* cross-family merging.
-            return groups
-        sliced: Dict[tuple, Tuple[Optional[int], List[int]]] = {}
-        for key, (start, positions) in groups.items():
-            member = live[positions[0]]
-            block = kernel_block_sessions(
-                self.bitrates[member].size, key[0], self.max_level_step,
-                num_scenarios, floor=self.SPLIT_ABOVE,
-            )
-            if len(positions) <= block:
-                sliced[key] = (start, positions)
-                continue
-            slices = -(-len(positions) // block)
-            size = -(-len(positions) // slices)
-            for slice_index in range(slices):
-                chunk = positions[slice_index * size:(slice_index + 1) * size]
-                if chunk:
-                    sliced[key + (slice_index,)] = (start, chunk)
-        return sliced
-
-    def _evaluate_group(
-        self,
-        live: np.ndarray,
-        positions: List[int],
-        horizon: int,
-        start_level: Optional[int],
-        buffer_s: np.ndarray,
-        last_levels: np.ndarray,
-        scenario_tputs: np.ndarray,
-        scenario_probs: np.ndarray,
-        stall_options_s: Sequence[float],
-        use_weights: bool = False,
-        need_expected_rebuffer: bool = True,
-    ):
-        """One batched kernel call for a group sharing a candidate tree."""
-        members = live[positions]
-        chunk = self.shard.step_index
-        bitrates = self.bitrates[members[0]]
-        candidates = enumerate_level_sequences(
-            bitrates.size, horizon, max_step=self.max_level_step,
-            start_level=start_level,
-        )
-        group_last = last_levels[positions]
-        if start_level is not None or self.max_level_step is None:
-            candidate_mask = None  # the tree is already each session's own
-        else:
-            candidate_mask = (group_last[:, None] < 0) | (
-                np.abs(candidates[None, :, 0] - group_last[:, None])
-                <= self.max_level_step
-            )
-        sizes = self.sizes_all[members, chunk:chunk + horizon]
-        quality = self.quality_all[members, chunk:chunk + horizon]
-        if use_weights:
-            weights = self.weights_all[members, chunk:chunk + horizon]
-        else:
-            weights = _uniform_weights(members.size, horizon)
-        return evaluate_candidates_batch(
-            candidates=candidates,
-            sizes=sizes,
-            quality=quality,
-            weights=weights,
-            buffer_s=buffer_s[positions],
-            last_level=group_last,
-            scenario_tputs=scenario_tputs[positions],
-            scenario_probs=scenario_probs[positions],
-            bitrates_kbps=bitrates,
-            quality_model=self.quality_model,
-            stall_options_s=stall_options_s,
-            chunk_duration_s=(
-                self.chunk_durations
-                if isinstance(self.chunk_durations, float)
-                else self.chunk_durations[members]
-            ),
-            buffer_capacity_s=self.buffer_capacity,
-            candidate_mask=candidate_mask,
-            need_expected_rebuffer=need_expected_rebuffer,
-            weights_uniform=not use_weights,
+    def _inputs(self, rows: np.ndarray):
+        """``(histories, buffer_s, last_levels, horizons)`` for one chunk
+        step — array slices of the shard state.  Histories are rectangular
+        because every live session has completed the same number of
+        chunks; horizons shrink with the chunks remaining."""
+        shard = self.shard
+        horizons = np.minimum(
+            self.plan_horizon, shard.num_chunks[rows] - shard.step_index
+        ).tolist()
+        return (
+            shard.throughput_history.matrix(rows), shard.buffer_s[rows],
+            shard.last_levels(rows), horizons,
         )
 
 
@@ -1418,22 +1208,13 @@ class _MPCDriver(_PlannerDriverBase):
         self.predictor = _HarmonicMeanState(abr.predictor)
 
     def begin_round(self, rows: np.ndarray):
-        predicted = self.predictor.predict(self._histories(rows))
+        histories, buffer_s, last_levels, horizons = self._inputs(rows)
+        predicted = self.predictor.predict(histories)
         conservative = predicted / (1.0 + self.abr.robustness_discount)
-        scenario_tputs = conservative[:, None]
-        scenario_probs = np.ones((rows.size, 1))
-        buffer_s, last_levels, horizons = self._gather(rows)
-        levels = np.zeros(rows.size, dtype=int)
-        requests = self._emit_requests(
-            rows, horizons, last_levels, buffer_s, scenario_tputs,
-            scenario_probs, use_weights=False, need_rebuffer=False,
-            levels_out=levels,
+        return plan_round(
+            self.abr, self.shard, rows, horizons, last_levels, buffer_s,
+            conservative[:, None], np.ones((rows.size, 1)),
         )
-
-        def finish() -> Tuple[np.ndarray, np.ndarray]:
-            return levels, np.zeros(rows.size)
-
-        return requests, finish
 
 
 class _FuguDriver(_PlannerDriverBase):
@@ -1447,156 +1228,40 @@ class _FuguDriver(_PlannerDriverBase):
         )
 
     def begin_round(self, rows: np.ndarray):
+        histories, buffer_s, last_levels, horizons = self._inputs(rows)
         scenario_tputs, scenario_probs = self.predictor.predict_distribution(
-            rows, self._histories(rows)
+            rows, histories
         )
-        buffer_s, last_levels, horizons = self._gather(rows)
-        levels = np.zeros(rows.size, dtype=int)
-        requests = self._emit_requests(
-            rows, horizons, last_levels, buffer_s, scenario_tputs,
-            scenario_probs, use_weights=False, need_rebuffer=False,
-            levels_out=levels,
+        return plan_round(
+            self.abr, self.shard, rows, horizons, last_levels, buffer_s,
+            scenario_tputs, scenario_probs,
         )
 
-        def finish() -> Tuple[np.ndarray, np.ndarray]:
-            return levels, np.zeros(rows.size)
 
-        return requests, finish
-
-
-class _SenseiFuguDriver(_PlannerDriverBase):
-    """Batched :class:`SenseiFuguABR`: weighted objective, two-phase
-    proactive-stall consideration, per-session stall budgets.
-
-    Replicates :meth:`SenseiFuguABR.decide` step for step: a no-stall
-    evaluation for every session, then — only for sessions whose stall
-    gate opens (predicted rebuffering, buffer floor, sensitivity shift,
-    remaining budget) — a second evaluation over the budget-allowed stall
-    options, adopted when it strictly beats the no-stall plan.
-    """
+class _SenseiFuguDriver(_FuguDriver):
+    """Batched :class:`SenseiFuguABR`: Fugu's predictor feeding
+    :func:`sensei_round`, with per-session stall budgets."""
 
     def __init__(self, abr: SenseiFuguABR, shard: ShardState) -> None:
         super().__init__(abr, shard)
-        self.predictor = _ErrorDistributionState(
-            abr.predictor, shard.num_sessions
-        )
         self.proactive_spent_s = np.zeros(shard.num_sessions)
 
     def begin_round(self, rows: np.ndarray):
-        abr = self.abr
-        chunk = self.shard.step_index
+        histories, buffer_s, last_levels, horizons = self._inputs(rows)
         scenario_tputs, scenario_probs = self.predictor.predict_distribution(
-            rows, self._histories(rows)
+            rows, histories
         )
-        buffer_s, last_levels, horizons = self._gather(rows)
-
-        count = rows.size
-        # Pre-gates of the stall consideration that do not depend on the
-        # plan evaluation: buffer floor, per-session budget, weight shift.
-        # When no live session passes them, phase one can skip its
-        # rebuffer-expectation work — the gate is closed regardless (the
-        # common steady state once a session's stall budget is spent).
-        spent = self.proactive_spent_s[rows]
-        if len(abr.stall_options_s) > 1:
-            pre_gate = (buffer_s >= abr.min_stall_buffer_s) & (
-                spent < abr.max_total_proactive_stall_s
-            )
-            # Weight-shift gate, vectorised per distinct horizon: a stall
-            # only helps when some upcoming chunk is meaningfully more
-            # sensitive than the next one (same comparison as the scalar
-            # decide(), batched over equal-width weight windows).
-            candidates_mask = pre_gate.copy()
-            pre_gate[:] = False
-            horizon_arr = np.asarray(horizons)
-            for span in np.unique(horizon_arr[candidates_mask]):
-                if span <= 1:
-                    continue
-                group = np.flatnonzero(candidates_mask & (horizon_arr == span))
-                ahead = self.weights_all[
-                    rows[group][:, None],
-                    chunk + 1 + np.arange(span - 1)[None, :],
-                ]
-                first = self.weights_all[rows[group], chunk]
-                pre_gate[group] = ahead.max(axis=1) > first * 1.05
-        else:
-            pre_gate = np.zeros(count, dtype=bool)
-        need_rebuffer = bool(np.any(pre_gate))
-
-        levels = np.zeros(count, dtype=int)
-        scores = np.zeros(count)
-        rebuffer = np.zeros(count)
-        requests = self._emit_requests(
-            rows, horizons, last_levels, buffer_s, scenario_tputs,
-            scenario_probs, use_weights=True, need_rebuffer=need_rebuffer,
-            levels_out=levels, scores_out=scores, rebuffer_out=rebuffer,
+        levels, stalls, spent = yield from sensei_round(
+            self.abr, self.shard, rows, horizons, last_levels, buffer_s,
+            scenario_tputs, scenario_probs, self.proactive_spent_s[rows],
         )
-
-        def finish() -> Tuple[np.ndarray, np.ndarray]:
-            return self._consider_stalls(
-                rows, horizons, last_levels, buffer_s, scenario_tputs,
-                scenario_probs, spent, pre_gate, levels, scores, rebuffer,
-            )
-
-        return requests, finish
-
-    def _consider_stalls(
-        self, rows, horizons, last_levels, buffer_s, scenario_tputs,
-        scenario_probs, spent, pre_gate, levels, scores, rebuffer,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Phase two, after the no-stall round: re-plan the gated sessions
-        over their budget-allowed stall options (exactly as the scalar
-        decide() does), adopt strictly-better plans, track budgets."""
-        abr = self.abr
-        count = rows.size
-        stalls = np.zeros(count)
-        # The full stall gate, exactly as the scalar decide() applies it.
-        plausible = pre_gate & (rebuffer >= abr.stall_risk_threshold_s)
-
-        if np.any(plausible):
-            allowed_keys: List[tuple] = [()] * count
-            for position in np.flatnonzero(plausible):
-                remaining = abr.max_total_proactive_stall_s - spent[position]
-                allowed_keys[position] = tuple(
-                    option
-                    for option in abr.stall_options_s
-                    if option <= remaining + 1e-9
-                )
-            plausible_positions = [
-                int(position) for position in np.flatnonzero(plausible)
-            ]
-            sub_rows = rows[plausible_positions]
-            groups = self._plan_groups(
-                sub_rows,
-                [horizons[position] for position in plausible_positions],
-                last_levels[plausible_positions],
-                extra_keys=[
-                    allowed_keys[position] for position in plausible_positions
-                ],
-                num_scenarios=scenario_tputs.shape[1],
-            )
-            for key, (start_level, sub_positions) in groups.items():
-                positions = [
-                    plausible_positions[sub_position]
-                    for sub_position in sub_positions
-                ]
-                batch = self._evaluate_group(
-                    rows, positions, key[0], start_level, buffer_s,
-                    last_levels, scenario_tputs, scenario_probs,
-                    stall_options_s=key[3], use_weights=True,
-                    need_expected_rebuffer=False,
-                )
-                better = batch.best_score > scores[positions]
-                levels[positions] = np.where(
-                    better, batch.best_level, levels[positions]
-                )
-                stalls[positions] = np.where(
-                    better, batch.best_stall_s, stalls[positions]
-                )
-                scores[positions] = np.where(
-                    better, batch.best_score, scores[positions]
-                )
-
-        stalling = stalls > 0
-        if np.any(stalling):
-            self.proactive_spent_s[rows[stalling]] += stalls[stalling]
+        self.proactive_spent_s[rows] = spent
         return levels, stalls
+
+
+_DRIVERS = {
+    KIND_BBA: _BBADriver,
+    KIND_MPC: _MPCDriver,
+    KIND_FUGU: _FuguDriver,
+    KIND_SENSEI: _SenseiFuguDriver,
+}

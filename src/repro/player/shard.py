@@ -113,6 +113,13 @@ class ShardState:
             else None
         )
         self.buffer_capacity = config.buffer_capacity_s
+        # Per-row ladders for the planner: candidate trees are grouped by
+        # ladder key and scored against the ladder's bitrates.
+        self.bitrates = [
+            np.asarray(encoded.ladder.bitrates_kbps, dtype=float)
+            for encoded in self.encoded
+        ]
+        self.ladder_keys = [tuple(rates.tolist()) for rates in self.bitrates]
         self.max_chunks = int(self.num_chunks.max())
 
         # (session, chunk, level) size matrix, zero-padded on both the chunk

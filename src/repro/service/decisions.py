@@ -1,63 +1,118 @@
 """Batched online decisions, bit-identical to the serial ABR paths.
 
-:func:`decide_batch` answers one micro-batch flush: every planner-eligible
-request (MPC / Fugu / SENSEI-Fugu with their stock predictors — the same
-exact-type test as the lockstep engine's ``_driver_for``) contributes a
-:class:`~repro.engine.lockstep.PlanJob` to one
-:func:`~repro.engine.lockstep.plan_batch` call, which merges jobs by
-candidate-tree signature and dispatches the shared
-``evaluate_candidates_batch`` kernel.  Greedy stock Pensieve-family
-sessions (``KIND_RL``) batch differently: their clones share one
-:class:`~repro.ml.rl.ActorCriticAgent` (see
-:class:`~repro.service.sessions.SessionEntry`), so the flush groups them
-by agent, stacks their encoded states, and runs **one actor forward per
-policy** followed by a per-row argmax — bitwise the serial ``decide``
-because the actor's matmuls are row-stable
-(:func:`repro.ml.nn.row_matmul`).  Everything else falls back to the
-clone's own ``decide`` — still exact, just not batched.
+:func:`decide_batch` answers one micro-batch flush as a dispatcher over
+the lockstep engine's planning path:
 
-Bit-identity invariants, each load-bearing:
+* Planner-eligible requests (MPC / Fugu / SENSEI-Fugu with their stock
+  predictors, classified by :func:`~repro.service.sessions.planner_kind`)
+  run their clone's own predictor — exactly once per decision, in request
+  order, on the observation the serial path would see (the error
+  distribution predictor is stateful) — and MPC's scenario is its serial
+  conservative ``predicted / (1 + robustness_discount)``.  The flush's
+  observations are stacked into the lockstep shard's padded planner-input
+  layout (:class:`_FlushInputs`), and rows whose clones share every
+  parameter a planner round reads go through one
+  :func:`~repro.engine.lockstep.plan_round` or
+  :func:`~repro.engine.lockstep.sensei_round` — the *same* rounds the
+  lockstep drivers call, SENSEI's stall gate, strict-improvement adoption
+  and budget accounting included.  :func:`plan_batch` drives every round
+  of the flush, merging their kernel work; spent stall budgets are written
+  back to the SENSEI clones.
+* Greedy stock Pensieve-family sessions (``KIND_RL``) share one
+  :class:`~repro.ml.rl.ActorCriticAgent` per policy (see
+  :class:`~repro.service.sessions.SessionEntry`), so the flush groups them
+  by agent, stacks their encoded states, runs **one actor forward per
+  policy** and takes per-row argmaxes — bitwise the serial ``decide``
+  because the actor's matmuls are row-stable
+  (:func:`repro.ml.nn.row_matmul`).
+* Everything else falls back to the clone's own ``decide`` — still exact,
+  just not batched.
 
-* Predictor calls happen on the session's clone, in request order, with
-  the same observation the serial path would see — ``predict`` /
-  ``predict_distribution`` run **exactly once per decision** (the error
-  distribution predictor is stateful).
-* Scenario construction replicates the serial ``decide`` bodies
-  verbatim: MPC's single conservative scenario
-  ``predicted / (1 + robustness_discount)``; Fugu's full distribution.
-* SENSEI-Fugu's two-phase shape is replicated: phase 1 evaluates with
-  ``stall_options=(0.0,)`` and weights; the stall gate (risk threshold,
-  buffer floor, 5% weight-shift test, remaining proactive budget) decides
-  which sessions get a phase-2 evaluation over the affordable stall
-  options; phase 2's plan is adopted only when its score is *strictly*
-  better.  Both phases are themselves batched ``plan_batch`` calls.
-* The kernel guarantees the rest: ``evaluate_candidates_batch`` is
-  elementwise over the batch axis, so co-scheduling any mix of sessions
-  cannot change any single session's floats (docs/PERFORMANCE.md).
-
-Every ``plan_batch`` call here runs on the arena kernel (precomputed
-per-tree score arenas + preallocated workspaces, docs/PERFORMANCE.md §2),
-so the service inherits its throughput directly; a service can opt into
-the float32 fast path via ``DecisionService(kernel_dtype="float32")``,
-which waives bit-identity for kernel speed.
+The kernel guarantees the rest: ``evaluate_candidates_batch`` is
+elementwise over the batch axis, so co-scheduling any mix of sessions
+cannot change any single session's floats (docs/PERFORMANCE.md).  It runs
+on the arena kernel (docs/PERFORMANCE.md §2); a service can opt into the
+float32 fast path via ``DecisionService(kernel_dtype="float32")``, which
+waives bit-identity for kernel speed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation
-from repro.engine.lockstep import PlanJob, plan_batch
+from repro.engine.lockstep import (
+    coefficient_key,
+    plan_batch,
+    plan_round,
+    sensei_round,
+)
 from repro.service.sessions import (
-    KIND_GENERIC,
+    KIND_FUGU,
     KIND_MPC,
     KIND_RL,
     KIND_SENSEI,
 )
 
 __all__ = ["decide_batch"]
+
+
+class _FlushInputs:
+    """The planner-input source of one flush: its planner rows'
+    observations stacked into :class:`~repro.player.shard.ShardState`'s
+    zero-padded ``(row, chunk, level)`` layout, at step 0 (an
+    observation starts at the chunk being decided)."""
+
+    step_index = 0
+    chunk_duration_shared = None
+
+    def __init__(self, observations: Sequence[PlayerObservation]) -> None:
+        count = len(observations)
+        depth = max(observation.horizon for observation in observations)
+        width = max(
+            observation.ladder.num_levels for observation in observations
+        )
+        self.sizes_all = np.zeros((count, depth, width))
+        self.quality_all = np.zeros((count, depth, width))
+        self.weights_all = np.zeros((count, depth))
+        for row, observation in enumerate(observations):
+            horizon, levels = observation.upcoming_sizes_bytes.shape
+            self.sizes_all[row, :horizon, :levels] = (
+                observation.upcoming_sizes_bytes
+            )
+            self.quality_all[row, :horizon, :levels] = (
+                observation.upcoming_quality
+            )
+            self.weights_all[row, :horizon] = observation.upcoming_weights
+        self.chunk_duration = np.array(
+            [observation.chunk_duration_s for observation in observations]
+        )
+        self.buffer_capacity = np.array(
+            [observation.buffer_capacity_s for observation in observations]
+        )
+        self.bitrates = [
+            np.asarray(observation.ladder.bitrates_kbps, dtype=float)
+            for observation in observations
+        ]
+        self.ladder_keys = [tuple(rates.tolist()) for rates in self.bitrates]
+
+
+def _round_key(clone: ABRAlgorithm, kind: str, num_scenarios: int) -> tuple:
+    """Everything a planner round reads from its ``abr`` (plus the
+    scenario count rows must share to stack): clones with equal keys
+    share one round."""
+    key = (
+        kind, num_scenarios, clone.max_level_step,
+        coefficient_key(clone.quality_model),
+    )
+    if kind == KIND_SENSEI:
+        key += (
+            clone.stall_options_s, clone.min_stall_buffer_s,
+            clone.stall_risk_threshold_s, clone.max_total_proactive_stall_s,
+        )
+    return key
 
 
 def decide_batch(
@@ -70,143 +125,84 @@ def decide_batch(
     (predictor state, SENSEI's spent proactive budget).
     """
     decisions: List[Optional[Decision]] = [None] * len(requests)
-    jobs: List[PlanJob] = []
-    # (request index, clone, kind, observation, horizon, scenarios)
-    meta: List[Tuple[int, ABRAlgorithm, str, PlayerObservation, int, list]] = []
+    planned: List[Tuple[int, ABRAlgorithm, PlayerObservation]] = []
+    rounds: Dict[tuple, list] = {}
     # agent id -> (agent, [(request index, clone, observation, state)])
     rl_groups: dict = {}
     for index, (clone, kind, observation) in enumerate(requests):
-        if kind == KIND_GENERIC:
-            decisions[index] = clone.decide(observation)
-            continue
         if kind == KIND_RL:
             agent = clone.agent
             group = rl_groups.setdefault(id(agent), (agent, []))
             group[1].append(
                 (index, clone, observation, clone.encode_state(observation))
             )
-            continue
-        horizon = min(clone.horizon, observation.horizon)
-        if kind == KIND_MPC:
-            predicted = clone.predictor.predict(observation)
-            conservative = predicted / (1.0 + clone.robustness_discount)
-            scenarios = [(conservative, 1.0)]
-            jobs.append(PlanJob(
-                observation=observation,
-                horizon=horizon,
-                scenarios=scenarios,
-                quality_model=clone.quality_model,
-                max_level_step=clone.max_level_step,
-            ))
-        elif kind == KIND_SENSEI:
-            scenarios = clone.predictor.predict_distribution(observation)
-            jobs.append(PlanJob(
-                observation=observation,
-                horizon=horizon,
-                scenarios=scenarios,
-                quality_model=clone.quality_model,
-                stall_options=(0.0,),
-                max_level_step=clone.max_level_step,
-                use_weights=True,
-                need_rebuffer=True,
-            ))
-        else:  # KIND_FUGU
-            scenarios = clone.predictor.predict_distribution(observation)
-            jobs.append(PlanJob(
-                observation=observation,
-                horizon=horizon,
-                scenarios=scenarios,
-                quality_model=clone.quality_model,
-                max_level_step=clone.max_level_step,
-            ))
-        meta.append((index, clone, kind, observation, horizon, scenarios))
+        elif kind in (KIND_MPC, KIND_FUGU, KIND_SENSEI):
+            if kind == KIND_MPC:
+                predicted = clone.predictor.predict(observation)
+                conservative = predicted / (1.0 + clone.robustness_discount)
+                scenarios = [(conservative, 1.0)]
+            else:
+                scenarios = clone.predictor.predict_distribution(observation)
+            rounds.setdefault(
+                _round_key(clone, kind, len(scenarios)), []
+            ).append((len(planned), scenarios))
+            planned.append((index, clone, observation))
+        else:
+            decisions[index] = clone.decide(observation)
 
     # One stacked actor forward per distinct policy, then a per-row argmax
     # — exactly ``select_action(state, greedy=True)`` for each row, since
-    # the batched forward is row-bitwise-stable.  The stall post-processing
-    # replicates the serial ``decide`` body verbatim.
+    # the batched forward is row-bitwise-stable.
     for agent, group in rl_groups.values():
         states = np.stack([state for _, _, _, state in group])
-        probabilities = agent.action_probabilities_batch(states)
-        actions = np.argmax(probabilities, axis=1)
-        for (index, clone, observation, state), action in zip(group, actions):
-            decision = clone.action_to_decision(int(action))
-            if decision.proactive_stall_s > 0:
-                previous = max(observation.last_level, 0)
-                decision = Decision(
-                    level=previous,
-                    proactive_stall_s=decision.proactive_stall_s,
-                )
-            if clone._capture is not None:
-                clone._capture.append((state, int(action)))
-            decisions[index] = decision
-
-    if not jobs:
-        return [decision for decision in decisions]  # all planned
-
-    results = plan_batch(jobs)
-
-    # Phase 2: SENSEI sessions whose stall gate opened re-plan over the
-    # stall options still affordable within their proactive budget.
-    second_jobs: List[PlanJob] = []
-    second_meta: List[Tuple[int, ABRAlgorithm, object]] = []
-    for (index, clone, kind, observation, horizon, scenarios), result in zip(
-        meta, results
-    ):
-        if kind != KIND_SENSEI:
-            decisions[index] = Decision(level=result.level)
-            continue
-        weights_ahead = observation.upcoming_weights[:horizon]
-        shifting_helps = bool(
-            weights_ahead.size > 1
-            and float(np.max(weights_ahead[1:]))
-            > float(weights_ahead[0]) * 1.05
-        )
-        consider_stall = (
-            result.expected_rebuffer_s >= clone.stall_risk_threshold_s
-            and observation.buffer_s >= clone.min_stall_buffer_s
-            and shifting_helps
-            and clone._proactive_spent_s < clone.max_total_proactive_stall_s
-            and len(clone.stall_options_s) > 1
-        )
-        if not consider_stall:
-            if result.proactive_stall_s > 0:
-                clone._proactive_spent_s += result.proactive_stall_s
-            decisions[index] = Decision(
-                level=result.level,
-                proactive_stall_s=result.proactive_stall_s,
-            )
-            continue
-        remaining = clone.max_total_proactive_stall_s - clone._proactive_spent_s
-        allowed = tuple(
-            option for option in clone.stall_options_s
-            if option <= remaining + 1e-9
-        )
-        second_jobs.append(PlanJob(
-            observation=observation,
-            horizon=horizon,
-            scenarios=scenarios,
-            quality_model=clone.quality_model,
-            stall_options=allowed,
-            max_level_step=clone.max_level_step,
-            use_weights=True,
-        ))
-        second_meta.append((index, clone, result))
-
-    if second_jobs:
-        for (index, clone, phase_one), with_stalls in zip(
-            second_meta, plan_batch(second_jobs)
+        actions = np.argmax(agent.action_probabilities_batch(states), axis=1)
+        for (index, clone, observation, state), action in zip(
+            group, actions.tolist()
         ):
-            # Strictly better, exactly like the serial gate: ties keep the
-            # no-stall plan.
-            if with_stalls.score > phase_one.score:
-                level = with_stalls.level
-                stall_s = with_stalls.proactive_stall_s
-            else:
-                level = phase_one.level
-                stall_s = phase_one.proactive_stall_s
-            if stall_s > 0:
-                clone._proactive_spent_s += stall_s
-            decisions[index] = Decision(level=level, proactive_stall_s=stall_s)
+            decisions[index] = clone.decision_for_action(
+                observation, state, action
+            )
 
-    return [decision for decision in decisions]
+    if not planned:
+        return decisions
+
+    source = _FlushInputs([observation for _, _, observation in planned])
+    batches = []
+    for key, members in rounds.items():
+        rows = np.array([row for row, _ in members])
+        clones = [planned[row][1] for row in rows.tolist()]
+        observations = [planned[row][2] for row in rows.tolist()]
+        args = (
+            clones[0], source, rows,
+            [
+                min(clone.horizon, observation.horizon)
+                for clone, observation in zip(clones, observations)
+            ],
+            np.array([obs.last_level for obs in observations]),
+            np.array([obs.buffer_s for obs in observations]),
+            np.array(
+                [[t for t, _ in scenarios] for _, scenarios in members],
+                dtype=float,
+            ),
+            np.array(
+                [[p for _, p in scenarios] for _, scenarios in members],
+                dtype=float,
+            ),
+        )
+        if key[0] == KIND_SENSEI:
+            spent = np.array([clone._proactive_spent_s for clone in clones])
+            batches.append((rows, clones, sensei_round(*args, spent)))
+        else:
+            batches.append((rows, clones, plan_round(*args)))
+
+    results = plan_batch([round_ for _, _, round_ in batches], source)
+    for (rows, clones, _), result in zip(batches, results):
+        levels, stalls = result[0].tolist(), result[1].tolist()
+        if len(result) == 3:  # sensei_round also returns the spent budgets
+            for clone, spent in zip(clones, result[2].tolist()):
+                clone._proactive_spent_s = spent
+        for position, row in enumerate(rows.tolist()):
+            decisions[planned[row][0]] = Decision(
+                level=levels[position], proactive_stall_s=stalls[position]
+            )
+    return decisions

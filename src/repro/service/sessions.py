@@ -25,15 +25,14 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm
-from repro.abr.mpc import ModelPredictiveABR
-from repro.abr.fugu import FuguABR
-from repro.abr.pensieve import PensieveABR
-from repro.abr.throughput import (
-    ErrorDistributionPredictor,
-    HarmonicMeanPredictor,
+from repro.engine.lockstep import (
+    KIND_FUGU,
+    KIND_GENERIC,
+    KIND_MPC,
+    KIND_RL,
+    KIND_SENSEI,
+    decision_kind,
 )
-from repro.core.sensei_abr import SenseiFuguABR, SenseiPensieveABR
-from repro.ml.rl import ActorCriticAgent
 from repro.engine.runner import WorkOrder
 from repro.network.trace import ThroughputTrace
 from repro.player.session import (
@@ -57,46 +56,22 @@ __all__ = [
 
 SessionKey = Tuple[str, str]
 
-#: Batch-eligible ABR kinds, mirroring the lockstep engine's
-#: ``_driver_for`` exact-type checks: anything else (BBA, rate-based,
-#: subclasses with overridden ``decide``, exploring RL policies) takes
-#: the generic per-clone ``decide`` path, which is trivially
-#: serial-identical.
-KIND_GENERIC = "generic"
-KIND_MPC = "mpc"
-KIND_FUGU = "fugu"
-KIND_SENSEI = "sensei"
-KIND_RL = "rl"
-
-
 def planner_kind(abr: ABRAlgorithm) -> str:
-    """Which batched decide path (if any) reproduces ``abr.decide``."""
-    if getattr(abr, "use_fast_planner", False):
-        if (
-            type(abr) is ModelPredictiveABR
-            and type(abr.predictor) is HarmonicMeanPredictor
-        ):
-            return KIND_MPC
-        if (
-            type(abr) is FuguABR
-            and type(abr.predictor) is ErrorDistributionPredictor
-        ):
-            return KIND_FUGU
-        if (
-            type(abr) is SenseiFuguABR
-            and type(abr.predictor) is ErrorDistributionPredictor
-        ):
-            return KIND_SENSEI
-    if (
-        type(abr) in (PensieveABR, SenseiPensieveABR)
-        and type(getattr(abr, "agent", None)) is ActorCriticAgent
-        and getattr(abr, "greedy", False)
+    """Which batched decide path (if any) reproduces ``abr.decide``.
+
+    The lockstep engine's :func:`~repro.engine.lockstep.decision_kind`,
+    narrowed to the paths the service batches: the three planner families
+    and *greedy* stock Pensieve-family policies, which decide via an
+    argmax over a row-stable actor forward (repro.ml.nn.row_matmul).
+    Exploration-mode clones stay generic — the service has no
+    per-decision seed to pin — and so does everything else (BBA,
+    rate-based, subclasses), deciding on its own clone.
+    """
+    kind = decision_kind(abr)
+    if kind in (KIND_MPC, KIND_FUGU, KIND_SENSEI) or (
+        kind == KIND_RL and abr.greedy
     ):
-        # Greedy stock Pensieve-family policies decide via an argmax over
-        # a row-stable actor forward (repro.ml.nn.row_matmul), so stacked
-        # inference is bitwise the serial decide.  Exploration-mode clones
-        # stay generic: the service has no per-decision seed to pin.
-        return KIND_RL
+        return kind
     return KIND_GENERIC
 
 

@@ -10,6 +10,7 @@ shapes.  These tests are the enforcement of that contract.
 
 from __future__ import annotations
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,8 @@ from repro.engine.lockstep import (
 from repro.engine.runner import BatchRunner, WorkOrder, orders_for_grid
 from repro.network.bank import TraceBank
 from repro.network.trace import ThroughputTrace
+from repro.service.decisions import decide_batch
+from repro.service.sessions import SessionTable
 from repro.video.chunk import DEFAULT_LADDER
 from repro.video.encoder import SyntheticEncoder
 from repro.video.video import SourceVideo
@@ -184,6 +187,50 @@ class TestLockstepEquivalence:
                 results = run_orders_lockstep(orders)
             for left, right in zip(reference, results):
                 assert_results_identical(left, right)
+
+    def test_thresholds_do_not_change_service_decisions(self, ragged_grid):
+        """The decision service's flush path shares the grouping function:
+        under the same knobs, ``decide_batch`` over co-flushed sessions
+        must still equal the serial decide, proactive stalls included."""
+        videos, traces, _ = ragged_grid
+        abrs = [ModelPredictiveABR(), FuguABR(), SenseiFuguABR()]
+        for merge, split in [(1, None), (1000, 2), (4, 8)]:
+            table = SessionTable()
+            entries = [
+                table.register(
+                    str(index), "s", abr, video, trace,
+                    chunk_weights=np.where(
+                        np.arange(video.num_chunks) % 4 == 0, 3.0, 0.4
+                    ),
+                )
+                for index, (abr, video, trace) in enumerate(
+                    itertools.product(abrs, videos, traces)
+                )
+            ]
+            with mock.patch.object(
+                _PlannerDriverBase, "MERGE_BELOW", merge
+            ), mock.patch.object(_PlannerDriverBase, "SPLIT_ABOVE", split):
+                live = entries
+                while live:
+                    decisions = decide_batch([
+                        (entry.clone, entry.kind, entry.state.observe())
+                        for entry in live
+                    ])
+                    for entry, decision in zip(live, decisions):
+                        entry.state.apply(decision)
+                    live = [entry for entry in live if not entry.done]
+            stalls = 0
+            for entry in entries:
+                online = entry.finalize()
+                offline = entry.work_order().run()
+                assert np.array_equal(
+                    online.rendered.levels, offline.rendered.levels
+                )
+                assert np.array_equal(
+                    online.rendered.stalls_s, offline.rendered.stalls_s
+                )
+                stalls += online.timeline.proactive_stall_count()
+            assert stalls > 0
 
     def test_exploring_rl_policy_falls_back_to_serial_execution(
         self, ragged_grid

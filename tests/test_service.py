@@ -43,6 +43,7 @@ from repro.service import (
     run_load,
     verify_online_offline,
 )
+from repro.service import loadgen
 from repro.service.loadgen import synthetic_weights
 
 pytestmark = pytest.mark.service
@@ -406,9 +407,22 @@ class TestDecisionService:
 
 
 class TestOnlineOfflineIdentity:
-    def test_all_families_bit_identical_under_shared_flushes(self, context):
+    def test_all_families_bit_identical_under_shared_flushes(
+        self, context, monkeypatch
+    ):
         """Every non-RL family, decided online in *shared* micro-batches,
-        must finish bit-identical to its serial offline run."""
+        must finish bit-identical to its serial offline run — including
+        SENSEI sessions that schedule proactive stalls."""
+        # Weight-contrasted videos (the recipe of the lockstep test
+        # test_sensei_proactive_stalls_survive_lockstep) provoke SENSEI's
+        # phase-2 stalls; both SENSEI sessions land on the first trace.
+        monkeypatch.setattr(
+            loadgen, "synthetic_weights",
+            lambda num_chunks: np.where(
+                np.arange(num_chunks) % 4 == 0, 3.0, 0.4
+            ),
+        )
+
         async def scenario():
             service = DecisionService(
                 max_batch=8, max_delay_s=0.002, capacity=64,
@@ -416,9 +430,9 @@ class TestOnlineOfflineIdentity:
             )
             tenants = [
                 TenantSpec("gold", weight=4.0, sessions=5,
-                           abrs=("bba", "rate", "mpc", "fugu", "sensei")),
+                           abrs=("sensei", "bba", "rate", "mpc", "fugu")),
                 TenantSpec("bronze", weight=1.0, sessions=5,
-                           abrs=("sensei", "fugu", "mpc", "rate", "bba")),
+                           abrs=("fugu", "sensei", "mpc", "rate", "bba")),
             ]
             entries = register_load(service, context, tenants)
             report = await run_load(service, entries)
@@ -434,6 +448,12 @@ class TestOnlineOfflineIdentity:
         assert kinds == {"generic", "mpc", "fugu", "sensei"}
         assert verdict["checked"] == 10
         assert verdict["identical"], verdict["mismatches"]
+        # The online stall gate actually opened: some SENSEI session took
+        # a proactive stall and still verified identical above.
+        assert any(
+            entry.result.timeline.proactive_stall_count() > 0
+            for entry in entries if entry.kind == "sensei"
+        )
         # Shared flushes actually happened: sessions were co-batched.
         assert payload["batch"]["mean_size"] > 1.0
         assert payload["latency"]["p99_ms"] > 0.0
