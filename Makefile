@@ -34,9 +34,10 @@ regen-golden:
 bench:
 	$(PYTHON) -m pytest benchmarks/test_perf_engine.py -v -s
 
-## Kernel microbench: candidates-scored/sec for legacy vs arena f64 vs
-## arena f32, arena build amortisation -> "kernel" section of
-## BENCH_engine.json (docs/PERFORMANCE.md).
+## Kernel microbench: candidates-scored/sec for the arena kernel vs the
+## pre-arena test oracle (tests/planner_oracle.py), arena build
+## amortisation -> "kernel" section of BENCH_engine.json
+## (docs/PERFORMANCE.md).
 bench-kernel:
 	$(PYTHON) -m pytest benchmarks/test_perf_kernel.py -v -s
 

@@ -1,11 +1,12 @@
 """Kernel-only microbenchmark: the planner batch kernel in isolation.
 
-Measures candidates-scored/sec for the three kernel configurations —
-``legacy`` (the pre-arena allocating kernel, kept as the differential
-reference), ``arena`` float64 (the default; bit-identical to legacy) and
-``arena`` float32 (the opt-in fast path) — over the engine's quick-grid
-call shapes, and writes a ``kernel`` section into ``BENCH_engine.json``
-(read-modify-write: the engine harness's sections are preserved).
+Measures candidates-scored/sec for the production arena kernel
+(``evaluate_candidates_batch``, float64, reported as ``arena_f64``)
+against the pre-arena allocating kernel it is bit-identical to
+(``legacy``: the test-only oracle in ``tests/planner_oracle.py``) over the
+engine's quick-grid call shapes, and writes a ``kernel`` section into
+``BENCH_engine.json`` (read-modify-write: the engine harness's sections
+are preserved).
 
 The measured shapes mirror what the lockstep coordinator actually sends to
 ``evaluate_candidates_batch`` on the quick grid: a Fugu-style batch
@@ -20,8 +21,9 @@ arena build pays for itself in) and the cache-blocked tile sizes
 (:func:`repro.abr.planner.kernel_block_sessions`) the coordinator would
 use for each shape.
 
-Run via ``make bench-kernel`` or
-``PYTHONPATH=src python -m pytest benchmarks/test_perf_kernel.py -v``.
+Run via ``make bench-kernel`` or, from the repository root,
+``PYTHONPATH=src python -m pytest benchmarks/test_perf_kernel.py -v``
+(the oracle is imported as ``tests.planner_oracle``).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.abr.planner import (
 )
 from repro.engine.report import update_bench_section
 from repro.qoe.ksqi import KSQIModel
+from tests.planner_oracle import evaluate_batch_legacy
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -121,15 +124,14 @@ def _candidates_per_call(kwargs: Dict[str, object]) -> int:
 
 @pytest.mark.benchmark(group="kernel")
 def test_kernel_candidates_per_sec(context):
-    """Legacy vs arena f64 vs arena f32, interleaved best-of-rounds."""
+    """Oracle (legacy) vs arena f64, interleaved best-of-rounds."""
     tiny = context.scale.name == "tiny"
     rounds = 3 if tiny else 5
     iters = 20 if tiny else 120
     shapes = _shapes(tiny)
     configs = (
-        ("legacy", dict(kernel_impl="legacy")),
-        ("arena_f64", dict(kernel_impl="arena", kernel_dtype="float64")),
-        ("arena_f32", dict(kernel_impl="arena", kernel_dtype="float32")),
+        ("legacy", evaluate_batch_legacy),
+        ("arena_f64", evaluate_candidates_batch),
     )
 
     best: Dict[str, Dict[str, float]] = {
@@ -137,14 +139,14 @@ def test_kernel_candidates_per_sec(context):
         for name in shapes
     }
     for name, kwargs in shapes.items():
-        for _, overrides in configs:
-            evaluate_candidates_batch(**kwargs, **overrides)  # warm
+        for _, kernel in configs:
+            kernel(**kwargs)  # warm
     for _ in range(rounds):
         for name, kwargs in shapes.items():
-            for config, overrides in configs:
+            for config, kernel in configs:
                 t0 = time.perf_counter()
                 for _ in range(iters):
-                    evaluate_candidates_batch(**kwargs, **overrides)
+                    kernel(**kwargs)
                 elapsed = (time.perf_counter() - t0) / iters
                 best[name][config] = min(best[name][config], elapsed)
 
@@ -167,8 +169,7 @@ def test_kernel_candidates_per_sec(context):
         print(
             f"\n{name}: legacy {entry['legacy_us']:.0f}us, "
             f"arena f64 {entry['arena_f64_us']:.0f}us "
-            f"({entry['speedup_arena_f64']:.2f}x), "
-            f"arena f32 {entry['arena_f32_us']:.0f}us"
+            f"({entry['speedup_arena_f64']:.2f}x)"
         )
 
     aggregate = {
@@ -177,9 +178,6 @@ def test_kernel_candidates_per_sec(context):
     }
     aggregate["speedup_arena_f64"] = round(
         total_time["legacy"] / total_time["arena_f64"], 2
-    )
-    aggregate["speedup_arena_f32"] = round(
-        total_time["legacy"] / total_time["arena_f32"], 2
     )
     aggregate["target_speedup_arena_f64"] = TARGET_ARENA_SPEEDUP
     section["aggregate"] = aggregate
@@ -206,24 +204,17 @@ def test_kernel_candidates_per_sec(context):
         "fugu": kernel_block_sessions(5, 4, 2, 5),
         "mpc": kernel_block_sessions(5, 4, 2, 1),
     }
-    impl, dtype = planner.kernel_config()
-    section["impl_default"] = impl
-    section["dtype_default"] = dtype
 
     update_bench_section("kernel", section, REPORT_PATH)
     print(
         f"\nkernel aggregate: arena f64 "
-        f"{aggregate['speedup_arena_f64']:.2f}x legacy "
-        f"(f32 {aggregate['speedup_arena_f32']:.2f}x), "
+        f"{aggregate['speedup_arena_f64']:.2f}x legacy, "
         f"{aggregate['arena_f64_cands_per_sec']:.0f} cands/s; "
         f"build {section['arena_build']['build_ms']:.1f}ms amortised in "
         f"{section['arena_build']['amortise_calls']} calls; wrote kernel "
         f"section to {REPORT_PATH.name}"
     )
 
-    # The default configuration must be the bit-identical one — the f32
-    # fast path is opt-in only (CI bench-smoke re-asserts this).
-    assert (impl, dtype) == ("arena", "float64")
     if not tiny:
         assert aggregate["speedup_arena_f64"] >= MIN_ARENA_SPEEDUP
 
@@ -232,8 +223,8 @@ def test_kernel_candidates_per_sec(context):
 def test_arena_matches_legacy_on_bench_shapes(context):
     """The measured shapes score bitwise-identically on both kernels."""
     for name, kwargs in _shapes(tiny=True).items():
-        legacy = evaluate_candidates_batch(**kwargs, kernel_impl="legacy")
-        arena = evaluate_candidates_batch(**kwargs, kernel_impl="arena")
+        legacy = evaluate_batch_legacy(**kwargs)
+        arena = evaluate_candidates_batch(**kwargs)
         for field in (
             "best_level", "best_stall_s", "best_score", "expected_rebuffer_s"
         ):

@@ -29,18 +29,13 @@ Two engine-level optimisations keep trace-scale experiments fast:
   (:class:`_TreeArena`): gather indices, switch-term rows and preallocated
   workspaces are derived once per (candidate tree, ladder) pair and reused
   by every call, so a batch score is a single pass of in-place elementwise
-  ops over contiguous buffers with no per-call temporaries.  The pre-arena
-  kernel is retained as the ``legacy`` implementation
-  (``REPRO_KERNEL_IMPL=legacy`` / ``kernel_impl="legacy"``) — the arena
-  path is required to match it bit for bit and is differentially tested
-  against it.  An opt-in float32 arena path (``REPRO_KERNEL_F32=1`` /
-  ``kernel_dtype="float32"``) trades the bit-identity contract for speed
-  and memory; it is validated against float64 with explicit tolerances.
+  ops over contiguous buffers with no per-call temporaries.  It is the only
+  implementation, always in float64; the pre-arena kernel survives as a
+  test-only oracle (``tests/planner_oracle.py``) that the arena kernel is
+  required to match bit for bit.
 """
 
 from __future__ import annotations
-
-import os
 
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -140,32 +135,6 @@ def enumerate_level_sequences(num_levels: int, horizon: int,
     return _build_level_sequences(num_levels, horizon, max_step, start_level)
 
 
-def plan_tree_key(
-    num_levels: int,
-    horizon: int,
-    max_step: Optional[int],
-    start_level: Optional[int],
-) -> Tuple[int, int, Optional[int], Optional[int]]:
-    """The canonical memo key :func:`enumerate_level_sequences` caches under.
-
-    The lockstep engine groups sessions by this key so that every session in
-    a batch shares one memoised candidate tree (sessions whose keys differ —
-    e.g. a different previously-played level under a ``max_step``
-    restriction — genuinely plan over different trees and are batched
-    separately).
-    """
-    num_levels = int(num_levels)
-    horizon = int(horizon)
-    max_step = None if max_step is None else int(max_step)
-    if max_step is None:
-        start_level = None
-    else:
-        start_level = None if start_level is None else int(start_level)
-        if start_level is not None and start_level < 0:
-            start_level = None
-    return (num_levels, horizon, max_step, start_level)
-
-
 def clear_plan_cache() -> None:
     """Drop all memoised candidate trees (tests and benchmarks).
 
@@ -203,69 +172,10 @@ def _publish_plan_cache(registry) -> None:
 register_collector(_publish_plan_cache)
 
 
-# --------------------------------------------------------------------------
-# Kernel configuration
-#
-# ``impl`` selects the batch-kernel implementation: the arena path (default)
-# or the pre-arena ``legacy`` kernel it must match bit for bit.  ``dtype``
-# selects the arena's compute precision: float64 (default, bit-identity
-# contract) or the opt-in float32 fast path.  Both have process-wide
-# defaults (env-overridable) plus per-call keyword overrides.
-
-_KERNEL_IMPLS = ("arena", "legacy")
-_KERNEL_DTYPES = {"float64": np.float64, "float32": np.float32}
-
-
-def _impl_from_env() -> str:
-    impl = os.environ.get("REPRO_KERNEL_IMPL", "arena").strip().lower()
-    return impl if impl in _KERNEL_IMPLS else "arena"
-
-
-def _dtype_from_env() -> str:
-    flag = os.environ.get("REPRO_KERNEL_F32", "").strip().lower()
-    return "float32" if flag in ("1", "true", "yes", "on") else "float64"
-
-
-_kernel_impl: str = _impl_from_env()
-_kernel_dtype: str = _dtype_from_env()
-
-
-def set_kernel_impl(impl: Optional[str]) -> str:
-    """Set the process-wide kernel implementation (``None`` re-reads env)."""
-    global _kernel_impl
-    if impl is None:
-        _kernel_impl = _impl_from_env()
-    else:
-        require(impl in _KERNEL_IMPLS, f"unknown kernel impl {impl!r}")
-        _kernel_impl = impl
-    return _kernel_impl
-
-
-def set_kernel_dtype(dtype: Optional[str]) -> str:
-    """Set the process-wide kernel dtype (``None`` re-reads env)."""
-    global _kernel_dtype
-    if dtype is None:
-        _kernel_dtype = _dtype_from_env()
-    else:
-        require(dtype in _KERNEL_DTYPES, f"unknown kernel dtype {dtype!r}")
-        _kernel_dtype = dtype
-    return _kernel_dtype
-
-
-def kernel_config() -> Tuple[str, str]:
-    """The process-wide ``(impl, dtype)`` the batch kernel defaults to."""
-    return _kernel_impl, _kernel_dtype
-
-
 #: Cache-blocked tiling target: the kernel-call working set (arena
 #: workspace bytes per session x sessions) is sized to fit this budget —
-#: by default one per-core L2's worth.  Overridable for hosts with other
-#: cache geometries (``REPRO_KERNEL_L2_BYTES``) or pinned outright
-#: (``REPRO_KERNEL_BLOCK`` sessions per call).
-_KERNEL_L2_BYTES = max(
-    64 * 1024, int(os.environ.get("REPRO_KERNEL_L2_BYTES", str(2 * 1024 * 1024)))
-)
-_KERNEL_BLOCK_PIN = os.environ.get("REPRO_KERNEL_BLOCK", "").strip()
+#: one per-core L2's worth.
+_KERNEL_L2_BYTES = 2 * 1024 * 1024
 
 #: Hard ceiling on sessions per kernel call: beyond this the per-call
 #: Python overhead is fully amortised and bigger tiles only grow latency.
@@ -278,12 +188,8 @@ def _block_sessions_cached(
     horizon: int,
     max_step: Optional[int],
     num_scenarios: int,
-    impl: str,
-    dtype_name: str,
     floor: int,
 ) -> int:
-    if impl == "legacy":
-        return floor  # pre-arena kernel keeps its pre-arena slice cap
     candidates = enumerate_level_sequences(
         num_levels, horizon, max_step=max_step
     )
@@ -291,11 +197,10 @@ def _block_sessions_cached(
     num_candidates = candidates.shape[0]
     total_nodes = tree.flat_levels.size
     scenarios = max(1, int(num_scenarios))
-    itemsize = np.dtype(_KERNEL_DTYPES[dtype_name]).itemsize
-    # per-session arena workspace: the dt table, the (h, C) quality block,
-    # seven (N, C) scratch rows, and 4x the tree nodes per scenario (two
-    # state planes + gathered dt + shortfall)
-    per_session_bytes = itemsize * (
+    # per-session float64 arena workspace: the dt table, the (h, C) quality
+    # block, seven (N, C) scratch rows, and 4x the tree nodes per scenario
+    # (two state planes + gathered dt + shortfall)
+    per_session_bytes = np.dtype(np.float64).itemsize * (
         scenarios * horizon * num_levels
         + horizon * num_candidates
         + 7 * num_candidates
@@ -318,16 +223,14 @@ def kernel_block_sessions(
     score rows over the ``(session x stall x scenario x candidate)``
     tensor — fits the L2 target, while never dropping below ``floor``
     (the coordinator's pre-arena ``SPLIT_ABOVE`` cap).  Deterministic in
-    its arguments and the process-wide kernel config, so lockstep batching
-    stays reproducible; the kernel's elementwise contract makes the block
-    size invisible in the results either way.
+    its arguments, so lockstep batching stays reproducible; the kernel's
+    elementwise contract makes the block size invisible in the results
+    either way.
     """
-    if _KERNEL_BLOCK_PIN:
-        return max(1, int(_KERNEL_BLOCK_PIN))
     return _block_sessions_cached(
         int(num_levels), int(horizon),
         None if max_step is None else int(max_step),
-        int(num_scenarios), _kernel_impl, _kernel_dtype, int(floor),
+        int(num_scenarios), int(floor),
     )
 
 
@@ -517,7 +420,7 @@ def _prefix_tree(candidates: np.ndarray) -> _CandidateTree:
 #: over many distinct ladders would otherwise grow them without limit.
 #: Insertion-ordered ``OrderedDict``s with move-to-end on hit; evictions are
 #: counted and published as ``planner.arena.*`` gauges.
-_DERIVED_CACHE_CAP = max(4, int(os.environ.get("REPRO_KERNEL_CACHE_CAP", "32")))
+_DERIVED_CACHE_CAP = 32
 _SWITCH_TERMS: "OrderedDict" = OrderedDict()
 _ARENAS: "OrderedDict" = OrderedDict()
 _CACHE_EVICTIONS = {"switch_terms": 0, "arenas": 0}
@@ -556,18 +459,11 @@ def _switch_constants(candidates: np.ndarray, bitrates: np.ndarray):
     return first_bitrates, later_switch
 
 
-def clear_prefix_tree_cache() -> None:
-    """Drop memoised prefix trees, switch constants and score arenas."""
-    _PREFIX_TREES.clear()
-    _SWITCH_TERMS.clear()
-    _ARENAS.clear()
-
-
 class _ArenaWorkspace:
-    """Preallocated per-(batch-shape, dtype) buffers for the arena kernel.
+    """Preallocated per-batch-shape buffers for the arena kernel.
 
     Every array the kernel writes lives here, sized once and reused by every
-    call with the same ``(num_sessions, num_scenarios, dtype)`` — the arena
+    call with the same ``(num_sessions, num_scenarios, width)`` — the arena
     path performs no per-call array allocation on its hot path.
     """
 
@@ -578,36 +474,34 @@ class _ArenaWorkspace:
     )
 
     def __init__(self, arena: "_TreeArena", num_sessions: int,
-                 num_scenarios: int, width: int, dtype) -> None:
+                 num_scenarios: int, width: int) -> None:
         C, h = arena.C, arena.h
         N, S = num_sessions, num_scenarios
-        self.dt_all = np.empty((N, S, h * width), dtype=dtype)
-        self.cq = np.empty((N, h, C), dtype=dtype)
-        self.first_switch = np.empty((N, C), dtype=dtype)
-        self.quality_dot = np.empty((N, C), dtype=dtype)
-        self.switch_dot = np.empty((N, C), dtype=dtype)
-        self.static = np.empty((N, C), dtype=dtype)
-        self.weight_total = np.empty(N, dtype=dtype)
-        self.step_product = np.empty((N, C), dtype=dtype)
+        self.dt_all = np.empty((N, S, h * width))
+        self.cq = np.empty((N, h, C))
+        self.first_switch = np.empty((N, C))
+        self.quality_dot = np.empty((N, C))
+        self.switch_dot = np.empty((N, C))
+        self.static = np.empty((N, C))
+        self.weight_total = np.empty(N)
+        self.step_product = np.empty((N, C))
         self.states = [
-            np.empty((2, N, S, levels.size), dtype=dtype)
-            for levels in arena.node_levels
+            np.empty((2, N, S, levels.size)) for levels in arena.node_levels
         ]
         # every step's dt nodes in one contiguous buffer filled by a single
         # gather; per-step slices are views delimited by the arena offsets
-        self.dt_flat = np.empty((N, S, arena.flat_levels.size), dtype=dtype)
+        self.dt_flat = np.empty((N, S, arena.flat_levels.size))
         off = arena.node_offsets
         self.dt_nodes = [
             self.dt_flat[:, :, off[k]:off[k + 1]]
             for k in range(len(arena.node_levels))
         ]
         self.shortfall = [
-            np.empty((N, S, levels.size), dtype=dtype)
-            for levels in arena.node_levels
+            np.empty((N, S, levels.size)) for levels in arena.node_levels
         ]
-        self.expected = np.empty((N, C), dtype=dtype)
-        self.partial = np.empty((N, C), dtype=dtype)
-        self.rates = np.empty((N, S), dtype=dtype)
+        self.expected = np.empty((N, C))
+        self.partial = np.empty((N, C))
+        self.rates = np.empty((N, S))
 
     def nbytes(self) -> int:
         total = 0
@@ -636,16 +530,14 @@ class _TreeArena:
       *entire* accumulated switch dot — collapses to one of L precomputed
       rows (built with the kernel's exact elementwise op sequence, so the
       gathered rows are bit-identical to computing them in the call);
-    * per-(shape, dtype) workspaces (:class:`_ArenaWorkspace`), LRU-bounded.
-
-    Constants are built in float64 and cast once per requested dtype.
+    * per-shape workspaces (:class:`_ArenaWorkspace`), LRU-bounded.
     """
 
     __slots__ = (
         "candidates", "C", "h", "L", "node_levels", "node_parents",
         "flat_steps", "flat_levels", "node_offsets", "first_levels",
-        "build_seconds", "_consts", "_scaled_rows", "_workspaces",
-        "_gather_idx",
+        "build_seconds", "first_switch_rows", "later_switch_T",
+        "_switch_dot_rows", "_scaled_rows", "_workspaces", "_gather_idx",
     )
 
     WORKSPACE_CAP = 16
@@ -681,9 +573,9 @@ class _TreeArena:
         sdot = rows.copy()
         for step in range(1, h):
             sdot += later_switch_T[step - 1][None, :]
-        self._consts = {
-            "float64": (rows, sdot, later_switch_T),
-        }
+        self.first_switch_rows = rows
+        self.later_switch_T = later_switch_T
+        self._switch_dot_rows = sdot
         self._scaled_rows = {}
         self._workspaces: "OrderedDict" = OrderedDict()
         self.build_seconds = perf_counter() - t0
@@ -706,32 +598,19 @@ class _TreeArena:
             self._gather_idx[width] = cached
         return cached
 
-    def consts(self, dtype_name: str):
-        cached = self._consts.get(dtype_name)
-        if cached is None:
-            dtype = _KERNEL_DTYPES[dtype_name]
-            cached = tuple(a.astype(dtype) for a in self._consts["float64"])
-            self._consts[dtype_name] = cached
-        return cached
-
-    def scaled_switch_rows(self, dtype_name: str,
-                           switch_weight: float) -> np.ndarray:
-        key = (dtype_name, switch_weight)
-        rows = self._scaled_rows.get(key)
+    def scaled_switch_rows(self, switch_weight: float) -> np.ndarray:
+        rows = self._scaled_rows.get(switch_weight)
         if rows is None:
-            rows = switch_weight * self.consts(dtype_name)[1]
-            self._scaled_rows[key] = rows
+            rows = switch_weight * self._switch_dot_rows
+            self._scaled_rows[switch_weight] = rows
         return rows
 
     def workspace(self, num_sessions: int, num_scenarios: int,
-                  width: int, dtype_name: str) -> _ArenaWorkspace:
-        key = (num_sessions, num_scenarios, width, dtype_name)
+                  width: int) -> _ArenaWorkspace:
+        key = (num_sessions, num_scenarios, width)
         ws = self._workspaces.get(key)
         if ws is None:
-            ws = _ArenaWorkspace(
-                self, num_sessions, num_scenarios, width,
-                _KERNEL_DTYPES[dtype_name],
-            )
+            ws = _ArenaWorkspace(self, num_sessions, num_scenarios, width)
             self._workspaces[key] = ws
             while len(self._workspaces) > self.WORKSPACE_CAP:
                 self._workspaces.popitem(last=False)
@@ -816,8 +695,6 @@ def evaluate_candidates_batch(
     candidate_mask: Optional[np.ndarray] = None,
     need_expected_rebuffer: bool = True,
     weights_uniform: Optional[bool] = None,
-    kernel_impl: Optional[str] = None,
-    kernel_dtype: Optional[str] = None,
 ) -> BatchPlanEvaluation:
     """Score one candidate tree for a whole batch of sessions at once.
 
@@ -866,329 +743,14 @@ def evaluate_candidates_batch(
         the in-kernel check and the weight multiplies, which are bit-exact
         no-ops then); False always takes the general path, which is also
         correct for uniform weights.  None (default) checks the array.
-    kernel_impl: ``"arena"`` (default) or ``"legacy"`` — per-call override
-        of the process-wide implementation (see :func:`set_kernel_impl`).
-        Both produce bit-identical float64 results; legacy is kept as the
-        differential reference and escape hatch.
-    kernel_dtype: ``"float64"`` (default) or ``"float32"`` — per-call
-        override of the arena compute precision (:func:`set_kernel_dtype`).
-        float32 is an opt-in fast path that waives the bit-identity
-        contract; outputs are cast back to float64.  The legacy
-        implementation ignores it and always computes in float64.
-    """
-    # Manual span timing (no context manager) on the hottest call site in
-    # the engine; the kernels have a single exit, so no try/finally needed.
-    if TRACE.enabled:
-        _span_t0 = perf_counter()
 
-    impl = _kernel_impl if kernel_impl is None else kernel_impl
-    if impl == "legacy":
-        result = _evaluate_batch_legacy(
-            candidates, sizes, quality, weights, buffer_s, last_level,
-            scenario_tputs, scenario_probs, bitrates_kbps, quality_model,
-            stall_options_s, chunk_duration_s, buffer_capacity_s,
-            candidate_mask, need_expected_rebuffer, weights_uniform,
-        )
-    else:
-        result = _evaluate_batch_arena(
-            candidates, sizes, quality, weights, buffer_s, last_level,
-            scenario_tputs, scenario_probs, bitrates_kbps, quality_model,
-            stall_options_s, chunk_duration_s, buffer_capacity_s,
-            candidate_mask, need_expected_rebuffer, weights_uniform,
-            _kernel_dtype if kernel_dtype is None else kernel_dtype,
-        )
-
-    if TRACE.enabled:
-        record_span("planner.kernel", perf_counter() - _span_t0)
-    return result
-
-
-def _evaluate_batch_legacy(
-    candidates: np.ndarray,
-    sizes: np.ndarray,
-    quality: np.ndarray,
-    weights: np.ndarray,
-    buffer_s: np.ndarray,
-    last_level: np.ndarray,
-    scenario_tputs: np.ndarray,
-    scenario_probs: np.ndarray,
-    bitrates_kbps: np.ndarray,
-    quality_model: KSQIModel,
-    stall_options_s: Sequence[float],
-    chunk_duration_s,
-    buffer_capacity_s,
-    candidate_mask: Optional[np.ndarray],
-    need_expected_rebuffer: bool,
-    weights_uniform: Optional[bool],
-) -> BatchPlanEvaluation:
-    """The pre-arena batch kernel (allocating temporaries per call).
-
-    Kept verbatim as the differential reference the arena path must match
-    bit for bit, and as a runtime escape hatch (``REPRO_KERNEL_IMPL=legacy``).
-    """
-    num_sessions, horizon = weights.shape
-    num_candidates = candidates.shape[0]
-    bitrates = np.asarray(bitrates_kbps, dtype=float)
-    top_bitrate = bitrates[-1]
-    coeffs = quality_model.coefficients
-    previous_bitrate = bitrates[np.maximum(last_level, 0)]  # (N,)
-
-    step_index = _arange(horizon)
-    candidate_quality = quality[:, step_index, candidates]  # (N, C, h)
-    # Switch terms: only the first step depends on the session (previous
-    # level); later steps are per-(candidates, ladder) constants shared by
-    # every call over that pair, so they live as (C,)-sized rows broadcast
-    # into the accumulation instead of a full (N, C, h) tensor.  Per
-    # element the operation sequence (subtract, abs, divide) matches the
-    # flat formulation exactly.
-    first_bitrates, later_switch = _switch_constants(candidates, bitrates)
-    first_switch = np.abs(
-        first_bitrates[None, :] - previous_bitrate[:, None]
-    )
-    first_switch /= top_bitrate                             # (N, C)
-
-    # The quality and switch terms do not depend on the stall or scenario:
-    # fold them (and the per-chunk intercept) into one static score per
-    # (session, candidate), leaving only the rebuffer term dynamic.  The
-    # weight reductions are explicit loops over the horizon (see the
-    # bit-identity contract above).
-    # Weight-uniform batches (every planner without sensitivity weights)
-    # skip the weight multiplies outright: ``x * 1.0 == x`` bit for bit, so
-    # the accumulated sums are unchanged.
-    uniform_weights = (
-        bool(np.all(weights == 1.0))
-        if weights_uniform is None else weights_uniform
-    )
-    weight_total = weights[:, 0].copy()                     # (N,)
-    if uniform_weights:
-        quality_dot = candidate_quality[:, :, 0].copy()
-        switch_dot = first_switch
-        for step in range(1, horizon):
-            weight_total += weights[:, step]
-            quality_dot += candidate_quality[:, :, step]
-            switch_dot += later_switch[None, :, step - 1]
-    else:
-        quality_dot = candidate_quality[:, :, 0] * weights[:, 0, None]
-        switch_dot = first_switch * weights[:, 0, None]
-        step_product = np.empty_like(quality_dot)
-        for step in range(1, horizon):
-            weight_total += weights[:, step]
-            np.multiply(
-                candidate_quality[:, :, step], weights[:, step, None],
-                out=step_product,
-            )
-            quality_dot += step_product
-            np.multiply(
-                later_switch[None, :, step - 1], weights[:, step, None],
-                out=step_product,
-            )
-            switch_dot += step_product
-    static_scores = (
-        coeffs.intercept * weight_total[:, None]
-        + (coeffs.quality_weight / 100.0) * quality_dot
-        - coeffs.switch_weight * switch_dot
-    )                                                       # (N, C)
-
-    rates_bytes_per_s = np.maximum(scenario_tputs, 1e-3) * 1e6 / 8.0
-    stalls = np.asarray(stall_options_s, dtype=float)
-    num_stalls = stalls.size
-    num_scenarios = scenario_tputs.shape[1]
-    chunk_gain = _per_session_or_scalar(chunk_duration_s, num_sessions)
-    capacity = _per_session_or_scalar(buffer_capacity_s, num_sessions)
-
-    # Download times for every tree node at once, shared by every stall
-    # option below; each step's slice is a view into the flat tensor.
-    tree = _prefix_tree(candidates)
-    flat_node_sizes = sizes[:, tree.flat_steps, tree.flat_levels]  # (N, ΣM)
-    flat_download_times = (
-        flat_node_sizes[:, None, :] / rates_bytes_per_s[:, :, None]
-    )                                                       # (N, S, ΣM)
-    offsets = tree.offsets
-    node_download_times = [
-        flat_download_times[:, :, offsets[step]:offsets[step + 1]]
-        for step in range(horizon)
-    ]                                                       # (N, S, M_k)
-
-    # Selection state, mirroring the reference loop per session: stalls
-    # considered in order, the first candidate index wins ties within a
-    # stall, and a later stall must *strictly* beat the incumbent.  For the
-    # dominant single-stall calls the first iteration's results are adopted
-    # directly (every session improves on -inf), skipping the running
-    # where-merges.
-    session_index = _arange(num_sessions)
-    best_score = None
-    best_level = None
-    best_stall = None
-    best_candidate = None
-
-    for stall_index in range(num_stalls):
-        # The buffer/rebuffer recursion runs over the candidate *prefix
-        # tree*: candidates sharing their first k levels share buffer
-        # evolution, so each unique prefix is evolved once and fanned out
-        # to its children by a gather.  Per leaf, the adds happen in the
-        # same step order with the same operand values as a flat
-        # per-candidate recursion, so the result is bit-identical — just
-        # without recomputing shared prefixes.
-        start_levels = buffer_s + stalls[stall_index]       # (N,)
-        state = None  # (2, N, S, M): plane 0 buffers, plane 1 rebuffer
-        for step, (node_levels, node_parents) in enumerate(tree.steps):
-            dt = node_download_times[step]                  # (N, S, M)
-            if step == 0:
-                num_nodes = node_levels.size
-                state = np.zeros(
-                    (2, num_sessions, num_scenarios, num_nodes)
-                )
-                state[0] = start_levels[:, None, None]
-            else:
-                # One gather fans both planes out to this step's nodes; it
-                # produces a fresh array, so the updates run in place.
-                state = state[:, :, :, node_parents]
-            parent_buffers = state[0]
-            parent_weighted = state[1]
-            shortfall = dt - parent_buffers
-            np.maximum(shortfall, 0.0, out=shortfall)
-            if uniform_weights:
-                parent_weighted += shortfall
-            else:
-                parent_weighted += shortfall * weights[:, step, None, None]
-            if step < horizon - 1:
-                # The final step's buffer update feeds nothing: skip it (it
-                # is also the widest level of the tree).
-                np.subtract(parent_buffers, dt, out=parent_buffers)
-                np.maximum(parent_buffers, 0.0, out=parent_buffers)
-                parent_buffers += chunk_gain
-                np.minimum(parent_buffers, capacity, out=parent_buffers)
-        weighted_rebuffer = state[1]
-
-        # plan_scores = static - rebuffer_weight * rebuffer - penalty,
-        # built in place over the weighted-rebuffer buffer.  The expectation
-        # must run over the *scores* (not distribute over the scenario sum):
-        # a proactive stall's penalty can offset its rebuffer reduction
-        # EXACTLY, and the reference loop resolves such ties towards the
-        # earlier stall option — reassociating the algebra would break the
-        # tie by one ulp and flip the decision.
-        plan_scores = weighted_rebuffer                     # (N, S, C)
-        np.multiply(plan_scores, coeffs.rebuffer_weight, out=plan_scores)
-        np.subtract(static_scores[:, None, :], plan_scores, out=plan_scores)
-        if stalls[stall_index] != 0.0:
-            # ``x - 0.0 == x`` bitwise for every finite x (and -0.0), so
-            # the zero-stall penalty subtraction is a bit-exact no-op and
-            # is skipped on the dominant no-stall calls.
-            stall_penalty = (
-                coeffs.rebuffer_weight * stalls[stall_index] * weights[:, 0]
-            )                                               # (N,)
-            np.subtract(
-                plan_scores, stall_penalty[:, None, None], out=plan_scores
-            )
-        expected_scores = scenario_probs[:, 0, None] * plan_scores[:, 0, :]
-        partial = np.empty_like(expected_scores)            # (N, C)
-        for scenario in range(1, num_scenarios):
-            np.multiply(
-                scenario_probs[:, scenario, None],
-                plan_scores[:, scenario, :],
-                out=partial,
-            )
-            expected_scores += partial
-
-        if candidate_mask is not None:
-            # Masked-out candidates never win the (first-maximum)
-            # selection, so each session's choice over its own subtree is
-            # reproduced exactly.
-            expected_scores = np.where(
-                candidate_mask, expected_scores, -np.inf
-            )
-
-        top = np.argmax(expected_scores, axis=1)
-        score = expected_scores[session_index, top]
-        if best_score is None:
-            # First stall option: adopted outright, exactly as the running
-            # merge below would against the -inf initial incumbent.
-            best_score = score
-            best_level = candidates[top, 0]
-            best_stall = np.full(num_sessions, float(stalls[stall_index]))
-            best_candidate = top
-            continue
-        better = score > best_score
-        best_score = np.where(better, score, best_score)
-        best_level = np.where(better, candidates[top, 0], best_level)
-        best_stall = np.where(better, stalls[stall_index], best_stall)
-        best_candidate = np.where(better, top, best_candidate)
-
-    if need_expected_rebuffer:
-        # The caller only ever reads the rebuffer expectation of the
-        # *chosen* plan, so it is recomputed here along each session's
-        # single winning path instead of being tracked for every candidate
-        # through the main recursion.  Same download times, same buffer
-        # recursion, same accumulation order — bit-identical values at a
-        # tiny fraction of the traffic.
-        path_levels = candidates[best_candidate]            # (N, h)
-        path_sizes = sizes[
-            session_index[:, None], step_index[None, :], path_levels
-        ]                                                   # (N, h)
-        path_dt = path_sizes[:, None, :] / rates_bytes_per_s[:, :, None]
-        path_gain = (
-            chunk_gain if isinstance(chunk_gain, float) else chunk_gain[:, :, 0]
-        )
-        path_capacity = (
-            capacity if isinstance(capacity, float) else capacity[:, :, 0]
-        )
-        path_buffer = np.empty((num_sessions, num_scenarios))
-        path_buffer[:] = (buffer_s + best_stall)[:, None]
-        path_total = np.zeros_like(path_buffer)
-        for step in range(horizon):
-            dt = path_dt[:, :, step]
-            shortfall = dt - path_buffer
-            np.maximum(shortfall, 0.0, out=shortfall)
-            path_total += shortfall
-            if step < horizon - 1:
-                np.subtract(path_buffer, dt, out=path_buffer)
-                np.maximum(path_buffer, 0.0, out=path_buffer)
-                path_buffer += path_gain
-                np.minimum(path_buffer, path_capacity, out=path_buffer)
-        best_rebuffer = scenario_probs[:, 0] * path_total[:, 0]
-        for scenario in range(1, num_scenarios):
-            best_rebuffer = (
-                best_rebuffer
-                + scenario_probs[:, scenario] * path_total[:, scenario]
-            )
-    else:
-        best_rebuffer = np.zeros(num_sessions)
-
-    return BatchPlanEvaluation(
-        best_level=best_level,
-        best_stall_s=best_stall,
-        best_score=best_score,
-        expected_rebuffer_s=best_rebuffer,
-        num_candidates=num_candidates * num_stalls * num_scenarios,
-    )
-
-
-def _evaluate_batch_arena(
-    candidates: np.ndarray,
-    sizes: np.ndarray,
-    quality: np.ndarray,
-    weights: np.ndarray,
-    buffer_s: np.ndarray,
-    last_level: np.ndarray,
-    scenario_tputs: np.ndarray,
-    scenario_probs: np.ndarray,
-    bitrates_kbps: np.ndarray,
-    quality_model: KSQIModel,
-    stall_options_s: Sequence[float],
-    chunk_duration_s,
-    buffer_capacity_s,
-    candidate_mask: Optional[np.ndarray],
-    need_expected_rebuffer: bool,
-    weights_uniform: Optional[bool],
-    dtype_name: str,
-) -> BatchPlanEvaluation:
-    """The arena batch kernel: one pass over preallocated contiguous buffers.
-
-    Operation-for-operation the same elementwise sequence as
-    :func:`_evaluate_batch_legacy` — same operands, same order, same
-    left-fold accumulations — so the float64 path is bit-identical to it
-    (differentially enforced by the test suite).  What changes is *where*
-    the data lives and how it gets there:
+    Implementation: one float64 pass over the (candidate tree, ladder)
+    pair's score arena (:class:`_TreeArena`).  Operation for operation it
+    is the elementwise sequence of the pre-arena kernel kept as the test
+    oracle (``tests/planner_oracle.py``) — same operands, same order, same
+    left-fold accumulations — so it is bit-identical to it (differentially
+    enforced by the test suite).  What the arena changes is *where* the
+    data lives and how it gets there:
 
     * all writes land in the arena's preallocated workspace (no per-call
       temporaries, no allocator churn);
@@ -1201,12 +763,12 @@ def _evaluate_batch_arena(
     * the switch-term block collapses to one row-gather from the arena's
       precomputed tables (uniform weights), and the final step's shortfall
       is computed in place over the gathered dt nodes (single-stall calls).
-
-    With ``dtype_name="float32"`` the same sequence runs in float32 over
-    float32 workspaces (inputs cast once on entry, outputs cast back to
-    float64) — faster and half the memory, but *not* bit-identical; callers
-    opt in explicitly.
     """
+    # Manual span timing (no context manager) on the hottest call site in
+    # the engine; the kernel has a single exit, so no try/finally needed.
+    if TRACE.enabled:
+        _span_t0 = perf_counter()
+
     num_sessions, horizon = weights.shape
     num_scenarios = scenario_tputs.shape[1]
     bitrates = np.asarray(bitrates_kbps, dtype=float)
@@ -1216,17 +778,17 @@ def _evaluate_batch_arena(
     # sizes/quality may be padded wider than the ladder when mixed-ladder
     # sessions share a shard; candidates only ever index the real levels
     width = sizes.shape[2]
-    dtype = _KERNEL_DTYPES[dtype_name]
-    ws = arena.workspace(num_sessions, num_scenarios, width, dtype_name)
-    first_switch_rows, _, later_switch_T = arena.consts(dtype_name)
+    ws = arena.workspace(num_sessions, num_scenarios, width)
+    first_switch_rows = arena.first_switch_rows
+    later_switch_T = arena.later_switch_T
     dt_idx_flat = arena.gather_indices(width)[1]
 
-    sizes = np.asarray(sizes, dtype=dtype)
-    quality = np.asarray(quality, dtype=dtype)
-    weights = np.asarray(weights, dtype=dtype)
-    buffer_s = np.asarray(buffer_s, dtype=dtype)
-    scenario_tputs = np.asarray(scenario_tputs, dtype=dtype)
-    scenario_probs = np.asarray(scenario_probs, dtype=dtype)
+    sizes = np.asarray(sizes, dtype=float)
+    quality = np.asarray(quality, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    buffer_s = np.asarray(buffer_s, dtype=float)
+    scenario_tputs = np.asarray(scenario_tputs, dtype=float)
+    scenario_probs = np.asarray(scenario_probs, dtype=float)
 
     uniform_weights = (
         bool(np.all(weights == 1.0))
@@ -1253,9 +815,7 @@ def _evaluate_batch_arena(
                     out=static_scores)
         np.add(static_scores, coeffs.intercept * float(horizon),
                out=static_scores)
-        scaled_rows = arena.scaled_switch_rows(
-            dtype_name, coeffs.switch_weight
-        )
+        scaled_rows = arena.scaled_switch_rows(coeffs.switch_weight)
         np.take(scaled_rows, prev_row, axis=0, out=tmp, mode="clip")
         np.subtract(static_scores, tmp, out=static_scores)
     else:
@@ -1333,7 +893,7 @@ def _evaluate_batch_arena(
             np.subtract(dt, parent_buffers, out=shortfall)
             np.maximum(shortfall, 0.0, out=shortfall)
             if not uniform_weights:
-                # same multiply-then-add sequence as the legacy kernel,
+                # same multiply-then-add sequence as the oracle kernel,
                 # just landing in the shortfall scratch instead of a fresh
                 # temporary (shortfall is dead after this accumulation)
                 shortfall *= weights[:, step, None, None]
@@ -1381,8 +941,12 @@ def _evaluate_batch_arena(
         best_candidate = np.where(better, top, best_candidate)
 
     if need_expected_rebuffer:
-        # recomputed along each session's single winning path; see the
-        # legacy kernel for the rationale
+        # The caller only ever reads the rebuffer expectation of the
+        # *chosen* plan, so it is recomputed here along each session's
+        # single winning path instead of being tracked for every candidate
+        # through the main recursion.  Same download times, same buffer
+        # recursion, same accumulation order — bit-identical values at a
+        # tiny fraction of the traffic.
         step_index = _arange(horizon)
         path_levels = candidates[best_candidate]            # (N, h)
         path_sizes = sizes[
@@ -1395,7 +959,7 @@ def _evaluate_batch_arena(
         path_capacity = (
             capacity if isinstance(capacity, float) else capacity[:, :, 0]
         )
-        path_buffer = np.empty((num_sessions, num_scenarios), dtype=dtype)
+        path_buffer = np.empty((num_sessions, num_scenarios))
         path_buffer[:] = (buffer_s + best_stall)[:, None]
         path_total = np.zeros_like(path_buffer)
         for step in range(horizon):
@@ -1417,17 +981,16 @@ def _evaluate_batch_arena(
     else:
         best_rebuffer = np.zeros(num_sessions)
 
-    if dtype is not np.float64:
-        best_score = np.asarray(best_score, dtype=np.float64)
-        best_rebuffer = np.asarray(best_rebuffer, dtype=np.float64)
-
-    return BatchPlanEvaluation(
+    result = BatchPlanEvaluation(
         best_level=best_level,
         best_stall_s=best_stall,
         best_score=best_score,
         expected_rebuffer_s=best_rebuffer,
         num_candidates=C * num_stalls * num_scenarios,
     )
+    if TRACE.enabled:
+        record_span("planner.kernel", perf_counter() - _span_t0)
+    return result
 
 
 def _evaluate_vectorized(

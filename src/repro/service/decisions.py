@@ -30,10 +30,9 @@ the lockstep engine's planning path:
 
 The kernel guarantees the rest: ``evaluate_candidates_batch`` is
 elementwise over the batch axis, so co-scheduling any mix of sessions
-cannot change any single session's floats (docs/PERFORMANCE.md).  It runs
-on the arena kernel (docs/PERFORMANCE.md §2); a service can opt into the
-float32 fast path via ``DecisionService(kernel_dtype="float32")``, which
-waives bit-identity for kernel speed.
+cannot change any single session's floats (docs/PERFORMANCE.md).  It is
+the same float64 arena kernel the offline sweeps run (docs/PERFORMANCE.md
+§2); there is no other implementation or precision to select.
 """
 
 from __future__ import annotations

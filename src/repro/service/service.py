@@ -38,7 +38,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.abr import planner
 from repro.abr.base import ABRAlgorithm, Decision
 from repro.engine.runner import BatchRunner
 from repro.network.trace import ThroughputTrace
@@ -110,14 +109,7 @@ class DecisionService:
         shed_timeout_s: Optional[float] = 0.05,
         max_backlog_per_tenant: int = 64,
         runner: Optional[BatchRunner] = None,
-        kernel_dtype: Optional[str] = None,
     ) -> None:
-        if kernel_dtype is not None:
-            # Opt-in service-wide planner precision ("float32" trades the
-            # bit-identity contract for kernel throughput; see
-            # repro.abr.planner.set_kernel_dtype).  Process-wide by design:
-            # every decide() flush shares the same arena workspaces.
-            planner.set_kernel_dtype(kernel_dtype)
         self.table = table if table is not None else SessionTable()
         if scheduler is None:
             scheduler = WeightedFairScheduler(
@@ -263,7 +255,6 @@ class DecisionService:
                 "tenants": self.scheduler.stats(),
             },
             "batcher": self.batcher.stats(),
-            "kernel": dict(zip(("impl", "dtype"), planner.kernel_config())),
         }
 
     # ------------------------------------------------------------- internals

@@ -1,27 +1,27 @@
 """Differential tests for the arena-compiled planner kernel.
 
-Three layers of evidence that the arena rebuild of
-``evaluate_candidates_batch`` changed the *speed* and nothing else:
+Evidence that the arena ``evaluate_candidates_batch`` — the only planner
+kernel — computes exactly what the pre-arena kernel did and that its
+results do not depend on how sessions are batched:
 
-* **Property (hypothesis):** on randomly drawn batches — any session
-  count, scenario count, ladder size, horizon, ``max_step`` mask,
-  non-uniform weights, multi-stall options — the arena float64 kernel is
-  *bitwise* identical to the retained ``legacy`` kernel (the pre-arena
-  implementation, kept precisely as this oracle).
-* **Float32 vs float64:** over inputs derived from the golden-master
-  content (the canonical ``tests/golden/`` video, same synthesis seeds),
-  the opt-in float32 fast path matches float64 scores within tolerance
-  and picks the same argmax level everywhere.
-* **Config plumbing:** the process default is ``("arena", "float64")``
-  — the fast-but-inexact float32 path can never turn itself on — and
-  the derived caches (switch terms, arenas) are LRU-bounded with
-  counted evictions.
+* **Arena ≡ oracle (hypothesis):** on randomly drawn batches — any
+  session count, scenario count, ladder size, horizon, ``max_step`` mask,
+  non-uniform weights, multi-stall options — the arena kernel is
+  *bitwise* identical to the pre-arena kernel kept as a test-only oracle
+  (:mod:`tests.planner_oracle`).
+* **Batch-shape independence (hypothesis):** a batch, a contiguous split
+  of it, each row alone and a repeat of the whole call after those
+  shapes (reusing the arena workspaces) agree bit for bit, also when
+  uniform and non-uniform weight rows share a batch.  Lockstep ≡ serial
+  rests on this.
+* **Caches and tiling:** the derived caches (switch terms, arenas) are
+  LRU-bounded with counted evictions, and the cache-blocked tile sizes
+  stay within their floor and cap.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,14 +31,9 @@ from repro.abr.planner import (
     enumerate_level_sequences,
     evaluate_candidates_batch,
     kernel_block_sessions,
-    kernel_config,
-    set_kernel_dtype,
-    set_kernel_impl,
 )
 from repro.qoe.ksqi import KSQIModel
-from repro.video.chunk import DEFAULT_LADDER
-from repro.video.encoder import SyntheticEncoder
-from repro.video.video import SourceVideo
+from tests.planner_oracle import evaluate_batch_legacy
 
 RESULT_FIELDS = (
     "best_level", "best_stall_s", "best_score", "expected_rebuffer_s"
@@ -110,7 +105,7 @@ def _assert_bitwise_equal(a, b, context):
 
 
 class TestArenaMatchesLegacyBitwise:
-    """Arena float64 is bit-identical to the pre-arena kernel."""
+    """The arena kernel is bit-identical to the pre-arena oracle."""
 
     @given(
         seed=st.integers(0, 2**31),
@@ -132,10 +127,8 @@ class TestArenaMatchesLegacyBitwise:
             max_step=max_step, weighted=weighted, num_stalls=num_stalls,
             need_rebuffer=need_rebuffer,
         )
-        legacy = evaluate_candidates_batch(**kwargs, kernel_impl="legacy")
-        arena = evaluate_candidates_batch(
-            **kwargs, kernel_impl="arena", kernel_dtype="float64"
-        )
+        legacy = evaluate_batch_legacy(**kwargs)
+        arena = evaluate_candidates_batch(**kwargs)
         _assert_bitwise_equal(arena, legacy, (seed, num_sessions))
 
     @given(seed=st.integers(0, 2**31), horizon=st.integers(2, 5))
@@ -146,8 +139,8 @@ class TestArenaMatchesLegacyBitwise:
             horizon=horizon, max_step=2, weighted=True, num_stalls=2,
             need_rebuffer=True,
         )
-        legacy = evaluate_candidates_batch(**kwargs, kernel_impl="legacy")
-        arena = evaluate_candidates_batch(**kwargs, kernel_impl="arena")
+        legacy = evaluate_batch_legacy(**kwargs)
+        arena = evaluate_candidates_batch(**kwargs)
         _assert_bitwise_equal(arena, legacy, (seed, horizon))
 
     def test_padded_mixed_ladder_width(self):
@@ -159,130 +152,77 @@ class TestArenaMatchesLegacyBitwise:
         pad = np.zeros((4, 4, 2))
         kwargs["sizes"] = np.concatenate([kwargs["sizes"], pad + 1.0], axis=2)
         kwargs["quality"] = np.concatenate([kwargs["quality"], pad], axis=2)
-        legacy = evaluate_candidates_batch(**kwargs, kernel_impl="legacy")
-        arena = evaluate_candidates_batch(**kwargs, kernel_impl="arena")
+        legacy = evaluate_batch_legacy(**kwargs)
+        arena = evaluate_candidates_batch(**kwargs)
         _assert_bitwise_equal(arena, legacy, "padded")
 
 
-def _golden_grid_inputs():
-    """Kernel inputs derived from the golden-master canonical content.
+#: Kernel arguments that carry one row per session.
+_ROW_ARGS = (
+    "sizes", "quality", "weights", "buffer_s", "last_level",
+    "scenario_tputs", "scenario_probs", "candidate_mask",
+)
 
-    Same synthesis seeds as ``tests/test_golden.py``: sliding horizon
-    windows over the golden video's per-chunk size/quality tables become
-    the session batch, crossed with a deterministic buffer/throughput
-    grid.
-    """
-    source = SourceVideo.synthesize(
-        "golden-sports", "sports", duration_s=64.0, chunk_duration_s=4.0,
-        seed=1207,
+
+def _rows_of(kwargs, start, stop):
+    """The same kernel call restricted to sessions ``start:stop``."""
+    return {**kwargs, **{name: kwargs[name][start:stop] for name in _ROW_ARGS}}
+
+
+def _result_bytes(results):
+    """Each result field over the concatenated batches, as raw bytes."""
+    return {
+        field: np.concatenate(
+            [np.asarray(getattr(result, field)) for result in results]
+        ).tobytes()
+        for field in RESULT_FIELDS
+    }
+
+
+class TestBatchShapeIndependence:
+    """A session's result does not depend on the batch it is scored in."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        num_sessions=st.integers(2, 14),
+        num_scenarios=st.integers(1, 6),
+        levels=st.integers(3, 6),
+        max_step=st.sampled_from([None, 1, 2]),
+        num_stalls=st.integers(1, 3),
+        need_rebuffer=st.booleans(),
+        split_at=st.integers(0, 12),
     )
-    video = SyntheticEncoder(seed=1208).encode(source, DEFAULT_LADDER)
-    horizon = 4
-    sizes = np.stack([
-        np.stack([video.chunks[i + k].sizes_bytes for k in range(horizon)])
-        for i in range(video.num_chunks - horizon)
-    ])
-    quality = np.stack([
-        np.stack([video.chunks[i + k].quality for k in range(horizon)])
-        for i in range(video.num_chunks - horizon)
-    ])
-    num_sessions = sizes.shape[0]
-    levels = sizes.shape[2]
-    candidates = enumerate_level_sequences(levels, horizon, max_step=2)
-    rng = np.random.default_rng(1209)
-    last_level = rng.integers(-1, levels, size=num_sessions)
-    tputs = np.stack([
-        np.linspace(0.4, 9.0, 5) * (0.6 + 0.1 * (i % 5))
-        for i in range(num_sessions)
-    ])
-    probs = np.full((num_sessions, 5), 0.2)
-    mask = (last_level[:, None] < 0) | (
-        np.abs(candidates[None, :, 0] - last_level[:, None]) <= 2
-    )
-    return dict(
-        candidates=candidates,
-        sizes=sizes,
-        quality=quality,
-        weights=rng.uniform(0.5, 1.5, size=(num_sessions, horizon)),
-        buffer_s=np.linspace(0.5, 22.0, num_sessions),
-        last_level=last_level,
-        scenario_tputs=tputs,
-        scenario_probs=probs,
-        bitrates_kbps=np.asarray(DEFAULT_LADDER.bitrates_kbps, dtype=float),
-        quality_model=KSQIModel(),
-        stall_options_s=(0.0, 0.5, 1.0),
-        chunk_duration_s=4.0,
-        buffer_capacity_s=30.0,
-        candidate_mask=mask,
-        need_expected_rebuffer=True,
-        weights_uniform=False,
-    )
-
-
-class TestFloat32FastPath:
-    """The opt-in float32 path tracks float64 on golden-derived inputs."""
-
-    def test_tolerance_and_argmax_agreement(self):
-        kwargs = _golden_grid_inputs()
-        f64 = evaluate_candidates_batch(
-            **kwargs, kernel_impl="arena", kernel_dtype="float64"
+    @settings(max_examples=60, deadline=None)
+    def test_split_rows_and_reuse_are_bitwise_equal(
+        self, seed, num_sessions, num_scenarios, levels, max_step,
+        num_stalls, need_rebuffer, split_at,
+    ):
+        kwargs = _batch_inputs(
+            seed, num_sessions, num_scenarios, levels, horizon=4,
+            max_step=max_step, weighted=True, num_stalls=num_stalls,
+            need_rebuffer=need_rebuffer,
         )
-        f32 = evaluate_candidates_batch(
-            **kwargs, kernel_impl="arena", kernel_dtype="float32"
-        )
-        np.testing.assert_allclose(
-            f32.best_score, f64.best_score, rtol=1e-3, atol=1e-3
-        )
-        np.testing.assert_allclose(
-            f32.expected_rebuffer_s, f64.expected_rebuffer_s, atol=5e-3
-        )
-        agree = np.mean(f32.best_level == f64.best_level)
-        assert agree == 1.0, f"argmax agreement {agree:.3f} < 1.0"
-        assert np.array_equal(f32.best_stall_s, f64.best_stall_s)
+        # Mixed rows: a uniform row alone takes the kernel's uniform-weight
+        # path, the same row inside a mixed batch the general one.
+        uniform_rows = np.random.default_rng(seed + 1).random(num_sessions) < 0.5
+        kwargs["weights"][uniform_rows] = 1.0
+        kwargs["weights_uniform"] = None
+        split = 1 + split_at % (num_sessions - 1)
 
-    def test_f32_outputs_are_float64(self):
-        """Downstream consumers never see float32 leak out of the kernel."""
-        kwargs = _golden_grid_inputs()
-        result = evaluate_candidates_batch(
-            **kwargs, kernel_impl="arena", kernel_dtype="float32"
-        )
-        assert result.best_score.dtype == np.float64
-        assert result.expected_rebuffer_s.dtype == np.float64
-
-
-class TestKernelConfig:
-    """Process-wide defaults, env plumbing and per-call overrides."""
-
-    def test_default_is_arena_float64(self):
-        assert kernel_config() == ("arena", "float64")
-
-    def test_f32_requires_explicit_opt_in(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_F32", raising=False)
-        assert planner._dtype_from_env() == "float64"
-        for flag in ("1", "true", "YES", "on"):
-            monkeypatch.setenv("REPRO_KERNEL_F32", flag)
-            assert planner._dtype_from_env() == "float32"
-        monkeypatch.setenv("REPRO_KERNEL_F32", "0")
-        assert planner._dtype_from_env() == "float64"
-
-    def test_set_and_restore(self):
-        try:
-            assert set_kernel_dtype("float32") == "float32"
-            assert set_kernel_impl("legacy") == "legacy"
-            assert kernel_config() == ("legacy", "float32")
-        finally:
-            set_kernel_dtype(None)
-            set_kernel_impl(None)
-        assert kernel_config() == ("arena", "float64")
-
-    def test_rejects_unknown_values(self):
-        with pytest.raises(Exception):
-            set_kernel_impl("simd")
-        with pytest.raises(Exception):
-            evaluate_candidates_batch(
-                **_batch_inputs(1, 2, 1, 4, 4, 1, False, 1, False),
-                kernel_dtype="float16",
-            )
+        whole = _result_bytes([evaluate_candidates_batch(**kwargs)])
+        halves = _result_bytes([
+            evaluate_candidates_batch(**_rows_of(kwargs, 0, split)),
+            evaluate_candidates_batch(**_rows_of(kwargs, split, num_sessions)),
+        ])
+        rows = _result_bytes([
+            evaluate_candidates_batch(**_rows_of(kwargs, row, row + 1))
+            for row in range(num_sessions)
+        ])
+        repeat = _result_bytes([evaluate_candidates_batch(**kwargs)])
+        context = (seed, num_sessions, split)
+        assert halves == whole, ("split", context)
+        assert rows == whole, ("rows", context)
+        assert repeat == whole, ("repeat", context)
 
 
 class TestDerivedCacheBounds:
@@ -327,7 +267,7 @@ def _cache_entry_args(cache, key):
 
 
 class TestBlockSessions:
-    """Cache-blocked tiling: floors, caps and config sensitivity."""
+    """Cache-blocked tiling: floors and caps."""
 
     def test_floor_and_cap(self):
         for scenarios in (1, 5):
@@ -338,14 +278,3 @@ class TestBlockSessions:
         assert kernel_block_sessions(5, 4, 2, 1) >= kernel_block_sessions(
             5, 4, 2, 5
         )
-
-    def test_legacy_impl_keeps_floor(self):
-        try:
-            set_kernel_impl("legacy")
-            assert kernel_block_sessions(5, 4, 2, 5, floor=12) == 12
-        finally:
-            set_kernel_impl(None)
-
-    def test_env_pin_wins(self, monkeypatch):
-        monkeypatch.setattr(planner, "_KERNEL_BLOCK_PIN", "7")
-        assert kernel_block_sessions(5, 4, 2, 5) == 7
