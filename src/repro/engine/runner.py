@@ -21,7 +21,10 @@ with three interchangeable backends:
   dispatched as *chunked shards* (one pickle per shard, several orders
   each): orders in a shard share their pickled videos, so each worker
   builds one :class:`~repro.engine.precompute.SessionPrecompute` per video
-  per shard, and each shard runs through the lockstep core.  Because every
+  per shard, and each shard runs through the lockstep core.  Results come
+  back with each timeline still unmaterialised, pickled as its per-chunk
+  columns rather than record objects (the bulk of the pool traffic; see
+  :class:`~repro.player.events.LazySessionTimeline`).  Because every
   session begins with ``abr.reset()`` and lockstep is serial-identical, the
   results are numerically identical to the serial backend.  On a
   single-core host a pool is pure overhead, so ``run_orders`` falls back to
@@ -494,7 +497,9 @@ class BatchRunner:
                     for index in lost:
                         attempts[index] += 1
                     if verdict in ("broken", "timeout"):
-                        pool = self._rebuild_pool(pool, verdict, rebuilds)
+                        pool = self._rebuild_pool(
+                            pool, verdict, rebuilds, workers
+                        )
                         rebuilds += 1
                 pending = lost
         finally:
@@ -655,10 +660,13 @@ class BatchRunner:
         return run_orders_lockstep(shard.orders, fault_log=self.fault_log)
 
     def _rebuild_pool(
-        self, pool: ProcessPoolExecutor, reason: str, rebuilds: int
+        self, pool: ProcessPoolExecutor, reason: str, rebuilds: int,
+        workers: int,
     ) -> ProcessPoolExecutor:
-        """Tear the dead/stuck pool down and stand up a fresh one, with
-        capped exponential backoff (``min(cap, base * 2**rebuilds)``)."""
+        """Tear the dead/stuck pool down and stand up a fresh one of
+        ``workers`` processes (the size the dispatch chose; a persistent
+        pool keeps its own size), with capped exponential backoff
+        (``min(cap, base * 2**rebuilds)``)."""
         self._teardown_pool(pool, reason=reason)
         self.fault_log.pool_rebuilds += 1
         delay = min(
@@ -668,9 +676,7 @@ class BatchRunner:
             time.sleep(delay)
         if self.persistent:
             return self._ensure_pool()
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers or os.cpu_count() or 1
-        )
+        return ProcessPoolExecutor(max_workers=workers)
 
     def _teardown_pool(self, pool: ProcessPoolExecutor, reason: str) -> None:
         """Shut a pool down without waiting on (possibly stuck) workers.

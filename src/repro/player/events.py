@@ -126,26 +126,40 @@ class LazySessionTimeline:
     most consumers (grid sweeps, QoE scoring) only ever read the rendered
     video, so building the thousands of per-chunk :class:`DownloadRecord`
     objects eagerly would be wasted work on the hot path.  This wrapper
-    defers that construction: any attribute or method access builds the
-    real timeline once and delegates to it from then on, so observable
-    values are exactly those of the eager timeline.  Pickling (the process
-    backend ships results between workers) materialises and serialises the
-    plain :class:`SessionTimeline`.
+    holds the session's columns instead — ``levels`` (one int per chunk),
+    ``records`` (float64, rows: size, start, duration, throughput, buffer
+    before/after) and the stall entries as ``(cause, chunk_index,
+    start_time_s, duration_s)`` tuples — and builds the real timeline from
+    them on first attribute or method access, delegating to it from then
+    on, so observable values are exactly those of the eager timeline.
+    Pickling (the process backend ships results back from its workers)
+    sends the columns, so the copy stays unmaterialised; an already
+    materialised timeline pickles as its plain :class:`SessionTimeline`,
+    so records added to it survive the trip.
     """
 
-    __slots__ = ("_build", "_timeline")
+    __slots__ = ("_columns", "_timeline")
 
-    def __init__(self, build) -> None:
-        object.__setattr__(self, "_build", build)
+    def __init__(self, levels, records, stalls) -> None:
+        object.__setattr__(self, "_columns", (levels, records, stalls))
         object.__setattr__(self, "_timeline", None)
 
     def _materialise(self) -> SessionTimeline:
         timeline = object.__getattribute__(self, "_timeline")
         if timeline is None:
-            build = object.__getattribute__(self, "_build")
-            timeline = build()
+            levels, records, stalls = object.__getattribute__(self, "_columns")
+            # Field order of the columns is the records' field order.
+            timeline = SessionTimeline(
+                downloads=[
+                    DownloadRecord(chunk, *fields)
+                    for chunk, fields in enumerate(
+                        zip(levels.tolist(), *records.tolist())
+                    )
+                ],
+                stalls=[StallEvent(*entry) for entry in stalls],
+            )
             object.__setattr__(self, "_timeline", timeline)
-            object.__setattr__(self, "_build", None)
+            object.__setattr__(self, "_columns", None)
         return timeline
 
     def __getattr__(self, name: str):
@@ -154,4 +168,7 @@ class LazySessionTimeline:
         return getattr(self._materialise(), name)
 
     def __reduce__(self):
-        return (_identity, (self._materialise(),))
+        timeline = object.__getattribute__(self, "_timeline")
+        if timeline is not None:
+            return (_identity, (timeline,))
+        return (LazySessionTimeline, object.__getattribute__(self, "_columns"))

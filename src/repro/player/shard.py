@@ -30,10 +30,10 @@ fewer chunks simply leave the live set early (ragged completion), and their
 array rows are never touched again.
 
 Timeline records are accumulated as arrays (downloads) and per-session
-tuple lists (stall events — rare, appended via the masked passes) and
-materialised into the seed's :class:`~repro.player.events.DownloadRecord` /
-:class:`~repro.player.events.StallEvent` objects once, at
-:meth:`~ShardState.finalize`.
+tuple lists (stall events — rare, appended via the masked passes);
+:meth:`~ShardState.finalize` hands a row's columns to a
+:class:`~repro.player.events.LazySessionTimeline`, which builds the seed's
+record objects from them only if they are read.
 """
 
 from __future__ import annotations
@@ -49,10 +49,7 @@ from repro.player.events import (
     STALL_PROACTIVE,
     STALL_REBUFFER,
     STALL_STARTUP,
-    DownloadRecord,
     LazySessionTimeline,
-    SessionTimeline,
-    StallEvent,
 )
 from repro.player.session import (
     MIN_DOWNLOAD_DURATION_S,
@@ -449,45 +446,20 @@ class ShardState:
         wall += remaining
 
         # Most consumers only read the rendered video, so the per-chunk
-        # record objects are built lazily — from row copies, not the shard
-        # (the closure must not pin the whole SoA state in memory).
-        download_columns = (
-            self.levels[row, :num_chunks].tolist(),
-            self.rec_size[row, :num_chunks].tolist(),
-            self.rec_start[row, :num_chunks].tolist(),
-            self.rec_duration[row, :num_chunks].tolist(),
-            self.rec_throughput[row, :num_chunks].tolist(),
-            self.rec_buffer_before[row, :num_chunks].tolist(),
-            self.rec_buffer_after[row, :num_chunks].tolist(),
+        # record objects are built lazily — from row copies, not views of
+        # the shard (the timeline must not pin the whole SoA state).
+        timeline = LazySessionTimeline(
+            self.levels[row, :num_chunks].copy(),
+            np.stack((
+                self.rec_size[row, :num_chunks],
+                self.rec_start[row, :num_chunks],
+                self.rec_duration[row, :num_chunks],
+                self.rec_throughput[row, :num_chunks],
+                self.rec_buffer_before[row, :num_chunks],
+                self.rec_buffer_after[row, :num_chunks],
+            )),
+            stall_entries,
         )
-
-        def build_timeline() -> SessionTimeline:
-            timeline = SessionTimeline()
-            for chunk, (level, size, start, length, tput, before, after) in (
-                enumerate(zip(*download_columns))
-            ):
-                timeline.add_download(
-                    DownloadRecord(
-                        chunk_index=chunk,
-                        level=level,
-                        size_bytes=size,
-                        start_time_s=start,
-                        duration_s=length,
-                        throughput_mbps=tput,
-                        buffer_before_s=before,
-                        buffer_after_s=after,
-                    )
-                )
-            for cause, chunk_index, start, length in stall_entries:
-                timeline.add_stall(
-                    StallEvent(
-                        cause=cause,
-                        chunk_index=chunk_index,
-                        start_time_s=start,
-                        duration_s=length,
-                    )
-                )
-            return timeline
 
         encoded = self.encoded[row]
         rendered = RenderedVideo(
@@ -501,7 +473,7 @@ class ShardState:
         )
         return StreamResult(
             rendered=rendered,
-            timeline=LazySessionTimeline(build_timeline),
+            timeline=timeline,
             total_bytes=float(self.total_bytes[row]),
             session_duration_s=wall,
             abr_name=abr_name,

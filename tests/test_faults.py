@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -468,6 +469,23 @@ class TestProcessPoolChaos:
         assert runner.fault_log.retries >= 1
         assert runner.fault_log.worker_crashes >= 1
         assert runner.fault_log.wall_clock_lost_s > 0.0
+
+    def test_rebuilt_pool_keeps_the_dispatch_size(self, chaos_orders, golden):
+        """A non-persistent pool is rebuilt at the size its dispatch chose
+        (one worker per order here), not one worker per core."""
+        orders = chaos_orders[:4]
+        plan = FaultPlan(faults=(FaultSpec(kind="kill_worker", shard=0),))
+        with mock.patch("repro.engine.runner.os.cpu_count", return_value=8), \
+                mock.patch("repro.engine.runner.ProcessPoolExecutor",
+                           wraps=ProcessPoolExecutor) as spawn:
+            runner = BatchRunner(backend="process", retry_backoff_s=0.01)
+            with inject(plan):
+                with pytest.warns(ShardRecoveryWarning, match="worker died"):
+                    results = runner.run_orders(orders)
+        assert_all_identical(golden[:4], results)
+        assert runner.fault_log.pool_rebuilds == 1
+        assert [call.kwargs["max_workers"] for call in spawn.call_args_list] \
+            == [4, 4]
 
     def test_timed_out_shard_is_retried_bit_identically(
         self, chaos_orders, golden

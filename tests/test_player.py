@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.abr.base import ABRAlgorithm, Decision
 from repro.abr.bba import BufferBasedABR
+from repro.core.sensei_abr import SenseiFuguABR
+from repro.engine.runner import BatchRunner, WorkOrder
+from repro.network.bank import TraceBank
 from repro.network.trace import ThroughputTrace
 from repro.player.buffer import PlaybackBuffer
+from repro.player.events import (
+    STALL_PROACTIVE,
+    STALL_REBUFFER,
+    LazySessionTimeline,
+    SessionTimeline,
+    StallEvent,
+)
 from repro.player.manifest import SenseiManifest, manifest_from_xml, manifest_to_xml
 from repro.player.session import SessionConfig, StreamingSession
 from repro.player.simulator import simulate_many, simulate_session
@@ -163,6 +176,82 @@ class TestStreamingSession:
             assert all(
                 record.duration_s > 0 for record in result.timeline.downloads
             )
+
+
+def _is_materialised(timeline: LazySessionTimeline) -> bool:
+    return object.__getattribute__(timeline, "_timeline") is not None
+
+
+def _timeline_fields(timeline) -> list:
+    """Every record field of a timeline, floats as ``float.hex``."""
+
+    def exact(value):
+        return value.hex() if isinstance(value, float) else value
+
+    return [
+        [exact(getattr(record, name)) for name in record.__slots__]
+        for record in [*timeline.downloads, *timeline.stalls]
+    ]
+
+
+class TestLazyTimelinePickle:
+    """The process backend ships lockstep timelines back unmaterialised,
+    as their per-chunk columns; the records built from them on the far
+    side must be the eager serial records bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def order(self, small_encoded):
+        # A scarce trace and strongly contrasted weights make this SENSEI
+        # session schedule proactive stalls *and* rebuffer.
+        trace = TraceBank(num_traces=2, duration_s=300.0, seed=1209).traces()[0]
+        return WorkOrder(
+            abr=SenseiFuguABR(),
+            encoded=small_encoded,
+            trace=trace.scaled(0.45, name="scarce"),
+            chunk_weights=np.where(
+                np.arange(small_encoded.num_chunks) % 4 == 0, 3.0, 0.4
+            ),
+        )
+
+    @pytest.fixture
+    def lazy(self, order) -> LazySessionTimeline:
+        [result] = BatchRunner(backend="lockstep").run_orders([order])
+        assert isinstance(result.timeline, LazySessionTimeline)
+        assert not _is_materialised(result.timeline)
+        return result.timeline
+
+    def test_pickle_keeps_columns_and_matches_serial(self, order, lazy):
+        eager = order.run().timeline
+        assert {STALL_PROACTIVE, STALL_REBUFFER} <= {
+            stall.cause for stall in eager.stalls
+        }
+        payload = pickle.dumps(lazy)
+        assert not _is_materialised(lazy)
+        loaded = pickle.loads(payload)
+        assert isinstance(loaded, LazySessionTimeline)
+        assert not _is_materialised(loaded)
+        materialised = pickle.loads(payload)
+        fields = _timeline_fields(materialised)
+        assert len(payload) < len(pickle.dumps(materialised))
+        assert fields == _timeline_fields(eager)
+        assert _timeline_fields(lazy) == fields
+
+    def test_added_stall_survives_pickling(self, lazy):
+        added = StallEvent(
+            cause=STALL_PROACTIVE, chunk_index=1, start_time_s=1.5,
+            duration_s=0.25,
+        )
+        lazy.add_stall(added)
+        loaded = pickle.loads(pickle.dumps(lazy))
+        assert isinstance(loaded, SessionTimeline)
+        assert loaded.stalls[-1] == added
+        assert _timeline_fields(loaded) == _timeline_fields(lazy)
+
+    def test_deepcopy(self, lazy):
+        duplicate = copy.deepcopy(lazy)
+        assert _timeline_fields(duplicate) == _timeline_fields(lazy)
+        duplicate.stalls.clear()
+        assert lazy.stalls
 
 
 class TestObservation:
