@@ -26,10 +26,10 @@ Two engine-level optimisations keep trace-scale experiments fast:
   sessions to the stack cannot change any session's floating-point result:
   the lockstep engine's bit-identity guarantee rests on this.
 * the batch kernel itself runs over a precomputed per-tree **score arena**
-  (:class:`_TreeArena`): gather indices, switch-term rows and preallocated
-  workspaces are derived once per (candidate tree, ladder) pair and reused
-  by every call, so a batch score is a single pass of in-place elementwise
-  ops over contiguous buffers with no per-call temporaries.  It is the only
+  (:class:`_TreeArena`): gather indices and switch-term rows are derived
+  once per (candidate tree, ladder) pair and every intermediate is a view
+  into one grow-only scratch buffer, so a batch score is a single pass of
+  in-place elementwise ops with no per-call temporaries.  It is the only
   implementation, always in float64; the pre-arena kernel survives as a
   test-only oracle (``tests/planner_oracle.py``) that the arena kernel is
   required to match bit for bit.
@@ -37,6 +37,7 @@ Two engine-level optimisations keep trace-scale experiments fast:
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,14 +140,17 @@ def clear_plan_cache() -> None:
     """Drop all memoised candidate trees (tests and benchmarks).
 
     Also drops the derived per-matrix caches (prefix trees, switch-term
-    constants): they hold strong references to the candidate matrices, so
-    leaving them behind would pin every superseded tree in memory across
-    clear/replan cycles.
+    constants, arenas): they hold strong references to the candidate
+    matrices, so leaving them behind would pin every superseded tree in
+    memory across clear/replan cycles.  The kernel scratch buffer restarts
+    empty.
     """
+    global _SCRATCH
     _cached_level_sequences.cache_clear()
     _PREFIX_TREES.clear()
     _SWITCH_TERMS.clear()
     _ARENAS.clear()
+    _SCRATCH = np.empty(0)
 
 
 def plan_cache_info():
@@ -193,19 +197,9 @@ def _block_sessions_cached(
     candidates = enumerate_level_sequences(
         num_levels, horizon, max_step=max_step
     )
-    tree = _prefix_tree(candidates)
-    num_candidates = candidates.shape[0]
-    total_nodes = tree.flat_levels.size
-    scenarios = max(1, int(num_scenarios))
-    # per-session float64 arena workspace: the dt table, the (h, C) quality
-    # block, seven (N, C) scratch rows, and 4x the tree nodes per scenario
-    # (two state planes + gathered dt + shortfall)
-    per_session_bytes = np.dtype(np.float64).itemsize * (
-        scenarios * horizon * num_levels
-        + horizon * num_candidates
-        + 7 * num_candidates
-        + 4 * scenarios * total_nodes
-    )
+    nodes = [levels.size for levels, _ in _prefix_tree(candidates).steps]
+    layout = _workspace_layout(nodes, 1, max(1, num_scenarios), num_levels)
+    per_session_bytes = 8 * sum(math.prod(shape) for _, shape in layout)
     block = _KERNEL_L2_BYTES // max(1, per_session_bytes)
     return int(min(_KERNEL_BLOCK_CAP, max(floor, block)))
 
@@ -459,12 +453,41 @@ def _switch_constants(candidates: np.ndarray, bitrates: np.ndarray):
     return first_bitrates, later_switch
 
 
-class _ArenaWorkspace:
-    """Preallocated per-batch-shape buffers for the arena kernel.
+def _workspace_layout(step_nodes: Sequence[int], num_sessions: int,
+                      num_scenarios: int, width: int) -> list:
+    """The arena kernel's float64 working set as ``(name, shape)`` pairs.
 
-    Every array the kernel writes lives here, sized once and reused by every
-    call with the same ``(num_sessions, num_scenarios, width)`` — the arena
-    path performs no per-call array allocation on its hot path.
+    ``step_nodes`` counts the candidate prefix tree's nodes per horizon step
+    (the last count is the candidate count C); ``states`` and ``shortfall``
+    get one entry per step.  Every shape has exactly one ``num_sessions``
+    factor, so the layout at one session is the per-session footprint.
+    """
+    N, S = num_sessions, num_scenarios
+    h, C = len(step_nodes), step_nodes[-1]
+    per_candidate = ("first_switch", "quality_dot", "switch_dot", "static",
+                     "step_product", "expected", "partial")
+    return [
+        ("dt_all", (N, S, h * width)), ("cq", (N, h, C)), ("rates", (N, S)),
+        ("weight_total", (N,)), ("dt_flat", (N, S, sum(step_nodes))),
+        *[(name, (N, C)) for name in per_candidate],
+        *[("states", (2, N, S, n)) for n in step_nodes],
+        *[("shortfall", (N, S, n)) for n in step_nodes],
+    ]
+
+
+#: The kernel's one float64 scratch buffer, shared by every arena and batch
+#: shape and grown (never shrunk) to the largest call.  Safe to share: the
+#: engine is process-parallel and the service single-loop asyncio, so kernel
+#: calls never overlap, and the kernel returns only fresh arrays.
+_SCRATCH = np.empty(0)
+
+
+class _ArenaWorkspace:
+    """The arena kernel's working set for one batch shape.
+
+    Every array the kernel writes is a view carved, in
+    :func:`_workspace_layout` order, from the front of ``_SCRATCH`` (no
+    per-call allocation).  Shapes overlap; each call writes before reading.
     """
 
     __slots__ = (
@@ -475,43 +498,33 @@ class _ArenaWorkspace:
 
     def __init__(self, arena: "_TreeArena", num_sessions: int,
                  num_scenarios: int, width: int) -> None:
-        C, h = arena.C, arena.h
-        N, S = num_sessions, num_scenarios
-        self.dt_all = np.empty((N, S, h * width))
-        self.cq = np.empty((N, h, C))
-        self.first_switch = np.empty((N, C))
-        self.quality_dot = np.empty((N, C))
-        self.switch_dot = np.empty((N, C))
-        self.static = np.empty((N, C))
-        self.weight_total = np.empty(N)
-        self.step_product = np.empty((N, C))
-        self.states = [
-            np.empty((2, N, S, levels.size)) for levels in arena.node_levels
-        ]
+        global _SCRATCH
+        layout = _workspace_layout(
+            [levels.size for levels in arena.node_levels],
+            num_sessions, num_scenarios, width,
+        )
+        floats = sum(math.prod(shape) for _, shape in layout)
+        if _SCRATCH.size < floats:
+            # grow, and drop every cached view set so none pins the old buffer
+            _SCRATCH = np.empty(floats)
+            for _, cached in _ARENAS.values():
+                cached._workspaces.clear()
+        self.states, self.shortfall = [], []
+        offset = 0
+        for name, shape in layout:
+            view = _SCRATCH[offset:offset + math.prod(shape)].reshape(shape)
+            offset += view.size
+            if name in ("states", "shortfall"):
+                getattr(self, name).append(view)
+            else:
+                setattr(self, name, view)
         # every step's dt nodes in one contiguous buffer filled by a single
         # gather; per-step slices are views delimited by the arena offsets
-        self.dt_flat = np.empty((N, S, arena.flat_levels.size))
         off = arena.node_offsets
         self.dt_nodes = [
             self.dt_flat[:, :, off[k]:off[k + 1]]
             for k in range(len(arena.node_levels))
         ]
-        self.shortfall = [
-            np.empty((N, S, levels.size)) for levels in arena.node_levels
-        ]
-        self.expected = np.empty((N, C))
-        self.partial = np.empty((N, C))
-        self.rates = np.empty((N, S))
-
-    def nbytes(self) -> int:
-        total = 0
-        for name in self.__slots__:
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-            elif name != "dt_nodes":  # views into dt_flat, already counted
-                total += sum(a.nbytes for a in value)
-        return total
 
 
 class _TreeArena:
@@ -530,7 +543,8 @@ class _TreeArena:
       *entire* accumulated switch dot — collapses to one of L precomputed
       rows (built with the kernel's exact elementwise op sequence, so the
       gathered rows are bit-identical to computing them in the call);
-    * per-shape workspaces (:class:`_ArenaWorkspace`), LRU-bounded.
+    * per-shape view sets (:class:`_ArenaWorkspace`) into the shared
+      scratch buffer, so fetching one is a dict lookup.
     """
 
     __slots__ = (
@@ -539,8 +553,6 @@ class _TreeArena:
         "build_seconds", "first_switch_rows", "later_switch_T",
         "_switch_dot_rows", "_scaled_rows", "_workspaces", "_gather_idx",
     )
-
-    WORKSPACE_CAP = 16
 
     def __init__(self, candidates: np.ndarray, bitrates: np.ndarray) -> None:
         t0 = perf_counter()
@@ -577,7 +589,7 @@ class _TreeArena:
         self.later_switch_T = later_switch_T
         self._switch_dot_rows = sdot
         self._scaled_rows = {}
-        self._workspaces: "OrderedDict" = OrderedDict()
+        self._workspaces = {}
         self.build_seconds = perf_counter() - t0
 
     def gather_indices(self, width: int):
@@ -612,14 +624,7 @@ class _TreeArena:
         if ws is None:
             ws = _ArenaWorkspace(self, num_sessions, num_scenarios, width)
             self._workspaces[key] = ws
-            while len(self._workspaces) > self.WORKSPACE_CAP:
-                self._workspaces.popitem(last=False)
-        else:
-            self._workspaces.move_to_end(key)
         return ws
-
-    def workspace_bytes(self) -> int:
-        return sum(ws.nbytes() for ws in self._workspaces.values())
 
 
 _ARENA_BUILDS = {"count": 0, "seconds": 0.0}
@@ -646,12 +651,7 @@ def _publish_arena_stats(registry) -> None:
     registry.gauge("planner.arena.build_seconds").set(
         round(_ARENA_BUILDS["seconds"], 6)
     )
-    registry.gauge("planner.arena.workspaces").set(
-        sum(len(arena._workspaces) for _, arena in _ARENAS.values())
-    )
-    registry.gauge("planner.arena.workspace_bytes").set(
-        sum(arena.workspace_bytes() for _, arena in _ARENAS.values())
-    )
+    registry.gauge("planner.arena.workspace_bytes").set(_SCRATCH.nbytes)
     registry.gauge("planner.arena.evictions").set(_CACHE_EVICTIONS["arenas"])
     registry.gauge("planner.arena.switch_term_evictions").set(
         _CACHE_EVICTIONS["switch_terms"]
@@ -752,8 +752,8 @@ def evaluate_candidates_batch(
     enforced by the test suite).  What the arena changes is *where* the
     data lives and how it gets there:
 
-    * all writes land in the arena's preallocated workspace (no per-call
-      temporaries, no allocator churn);
+    * all writes land in views of the one shared scratch buffer, carved
+      once per batch shape (no per-call temporaries, no allocator churn);
     * gathers use precomputed contiguous index vectors (``np.take`` with
       ``mode="clip"`` onto preallocated outputs — clip is never exercised,
       it just selects numpy's unbuffered fast path);

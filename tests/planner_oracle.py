@@ -3,8 +3,8 @@
 :func:`evaluate_batch_legacy` is the pre-arena implementation of
 :func:`repro.abr.planner.evaluate_candidates_batch`: the same elementwise
 operation sequence, written with a fresh temporary per step instead of the
-arena's precomputed tables and preallocated workspaces.  The production
-arena kernel is required to match it bit for bit
+arena's precomputed tables and views into one shared scratch buffer.  The
+production arena kernel is required to match it bit for bit
 (``tests/test_kernel_arena.py``), and ``benchmarks/test_perf_kernel.py``
 times the arena kernel against it.  It shares the helpers the arena kernel
 still uses (prefix tree, switch constants, index memo), so a regression in

@@ -10,12 +10,13 @@ results do not depend on how sessions are batched:
   *bitwise* identical to the pre-arena kernel kept as a test-only oracle
   (:mod:`tests.planner_oracle`).
 * **Batch-shape independence (hypothesis):** a batch, a contiguous split
-  of it, each row alone and a repeat of the whole call after those
-  shapes (reusing the arena workspaces) agree bit for bit, also when
-  uniform and non-uniform weight rows share a batch.  Lockstep ≡ serial
-  rests on this.
+  of it, each row alone and a repeat of the whole call agree bit for bit,
+  also when uniform and non-uniform weight rows share a batch, and also
+  when a larger call on another tree has grown and dirtied the shared
+  scratch buffer in between.  Lockstep ≡ serial rests on this.
 * **Caches and tiling:** the derived caches (switch terms, arenas) are
-  LRU-bounded with counted evictions, and the cache-blocked tile sizes
+  LRU-bounded with counted evictions, the kernel retains one scratch
+  buffer the size of its largest call, and the cache-blocked tile sizes
   stay within their floor and cap.
 """
 
@@ -32,6 +33,7 @@ from repro.abr.planner import (
     evaluate_candidates_batch,
     kernel_block_sessions,
 )
+from repro.obs import MetricsRegistry
 from repro.qoe.ksqi import KSQIModel
 from tests.planner_oracle import evaluate_batch_legacy
 
@@ -209,6 +211,7 @@ class TestBatchShapeIndependence:
         kwargs["weights_uniform"] = None
         split = 1 + split_at % (num_sessions - 1)
 
+        clear_plan_cache()  # the larger call below must grow the buffer
         whole = _result_bytes([evaluate_candidates_batch(**kwargs)])
         halves = _result_bytes([
             evaluate_candidates_batch(**_rows_of(kwargs, 0, split)),
@@ -218,15 +221,30 @@ class TestBatchShapeIndependence:
             evaluate_candidates_batch(**_rows_of(kwargs, row, row + 1))
             for row in range(num_sessions)
         ])
+        # A bigger tree, ladder and batch grows the shared scratch buffer
+        # and leaves every element the repeat call will reuse dirty.
+        buffer = planner._SCRATCH
+        evaluate_candidates_batch(**_batch_inputs(
+            seed + 2, num_sessions + 2, num_scenarios, levels + 1, horizon=4,
+            max_step=None, weighted=True, num_stalls=3, need_rebuffer=True,
+        ))
+        assert planner._SCRATCH.size > buffer.size
         repeat = _result_bytes([evaluate_candidates_batch(**kwargs)])
         context = (seed, num_sessions, split)
         assert halves == whole, ("split", context)
         assert rows == whole, ("rows", context)
         assert repeat == whole, ("repeat", context)
+        for _, arena in planner._ARENAS.values():
+            for ws in arena._workspaces.values():
+                for name in ws.__slots__:
+                    value = getattr(ws, name)
+                    for view in value if isinstance(value, list) else [value]:
+                        assert view.base is planner._SCRATCH, name
 
 
 class TestDerivedCacheBounds:
-    """Switch-term and arena caches are LRU-bounded with counted evictions."""
+    """Switch-term and arena caches are LRU-bounded with counted evictions;
+    the kernel scratch stays the size of the largest single call."""
 
     def test_eviction_counters(self, monkeypatch):
         monkeypatch.setattr(planner, "_DERIVED_CACHE_CAP", 4)
@@ -251,6 +269,35 @@ class TestDerivedCacheBounds:
         assert survivor in planner._ARENAS
         clear_plan_cache()
 
+    def test_scratch_is_the_largest_single_call(self):
+        """Many batch shapes on several trees retain one call's scratch."""
+        trees = [(3, 4, None), (5, 4, 2), (4, 5, 1)]  # (levels, h, max_step)
+
+        def call(tree, num_sessions):
+            levels, horizon, max_step = tree
+            kwargs = _batch_inputs(
+                num_sessions, num_sessions, 3, levels, horizon, max_step,
+                weighted=True, num_stalls=2, need_rebuffer=True,
+            )
+            kwargs["bitrates_kbps"] = np.linspace(300.0, 4300.0, levels)
+            evaluate_candidates_batch(**kwargs)
+
+        def scratch_bytes():
+            gauges = MetricsRegistry().snapshot()["gauges"]
+            return gauges["planner.arena.workspace_bytes"]
+
+        largest = 0
+        for tree in trees:
+            clear_plan_cache()
+            call(tree, 30)
+            largest = max(largest, scratch_bytes())
+        clear_plan_cache()
+        for num_sessions in range(1, 31):
+            for tree in trees:
+                call(tree, num_sessions)
+        assert scratch_bytes() == largest
+        clear_plan_cache()
+
     def test_writable_candidates_never_cached(self):
         clear_plan_cache()
         candidates = enumerate_level_sequences(4, 3, max_step=1).copy()
@@ -267,12 +314,17 @@ def _cache_entry_args(cache, key):
 
 
 class TestBlockSessions:
-    """Cache-blocked tiling: floors and caps."""
+    """Cache-blocked tiling: floors, caps and the recorded tile sizes."""
 
     def test_floor_and_cap(self):
         for scenarios in (1, 5):
             block = kernel_block_sessions(5, 4, 2, scenarios)
             assert 12 <= block <= 64
+
+    def test_tile_sizes_match_the_recorded_kernel_section(self):
+        # BENCH_engine.json's kernel.block_sessions: Fugu- and MPC-shaped
+        assert kernel_block_sessions(5, 4, 2, 5) == 23
+        assert kernel_block_sessions(5, 4, 2, 1) == 54
 
     def test_fewer_scenarios_allow_bigger_blocks(self):
         assert kernel_block_sessions(5, 4, 2, 1) >= kernel_block_sessions(
