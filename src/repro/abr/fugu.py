@@ -38,10 +38,6 @@ class FuguABR(ABRAlgorithm):
         Probabilistic throughput predictor.
     max_level_step:
         Optional per-chunk level-change cap pruning the candidate set.
-    use_fast_planner:
-        Use the memoised candidate trees and vectorised evaluator (default).
-        ``False`` selects the seed reference paths — kept for equivalence
-        tests and the engine perf baseline.
     """
 
     name = "Fugu"
@@ -52,7 +48,6 @@ class FuguABR(ABRAlgorithm):
         quality_model: Optional[KSQIModel] = None,
         predictor: Optional[ErrorDistributionPredictor] = None,
         max_level_step: Optional[int] = 2,
-        use_fast_planner: bool = True,
     ) -> None:
         require(horizon >= 1, "horizon must be >= 1")
         self.horizon = int(horizon)
@@ -61,7 +56,6 @@ class FuguABR(ABRAlgorithm):
             predictor if predictor is not None else ErrorDistributionPredictor()
         )
         self.max_level_step = max_level_step
-        self.use_fast_planner = bool(use_fast_planner)
 
     def reset(self) -> None:
         self.predictor.reset()
@@ -75,13 +69,11 @@ class FuguABR(ABRAlgorithm):
             horizon,
             max_step=self.max_level_step,
             start_level=observation.last_level,
-            use_cache=self.use_fast_planner,
         )
         evaluation = evaluate_candidates(
             observation,
             candidates,
             throughput_scenarios=scenarios,
             quality_model=self.quality_model,
-            vectorized=self.use_fast_planner,
         )
         return Decision(level=evaluation.best_level)

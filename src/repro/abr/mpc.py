@@ -34,10 +34,6 @@ class ModelPredictiveABR(ABRAlgorithm):
         Per-chunk quality model used as the planning objective (KSQI).
     max_level_step:
         Optional cap on per-chunk level changes to prune the search space.
-    use_fast_planner:
-        Use the memoised candidate trees and vectorised evaluator (default).
-        ``False`` selects the seed reference paths — kept for equivalence
-        tests and the engine perf baseline.
     """
 
     name = "MPC"
@@ -49,7 +45,6 @@ class ModelPredictiveABR(ABRAlgorithm):
         quality_model: Optional[KSQIModel] = None,
         predictor: Optional[ThroughputPredictor] = None,
         max_level_step: Optional[int] = 2,
-        use_fast_planner: bool = True,
     ) -> None:
         require(horizon >= 1, "horizon must be >= 1")
         require(robustness_discount >= 0, "robustness_discount must be >= 0")
@@ -58,7 +53,6 @@ class ModelPredictiveABR(ABRAlgorithm):
         self.quality_model = quality_model if quality_model is not None else KSQIModel()
         self.predictor = predictor if predictor is not None else HarmonicMeanPredictor()
         self.max_level_step = max_level_step
-        self.use_fast_planner = bool(use_fast_planner)
 
     def reset(self) -> None:
         self.predictor.reset()
@@ -73,13 +67,11 @@ class ModelPredictiveABR(ABRAlgorithm):
             horizon,
             max_step=self.max_level_step,
             start_level=observation.last_level,
-            use_cache=self.use_fast_planner,
         )
         evaluation = evaluate_candidates(
             observation,
             candidates,
             throughput_scenarios=[(conservative, 1.0)],
             quality_model=self.quality_model,
-            vectorized=self.use_fast_planner,
         )
         return Decision(level=evaluation.best_level)

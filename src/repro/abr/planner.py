@@ -14,15 +14,15 @@ Two engine-level optimisations keep trace-scale experiments fast:
   every session — so :func:`enumerate_level_sequences` memoises them;
 * :func:`evaluate_candidates` scores the full (stall option x throughput
   scenario x candidate) cross product as one tensor instead of looping
-  over stalls and scenarios in Python.  The seed's loop implementation is
-  retained behind ``vectorized=False`` as the reference the vectorised path
-  is tested against and the baseline the perf harness measures;
+  over stalls and scenarios in Python.  The loop-structured formulation
+  survives as a test-only oracle (``evaluate_candidates_loop`` in
+  ``tests/planner_oracle.py``) that the tensor path is tested against;
 * :func:`evaluate_candidates_batch` stacks a *session* axis in front of that
   tensor — one 4-D ``(session x stall x scenario x candidate)`` evaluation
   scores a whole lockstep shard of sessions at once.  The single-session
-  vectorised path is the batch kernel applied to a one-session stack, and
-  the kernel deliberately uses only elementwise operations plus explicit
-  loops over the small axes (horizon, scenarios, stalls), so adding
+  :func:`evaluate_candidates` is the batch kernel applied to a one-session
+  stack, and the kernel deliberately uses only elementwise operations plus
+  explicit loops over the small axes (horizon, scenarios, stalls), so adding
   sessions to the stack cannot change any session's floating-point result:
   the lockstep engine's bit-identity guarantee rests on this.
 * the batch kernel itself runs over a precomputed per-tree **score arena**
@@ -60,7 +60,7 @@ def _build_level_sequences(
     max_step: Optional[int],
     start_level: Optional[int],
 ) -> np.ndarray:
-    """Materialise the candidate matrix (seed enumeration, unmemoised)."""
+    """Materialise a fresh, writable candidate matrix (unmemoised)."""
     if max_step is None:
         return np.array(
             list(product(range(num_levels), repeat=horizon)), dtype=int
@@ -101,8 +101,7 @@ def _cached_level_sequences(
 
 def enumerate_level_sequences(num_levels: int, horizon: int,
                               max_step: Optional[int] = None,
-                              start_level: Optional[int] = None,
-                              use_cache: bool = True) -> np.ndarray:
+                              start_level: Optional[int] = None) -> np.ndarray:
     """All candidate level sequences of length ``horizon``.
 
     ``max_step`` optionally restricts consecutive levels to differ by at most
@@ -110,11 +109,9 @@ def enumerate_level_sequences(num_levels: int, horizon: int,
     ``start_level`` applies the same restriction to the first chunk relative
     to the previously played level.
 
-    With ``use_cache`` (the default) the result is memoised on the argument
-    tuple and returned as a **read-only** array — planners evaluate
-    candidates without mutating them, and the same tree is requested at
-    every chunk of every session.  Pass ``use_cache=False`` for a fresh,
-    writable matrix.
+    The result is memoised on the argument tuple and returned as a
+    **read-only** array — planners evaluate candidates without mutating
+    them, and the same tree is requested at every chunk of every session.
     """
     require(num_levels >= 1, "num_levels must be >= 1")
     require(horizon >= 1, "horizon must be >= 1")
@@ -131,9 +128,7 @@ def enumerate_level_sequences(num_levels: int, horizon: int,
         start_level = None  # irrelevant without a step restriction
     elif start_level is not None and start_level < 0:
         start_level = None  # "no previous level" — same tree as None
-    if use_cache:
-        return _cached_level_sequences(num_levels, horizon, max_step, start_level)
-    return _build_level_sequences(num_levels, horizon, max_step, start_level)
+    return _cached_level_sequences(num_levels, horizon, max_step, start_level)
 
 
 def clear_plan_cache() -> None:
@@ -259,7 +254,6 @@ def evaluate_candidates(
     weights: Optional[np.ndarray] = None,
     stall_options_s: Sequence[float] = (0.0,),
     chunk_duration_s: Optional[float] = None,
-    vectorized: bool = True,
 ) -> PlanEvaluation:
     """Score candidate level sequences and pick the best first action.
 
@@ -284,10 +278,12 @@ def evaluate_candidates(
         considers {0, 1, 2} s; traditional planners only 0).
     chunk_duration_s:
         Chunk playback duration; defaults to the observation's.
-    vectorized:
-        Score the full (stall x scenario x candidate) tensor in one pass
-        (default) or fall back to the seed's Python loops (reference
-        implementation used by equivalence tests and the perf baseline).
+
+    The evaluation is :func:`evaluate_candidates_batch` applied to a
+    one-session stack.  Routing the single-session path through the batch
+    kernel is what makes the lockstep engine's results bit-identical to
+    serial execution: both run the same kernel, whose per-session
+    arithmetic is independent of the batch shape.
     """
     require(candidates.ndim == 2, "candidates must be a 2-D matrix")
     horizon = candidates.shape[1]
@@ -302,14 +298,31 @@ def evaluate_candidates(
     weights = np.asarray(weights, dtype=float)[:horizon]
     require(weights.size == horizon, "weights must cover the planning horizon")
 
-    if vectorized:
-        return _evaluate_vectorized(
-            observation, candidates, throughput_scenarios, quality_model,
-            weights, stall_options_s, chunk_duration,
-        )
-    return _evaluate_reference(
-        observation, candidates, throughput_scenarios, quality_model,
-        weights, stall_options_s, chunk_duration,
+    batch = evaluate_candidates_batch(
+        candidates=candidates,
+        sizes=observation.upcoming_sizes_bytes[:horizon][None],
+        quality=observation.upcoming_quality[:horizon][None],
+        weights=weights[None, :],
+        buffer_s=np.array([observation.buffer_s]),
+        last_level=np.array([int(observation.last_level)]),
+        scenario_tputs=np.array(
+            [[t for t, _ in throughput_scenarios]], dtype=float
+        ),
+        scenario_probs=np.array(
+            [[p for _, p in throughput_scenarios]], dtype=float
+        ),
+        bitrates_kbps=np.asarray(observation.ladder.bitrates_kbps, dtype=float),
+        quality_model=quality_model,
+        stall_options_s=stall_options_s,
+        chunk_duration_s=chunk_duration,
+        buffer_capacity_s=observation.buffer_capacity_s,
+    )
+    return PlanEvaluation(
+        best_level=int(batch.best_level[0]),
+        best_stall_s=float(batch.best_stall_s[0]),
+        best_score=float(batch.best_score[0]),
+        expected_rebuffer_s=float(batch.expected_rebuffer_s[0]),
+        num_candidates=batch.num_candidates,
     )
 
 
@@ -991,143 +1004,3 @@ def evaluate_candidates_batch(
     if TRACE.enabled:
         record_span("planner.kernel", perf_counter() - _span_t0)
     return result
-
-
-def _evaluate_vectorized(
-    observation: PlayerObservation,
-    candidates: np.ndarray,
-    throughput_scenarios: Sequence[Tuple[float, float]],
-    quality_model: KSQIModel,
-    weights: np.ndarray,
-    stall_options_s: Sequence[float],
-    chunk_duration: float,
-) -> PlanEvaluation:
-    """The batch kernel applied to a one-session stack.
-
-    Routing the single-session path through :func:`evaluate_candidates_batch`
-    is what makes the lockstep engine's results bit-identical to serial
-    execution: both run the same kernel, whose per-session arithmetic is
-    independent of the batch shape.
-    """
-    horizon = candidates.shape[1]
-    batch = evaluate_candidates_batch(
-        candidates=candidates,
-        sizes=observation.upcoming_sizes_bytes[:horizon][None],
-        quality=observation.upcoming_quality[:horizon][None],
-        weights=weights[None, :],
-        buffer_s=np.array([observation.buffer_s]),
-        last_level=np.array([int(observation.last_level)]),
-        scenario_tputs=np.array(
-            [[t for t, _ in throughput_scenarios]], dtype=float
-        ),
-        scenario_probs=np.array(
-            [[p for _, p in throughput_scenarios]], dtype=float
-        ),
-        bitrates_kbps=np.asarray(observation.ladder.bitrates_kbps, dtype=float),
-        quality_model=quality_model,
-        stall_options_s=stall_options_s,
-        chunk_duration_s=chunk_duration,
-        buffer_capacity_s=observation.buffer_capacity_s,
-    )
-    return PlanEvaluation(
-        best_level=int(batch.best_level[0]),
-        best_stall_s=float(batch.best_stall_s[0]),
-        best_score=float(batch.best_score[0]),
-        expected_rebuffer_s=float(batch.expected_rebuffer_s[0]),
-        num_candidates=batch.num_candidates,
-    )
-
-
-def _evaluate_reference(
-    observation: PlayerObservation,
-    candidates: np.ndarray,
-    throughput_scenarios: Sequence[Tuple[float, float]],
-    quality_model: KSQIModel,
-    weights: np.ndarray,
-    stall_options_s: Sequence[float],
-    chunk_duration: float,
-) -> PlanEvaluation:
-    """The seed implementation: Python loops over stalls and scenarios."""
-    horizon = candidates.shape[1]
-    sizes = observation.upcoming_sizes_bytes[:horizon]
-    quality = observation.upcoming_quality[:horizon]
-    bitrates = np.asarray(observation.ladder.bitrates_kbps, dtype=float)
-    top_bitrate = bitrates[-1]
-    coeffs = quality_model.coefficients
-    num_candidates = candidates.shape[0]
-
-    previous_bitrate = (
-        bitrates[observation.last_level]
-        if observation.last_level >= 0
-        else bitrates[0]
-    )
-
-    best_score = -np.inf
-    best_level = int(candidates[0, 0])
-    best_stall = float(stall_options_s[0])
-    best_rebuffer = 0.0
-
-    candidate_sizes = np.take_along_axis(
-        np.broadcast_to(sizes, (num_candidates, horizon, bitrates.size)),
-        candidates[:, :, None],
-        axis=2,
-    )[:, :, 0]
-    candidate_quality = np.take_along_axis(
-        np.broadcast_to(quality, (num_candidates, horizon, bitrates.size)),
-        candidates[:, :, None],
-        axis=2,
-    )[:, :, 0]
-    candidate_bitrates = bitrates[candidates]
-    previous_rates = np.concatenate(
-        [np.full((num_candidates, 1), previous_bitrate), candidate_bitrates[:, :-1]],
-        axis=1,
-    )
-    switch_terms = np.abs(candidate_bitrates - previous_rates) / top_bitrate
-
-    for stall_s in stall_options_s:
-        expected_scores = np.zeros(num_candidates)
-        expected_rebuffer = np.zeros(num_candidates)
-        for throughput_mbps, probability in throughput_scenarios:
-            rate_bytes_per_s = max(throughput_mbps, 1e-3) * 1e6 / 8.0
-            download_times = candidate_sizes / rate_bytes_per_s
-            # Simulate buffer evolution for every candidate simultaneously.
-            buffer_levels = np.full(
-                num_candidates, observation.buffer_s + stall_s
-            )
-            rebuffer = np.zeros((num_candidates, horizon))
-            for step in range(horizon):
-                dt = download_times[:, step]
-                shortfall = np.maximum(dt - buffer_levels, 0.0)
-                rebuffer[:, step] = shortfall
-                buffer_levels = np.maximum(buffer_levels - dt, 0.0) + chunk_duration
-                buffer_levels = np.minimum(
-                    buffer_levels, observation.buffer_capacity_s
-                )
-            chunk_scores = (
-                coeffs.intercept
-                + coeffs.quality_weight * candidate_quality / 100.0
-                - coeffs.rebuffer_weight * rebuffer
-                - coeffs.switch_weight * switch_terms
-            )
-            # The deliberately scheduled stall is charged to the next chunk,
-            # weighted by that chunk's sensitivity.
-            stall_penalty = coeffs.rebuffer_weight * stall_s * weights[0]
-            plan_scores = chunk_scores @ weights - stall_penalty
-            expected_scores += probability * plan_scores
-            expected_rebuffer += probability * rebuffer.sum(axis=1)
-        top_index = int(np.argmax(expected_scores))
-        if float(expected_scores[top_index]) > best_score:
-            best_score = float(expected_scores[top_index])
-            best_level = int(candidates[top_index, 0])
-            best_stall = float(stall_s)
-            best_rebuffer = float(expected_rebuffer[top_index])
-
-    return PlanEvaluation(
-        best_level=best_level,
-        best_stall_s=best_stall,
-        best_score=best_score,
-        expected_rebuffer_s=best_rebuffer,
-        num_candidates=(
-            num_candidates * len(stall_options_s) * len(throughput_scenarios)
-        ),
-    )

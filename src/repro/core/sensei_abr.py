@@ -55,10 +55,6 @@ class SenseiFuguABR(ABRAlgorithm):
         horizon — i.e. the stall is insurance against a stall that is likely
         anyway, shifted to a low-sensitivity moment (Figure 11 c vs d), not
         gratuitous hedging.
-    use_fast_planner:
-        Use the memoised candidate trees and vectorised evaluator (default).
-        ``False`` selects the seed reference paths — kept for equivalence
-        tests and the engine perf baseline.
     """
 
     name = "SENSEI-Fugu"
@@ -73,7 +69,6 @@ class SenseiFuguABR(ABRAlgorithm):
         min_stall_buffer_s: float = 4.0,
         stall_risk_threshold_s: float = 0.5,
         max_total_proactive_stall_s: float = 4.0,
-        use_fast_planner: bool = True,
     ) -> None:
         require(horizon >= 1, "horizon must be >= 1")
         self.horizon = int(horizon)
@@ -86,7 +81,6 @@ class SenseiFuguABR(ABRAlgorithm):
         self.min_stall_buffer_s = float(min_stall_buffer_s)
         self.stall_risk_threshold_s = float(stall_risk_threshold_s)
         self.max_total_proactive_stall_s = float(max_total_proactive_stall_s)
-        self.use_fast_planner = bool(use_fast_planner)
         self._proactive_spent_s = 0.0
 
     def reset(self) -> None:
@@ -102,7 +96,6 @@ class SenseiFuguABR(ABRAlgorithm):
             horizon,
             max_step=self.max_level_step,
             start_level=observation.last_level,
-            use_cache=self.use_fast_planner,
         )
         evaluation = evaluate_candidates(
             observation,
@@ -111,7 +104,6 @@ class SenseiFuguABR(ABRAlgorithm):
             quality_model=self.quality_model,
             weights=observation.upcoming_weights,
             stall_options_s=(0.0,),
-            vectorized=self.use_fast_planner,
         )
         # The new action (proactive rebuffering) is only worth considering
         # when a stall is likely anyway, shifting it to the present (lower
@@ -143,8 +135,7 @@ class SenseiFuguABR(ABRAlgorithm):
                 quality_model=self.quality_model,
                 weights=observation.upcoming_weights,
                 stall_options_s=allowed_stalls,
-                vectorized=self.use_fast_planner,
-            )
+                )
             if with_stalls.best_score > evaluation.best_score:
                 evaluation = with_stalls
         if evaluation.best_stall_s > 0:

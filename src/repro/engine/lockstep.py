@@ -392,21 +392,20 @@ def decision_kind(abr: ABRAlgorithm) -> str:
     Exact-type checks: a subclass may override ``decide``, so anything not
     literally BBA, one of the two Pensieve RL classes (with the stock
     actor–critic agent) or one of the three planner classes (with its
-    stock predictor and the fast planner enabled) is
-    :data:`KIND_GENERIC` and decides on its own per-session clone.
+    stock predictor) is :data:`KIND_GENERIC` and decides on its own
+    per-session clone.
     """
     if type(abr) is BufferBasedABR:
         return KIND_BBA
     if _is_batched_rl(abr):
         return KIND_RL
-    if getattr(abr, "use_fast_planner", False):
-        kind = _PLANNER_KINDS.get(type(abr))
-        stock = (
-            HarmonicMeanPredictor if kind == KIND_MPC
-            else ErrorDistributionPredictor
-        )
-        if kind is not None and type(abr.predictor) is stock:
-            return kind
+    kind = _PLANNER_KINDS.get(type(abr))
+    stock = (
+        HarmonicMeanPredictor if kind == KIND_MPC
+        else ErrorDistributionPredictor
+    )
+    if kind is not None and type(abr.predictor) is stock:
+        return kind
     return KIND_GENERIC
 
 

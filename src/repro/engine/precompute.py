@@ -1,10 +1,10 @@
 """Per-session precomputation: observation matrices and history rings.
 
 The streaming session builds one :class:`~repro.abr.base.PlayerObservation`
-per chunk.  In the seed implementation every observation re-stacked the
-upcoming chunks' size/quality arrays (``np.stack`` over ``horizon`` rows)
-and re-materialised the throughput history from an ever-growing Python list.
-Both costs are avoidable:
+per chunk.  Re-stacking the upcoming chunks' size/quality arrays
+(``np.stack`` over ``horizon`` rows) and re-materialising the throughput
+history from an ever-growing Python list at every chunk would be wasted
+work:
 
 * the (num_chunks, num_levels) size/quality matrices are a property of the
   *video*, so :class:`SessionPrecompute` materialises them once and serves
@@ -81,7 +81,7 @@ class SessionPrecompute:
 class HistoryRing:
     """Fixed-capacity ring buffer over the most recent float samples.
 
-    Replaces the seed's unbounded ``List[float]`` histories: the observation
+    Stands in for an unbounded ``List[float]`` history: the observation
     only ever consumes the last ``capacity`` samples, so older ones need not
     be retained at all.  :meth:`as_array` returns the retained samples oldest
     first, matching ``np.asarray(history[-capacity:])`` exactly.

@@ -2,8 +2,10 @@
 
 The perf harness (``benchmarks/test_perf_engine.py``) measures three things
 every run — sessions/sec, planner decisions/sec and the quick-scale grid
-wall-clock (seed implementation vs engine, measured back to back in the same
-process) — and persists them here so the numbers can be tracked PR over PR.
+wall-clock (the serial per-session engine vs the ``auto()`` engine, measured
+back to back in the same process) — and persists them here so the numbers
+can be tracked PR over PR.  Every write is a read-modify-write of the
+existing file: a section the run did not measure keeps its last value.
 
 The provenance helpers (:func:`environment_fingerprint`,
 :func:`git_revision`) are shared with the experiment artifact store
@@ -78,8 +80,9 @@ class BenchReport:
     decisions_per_sec:
         Planner decisions per second, per measured ABR.
     grid:
-        Quick-scale grid timings: seed and engine wall-clock seconds, the
-        resulting speedup, cell count and the backend the engine used.
+        Quick-scale grid timings: serial-engine and engine wall-clock
+        seconds, the resulting ``speedup_vs_serial_engine``, cell count and
+        the backend the engine used.
     plan_cache:
         Candidate-tree memo statistics (hits, misses, currsize) observed
         over the grid run — the shared-tree guarantee made visible: a
@@ -162,26 +165,13 @@ def phases_from_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
 def write_bench_report(
     report: BenchReport, path: Union[str, Path, None] = None
 ) -> Path:
-    """Write the report as indented JSON; returns the path written."""
-    if path is None:
-        path = Path.cwd() / DEFAULT_REPORT_NAME
-    path = Path(path)
-    payload = report.to_dict()
-    if not payload.get("kernel"):
-        # The kernel microbench (benchmarks/test_perf_kernel.py) maintains
-        # its section independently of the engine harness: an engine-only
-        # run must not erase the latest kernel numbers.
-        existing = read_bench_report(path)
-        if existing and existing.get("kernel"):
-            payload["kernel"] = existing["kernel"]
-    for key, value in environment_fingerprint().items():
-        payload["meta"].setdefault(key, value)
-    payload["meta"].setdefault("started_at", utc_now_iso())
-    revision = git_revision()
-    if revision is not None:
-        payload["meta"].setdefault("git_revision", revision)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    """Write the report as indented JSON; returns the path written.
+
+    Sections still at their :class:`BenchReport` default keep the values
+    already on file (see :func:`_merge_into_report`), so a run that stopped
+    early, or never reached a section, does not blank it.
+    """
+    return _merge_into_report(report.to_dict(), path)
 
 
 def update_bench_section(
@@ -190,21 +180,39 @@ def update_bench_section(
     """Read-modify-write one top-level section of ``BENCH_engine.json``.
 
     Used by section-owning harnesses (the kernel microbench) to refresh
-    their numbers without clobbering the rest of the report; creates a
-    minimal report when none exists yet.
+    their numbers without clobbering the rest of the report.
+    """
+    return _merge_into_report({name: payload}, path)
+
+
+def _merge_into_report(
+    sections: Dict[str, object], path: Union[str, Path, None]
+) -> Path:
+    """The one read-modify-write of the report file.
+
+    Each of ``sections`` replaces the file's copy unless it is still at its
+    :class:`BenchReport` default; every other section is carried forward
+    (or written at its default when the file is new).  ``meta``, when
+    given, describes the new run and always replaces the old one; the
+    environment fingerprint, ``started_at`` and the git revision are
+    stamped where missing.
     """
     if path is None:
         path = Path.cwd() / DEFAULT_REPORT_NAME
     path = Path(path)
-    existing = read_bench_report(path) or {}
-    existing[name] = payload
-    meta = existing.setdefault("meta", {})
+    defaults = BenchReport().to_dict()
+    merged = {**defaults, **(read_bench_report(path) or {})}
+    for key, value in sections.items():
+        if key == "meta" or value != defaults.get(key):
+            merged[key] = value
+    meta = merged["meta"]
     for key, value in environment_fingerprint().items():
         meta.setdefault(key, value)
     meta.setdefault("started_at", utc_now_iso())
-    atomic_write_text(
-        path, json.dumps(existing, indent=2, sort_keys=True) + "\n"
-    )
+    revision = git_revision()
+    if revision is not None:
+        meta.setdefault("git_revision", revision)
+    atomic_write_text(path, json.dumps(merged, indent=2, sort_keys=True) + "\n")
     return path
 
 

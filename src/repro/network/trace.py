@@ -144,12 +144,13 @@ class ThroughputTrace:
         per-cycle capacity index built at construction, so each call costs two
         binary searches instead of a walk over the trace segments.
 
-        This is the exact piecewise integral.  It also fixes a seed bug:
-        the segment walk retained as :meth:`download_time_s_reference`
-        misattributes a segment's rate at knife-edge boundary wraps on
-        traces with non-float-exact timestamp spacing (see its docstring);
-        the indexed path has no boundary epsilon at all.  On this repo's
-        integer-spaced traces the two agree to floating-point tolerance.
+        This is the exact piecewise integral, with no boundary epsilon.
+        A segment-by-segment walk (the test oracle in
+        ``tests/test_network.py``) agrees with it to floating-point
+        tolerance on integer-spaced traces, but misattributes a segment's
+        rate at knife-edge boundary wraps on traces whose timestamp spacing
+        is not float-exact
+        (``test_fast_integrator_is_exact_at_reference_knife_edge``).
         """
         require_positive(size_bytes, "size_bytes")
         require(start_time_s >= 0, "start_time_s must be >= 0")
@@ -240,73 +241,6 @@ class ThroughputTrace:
         bits_into_seg = within_cycle - prev_cum
         end_time = ts[end_seg] + bits_into_seg / rates[end_seg]
         return full_cycles * duration + end_time - wrapped
-
-    def download_time_s_reference(
-        self, size_bytes: float, start_time_s: float
-    ) -> float:
-        """Reference (seed) implementation of :meth:`download_time_s`.
-
-        Walks the trace segment by segment, byte-faithful to the seed
-        (including its per-step duration recomputation).  Kept as the cost
-        and behaviour baseline the engine perf harness measures speedups
-        from, and as the equivalence oracle on well-spaced traces.
-
-        Known seed artifact, deliberately preserved: the walk's rate
-        selection (no epsilon) and boundary stepping (``1e-12`` epsilon)
-        disagree at knife-edge wraps.  When float rounding leaves a wrapped
-        time infinitesimally below a segment boundary — which happens
-        systematically on traces whose timestamp spacing is not float-exact
-        — the walk charges the entire following segment at the *previous*
-        segment's rate.  (That skip is also what guarantees the walk's
-        forward progress, so it cannot be "fixed" locally; the indexed
-        :meth:`download_time_s` replaces the walk outright with the exact
-        integral.)  On this repo's generated traces (integer-spaced
-        timestamps) every boundary is float-exact and the two integrators
-        agree to ~1e-13 relative.
-        """
-        require_positive(size_bytes, "size_bytes")
-        require(start_time_s >= 0, "start_time_s must be >= 0")
-        remaining_bits = size_bytes * 8.0
-        now = float(start_time_s)
-        elapsed = 0.0
-        # Hard cap to avoid infinite loops on pathological inputs.
-        max_iterations = 10_000_000
-        for _ in range(max_iterations):
-            bandwidth_mbps = max(
-                self._bandwidth_at_reference(now), _MIN_BANDWIDTH_MBPS
-            )
-            rate_bits_per_s = bandwidth_mbps * 1e6
-            boundary = self._next_boundary_after_reference(now)
-            window = boundary - now
-            deliverable = rate_bits_per_s * window
-            if deliverable >= remaining_bits:
-                return elapsed + remaining_bits / rate_bits_per_s
-            remaining_bits -= deliverable
-            elapsed += window
-            now = boundary
-        raise RuntimeError("download_time_s did not converge")
-
-    def _duration_s_reference(self) -> float:
-        """The seed ``duration_s`` property: recomputed on every call."""
-        if self.timestamps_s.size == 1:
-            return 1.0
-        spacing = float(np.median(np.diff(self.timestamps_s)))
-        return float(self.timestamps_s[-1]) + spacing
-
-    def _bandwidth_at_reference(self, time_s: float) -> float:
-        require(time_s >= 0, "time must be >= 0")
-        wrapped = float(time_s) % self._duration_s_reference()
-        index = int(np.searchsorted(self.timestamps_s, wrapped, side="right") - 1)
-        index = max(0, index)
-        return float(self.bandwidths_mbps[index])
-
-    def _next_boundary_after_reference(self, time_s: float) -> float:
-        wrapped = time_s % self._duration_s_reference()
-        cycle_start = time_s - wrapped
-        later = self.timestamps_s[self.timestamps_s > wrapped + 1e-12]
-        if later.size:
-            return cycle_start + float(later[0])
-        return cycle_start + self._duration_s_reference()
 
     # ---------------------------------------------------------- transformations
 

@@ -13,7 +13,7 @@ higher bitrate without risking an involuntary stall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from repro.video.rendering import RenderedVideo
 MIN_DOWNLOAD_DURATION_S = 1e-9
 
 #: Threshold below which residual playback time/buffer is treated as zero
-#: by the playback-advance loop (seed semantics, shared verbatim by the
-#: scalar path here and the SoA path in :mod:`repro.player.shard`).
+#: by the playback-advance loop (shared verbatim by the scalar path here
+#: and the SoA path in :mod:`repro.player.shard`).
 PLAYBACK_EPSILON_S = 1e-9
 
 
@@ -164,8 +164,7 @@ class SessionState:
     operation sequence:
 
     * :class:`StreamingSession` steps one state to completion in a loop
-      (observe → ABR decide → apply), reproducing the seed control flow
-      exactly;
+      (observe → ABR decide → apply) — the serial reference run;
     * the lockstep engine (:mod:`repro.engine.lockstep`) interleaves many
       states chunk-step by chunk-step, batching the ABR decisions across
       sessions while each state's evolution stays bit-identical to the
@@ -182,14 +181,15 @@ class SessionState:
         trace: ThroughputTrace,
         config: SessionConfig,
         chunk_weights: np.ndarray,
-        use_precompute: bool = True,
-        precompute: Optional["SessionPrecompute"] = None,
+        precompute: "SessionPrecompute",
     ) -> None:
+        # Imported lazily: repro.engine depends on the player package.
+        from repro.engine.precompute import HistoryRing
+
         self.encoded = encoded
         self.trace = trace
         self.config = config
         self.chunk_weights = chunk_weights
-        self.use_precompute = use_precompute
         self.precompute = precompute
         self.num_chunks = encoded.num_chunks
         self.chunk_duration = encoded.chunk_duration_s
@@ -198,15 +198,8 @@ class SessionState:
         self.timeline = SessionTimeline()
         self.levels = np.zeros(self.num_chunks, dtype=int)
         self.stalls = np.zeros(self.num_chunks)
-        if use_precompute:
-            from repro.engine.precompute import HistoryRing
-
-            history_len = config.history_length
-            self.throughput_history = HistoryRing(history_len)
-            self.download_time_history = HistoryRing(history_len)
-        else:
-            self.throughput_history: List[float] = []
-            self.download_time_history: List[float] = []
+        self.throughput_history = HistoryRing(config.history_length)
+        self.download_time_history = HistoryRing(config.history_length)
 
         self.wall_time = 0.0
         self.played_s = 0.0
@@ -227,13 +220,20 @@ class SessionState:
         return self.next_chunk
 
     def observe(self) -> PlayerObservation:
-        """The observation for the chunk about to be downloaded."""
-        return self._build_observation(
-            self.next_chunk,
-            self.buffer.level_s,
-            self.last_level,
-            self.throughput_history,
-            self.download_time_history,
+        """The observation for the chunk about to be downloaded.
+
+        Sliced views of the per-video matrices; the ring buffers already
+        hold exactly the last ``history_length`` samples.
+        """
+        return observation_from_precompute(
+            precompute=self.precompute,
+            config=self.config,
+            chunk_weights=self.chunk_weights,
+            chunk_index=self.next_chunk,
+            buffer_s=self.buffer.level_s,
+            last_level=self.last_level,
+            throughput=self.throughput_history.as_array(),
+            download_times=self.download_time_history.as_array(),
         )
 
     @property
@@ -252,14 +252,8 @@ class SessionState:
         if decision.proactive_stall_s > 0:
             self.pending_proactive_s += float(decision.proactive_stall_s)
 
-        if self.use_precompute:
-            size_bytes = self.precompute.chunk_size_bytes(chunk_index, level)
-            download_s = self.trace.download_time_s(size_bytes, self.wall_time)
-        else:
-            size_bytes = encoded.chunk_size_bytes(chunk_index, level)
-            download_s = self.trace.download_time_s_reference(
-                size_bytes, self.wall_time
-            )
+        size_bytes = self.precompute.chunk_size_bytes(chunk_index, level)
+        download_s = self.trace.download_time_s(size_bytes, self.wall_time)
         # Clamp: a degenerate trace may deliver the chunk in ~0 s, and the
         # measured-throughput division must stay finite.
         download_s = max(download_s, MIN_DOWNLOAD_DURATION_S)
@@ -404,81 +398,15 @@ class SessionState:
             self.wall_time += drained
             remaining -= drained
 
-    def _build_observation(
-        self,
-        chunk_index: int,
-        buffer_s: float,
-        last_level: int,
-        throughput_history,
-        download_time_history,
-    ) -> PlayerObservation:
-        if self.use_precompute:
-            # Sliced views of the per-video matrices; ring buffers already
-            # hold exactly the last ``history_length`` samples.
-            return observation_from_precompute(
-                precompute=self.precompute,
-                config=self.config,
-                chunk_weights=self.chunk_weights,
-                chunk_index=chunk_index,
-                buffer_s=buffer_s,
-                last_level=last_level,
-                throughput=throughput_history.as_array(),
-                download_times=download_time_history.as_array(),
-            )
-        # Seed path: per-chunk stacking and unbounded list histories.
-        horizon = min(
-            self.config.observation_horizon, self.encoded.num_chunks - chunk_index
-        )
-        sizes = np.stack(
-            [
-                self.encoded.chunks[chunk_index + offset].sizes_bytes
-                for offset in range(horizon)
-            ]
-        )
-        quality = np.stack(
-            [
-                self.encoded.chunks[chunk_index + offset].quality
-                for offset in range(horizon)
-            ]
-        )
-        history_len = self.config.history_length
-        throughput = np.asarray(
-            throughput_history[-history_len:], dtype=float
-        )
-        download_times = np.asarray(
-            download_time_history[-history_len:], dtype=float
-        )
-        weights = self.chunk_weights[chunk_index : chunk_index + horizon].copy()
-        return PlayerObservation(
-            chunk_index=chunk_index,
-            num_chunks=self.encoded.num_chunks,
-            buffer_s=buffer_s,
-            last_level=last_level,
-            throughput_history_mbps=throughput,
-            download_time_history_s=download_times,
-            upcoming_sizes_bytes=sizes,
-            upcoming_quality=quality,
-            upcoming_weights=weights,
-            chunk_duration_s=self.encoded.chunk_duration_s,
-            ladder=self.encoded.ladder,
-            buffer_capacity_s=self.config.buffer_capacity_s,
-        )
-
 
 class StreamingSession:
     """Runs one ABR algorithm over one encoded video and one trace.
 
-    ``use_precompute`` (default) is the engine/seed switch for the whole
-    session fast path: per-chunk observations served as slices of the
-    video's cached :class:`~repro.engine.precompute.SessionPrecompute`
-    matrices, throughput histories in fixed ring buffers, **and** the
-    indexed trace integrator (:meth:`ThroughputTrace.download_time_s`).
-    Passing ``False`` selects the seed implementation of all three
-    (per-chunk ``np.stack``, growing lists, and the segment-walking
-    :meth:`ThroughputTrace.download_time_s_reference`) — retained as the
-    baseline the engine perf harness measures speedups against.  Supplying
-    an explicit ``precompute`` together with ``use_precompute=False`` is a
-    contradiction and rejected.
+    Per-chunk observations are served as slices of the video's cached
+    :class:`~repro.engine.precompute.SessionPrecompute` matrices (built
+    here unless one is supplied), throughput histories live in fixed ring
+    buffers, and downloads go through the indexed trace integrator
+    (:meth:`ThroughputTrace.download_time_s`).
     """
 
     def __init__(
@@ -488,7 +416,6 @@ class StreamingSession:
         abr: ABRAlgorithm,
         config: Optional[SessionConfig] = None,
         chunk_weights: Optional[np.ndarray] = None,
-        use_precompute: bool = True,
         precompute: Optional["SessionPrecompute"] = None,
     ) -> None:
         self.encoded = encoded
@@ -505,15 +432,10 @@ class StreamingSession:
         require(bool(np.all(chunk_weights > 0)), "chunk weights must be positive")
         self.chunk_weights = chunk_weights
         require(
-            use_precompute or precompute is None,
-            "precompute supplied but use_precompute=False",
-        )
-        require(
             precompute is None or precompute.encoded is encoded,
             "precompute belongs to a different encoded video",
         )
-        self.use_precompute = bool(use_precompute)
-        if precompute is None and self.use_precompute:
+        if precompute is None:
             # Imported lazily: repro.engine depends on the player package.
             from repro.engine.precompute import SessionPrecompute
 
@@ -533,7 +455,6 @@ class StreamingSession:
             trace=self.trace,
             config=self.config,
             chunk_weights=self.chunk_weights,
-            use_precompute=self.use_precompute,
             precompute=self.precompute,
         )
 

@@ -81,10 +81,6 @@ class ShardState:
             all(session.config == config for session in sessions),
             "shard sessions must share one player config",
         )
-        require(
-            all(session.use_precompute for session in sessions),
-            "SoA stepping requires the precompute fast path",
-        )
         n = len(sessions)
         self.num_sessions = n
         self.config = config

@@ -26,7 +26,6 @@ def simulate_session(
     trace: ThroughputTrace,
     config: Optional[SessionConfig] = None,
     chunk_weights: Optional[np.ndarray] = None,
-    use_precompute: bool = True,
 ) -> StreamResult:
     """Run one streaming session and return its result."""
     session = StreamingSession(
@@ -35,7 +34,6 @@ def simulate_session(
         abr=abr,
         config=config,
         chunk_weights=chunk_weights,
-        use_precompute=use_precompute,
     )
     return session.run()
 

@@ -1,4 +1,10 @@
-"""Test-only oracle for the planner batch kernel.
+"""Test-only oracles for the planner kernel.
+
+:func:`evaluate_candidates_loop` is the loop-structured single-session
+planner: Python loops over stall options and throughput scenarios around a
+per-candidate buffer simulation.  :func:`repro.abr.planner.evaluate_candidates`
+(the batch kernel on a one-session stack) is required to reproduce its
+choices (``tests/test_engine.py::TestVectorizedEvaluator``).
 
 :func:`evaluate_batch_legacy` is the pre-arena implementation of
 :func:`repro.abr.planner.evaluate_candidates_batch`: the same elementwise
@@ -13,18 +19,125 @@ those shows up in both; the oracle guards the arena-specific rewrites.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.abr.base import PlayerObservation
 from repro.abr.planner import (
     BatchPlanEvaluation,
+    PlanEvaluation,
     _arange,
     _per_session_or_scalar,
     _prefix_tree,
     _switch_constants,
 )
 from repro.qoe.ksqi import KSQIModel
+
+
+def evaluate_candidates_loop(
+    observation: PlayerObservation,
+    candidates: np.ndarray,
+    throughput_scenarios: Sequence[Tuple[float, float]],
+    quality_model: KSQIModel,
+    weights: Optional[np.ndarray] = None,
+    stall_options_s: Sequence[float] = (0.0,),
+    chunk_duration_s: Optional[float] = None,
+) -> PlanEvaluation:
+    """The loop-structured planner: Python loops over stalls and scenarios.
+
+    Same arguments as :func:`repro.abr.planner.evaluate_candidates`.
+    """
+    horizon = candidates.shape[1]
+    chunk_duration = (
+        chunk_duration_s if chunk_duration_s is not None
+        else observation.chunk_duration_s
+    )
+    if weights is None:
+        weights = np.ones(horizon)
+    weights = np.asarray(weights, dtype=float)[:horizon]
+    sizes = observation.upcoming_sizes_bytes[:horizon]
+    quality = observation.upcoming_quality[:horizon]
+    bitrates = np.asarray(observation.ladder.bitrates_kbps, dtype=float)
+    top_bitrate = bitrates[-1]
+    coeffs = quality_model.coefficients
+    num_candidates = candidates.shape[0]
+
+    previous_bitrate = (
+        bitrates[observation.last_level]
+        if observation.last_level >= 0
+        else bitrates[0]
+    )
+
+    best_score = -np.inf
+    best_level = int(candidates[0, 0])
+    best_stall = float(stall_options_s[0])
+    best_rebuffer = 0.0
+
+    candidate_sizes = np.take_along_axis(
+        np.broadcast_to(sizes, (num_candidates, horizon, bitrates.size)),
+        candidates[:, :, None],
+        axis=2,
+    )[:, :, 0]
+    candidate_quality = np.take_along_axis(
+        np.broadcast_to(quality, (num_candidates, horizon, bitrates.size)),
+        candidates[:, :, None],
+        axis=2,
+    )[:, :, 0]
+    candidate_bitrates = bitrates[candidates]
+    previous_rates = np.concatenate(
+        [np.full((num_candidates, 1), previous_bitrate), candidate_bitrates[:, :-1]],
+        axis=1,
+    )
+    switch_terms = np.abs(candidate_bitrates - previous_rates) / top_bitrate
+
+    for stall_s in stall_options_s:
+        expected_scores = np.zeros(num_candidates)
+        expected_rebuffer = np.zeros(num_candidates)
+        for throughput_mbps, probability in throughput_scenarios:
+            rate_bytes_per_s = max(throughput_mbps, 1e-3) * 1e6 / 8.0
+            download_times = candidate_sizes / rate_bytes_per_s
+            # Simulate buffer evolution for every candidate simultaneously.
+            buffer_levels = np.full(
+                num_candidates, observation.buffer_s + stall_s
+            )
+            rebuffer = np.zeros((num_candidates, horizon))
+            for step in range(horizon):
+                dt = download_times[:, step]
+                shortfall = np.maximum(dt - buffer_levels, 0.0)
+                rebuffer[:, step] = shortfall
+                buffer_levels = np.maximum(buffer_levels - dt, 0.0) + chunk_duration
+                buffer_levels = np.minimum(
+                    buffer_levels, observation.buffer_capacity_s
+                )
+            chunk_scores = (
+                coeffs.intercept
+                + coeffs.quality_weight * candidate_quality / 100.0
+                - coeffs.rebuffer_weight * rebuffer
+                - coeffs.switch_weight * switch_terms
+            )
+            # The deliberately scheduled stall is charged to the next chunk,
+            # weighted by that chunk's sensitivity.
+            stall_penalty = coeffs.rebuffer_weight * stall_s * weights[0]
+            plan_scores = chunk_scores @ weights - stall_penalty
+            expected_scores += probability * plan_scores
+            expected_rebuffer += probability * rebuffer.sum(axis=1)
+        top_index = int(np.argmax(expected_scores))
+        if float(expected_scores[top_index]) > best_score:
+            best_score = float(expected_scores[top_index])
+            best_level = int(candidates[top_index, 0])
+            best_stall = float(stall_s)
+            best_rebuffer = float(expected_rebuffer[top_index])
+
+    return PlanEvaluation(
+        best_level=best_level,
+        best_stall_s=best_stall,
+        best_score=best_score,
+        expected_rebuffer_s=best_rebuffer,
+        num_candidates=(
+            num_candidates * len(stall_options_s) * len(throughput_scenarios)
+        ),
+    )
 
 
 def evaluate_batch_legacy(

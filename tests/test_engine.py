@@ -1,10 +1,11 @@
 """Tests for the batch simulation engine.
 
 Covers the four engine layers: session precompute (observation slices and
-history rings), plan caching and the vectorised evaluator, the BatchRunner
-backends, and the equivalence guarantee — every backend returns numerically
-identical :class:`~repro.player.session.StreamResult`s to the sequential
-seed loop.
+history rings), plan caching and the vectorised evaluator (checked against
+the loop oracle in ``tests/planner_oracle.py``), the BatchRunner backends,
+and the equivalence guarantee — every backend returns numerically identical
+:class:`~repro.player.session.StreamResult`s to a sequential loop over
+:func:`~repro.player.simulator.simulate_session`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.abr.base import ABRAlgorithm, Decision
 from repro.abr.bba import BufferBasedABR
 from repro.abr.fugu import FuguABR
 from repro.abr.planner import (
+    _build_level_sequences,
     clear_plan_cache,
     enumerate_level_sequences,
     evaluate_candidates,
@@ -23,7 +25,6 @@ from repro.abr.planner import (
 )
 from repro.core.sensei_abr import SenseiFuguABR
 from repro.engine import BatchRunner, HistoryRing, SessionPrecompute, WorkOrder
-from repro.engine.report import BenchReport, read_bench_report, write_bench_report
 from repro.engine.runner import orders_for_grid
 from repro.network.bank import TraceBank
 from repro.network.trace import ThroughputTrace
@@ -33,6 +34,7 @@ from repro.video.chunk import DEFAULT_LADDER
 from repro.video.encoder import SyntheticEncoder
 from repro.video.video import SourceVideo
 
+from tests.planner_oracle import evaluate_candidates_loop
 from tests.test_abr import make_observation
 
 
@@ -56,8 +58,14 @@ class TestSessionPrecompute:
                     for offset in range(horizon)
                 ]
             )
+            expected_quality = np.stack(
+                [
+                    small_encoded.chunks[chunk_index + offset].quality
+                    for offset in range(horizon)
+                ]
+            )
             assert np.array_equal(sizes, expected_sizes)
-            assert quality.shape == expected_sizes.shape
+            assert np.array_equal(quality, expected_quality)
 
     def test_cached_per_video_instance(self, small_encoded):
         assert SessionPrecompute.of(small_encoded) is SessionPrecompute.of(
@@ -122,12 +130,8 @@ class TestPlanCache:
             dict(max_step=2, start_level=-1),
         ):
             cached = enumerate_level_sequences(5, 3, **kwargs)
-            fresh = enumerate_level_sequences(5, 3, use_cache=False, **kwargs)
+            fresh = _build_level_sequences(5, 3, **kwargs)
             assert np.array_equal(cached, fresh)
-
-    def test_uncached_is_writable(self):
-        fresh = enumerate_level_sequences(3, 2, use_cache=False)
-        fresh[0, 0] = 1  # must not raise
 
     def test_start_level_irrelevant_without_max_step(self):
         a = enumerate_level_sequences(4, 2, start_level=1)
@@ -161,9 +165,9 @@ class TestVectorizedEvaluator:
                     obs, candidates, scenarios, model,
                     weights=weights, stall_options_s=stalls,
                 )
-                ref = evaluate_candidates(
+                ref = evaluate_candidates_loop(
                     obs, candidates, scenarios, model,
-                    weights=weights, stall_options_s=stalls, vectorized=False,
+                    weights=weights, stall_options_s=stalls,
                 )
                 assert fast.best_score == pytest.approx(ref.best_score, abs=1e-9)
                 # On an exact score tie between two (level, stall) optima the
@@ -183,10 +187,10 @@ class TestVectorizedEvaluator:
         candidates = enumerate_level_sequences(5, 3)
         scenarios = [(1.0, 0.5), (2.0, 0.3), (3.0, 0.2)]
         stalls = (0.0, 1.0)
-        for vectorized in (True, False):
-            evaluation = evaluate_candidates(
+        for evaluate in (evaluate_candidates, evaluate_candidates_loop):
+            evaluation = evaluate(
                 obs, candidates, scenarios, KSQIModel(),
-                stall_options_s=stalls, vectorized=vectorized,
+                stall_options_s=stalls,
             )
             assert evaluation.num_candidates == (
                 candidates.shape[0] * len(stalls) * len(scenarios)
@@ -277,7 +281,7 @@ class TestBatchRunner:
 
 
 def _sequential_reference_grid(abrs, videos, traces, weights_by_video=None):
-    """The seed ``simulate_many`` loop, spelled out independently."""
+    """The ``simulate_many`` loop, spelled out independently."""
     weights_by_video = weights_by_video or {}
     results = []
     for abr in abrs:
@@ -367,38 +371,3 @@ class TestBatchRunnerEquivalence:
         for (k1, v1, t1, r1), (k2, v2, t2, r2) in zip(reference, batched):
             assert (k1, v1, t1) == (k2, v2, t2)
             assert_stream_results_identical(r1, r2)
-
-    def test_fast_session_path_matches_seed_path(self, equivalence_grid):
-        """use_precompute=True reproduces the seed per-chunk implementation."""
-        videos, traces, _ = equivalence_grid
-        for abr_factory in (BufferBasedABR, FuguABR):
-            fast = simulate_session(abr_factory(), videos[0], traces[0])
-            seed_path = simulate_session(
-                abr_factory(), videos[0], traces[0], use_precompute=False
-            )
-            assert np.array_equal(
-                fast.rendered.levels, seed_path.rendered.levels
-            )
-            assert fast.session_duration_s == pytest.approx(
-                seed_path.session_duration_s, abs=1e-6
-            )
-
-
-# ------------------------------------------------------------------ report
-
-
-class TestBenchReport:
-    def test_round_trip(self, tmp_path):
-        report = BenchReport(
-            sessions_per_sec=12.5,
-            decisions_per_sec={"Fugu": 900.0},
-            grid={"seed_seconds": 3.0, "engine_seconds": 0.9, "speedup": 3.33},
-        )
-        path = write_bench_report(report, tmp_path / "BENCH_engine.json")
-        loaded = read_bench_report(path)
-        assert loaded["sessions_per_sec"] == 12.5
-        assert loaded["grid"]["speedup"] == 3.33
-        assert "cpu_count" in loaded["meta"]
-
-    def test_missing_report_reads_none(self, tmp_path):
-        assert read_bench_report(tmp_path / "nope.json") is None

@@ -24,8 +24,14 @@ from repro.abr.mpc import ModelPredictiveABR
 from repro.abr.pensieve import PensieveABR, PensieveConfig, PensieveTrainer
 from repro.abr.rate import RateBasedABR
 from repro.core.sensei_abr import SenseiFuguABR, make_sensei_pensieve
+from repro.abr.throughput import (
+    ErrorDistributionPredictor,
+    HarmonicMeanPredictor,
+)
 from repro.engine.lockstep import (
+    KIND_GENERIC,
     _PlannerDriverBase,
+    decision_kind,
     order_supports_lockstep,
     run_orders_lockstep,
     supports_lockstep,
@@ -82,6 +88,14 @@ def assert_results_identical(left, right):
         assert (a.cause, a.chunk_index, a.start_time_s, a.duration_s) == (
             b.cause, b.chunk_index, b.start_time_s, b.duration_s
         )
+
+
+class _SubclassedErrorPredictor(ErrorDistributionPredictor):
+    """Behaves like the stock predictor but is not its exact type."""
+
+
+class _SubclassedHarmonicPredictor(HarmonicMeanPredictor):
+    """Behaves like the stock predictor but is not its exact type."""
 
 
 def _run_both(abrs, videos, traces, weights=None):
@@ -159,12 +173,20 @@ class TestLockstepEquivalence:
             mixed, traces[:2],
         )
 
-    def test_seed_reference_planner_takes_generic_path(self, ragged_grid):
-        """use_fast_planner=False still runs (per-session driver)."""
-        videos, traces, _ = ragged_grid
-        _run_both(
-            [FuguABR(use_fast_planner=False)], videos[:1], traces[:2]
-        )
+    def test_planner_with_subclassed_predictor_takes_generic_path(
+        self, ragged_grid
+    ):
+        """A planner class whose predictor is a subclass of the stock one
+        may predict differently, so it decides through the generic
+        per-session driver — and still matches serial bit for bit."""
+        videos, traces, weights = ragged_grid
+        abrs = [
+            FuguABR(predictor=_SubclassedErrorPredictor()),
+            ModelPredictiveABR(predictor=_SubclassedHarmonicPredictor()),
+        ]
+        for abr in abrs:
+            assert decision_kind(abr) == KIND_GENERIC
+        _run_both(abrs, videos[:1], traces[:2], weights)
 
     def test_empty_orders(self):
         assert BatchRunner(backend="lockstep").run_orders([]) == []

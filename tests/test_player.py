@@ -157,25 +157,18 @@ class TestStreamingSession:
             def download_time_s(self, size_bytes, start_time_s):
                 return 0.0
 
-            def download_time_s_reference(self, size_bytes, start_time_s):
-                return 0.0
-
         trace = InstantTrace(
             timestamps_s=np.array([0.0]),
             bandwidths_mbps=np.array([1.0]),
             name="instant",
         )
-        for use_precompute in (True, False):
-            result = simulate_session(
-                FixedLevelABR(2), small_encoded, trace,
-                use_precompute=use_precompute,
-            )
-            throughputs = result.timeline.measured_throughputs_mbps()
-            assert all(np.isfinite(throughputs))
-            assert all(t > 0 for t in throughputs)
-            assert all(
-                record.duration_s > 0 for record in result.timeline.downloads
-            )
+        result = simulate_session(FixedLevelABR(2), small_encoded, trace)
+        throughputs = result.timeline.measured_throughputs_mbps()
+        assert all(np.isfinite(throughputs))
+        assert all(t > 0 for t in throughputs)
+        assert all(
+            record.duration_s > 0 for record in result.timeline.downloads
+        )
 
 
 def _is_materialised(timeline: LazySessionTimeline) -> bool:

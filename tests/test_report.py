@@ -11,6 +11,7 @@ from repro.engine.report import (
     git_revision,
     phases_from_snapshot,
     read_bench_report,
+    update_bench_section,
     utc_now_iso,
     write_bench_report,
 )
@@ -64,6 +65,35 @@ class TestBenchReport:
 
     def test_read_missing_returns_none(self, tmp_path):
         assert read_bench_report(tmp_path / "absent.json") is None
+
+    def test_partial_run_keeps_sections_it_did_not_measure(self, tmp_path):
+        path = tmp_path / "b.json"
+        full = BenchReport(
+            sessions_per_sec=12.5,
+            decisions_per_sec={"Fugu": 900.0},
+            grid={"cells": 48, "speedup_vs_serial_engine": 2.4},
+            rl_grid={"speedup_vs_serial_engine": 4.7},
+            plan_cache={"hits": 10, "misses": 3, "currsize": 3},
+            kernel={"legacy": {"candidates_per_sec": 1.0}},
+        )
+        write_bench_report(full, path=path)
+        grid_only = BenchReport(
+            grid={"cells": 48, "speedup_vs_serial_engine": 1.6}
+        )
+        payload = read_bench_report(write_bench_report(grid_only, path=path))
+        assert payload["grid"]["speedup_vs_serial_engine"] == 1.6
+        for key in ("sessions_per_sec", "decisions_per_sec", "rl_grid",
+                    "plan_cache", "kernel"):
+            assert payload[key] == full.to_dict()[key], key
+
+    def test_section_update_shares_the_merge(self, tmp_path):
+        path = tmp_path / "b.json"
+        write_bench_report(BenchReport(sessions_per_sec=3.0), path=path)
+        update_bench_section("kernel", {"ratio": 1.7}, path)
+        payload = read_bench_report(path)
+        assert payload["kernel"] == {"ratio": 1.7}
+        assert payload["sessions_per_sec"] == 3.0
+        assert payload["meta"]["python"]
 
     def test_written_json_is_sorted_and_terminated(self, tmp_path):
         path = write_bench_report(BenchReport(), path=tmp_path / "b.json")
