@@ -153,6 +153,10 @@ def plan_cache_info():
     return _cached_level_sequences.cache_info()
 
 
+#: The candidate-tree memo statistics the ``plan_cache.*`` gauges report.
+PLAN_CACHE_STATS = ("hits", "misses", "currsize")
+
+
 def _publish_plan_cache(registry) -> None:
     """Snapshot-time collector publishing the candidate-tree memo stats.
 
@@ -160,12 +164,16 @@ def _publish_plan_cache(registry) -> None:
     ``python -m repro profile``, JSONL/Prometheus sinks — reads the same
     ``plan_cache.*`` gauges instead of each consumer poking at
     ``lru_cache`` introspection on its own.  Gauges, not counters:
-    ``cache_info()`` is already cumulative for the process.
+    ``cache_info()`` is already cumulative for the process.  Each gauge
+    adds the ``plan_cache.worker_*`` counters pool workers ship with their
+    snapshots, so planning on the process backend counts too.
     """
     info = _cached_level_sequences.cache_info()
-    registry.gauge("plan_cache.hits").set(info.hits)
-    registry.gauge("plan_cache.misses").set(info.misses)
-    registry.gauge("plan_cache.currsize").set(info.currsize)
+    for name in PLAN_CACHE_STATS:
+        registry.gauge(f"plan_cache.{name}").set(
+            getattr(info, name)
+            + registry.counter_value(f"plan_cache.worker_{name}")
+        )
 
 
 register_collector(_publish_plan_cache)

@@ -11,7 +11,7 @@ for campaign cost so that the cost/accuracy trade-off experiments
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -158,70 +158,55 @@ class SenseiProfiler:
             self.base_model.fit(rated, mos)
 
     def _profile_two_step(self, encoded: EncodedVideo) -> ProfilingResult:
-        video_id = encoded.source.video_id
         # --- Step 1: coarse probing of every chunk.
         step1 = self.scheduler.step1_schedule(encoded)
         step1_result = self._run_campaign(step1, encoded, seed_offset=1)
         self._fit_base_model(step1.renderings, step1_result)
-        step1_profile = self._infer_from_results(
-            encoded, [ (step1.renderings, step1_result) ]
-        )
+        campaigns = [(step1.renderings, step1_result)]
+        step1_profile = self._infer_from_results(encoded, campaigns)
 
         # --- Step 2: refined probing of the clearly high/low chunks.
-        step2_result: Optional[CampaignResult] = None
-        schedules = [(step1.renderings, step1_result)]
         step2 = self.scheduler.step2_schedule(encoded, step1_profile.weights)
         if step2.renderings and step2.ratings_per_rendering > 0:
-            step2_result = self._run_campaign(step2, encoded, seed_offset=2)
-            schedules.append((step2.renderings, step2_result))
-
-        profile = self._infer_from_results(encoded, schedules)
-        total_cost = step1_result.total_paid_usd + (
-            step2_result.total_paid_usd if step2_result is not None else 0.0
-        )
-        num_ratings = sum(
-            1 for _, result in schedules for record in result.records if record.accepted
-        )
-        profile = SensitivityProfile(
-            video_id=video_id,
-            weights=profile.weights,
-            num_ratings=num_ratings,
-            cost_usd=total_cost,
-        )
-        num_renderings = len(step1.renderings) + (
-            len(step2.renderings) if step2.renderings else 0
-        )
-        return ProfilingResult(
-            profile=profile,
-            step1_result=step1_result,
-            step2_result=step2_result,
-            total_cost_usd=total_cost,
-            cost_per_source_minute_usd=self.cost_model.cost_per_source_minute(
-                total_cost, encoded.source.duration_s
-            ),
-            num_renderings=num_renderings,
+            campaigns.append(
+                (step2.renderings, self._run_campaign(step2, encoded, seed_offset=2))
+            )
+        return self._profiling_result(
+            encoded, campaigns, len(step1.renderings) + len(step2.renderings)
         )
 
     def _profile_exhaustive(self, encoded: EncodedVideo) -> ProfilingResult:
         schedule = self.scheduler.exhaustive_schedule(encoded)
         result = self._run_campaign(schedule, encoded, seed_offset=3)
         self._fit_base_model(schedule.renderings, result)
-        profile = self._infer_from_results(encoded, [(schedule.renderings, result)])
+        return self._profiling_result(
+            encoded, [(schedule.renderings, result)], len(schedule.renderings)
+        )
+
+    def _profiling_result(
+        self, encoded: EncodedVideo, campaigns: Sequence, num_renderings: int
+    ) -> ProfilingResult:
+        """Weights inferred from every campaign, with cost accounting."""
+        results = [result for _, result in campaigns]
+        total_cost = sum(result.total_paid_usd for result in results)
         profile = SensitivityProfile(
             video_id=encoded.source.video_id,
-            weights=profile.weights,
-            num_ratings=sum(1 for record in result.records if record.accepted),
-            cost_usd=result.total_paid_usd,
+            weights=self._infer_from_results(encoded, campaigns).weights,
+            num_ratings=sum(
+                1 for result in results for record in result.records
+                if record.accepted
+            ),
+            cost_usd=total_cost,
         )
         return ProfilingResult(
             profile=profile,
-            step1_result=result,
-            step2_result=None,
-            total_cost_usd=result.total_paid_usd,
+            step1_result=results[0],
+            step2_result=results[1] if len(results) > 1 else None,
+            total_cost_usd=total_cost,
             cost_per_source_minute_usd=self.cost_model.cost_per_source_minute(
-                result.total_paid_usd, encoded.source.duration_s
+                total_cost, encoded.source.duration_s
             ),
-            num_renderings=len(schedule.renderings),
+            num_renderings=num_renderings,
         )
 
     def _infer_from_results(

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.crowd.cost import CostModel
-from repro.crowd.survey import Survey, SurveyPlan, build_survey_plan
+from repro.crowd.survey import Survey, build_survey_plan
 from repro.crowd.worker import SimulatedWorker, WorkerPool, WorkerRating
 from repro.qoe.ground_truth import GroundTruthOracle
 from repro.utils.rand import spawn_rng
@@ -41,9 +41,6 @@ class CampaignConfig:
         Rendered videos per participant (K in §4.1), excluding the reference.
     masters_only:
         Restrict recruitment to master Turkers (Appendix C).
-    minimum_ratings:
-        Renderings with fewer accepted ratings than this fall back to the
-        mean of whatever ratings they have (guards against division by zero).
     seed:
         Seed for order randomisation and participant sampling.
     """
@@ -51,13 +48,11 @@ class CampaignConfig:
     ratings_per_rendering: int = 10
     videos_per_survey: int = 5
     masters_only: bool = True
-    minimum_ratings: int = 1
     seed: int = 31
 
     def __post_init__(self) -> None:
         require(self.ratings_per_rendering >= 1, "ratings_per_rendering must be >= 1")
         require(self.videos_per_survey >= 1, "videos_per_survey must be >= 1")
-        require(self.minimum_ratings >= 1, "minimum_ratings must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -98,13 +93,24 @@ class CampaignResult:
             return 0.0
         return self.num_rejected_participants / self.num_participants
 
-    def ratings_for(self, render_id: str) -> List[float]:
-        """Accepted rating scores for one rendering."""
-        return [
-            record.rating.score
-            for record in self.records
-            if record.accepted and record.rating.render_id == render_id
-        ]
+
+def _distinct_renderings(renderings: Sequence[RenderedVideo]) -> List[RenderedVideo]:
+    """One rendering per render id, in first-seen order.  An id may repeat
+    only for the same playback (a schedule's pristine rendering is also the
+    survey reference): two different renderings never share one score."""
+    def playback(r: RenderedVideo) -> tuple:
+        return (r.source.video_id, r.levels.tobytes(), r.stalls_s.tobytes(),
+                r.startup_delay_s)
+
+    by_id: Dict[str, RenderedVideo] = {}
+    for rendered in renderings:
+        seen = by_id.setdefault(rendered.render_id, rendered)
+        require(
+            seen is rendered or playback(seen) == playback(rendered),
+            "render ids must be unique within a campaign: "
+            f"{rendered.render_id!r} names two different renderings",
+        )
+    return list(by_id.values())
 
 
 class MTurkCampaign:
@@ -136,6 +142,12 @@ class MTurkCampaign:
         require(bool(renderings), "need at least one rendering")
         if reference is None:
             reference = render_pristine(renderings[0].encoded)
+        # The oracle is a pure function of the rendering: score every
+        # rendering (and the reference) once, in one batched call, and let
+        # the survey loop look scores up.
+        scored = _distinct_renderings([*renderings, reference])
+        true_mos = self.oracle.true_mos_batch(scored).tolist()
+        mos_by_id = dict(zip((r.render_id for r in scored), true_mos))
         plan = build_survey_plan(
             renderings,
             reference,
@@ -152,7 +164,7 @@ class MTurkCampaign:
         scores: Dict[str, List[float]] = {r.render_id: [] for r in renderings}
         for survey, worker in zip(plan.surveys, workers):
             records, accepted_participant, watch_seconds = self._run_survey(
-                survey, worker, reference, order_rng
+                survey, worker, reference, order_rng, mos_by_id
             )
             result.records.extend(records)
             result.num_participants += 1
@@ -168,13 +180,8 @@ class MTurkCampaign:
                 result.num_rejected_participants += 1
 
         for render_id, values in scores.items():
-            if len(values) >= self.config.minimum_ratings:
-                mos = float(np.mean(values))
-            elif values:
-                mos = float(np.mean(values))
-            else:
-                # No accepted ratings at all: fall back to the scale midpoint.
-                mos = 3.0
+            # No accepted ratings at all: fall back to the scale midpoint.
+            mos = float(np.mean(values)) if values else 3.0
             result.mos[render_id] = mos
             result.normalized_mos[render_id] = (mos - 1.0) / 4.0
         return result
@@ -187,6 +194,7 @@ class MTurkCampaign:
         worker: SimulatedWorker,
         reference: RenderedVideo,
         order_rng: np.random.Generator,
+        mos_by_id: Dict[str, float],
     ):
         """Run one participant through one survey; apply rejection rules."""
         videos = survey.presentation_order(order_rng)
@@ -194,8 +202,7 @@ class MTurkCampaign:
         reference_score: Optional[float] = None
         watch_seconds = 0.0
         for video in videos:
-            true_mos = self.oracle.true_mos(video)
-            rating = worker.rate(video, true_mos)
+            rating = worker.rate(video, mos_by_id[video.render_id])
             watch_seconds += rating.watch_time_s
             if video.render_id == reference.render_id:
                 reference_score = rating.score

@@ -46,13 +46,7 @@ class Survey:
     def total_video_seconds(self) -> float:
         """Total length of video a participant watches in this survey."""
         videos = list(self.renderings) + [self.reference]
-        return float(
-            sum(
-                v.num_chunks * v.chunk_duration_s + v.total_stall_s()
-                + v.startup_delay_s
-                for v in videos
-            )
-        )
+        return float(sum(v.watch_duration_s for v in videos))
 
 
 @dataclass

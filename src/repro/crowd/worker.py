@@ -10,7 +10,7 @@ paper's observation that their rejection rate is over 4x lower.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -87,9 +87,9 @@ class SimulatedWorker:
         else:
             # Careless response: weak correlation with the truth.
             raw = 0.3 * true_mos + 0.7 * self._rng.uniform(1.0, 5.0)
-        score = float(np.clip(np.round(raw * 2.0) / 2.0, 1.0, 5.0))
-        duration = rendered.num_chunks * rendered.chunk_duration_s
-        watch_time = duration + rendered.total_stall_s() + rendered.startup_delay_s
+        # Python's round() rounds half to even, as np.round does.
+        score = min(max(round(raw * 2.0) / 2.0, 1.0), 5.0)
+        watch_time = rendered.watch_duration_s
         if not watched_fully:
             watch_time *= float(self._rng.uniform(0.3, 0.9))
         return WorkerRating(

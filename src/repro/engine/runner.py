@@ -180,8 +180,10 @@ def _execute_shard(
     :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot travels
     back for the parent to merge — the same delta-shipping discipline as
     ``FaultLog`` counters, and fresh-per-shard so a reused pool worker
-    never double-reports an earlier shard's metrics.
+    never double-reports an earlier shard's metrics.  It carries the
+    shard's ``plan_cache.worker_*`` counters (memo activity) too.
     """
+    from repro.abr.planner import PLAN_CACHE_STATS, plan_cache_info
     from repro.engine.lockstep import run_orders_lockstep
 
     if shard.fault is not None:
@@ -190,12 +192,20 @@ def _execute_shard(
         return run_orders_lockstep(shard.orders), None
     previous = set_enabled(True)
     registry = MetricsRegistry()
+    before = plan_cache_info()
     try:
         with use_registry(registry):
             results = run_orders_lockstep(shard.orders)
     finally:
         set_enabled(previous)
-    return results, registry.snapshot()
+    after = plan_cache_info()
+    snapshot = registry.snapshot()
+    # The parent's plan_cache.* gauges add these up at snapshot time.
+    for name in PLAN_CACHE_STATS:
+        snapshot["counters"][f"plan_cache.worker_{name}"] = float(
+            getattr(after, name) - getattr(before, name)
+        )
+    return results, snapshot
 
 
 def _observe_session_results(results: Sequence[StreamResult]) -> None:

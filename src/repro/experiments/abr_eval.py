@@ -13,7 +13,6 @@ from repro.experiments.common import ExperimentContext
 from repro.experiments.registry import experiment
 from repro.qoe.ksqi import KSQIModel
 from repro.utils.stats import cdf_points
-from repro.video.encoder import EncodedVideo
 
 
 # --------------------------------------------------------------------------
@@ -84,7 +83,8 @@ def _evaluate_grid(
     The whole grid is dispatched through the batch engine: work orders are
     built in the seed's (video, trace, algorithm) nesting order, executed by
     ``runner`` (the context's runner by default — serial unless configured
-    otherwise), and scored by the oracle in the parent process.
+    otherwise), and scored by the oracle in the parent process, one batched
+    call per video.
 
     When the registry attached a finished-cell cache to the context
     (``context.cell_cache``), cells already scored by an earlier run of the
@@ -149,8 +149,8 @@ def _evaluate_grid(
                     )
                 )
     results = runner.run_orders(orders)
-    for (name, video_id, trace_name, cell_key), result in zip(keys, results):
-        qoe = context.oracle.true_qoe(result.rendered)
+    qoes = context.oracle.true_qoe_grouped([r.rendered for r in results])
+    for (name, video_id, trace_name, cell_key), qoe in zip(keys, qoes.tolist()):
         scores[name][(video_id, trace_name)] = qoe
         if cache is not None:
             cache.put(cell_key, qoe)

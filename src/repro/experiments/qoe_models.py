@@ -3,7 +3,7 @@ and the Appendix B rating-sanitisation statistics."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.experiments.registry import experiment
 from repro.player.simulator import simulate_session
 from repro.qoe.ksqi import KSQIModel
 from repro.qoe.lstm_qoe import LSTMQoEModel
-from repro.qoe.metrics import ModelEvaluation, evaluate_model
+from repro.qoe.metrics import evaluate_model
 from repro.qoe.p1203 import P1203Model
 from repro.utils.stats import pearson_correlation
 from repro.video.rendering import RenderedVideo
@@ -32,14 +32,11 @@ def _streamed_dataset(
     labelled with their true QoE — the dataset of §2.2 / §7.3."""
     abrs = [BufferBasedABR(), RateBasedABR(), FuguABR()]
     renderings: List[RenderedVideo] = []
-    labels: List[float] = []
     for encoded in context.videos():
         for trace in context.traces():
             for abr in abrs:
-                result = simulate_session(abr, encoded, trace)
-                renderings.append(result.rendered)
-                labels.append(context.oracle.true_qoe(result.rendered))
-    return renderings, labels
+                renderings.append(simulate_session(abr, encoded, trace).rendered)
+    return renderings, context.oracle.true_qoe_grouped(renderings).tolist()
 
 
 def _split(
@@ -195,31 +192,22 @@ def fig12c_cost_vs_qoe(
             use_two_step=use_two_step,
         )
         result = profiler.profile_video(encoded)
-        qoe_values = []
-        for trace in context.traces():
-            qoe_values.append(
-                context.oracle.true_qoe(
-                    simulate_session(
-                        context.make_sensei_fugu(), encoded, trace,
-                        chunk_weights=result.profile.weights,
-                    ).rendered
-                )
-            )
+        qoe_values = context.oracle.true_qoe_batch([
+            simulate_session(
+                context.make_sensei_fugu(), encoded, trace,
+                chunk_weights=result.profile.weights,
+            ).rendered
+            for trace in context.traces()
+        ])
         arms[name] = {
             "cost_usd_per_min": result.cost_per_source_minute_usd,
             "mean_qoe": float(np.mean(qoe_values)),
             "num_renderings": result.num_renderings,
         }
-    baseline_qoe = float(
-        np.mean(
-            [
-                context.oracle.true_qoe(
-                    simulate_session(context.make_fugu(), encoded, trace).rendered
-                )
-                for trace in context.traces()
-            ]
-        )
-    )
+    baseline_qoe = float(np.mean(context.oracle.true_qoe_batch([
+        simulate_session(context.make_fugu(), encoded, trace).rendered
+        for trace in context.traces()
+    ])))
     cost_saving = 1.0 - (
         arms["pruned"]["cost_usd_per_min"]
         / max(arms["exhaustive"]["cost_usd_per_min"], 1e-9)

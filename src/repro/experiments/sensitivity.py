@@ -7,7 +7,7 @@ highlight models (Appendix D).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from repro.experiments.common import ExperimentContext
 from repro.experiments.registry import experiment
 from repro.utils.stats import cdf_points, normalize_to_unit, spearman_correlation
 from repro.video.encoder import EncodedVideo, SyntheticEncoder
-from repro.video.library import VideoLibrary
 from repro.video.rendering import QualityIncident, make_video_series, render_pristine
 from repro.video.video import SourceVideo
 
@@ -36,7 +35,7 @@ def _series_true_qoe(item) -> List[float]:
     item is an ``(oracle, encoded, incident)`` tuple.
     """
     oracle, encoded, incident = item
-    return [oracle.true_qoe(r) for r in make_video_series(encoded, incident)]
+    return oracle.true_qoe_batch(make_video_series(encoded, incident)).tolist()
 
 
 @experiment("table1", group="sensitivity", figures=("Table 1",))
@@ -91,7 +90,7 @@ def fig01_video_series_mos(
     )
     result = campaign.run(series, reference=render_pristine(clip))
     mos = [result.normalized_mos[r.render_id] for r in series]
-    true_qoe = [context.oracle.true_qoe(r) for r in series]
+    true_qoe = context.oracle.true_qoe_batch(series).tolist()
     return {
         "video_id": video_id,
         "positions_s": [i * clip.chunk_duration_s for i in range(len(series))],
@@ -149,7 +148,7 @@ def fig04_incident_positions(
     curves: Dict[str, List[float]] = {}
     for name, incident in STANDARD_INCIDENTS.items():
         series = make_video_series(clip, incident)
-        curves[name] = [context.oracle.true_qoe(r) for r in series]
+        curves[name] = context.oracle.true_qoe_batch(series).tolist()
     rankings_agree = spearman_correlation(
         curves["rebuffer_1s"], curves["rebuffer_4s"]
     )

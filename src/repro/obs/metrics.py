@@ -164,6 +164,11 @@ class MetricsRegistry:
             found = self._counters[name] = Counter(name)
         return found
 
+    def counter_value(self, name: str) -> float:
+        """A counter's value, 0 when never recorded (without creating it)."""
+        found = self._counters.get(name)
+        return 0.0 if found is None else found.value
+
     def gauge(self, name: str) -> Gauge:
         found = self._gauges.get(name)
         if found is None:

@@ -165,10 +165,9 @@ class SessionState:
 
     * :class:`StreamingSession` steps one state to completion in a loop
       (observe → ABR decide → apply) — the serial reference run;
-    * the lockstep engine (:mod:`repro.engine.lockstep`) interleaves many
-      states chunk-step by chunk-step, batching the ABR decisions across
-      sessions while each state's evolution stays bit-identical to the
-      serial run.
+    * the decision service (:mod:`repro.service`) steps one state per
+      registered session, one request at a time.  (The lockstep engine
+      steps sessions as arrays: :class:`~repro.player.shard.ShardState`.)
 
     The protocol is ``observe()`` → ``apply(decision)`` once per chunk (in
     chunk order) until :attr:`done`, then ``finalize()`` for the

@@ -22,10 +22,11 @@ exactly as the paper treats real users.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.obs.trace import trace_span
 from repro.utils.validation import require, require_non_negative
 from repro.video.rendering import RenderedVideo
 from repro.video.video import SourceVideo
@@ -97,12 +98,17 @@ class SensitivityParameters:
         require(self.penalty_saturation > 0, "penalty_saturation must be positive")
 
 
+#: Renderings :meth:`GroundTruthOracle.true_qoe_batch` scores at a time.
+#: Its temporaries (a dozen rendering-by-chunk arrays and the 7-chunk
+#: median windows) peak at 1.2 MB for the longest (149-chunk) video.
+BLOCK_ROWS = 64
+
+
 class GroundTruthOracle:
     """Latent dynamic-sensitivity model standing in for real viewers."""
 
     def __init__(self, parameters: Optional[SensitivityParameters] = None) -> None:
         self.parameters = parameters if parameters is not None else SensitivityParameters()
-        self._sensitivity_cache: Dict[str, np.ndarray] = {}
 
     # -------------------------------------------------------------- sensitivity
 
@@ -112,14 +118,9 @@ class GroundTruthOracle:
         Values are positive and average close to 1 for a typical video, so
         they are directly comparable to the per-chunk weights SENSEI infers.
         """
-        cached = self._sensitivity_cache.get(video.video_id)
-        if cached is not None and cached.size == video.num_chunks:
-            return cached.copy()
         params = self.parameters
         key_moments = video.key_moment_curve()
-        sensitivity = params.base_sensitivity + params.key_moment_gain * key_moments
-        self._sensitivity_cache[video.video_id] = sensitivity.copy()
-        return sensitivity
+        return params.base_sensitivity + params.key_moment_gain * key_moments
 
     def normalized_sensitivity(self, video: SourceVideo) -> np.ndarray:
         """Sensitivity rescaled to mean 1 (the convention SENSEI's weights use)."""
@@ -128,120 +129,130 @@ class GroundTruthOracle:
 
     # -------------------------------------------------------------------- QoE
 
-    def chunk_incident_penalties(self, rendered: RenderedVideo) -> np.ndarray:
-        """Per-chunk salient-incident penalty (sensitivity weighted).
+    def true_qoe_batch(self, renderings: Sequence[RenderedVideo]) -> np.ndarray:
+        """True QoE in [0, 1] — what MOS estimates — of renderings of one
+        encoded video, in input order.  Per-video inputs are computed once
+        and every term row-wise over rendering-by-chunk matrices; each value
+        is bit-identical to scoring that rendering alone."""
+        with trace_span("qoe.oracle"):
+            require(
+                len({(r.source.video_id, r.encoded.ladder) for r in renderings})
+                == 1,
+                "true_qoe_batch scores renderings of one video and one ladder",
+            )
+            sensitivity = self.normalized_sensitivity(renderings[0].source)
+            return np.concatenate([
+                self._true_qoe_rows(renderings[start:start + BLOCK_ROWS], sensitivity)
+                for start in range(0, len(renderings), BLOCK_ROWS)
+            ])
 
-        Covers rebuffering, bitrate switches and time spent at severely
-        reduced bitrate.  These are *summed* over the video (with
-        saturation), not averaged, because a single incident stays memorable
-        regardless of how long the video is.
-        """
+    def _true_qoe_rows(
+        self, renderings: Sequence[RenderedVideo], sensitivity: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`true_qoe_batch` over one block of at most ``BLOCK_ROWS``."""
         params = self.parameters
-        sensitivity = self.normalized_sensitivity(rendered.source)
-        top_bitrate = rendered.encoded.ladder.bitrates_kbps[-1]
-        stall_penalty = params.rebuffer_penalty_per_s * rendered.stalls_s
-        switch_penalty = params.switch_penalty * (
-            rendered.switch_magnitudes_kbps() / top_bitrate
-        )
-        # Transient bitrate dips: how far each chunk falls below the locally
-        # prevailing (median) bitrate of its neighbourhood.  Sustained low
-        # bitrate produces no dip and is charged only via the quality loss.
-        bitrate_norm = rendered.bitrates_kbps() / top_bitrate
-        num_chunks = bitrate_norm.size
-        dips = np.empty(num_chunks)
-        # Full 7-chunk windows are vectorised; the clipped windows at the
-        # edges (fewer than 7 chunks) keep the scalar path.  Medians are
-        # identical to the per-index loop either way.
+        encoded = renderings[0].encoded
+        ladder = encoded.ladder
+        top_bitrate = ladder.bitrates_kbps[-1]
+        quality_matrix = encoded.quality_matrix()
+        levels = np.stack([r.levels for r in renderings])
+        stalls = np.stack([r.stalls_s for r in renderings])
+        startup_delay = np.array([r.startup_delay_s for r in renderings])
+        num_chunks = levels.shape[1]
+
+        # Salient incidents: rebuffering, bitrate switches and time spent at
+        # severely reduced bitrate.  They are *summed* over the video (with
+        # saturation), not averaged, because a single incident stays
+        # memorable regardless of how long the video is.
+        bitrates = np.asarray(ladder.bitrates_kbps, dtype=float)[levels]
+        switch_magnitudes = np.zeros_like(bitrates)
+        switch_magnitudes[:, 1:] = np.abs(np.diff(bitrates, axis=1))
+        stall_penalty = params.rebuffer_penalty_per_s * stalls
+        switch_penalty = params.switch_penalty * (switch_magnitudes / top_bitrate)
+        # Transient bitrate dips below the local (7-chunk median) bitrate.
+        # Sustained low bitrate produces no dip and is charged only via the
+        # quality loss.
+        bitrate_norm = bitrates / top_bitrate
+        dips = np.empty_like(bitrate_norm)
         if num_chunks >= 7:
-            windows = np.lib.stride_tricks.sliding_window_view(bitrate_norm, 7)
+            windows = np.lib.stride_tricks.sliding_window_view(bitrate_norm, 7, axis=1)
             interior = slice(3, num_chunks - 3)
-            dips[interior] = np.maximum(
-                0.0, np.median(windows, axis=1) - bitrate_norm[interior]
+            dips[:, interior] = np.maximum(
+                0.0, np.median(windows, axis=2) - bitrate_norm[:, interior]
             )
             edge_indices = [*range(3), *range(num_chunks - 3, num_chunks)]
         else:
             edge_indices = range(num_chunks)
         for index in edge_indices:
-            lo = max(0, index - 3)
-            hi = min(num_chunks, index + 4)
-            # Median of a <= 7-element window without np.median's per-call
-            # machinery: the sorted middle element (odd length) or the mean
-            # of the two middles (even) — ``(a + b) * 0.5 == (a + b) / 2``
-            # exactly, so the value is bit-identical to np.median's.
-            window = np.sort(bitrate_norm[lo:hi])
-            mid = window.size // 2
-            if window.size % 2:
-                local_reference = float(window[mid])
+            # Windows clipped by the ends: the median as np.median computes
+            # it, from the sorted middle element(s).
+            window = np.sort(bitrate_norm[:, max(0, index - 3):index + 4], axis=1)
+            mid = window.shape[1] // 2
+            if window.shape[1] % 2:
+                local_reference = window[:, mid]
             else:
-                local_reference = float((window[mid - 1] + window[mid]) * 0.5)
-            dips[index] = max(0.0, local_reference - bitrate_norm[index])
+                local_reference = (window[:, mid - 1] + window[:, mid]) * 0.5
+            dips[:, index] = np.maximum(0.0, local_reference - bitrate_norm[:, index])
         # Quadratic in the dip magnitude: a one-rung wobble is barely
         # noticeable, a drop to the lowest rung at a key moment clearly is.
         low_bitrate_penalty = (
-            params.low_bitrate_salience * rendered.chunk_duration_s * dips ** 2
+            params.low_bitrate_salience * encoded.chunk_duration_s * dips ** 2
         )
         # Playing a highly sensitive chunk below its best achievable quality
         # is memorable in its own right (a blurry goal moment), independent
         # of how long the video is.
-        top_level = rendered.encoded.ladder.highest_level
-        best_quality = rendered.encoded.quality_matrix()[:, top_level]
-        quality_shortfall = (best_quality - rendered.quality_curve()) / 100.0
+        quality = quality_matrix[np.arange(num_chunks), levels]
+        best_quality = quality_matrix[:, ladder.highest_level]
         key_quality_penalty = (
             params.key_quality_salience
             * np.maximum(sensitivity - 1.0, 0.0)
-            * quality_shortfall
+            * ((best_quality - quality) / 100.0)
         )
-        return (
+        penalties = (
             sensitivity * (stall_penalty + switch_penalty + low_bitrate_penalty)
             + key_quality_penalty
         )
-
-    def sustained_quality_loss(self, rendered: RenderedVideo) -> float:
-        """Average sensitivity-weighted visual-quality shortfall in [0, ~1]."""
-        params = self.parameters
-        sensitivity = self.normalized_sensitivity(rendered.source)
-        quality = rendered.quality_curve() / 100.0
-        return float(
-            np.mean(sensitivity * params.quality_loss_weight * (1.0 - quality))
+        # Smooth saturation caps the summed incident penalty.
+        cap = params.penalty_saturation
+        incident_penalty = cap * (1.0 - np.exp(-np.sum(penalties, axis=1) / cap))
+        # Low bitrate is also a sustained impairment: the average
+        # sensitivity-weighted visual-quality shortfall.
+        quality_loss = np.mean(
+            sensitivity * params.quality_loss_weight * (1.0 - quality / 100.0),
+            axis=1,
         )
+        # Startup delay is not sensitivity weighted: the video has not
+        # started yet, so content cannot modulate it.
+        startup_loss = params.startup_penalty_per_s * startup_delay
+        return np.clip(1.0 - quality_loss - incident_penalty - startup_loss, 0.0, 1.0)
 
-    def chunk_experience(self, rendered: RenderedVideo) -> np.ndarray:
-        """Per-chunk experienced quality in [0, 1] (diagnostic view)."""
-        params = self.parameters
-        sensitivity = self.normalized_sensitivity(rendered.source)
-        quality = rendered.quality_curve() / 100.0
-        quality_loss = sensitivity * params.quality_loss_weight * (1.0 - quality)
-        return np.clip(
-            1.0 - quality_loss - self.chunk_incident_penalties(rendered), 0.0, 1.0
-        )
-
-    def _saturate(self, penalty: float) -> float:
-        """Smoothly cap the summed incident penalty."""
-        cap = self.parameters.penalty_saturation
-        return cap * (1.0 - np.exp(-penalty / cap))
+    def true_qoe_grouped(self, renderings: Sequence[RenderedVideo]) -> np.ndarray:
+        """True QoE of any renderings, in order: one batch per video and ladder."""
+        groups: Dict[tuple, List[int]] = {}
+        for index, r in enumerate(renderings):
+            groups.setdefault((r.source.video_id, r.encoded.ladder), []).append(index)
+        values = np.empty(len(renderings))
+        for indices in groups.values():
+            values[indices] = self.true_qoe_batch([renderings[i] for i in indices])
+        return values
 
     def true_qoe(self, rendered: RenderedVideo) -> float:
-        """The rendering's true QoE in [0, 1] — what MOS estimates."""
-        incident_penalty = self._saturate(
-            float(np.sum(self.chunk_incident_penalties(rendered)))
-        )
-        quality_loss = self.sustained_quality_loss(rendered)
-        startup_loss = (
-            self.parameters.startup_penalty_per_s * rendered.startup_delay_s
-        )
-        return float(
-            np.clip(1.0 - quality_loss - incident_penalty - startup_loss, 0.0, 1.0)
-        )
+        """True QoE of one rendering (hot callers use :meth:`true_qoe_batch`)."""
+        return float(self.true_qoe_batch([rendered])[0])
+
+    def true_mos_batch(self, renderings: Sequence[RenderedVideo]) -> np.ndarray:
+        """True QoE on the 1–5 Likert scale the surveys use, per rendering."""
+        return 1.0 + 4.0 * self.true_qoe_batch(renderings)
 
     def true_mos(self, rendered: RenderedVideo) -> float:
-        """True QoE expressed on the 1–5 Likert scale used by the surveys."""
-        return 1.0 + 4.0 * self.true_qoe(rendered)
+        """True MOS of one rendering (hot callers use :meth:`true_mos_batch`)."""
+        return float(self.true_mos_batch([rendered])[0])
 
     # ---------------------------------------------------------------- analysis
 
     def qoe_gap_for_series(self, renderings) -> float:
         """(Qmax - Qmin) / Qmin over a video series (Figure 3's statistic)."""
-        values = np.array([self.true_qoe(r) for r in renderings])
+        values = self.true_qoe_batch(list(renderings))
         require(values.size >= 2, "a series needs at least two renderings")
         q_min = float(np.min(values))
         q_max = float(np.max(values))

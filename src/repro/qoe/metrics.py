@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -69,12 +69,3 @@ def evaluate_model(
         discordant_fraction=discordant_pair_fraction(truth, predictions),
         num_samples=len(renderings),
     )
-
-
-def evaluate_models(
-    models: Sequence[QoEModel],
-    renderings: Sequence[RenderedVideo],
-    true_qoe: Sequence[float],
-) -> List[ModelEvaluation]:
-    """Evaluate several models on the same test set."""
-    return [evaluate_model(model, renderings, true_qoe) for model in models]

@@ -136,7 +136,7 @@ def evaluate_policy(
         for spec in specs
     ]
     results = runner.run_orders(orders)
-    return float(np.mean([oracle.true_qoe(result.rendered) for result in results]))
+    return float(np.mean(oracle.true_qoe_grouped([r.rendered for r in results])))
 
 
 class Trainer:

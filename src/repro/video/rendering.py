@@ -15,8 +15,9 @@ system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -159,6 +160,12 @@ class RenderedVideo:
         """Total rebuffering time excluding startup delay."""
         return float(np.sum(self.stalls_s))
 
+    @cached_property
+    def watch_duration_s(self) -> float:
+        """Seconds of watching in full: playback, stalls and startup delay."""
+        duration = self.num_chunks * self.chunk_duration_s
+        return duration + self.total_stall_s() + self.startup_delay_s
+
     def rebuffering_ratio(self) -> float:
         """Total stall time divided by playback duration."""
         return self.total_stall_s() / (self.num_chunks * self.chunk_duration_s)
@@ -267,11 +274,3 @@ def make_video_series(
         series.append(inject_incident(pristine, incident))
     require(bool(series), "video series must contain at least one rendering")
     return series
-
-
-def renderings_for_incidents(
-    encoded: EncodedVideo, incidents: Iterable[QualityIncident]
-) -> List[RenderedVideo]:
-    """One rendering per incident, each injected into a pristine playback."""
-    pristine = render_pristine(encoded)
-    return [inject_incident(pristine, incident) for incident in incidents]

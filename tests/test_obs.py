@@ -17,7 +17,7 @@ import pytest
 
 from repro.abr.bba import BufferBasedABR
 from repro.abr.mpc import ModelPredictiveABR
-from repro.abr.planner import clear_plan_cache
+from repro.abr.planner import clear_plan_cache, plan_cache_info
 from repro.engine.runner import BatchRunner, orders_for_grid
 from repro.faults.log import FaultLog
 from repro.network.bank import TraceBank
@@ -555,6 +555,23 @@ class TestPlanCacheMetrics:
         assert snapshot["gauges"]["plan_cache.misses"] >= 1.0
         assert snapshot["gauges"]["plan_cache.hits"] >= 1.0
         assert snapshot["gauges"]["plan_cache.currsize"] >= 1.0
+
+    def test_process_backend_reports_worker_planning(self, obs_orders):
+        """Pool workers plan in their own processes; their memo activity
+        still reaches the parent's plan_cache gauges."""
+        clear_plan_cache()
+        with mock.patch("repro.engine.runner.os.cpu_count", return_value=4):
+            runner = BatchRunner(backend="process", max_workers=2)
+            try:
+                _, snapshot = _run_with_telemetry(runner, obs_orders)
+            finally:
+                runner.close()
+        # Only the workers planned; the parent's own memo is untouched.
+        assert plan_cache_info().misses == 0
+        gauges, counters = snapshot["gauges"], snapshot["counters"]
+        assert gauges["plan_cache.misses"] > 0
+        assert gauges["plan_cache.misses"] == counters["plan_cache.worker_misses"]
+        assert gauges["plan_cache.hits"] == counters["plan_cache.worker_hits"]
 
 
 # ---------------------------------------------------------------- CLI profile
