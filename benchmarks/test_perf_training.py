@@ -1,25 +1,18 @@
 """Perf harness for the RL training subsystem.
 
 Measures experience-collection throughput — episodes/sec and decisions/sec
-through the rollout collector — on the serial backend and on the parallel
-backend :meth:`BatchRunner.auto` selects for this host, and writes the
-numbers to ``BENCH_training.json`` at the repo root so the
-training-throughput trajectory is tracked from PR to PR (the companion of
+through the rollout collector — on the serial backend and on the lockstep
+backend (the one :meth:`BatchRunner.auto` picks), and writes the numbers
+to ``BENCH_training.json`` at the repo root so the training-throughput
+trajectory is tracked from PR to PR (the companion of
 ``BENCH_engine.json`` for the simulation engine).
 
-On a multi-core host the parallel backend is a process pool with a
-*persistent* worker pool (spawned once, reused across collection rounds)
-and ``process_speedup`` records the pool's gain over serial collection.  A
-single-core host cannot gain from a pool at all — the previous harness
-recorded that as an apparent 0.73x regression — so there the runner falls
-back to in-process execution and the report says so explicitly
-(``parallel_backend_effective``) instead of reporting a slowdown.
-
-The ``lockstep_collection`` section tracks the in-process alternative
-that *does* gain on any host: routing collection through the lockstep
-engine's batched RL driver (one stacked actor forward per decision round
-across the whole round's episodes, per-spec exploration seeds).  Its
-``speedup_vs_serial`` is a same-run ratio over byte-identical experience.
+Lockstep collection routes the episodes through the lockstep engine's
+batched RL driver (one stacked actor forward per decision round across the
+whole round's episodes, per-spec exploration seeds).  The
+``lockstep_collection`` section records its ``speedup_vs_serial``, a
+same-run ratio over byte-identical experience, floored at
+:data:`MIN_LOCKSTEP_COLLECTION_SPEEDUP`.
 
 Run via ``make bench-training`` or
 ``PYTHONPATH=src python -m pytest benchmarks/test_perf_training.py -v``.
@@ -86,99 +79,56 @@ def training_setup():
 @pytest.mark.benchmark(group="training")
 @pytest.mark.slow
 def test_collection_throughput_serial_vs_parallel(training_setup):
-    """Episodes/sec through the collector, per backend, -> BENCH_training.json."""
+    """Episodes/sec through the collector, serial vs lockstep,
+    -> BENCH_training.json."""
     curriculum, abr = training_setup
     specs = curriculum.training_specs(EPISODES, round_index=0)
-    cores = os.cpu_count() or 1
-
-    parallel = BatchRunner.auto()
-    if parallel.backend == "process":
-        # Persistent workers: training pays pool spawn once per run, not
-        # once per collection round.
-        parallel = BatchRunner(
-            backend="process", max_workers=cores, chunksize=1, persistent=True
-        )
-    backends = {"serial": BatchRunner(backend="serial"), "process": parallel}
 
     rates = {}
     decisions = {}
+    seconds = {}
     reference = None
-    try:
-        for name, runner in backends.items():
-            collector = RolloutCollector(runner=runner, shard_size=4)
-            # Warms the session precompute / plan caches and, for a
-            # persistent pool, the worker processes themselves.
-            collector.collect(abr, specs[:2])
-            best = float("inf")
-            rollouts = None
-            for _ in range(MEASUREMENT_ATTEMPTS):
-                t0 = time.perf_counter()
-                rollouts = collector.collect(abr, specs)
-                best = min(best, time.perf_counter() - t0)
-            steps = sum(rollout.num_steps for rollout in rollouts)
-            rates[name] = round(len(rollouts) / best, 2)
-            decisions[name] = round(steps / best, 1)
-            print(
-                f"\n{name} ({runner.backend}): {len(rollouts)} episodes in "
-                f"{best:.2f}s ({rates[name]:.1f} episodes/s, "
-                f"{decisions[name]:.0f} decisions/s)"
-            )
-            # Whatever the backend, the experience must be identical.
-            actions = [rollout.actions.tolist() for rollout in rollouts]
-            if reference is None:
-                reference = actions
-            else:
-                assert actions == reference
-    finally:
-        parallel.close()
+    for name in ("serial", "lockstep"):
+        collector = RolloutCollector(
+            runner=BatchRunner(backend=name), shard_size=4
+        )
+        collector.collect(abr, specs[:2])  # warms the precompute/plan caches
+        best = float("inf")
+        rollouts = None
+        for _ in range(MEASUREMENT_ATTEMPTS):
+            t0 = time.perf_counter()
+            rollouts = collector.collect(abr, specs)
+            best = min(best, time.perf_counter() - t0)
+        steps = sum(rollout.num_steps for rollout in rollouts)
+        seconds[name] = best
+        rates[name] = round(len(rollouts) / best, 2)
+        decisions[name] = round(steps / best, 1)
+        print(
+            f"\n{name}: {len(rollouts)} episodes in {best:.2f}s "
+            f"({rates[name]:.1f} episodes/s, {decisions[name]:.0f} "
+            "decisions/s)"
+        )
+        # Byte-identical experience is the precondition for the speedup to
+        # mean anything: same actions, same states, same rewards as serial.
+        actions = [rollout.actions.tolist() for rollout in rollouts]
+        if reference is None:
+            reference = actions
+        else:
+            assert actions == reference
 
-    speedup = round(rates["process"] / rates["serial"], 2)
-    effective = (
-        "process pool (persistent workers)"
-        if parallel.backend == "process"
-        else f"{parallel.backend} (single-core fallback: a pool cannot beat "
-        "in-process execution on 1 core)"
-    )
-    if parallel.backend != "process":
-        # The auto backend is now the lockstep batched RL driver, whose
-        # real gain is measured (and floored) in the dedicated
-        # ``lockstep_collection`` section; the legacy process_speedup
-        # field stays a pure-noise 1.0 on such hosts.
-        speedup = 1.0
-
-    # Lockstep collection: same specs, same snapshot discipline, one
-    # in-process batched driver — recorded as its own section with a
-    # same-run speedup over serial collection.
-    lockstep_runner = BatchRunner(backend="lockstep")
-    lockstep_collector = RolloutCollector(runner=lockstep_runner, shard_size=4)
-    lockstep_collector.collect(abr, specs[:2])  # warm caches
-    lockstep_best = float("inf")
-    lockstep_rollouts = None
-    for _ in range(MEASUREMENT_ATTEMPTS):
-        t0 = time.perf_counter()
-        lockstep_rollouts = lockstep_collector.collect(abr, specs)
-        lockstep_best = min(lockstep_best, time.perf_counter() - t0)
-    lockstep_steps = sum(r.num_steps for r in lockstep_rollouts)
-    # Byte-identical experience is the precondition for the speedup to
-    # mean anything: same actions, same states, same rewards as serial.
-    assert [r.actions.tolist() for r in lockstep_rollouts] == reference
     lockstep_section = {
         "episodes": EPISODES,
-        "episodes_per_sec": round(len(lockstep_rollouts) / lockstep_best, 2),
-        "decisions_per_sec": round(lockstep_steps / lockstep_best, 1),
-        "serial_seconds": round(EPISODES / rates["serial"], 4),
-        "lockstep_seconds": round(lockstep_best, 4),
-        "speedup_vs_serial": round(
-            (EPISODES / rates["serial"]) / lockstep_best, 2
-        ),
+        "episodes_per_sec": rates["lockstep"],
+        "decisions_per_sec": decisions["lockstep"],
+        "serial_seconds": round(seconds["serial"], 4),
+        "lockstep_seconds": round(seconds["lockstep"], 4),
+        "speedup_vs_serial": round(seconds["serial"] / seconds["lockstep"], 2),
         "experience_identical": True,
         "min_speedup": MIN_LOCKSTEP_COLLECTION_SPEEDUP,
     }
     print(
-        f"\nlockstep collection: {len(lockstep_rollouts)} episodes in "
-        f"{lockstep_best:.2f}s "
-        f"({lockstep_section['episodes_per_sec']:.1f} episodes/s, "
-        f"{lockstep_section['speedup_vs_serial']:.2f}x vs serial)"
+        f"\nlockstep collection: "
+        f"{lockstep_section['speedup_vs_serial']:.2f}x vs serial"
     )
 
     payload = {
@@ -186,8 +136,6 @@ def test_collection_throughput_serial_vs_parallel(training_setup):
         "episodes": EPISODES,
         "episodes_per_sec": rates,
         "decisions_per_sec": decisions,
-        "process_speedup": speedup,
-        "parallel_backend_effective": effective,
         "lockstep_collection": lockstep_section,
         "meta": environment_fingerprint(),
     }
@@ -202,10 +150,3 @@ def test_collection_throughput_serial_vs_parallel(training_setup):
             lockstep_section["speedup_vs_serial"]
             >= MIN_LOCKSTEP_COLLECTION_SPEEDUP
         )
-    if cores > 1:
-        # The regression this harness exists to catch: on multi-core hosts
-        # the pool must not be meaningfully slower than serial collection.
-        # The floor sits below the 1.0 goal (recorded above) so scheduler
-        # noise on a loaded host cannot turn a healthy pool into a red
-        # suite — the same floor-vs-target split the engine harness uses.
-        assert speedup >= 0.9

@@ -194,7 +194,11 @@ class TwoStepScheduler:
         quantify how much the two-step scheduler saves.
         """
         pristine = render_pristine(encoded)
-        renderings: List[RenderedVideo] = [pristine]
+        # Its own id: under the survey reference's id every rating of it
+        # would be discarded as a reference rating.
+        renderings: List[RenderedVideo] = [
+            pristine.with_render_id(f"{encoded.source.video_id}/full/pristine")
+        ]
         for chunk_index in range(encoded.num_chunks):
             for drop_level in range(num_bitrate_levels - 1):
                 renderings.append(

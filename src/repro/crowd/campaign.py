@@ -94,23 +94,18 @@ class CampaignResult:
         return self.num_rejected_participants / self.num_participants
 
 
-def _distinct_renderings(renderings: Sequence[RenderedVideo]) -> List[RenderedVideo]:
-    """One rendering per render id, in first-seen order.  An id may repeat
-    only for the same playback (a schedule's pristine rendering is also the
-    survey reference): two different renderings never share one score."""
-    def playback(r: RenderedVideo) -> tuple:
-        return (r.source.video_id, r.levels.tobytes(), r.stalls_s.tobytes(),
-                r.startup_delay_s)
-
-    by_id: Dict[str, RenderedVideo] = {}
+def _require_unique_ids(renderings: Sequence[RenderedVideo]) -> None:
+    """Scores and ratings are keyed by render id, and a rating under the
+    reference's id counts as a reference rating, so no id may name two
+    renderings."""
+    seen: set = set()
     for rendered in renderings:
-        seen = by_id.setdefault(rendered.render_id, rendered)
         require(
-            seen is rendered or playback(seen) == playback(rendered),
+            rendered.render_id not in seen,
             "render ids must be unique within a campaign: "
-            f"{rendered.render_id!r} names two different renderings",
+            f"{rendered.render_id!r} names two renderings",
         )
-    return list(by_id.values())
+        seen.add(rendered.render_id)
 
 
 class MTurkCampaign:
@@ -145,7 +140,8 @@ class MTurkCampaign:
         # The oracle is a pure function of the rendering: score every
         # rendering (and the reference) once, in one batched call, and let
         # the survey loop look scores up.
-        scored = _distinct_renderings([*renderings, reference])
+        scored = [*renderings, reference]
+        _require_unique_ids(scored)
         true_mos = self.oracle.true_mos_batch(scored).tolist()
         mos_by_id = dict(zip((r.render_id for r in scored), true_mos))
         plan = build_survey_plan(

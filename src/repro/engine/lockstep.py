@@ -589,7 +589,8 @@ class _RLDriver:
         next_sizes = np.zeros((n, cfg.num_levels))
         filled = shard.sizes_all.shape[2]
         next_sizes[:, :filled] = (
-            shard.sizes_all[rows, chunk] / _pensieve._CHUNK_SIZE_SCALE_BYTES
+            shard.sizes_all[shard.video_of[rows], chunk]
+            / _pensieve._CHUNK_SIZE_SCALE_BYTES
         )
         num_chunks = shard.num_chunks[rows]
         scalars = np.empty((n, 3))
@@ -936,8 +937,9 @@ def _execute_plan_requests(requests: List[_PlanRequest], source) -> None:
         # weighted or uniformly unweighted.
         use_weights = first.use_weights
         need_rebuffer = any(r.need_rebuffer for r in bucket)
-        sizes = source.sizes_all[members, chunk:chunk + horizon]
-        quality = source.quality_all[members, chunk:chunk + horizon]
+        videos = source.video_of[members]
+        sizes = source.sizes_all[videos, chunk:chunk + horizon]
+        quality = source.quality_all[videos, chunk:chunk + horizon]
         if use_weights:
             weights = source.weights_all[members, chunk:chunk + horizon]
         else:

@@ -165,8 +165,7 @@ class _OrderShard:
     fault: Optional[ShardFault] = None
     #: Whether the parent had telemetry enabled at dispatch time.  Shipped
     #: with the shard — never inherited ambiently — so a worker traces
-    #: exactly when its parent does, even in a pool spawned before the
-    #: parent enabled tracing.
+    #: exactly when its parent does, whatever the pool's start method.
     telemetry: bool = False
 
 
@@ -235,14 +234,8 @@ class BatchRunner:
         ``"serial"``, ``"lockstep"`` or ``"process"``.
     max_workers:
         Worker count for the process backend; defaults to the CPU count.
-    chunksize:
-        Items handed to a worker at a time by :meth:`map_ordered` (process
-        backend); larger chunks amortise pickling for many small items.
-    persistent:
-        Keep the process pool alive between calls (training rounds pay pool
-        spawn once instead of per round).  Call :meth:`close` — or use the
-        runner as a context manager — when done; a crashed pool is dropped
-        and rebuilt on the next call.
+        Each call spawns its own pool and tears it down before returning,
+        so a runner holds no processes between calls.
     max_shard_retries:
         How many times a lost shard (worker crash, pool breakage, timeout)
         is re-dispatched to the pool before the runner stops trusting
@@ -262,23 +255,18 @@ class BatchRunner:
         self,
         backend: str = "serial",
         max_workers: Optional[int] = None,
-        chunksize: int = 1,
-        persistent: bool = False,
         max_shard_retries: int = 2,
         shard_timeout_s: Optional[float] = None,
         retry_backoff_s: float = 0.05,
         retry_backoff_cap_s: float = 2.0,
     ) -> None:
         require(backend in BACKENDS, f"backend must be one of {BACKENDS}")
-        require(chunksize >= 1, "chunksize must be >= 1")
         require(max_shard_retries >= 0, "max_shard_retries must be >= 0")
         require(shard_timeout_s is None or shard_timeout_s > 0,
                 "shard_timeout_s must be positive (or None)")
         require(retry_backoff_s >= 0, "retry_backoff_s must be >= 0")
         self.backend = backend
         self.max_workers = max_workers
-        self.chunksize = int(chunksize)
-        self.persistent = bool(persistent)
         self.max_shard_retries = int(max_shard_retries)
         self.shard_timeout_s = shard_timeout_s
         self.retry_backoff_s = float(retry_backoff_s)
@@ -286,19 +274,17 @@ class BatchRunner:
         #: Cumulative recovery accounting for this runner's lifetime;
         #: per-run deltas via ``fault_log.snapshot()`` / ``.since()``.
         self.fault_log = FaultLog()
-        self._pool: Optional[ProcessPoolExecutor] = None
 
     @classmethod
-    def auto(cls, max_workers: Optional[int] = None, **knobs) -> "BatchRunner":
-        """Process-pool runner on multi-core hosts, lockstep otherwise.
+    def auto(cls, **knobs) -> "BatchRunner":
+        """The lockstep runner, on every host.
 
-        Extra ``knobs`` (``max_shard_retries``, ``shard_timeout_s``, …)
-        pass straight through to the constructor either way.
+        The process pool never beat in-process lockstep where it was
+        measured (two cores: the full grid tied, quick grids and training
+        ran up to 2x slower), so it stays an explicit choice.  Extra
+        ``knobs`` (``max_shard_retries``, ``shard_timeout_s``, …) pass
+        straight through to the constructor.
         """
-        cores = os.cpu_count() or 1
-        if cores > 1:
-            return cls(backend="process", max_workers=max_workers,
-                       chunksize=2, **knobs)
         return cls(backend="lockstep", **knobs)
 
     @staticmethod
@@ -373,12 +359,9 @@ class BatchRunner:
             )
             return [fn(item) for item in items]
         try:
-            if self.persistent:
-                pool = self._ensure_pool()
-                return list(pool.map(fn, items, chunksize=self.chunksize))
             max_workers = self._effective_workers(len(items))
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(fn, items, chunksize=self.chunksize))
+                return list(pool.map(fn, items))
         except (pickle.PicklingError, TypeError, AttributeError) as error:
             # The cheap pre-check above only samples the first item; a
             # heterogeneous batch can still fail to pickle mid-flight.
@@ -392,7 +375,6 @@ class BatchRunner:
             # crash.)  Items are checked one at a time, short-circuiting on
             # the first offender, so classification never duplicates the
             # whole batch in memory.
-            self.close()  # a poisoned persistent pool must not be reused
             if not isinstance(error, pickle.PicklingError):
                 if all(self._picklable(fn, item) for item in items):
                     raise
@@ -404,35 +386,6 @@ class BatchRunner:
                 stacklevel=2,
             )
             return [fn(item) for item in items]
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Shut down the persistent pool, if one is alive.
-
-        Idempotent — safe to call repeatedly and from ``finally`` blocks.
-        A shutdown that raises (a pool already broken by a dead worker can)
-        is logged and the pool dropped anyway, never silently swallowed.
-        """
-        if self._pool is None:
-            return
-        pool, self._pool = self._pool, None
-        try:
-            pool.shutdown()
-        except Exception as error:
-            warnings.warn(
-                f"BatchRunner.close: pool shutdown raised {error!r}; "
-                "the pool was dropped anyway",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def __enter__(self) -> "BatchRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------ internals
 
@@ -478,9 +431,7 @@ class BatchRunner:
         pending = list(range(len(shards)))
         attempts: Dict[int, int] = {index: 0 for index in pending}
         rebuilds = 0
-        pool = self._ensure_pool() if self.persistent else (
-            ProcessPoolExecutor(max_workers=workers)
-        )
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             while pending:
                 retriable = [
@@ -513,8 +464,7 @@ class BatchRunner:
                         rebuilds += 1
                 pending = lost
         finally:
-            if not self.persistent:
-                self._teardown_pool(pool, reason="dispatch finished")
+            self._teardown_pool(pool, reason="dispatch finished")
         return results
 
     def _dispatch_attempt(
@@ -674,9 +624,8 @@ class BatchRunner:
         workers: int,
     ) -> ProcessPoolExecutor:
         """Tear the dead/stuck pool down and stand up a fresh one of
-        ``workers`` processes (the size the dispatch chose; a persistent
-        pool keeps its own size), with capped exponential backoff
-        (``min(cap, base * 2**rebuilds)``)."""
+        ``workers`` processes (the size the dispatch chose), with capped
+        exponential backoff (``min(cap, base * 2**rebuilds)``)."""
         self._teardown_pool(pool, reason=reason)
         self.fault_log.pool_rebuilds += 1
         delay = min(
@@ -684,19 +633,15 @@ class BatchRunner:
         )
         if delay > 0:
             time.sleep(delay)
-        if self.persistent:
-            return self._ensure_pool()
         return ProcessPoolExecutor(max_workers=workers)
 
     def _teardown_pool(self, pool: ProcessPoolExecutor, reason: str) -> None:
         """Shut a pool down without waiting on (possibly stuck) workers.
 
         A teardown that raises is logged — never silently swallowed — and
-        the pool reference is dropped regardless, so the next attempt gets
-        a clean pool.
+        the pool is dropped regardless, so the next attempt gets a clean
+        pool.
         """
-        if pool is self._pool:
-            self._pool = None
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception as error:
@@ -710,13 +655,6 @@ class BatchRunner:
     def _effective_workers(self, num_items: int) -> int:
         workers = self.max_workers or os.cpu_count() or 1
         return min(workers, num_items)
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers or os.cpu_count() or 1
-            )
-        return self._pool
 
     @staticmethod
     def _picklable(fn: Callable, sample_item) -> bool:

@@ -410,8 +410,6 @@ def _cmd_run(args) -> int:
             if store is not None and get_experiment(name).cacheable:
                 print(f"  artifact: {store.path_for(result.spec)}")
     finally:
-        if runner is not None:
-            runner.close()
         if previous_telemetry is not None:
             set_enabled(previous_telemetry)
     return 0
@@ -548,7 +546,7 @@ def _cmd_train(args) -> int:
 
     knobs = _fault_knobs(args)
     if args.backend == "auto":
-        runner = BatchRunner.auto(max_workers=args.workers, **knobs)
+        runner = BatchRunner.auto(**knobs)
     else:
         runner = BatchRunner(backend=args.backend, max_workers=args.workers,
                              **knobs)
@@ -577,7 +575,6 @@ def _cmd_train(args) -> int:
             verbose=not args.json,
         )
     finally:
-        runner.close()
         if previous_telemetry is not None:
             set_enabled(previous_telemetry)
     if args.json:

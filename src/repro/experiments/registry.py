@@ -152,7 +152,7 @@ def _runner_for(spec: ExperimentSpec, **knobs) -> BatchRunner:
     (``shard_timeout_s``, ``max_shard_retries``) that stay out of the spec
     — execution policy must never perturb a spec hash."""
     if spec.backend == "auto":
-        return BatchRunner.auto(max_workers=spec.max_workers, **knobs)
+        return BatchRunner.auto(**knobs)
     return BatchRunner(
         backend=spec.backend, max_workers=spec.max_workers, **knobs
     )

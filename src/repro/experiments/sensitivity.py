@@ -28,6 +28,17 @@ STANDARD_INCIDENTS = {
 }
 
 
+def qoe_gap(qoe: Sequence[float]) -> float:
+    """(Qmax - Qmin) / Qmin over a series of QoE values (Figure 3's gap).
+
+    A non-positive minimum is floored at 1e-9, so a series that bottoms out
+    at zero yields a large finite gap rather than a division error.
+    """
+    values = np.asarray(qoe, dtype=float)
+    q_min = float(values.min())
+    return (float(values.max()) - q_min) / max(q_min, 1e-9)
+
+
 def _series_true_qoe(item) -> List[float]:
     """True QoE of every rendering in one (video, incident) series.
 
@@ -120,12 +131,9 @@ def fig03_qoe_gap_cdf(
     ]
     for series_qoe in context.runner.map_ordered(_series_true_qoe, items):
         qoe = np.array(series_qoe)
-        q_min, q_max = float(qoe.min()), float(qoe.max())
-        whole_video_gaps.append((q_max - q_min) / max(q_min, 1e-9))
+        whole_video_gaps.append(qoe_gap(qoe))
         for start in range(0, qoe.size - window_chunks + 1, window_chunks):
-            window = qoe[start : start + window_chunks]
-            w_min, w_max = float(window.min()), float(window.max())
-            windowed_gaps.append((w_max - w_min) / max(w_min, 1e-9))
+            windowed_gaps.append(qoe_gap(qoe[start : start + window_chunks]))
     whole_x, whole_cdf = cdf_points(whole_video_gaps)
     return {
         "num_series": len(whole_video_gaps),

@@ -32,8 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.experiments.common import ExperimentScale
 from repro.utils.validation import require
 
-#: Execution backends a spec may request; ``auto`` picks process pools on
-#: multi-core hosts and the lockstep core otherwise (see
+#: Execution backends a spec may request; ``auto`` is the lockstep core (see
 #: :meth:`repro.engine.runner.BatchRunner.auto`).  Results are identical on
 #: every backend (lockstep and process are bit-identical to serial), which
 #: is why ``spec_hash`` excludes the backend.

@@ -115,16 +115,28 @@ class ShardState:
         self.ladder_keys = [tuple(rates.tolist()) for rates in self.bitrates]
         self.max_chunks = int(self.num_chunks.max())
 
-        # (session, chunk, level) size matrix, zero-padded on both the chunk
-        # axis (shorter videos) and the level axis (narrower ladders); the
-        # per-step gather only ever reads (row, current chunk, own-ladder
-        # level), which is always in the filled region, and the padded
-        # values match nothing the scalar path could read.
+        # One (video, chunk, level) size table per distinct video, zero-padded
+        # on both the chunk axis (shorter videos) and the level axis
+        # (narrower ladders); ``video_of`` maps each row to its table.
+        # Readers gather ``sizes_all[video_of[rows], chunk, level]`` and only
+        # ever read (current chunk, own-ladder level), which is always in
+        # the filled region, so the padded values match nothing the scalar
+        # path could read.
+        videos: dict = {}
+        for precompute in self.precomputes:
+            videos.setdefault(id(precompute), (len(videos), precompute))
+        self.video_of = np.array(
+            [videos[id(precompute)][0] for precompute in self.precomputes],
+            dtype=int,
+        )
+        self.video_precomputes = [
+            precompute for _, precompute in videos.values()
+        ]
         max_levels = int(self.num_levels.max())
-        self.sizes_all = np.zeros((n, self.max_chunks, max_levels))
-        for index, precompute in enumerate(self.precomputes):
+        self.sizes_all = np.zeros((len(videos), self.max_chunks, max_levels))
+        for video, precompute in enumerate(self.video_precomputes):
             self.sizes_all[
-                index, : precompute.num_chunks, : precompute.num_levels
+                video, : precompute.num_chunks, : precompute.num_levels
             ] = precompute.sizes_bytes
         self._quality_all: Optional[np.ndarray] = None
         self._weights_all: Optional[np.ndarray] = None
@@ -170,14 +182,14 @@ class ShardState:
 
     @property
     def quality_all(self) -> np.ndarray:
-        """(session, chunk, level) quality matrix, padded like
+        """(video, chunk, level) quality matrix, indexed and padded like
         :attr:`sizes_all`; built on first use (only planner drivers read
         it) and shared by every driver of the shard."""
         if self._quality_all is None:
             self._quality_all = np.zeros_like(self.sizes_all)
-            for index, precompute in enumerate(self.precomputes):
+            for video, precompute in enumerate(self.video_precomputes):
                 self._quality_all[
-                    index, : precompute.num_chunks, : precompute.num_levels
+                    video, : precompute.num_chunks, : precompute.num_levels
                 ] = precompute.quality
         return self._quality_all
 
@@ -250,7 +262,7 @@ class ShardState:
                 scheduled
             ]
 
-        sizes = self.sizes_all[rows, chunk, levels]
+        sizes = self.sizes_all[self.video_of[rows], chunk, levels]
         starts = self.wall_time[rows]
         downloads = np.empty(rows.size)
         if len(self.trace_groups) == 1:

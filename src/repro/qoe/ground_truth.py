@@ -247,15 +247,3 @@ class GroundTruthOracle:
     def true_mos(self, rendered: RenderedVideo) -> float:
         """True MOS of one rendering (hot callers use :meth:`true_mos_batch`)."""
         return float(self.true_mos_batch([rendered])[0])
-
-    # ---------------------------------------------------------------- analysis
-
-    def qoe_gap_for_series(self, renderings) -> float:
-        """(Qmax - Qmin) / Qmin over a video series (Figure 3's statistic)."""
-        values = self.true_qoe_batch(list(renderings))
-        require(values.size >= 2, "a series needs at least two renderings")
-        q_min = float(np.min(values))
-        q_max = float(np.max(values))
-        if q_min <= 1e-9:
-            return float("inf")
-        return (q_max - q_min) / q_min

@@ -61,8 +61,9 @@ __all__ = ["decide_batch"]
 class _FlushInputs:
     """The planner-input source of one flush: its planner rows'
     observations stacked into :class:`~repro.player.shard.ShardState`'s
-    zero-padded ``(row, chunk, level)`` layout, at step 0 (an
-    observation starts at the chunk being decided)."""
+    zero-padded ``(video, chunk, level)`` layout, one table per row
+    (``video_of`` is the identity), at step 0 (an observation starts at
+    the chunk being decided)."""
 
     step_index = 0
     chunk_duration_shared = None
@@ -73,6 +74,7 @@ class _FlushInputs:
         width = max(
             observation.ladder.num_levels for observation in observations
         )
+        self.video_of = np.arange(count)
         self.sizes_all = np.zeros((count, depth, width))
         self.quality_all = np.zeros((count, depth, width))
         self.weights_all = np.zeros((count, depth))

@@ -122,7 +122,6 @@ class DecisionService:
         )
         self.shed_timeout_s = shed_timeout_s
         self._runner = runner
-        self._owns_runner = runner is None
         self._closed = False
         self._started_at = time.time()
 
@@ -201,19 +200,15 @@ class DecisionService:
         return response
 
     async def close(self) -> None:
-        """Drain in-flight flushes, then release owned resources.
+        """Drain in-flight flushes and stop accepting work.
 
         Idempotent.  Waiters still in the window are answered by the
-        drain flush; an owned :class:`BatchRunner` is closed through its
-        context-manager path so worker pools tear down cleanly.
+        drain flush.
         """
         if self._closed:
             return
         self._closed = True
         await self.batcher.drain()
-        if self._owns_runner and self._runner is not None:
-            runner, self._runner = self._runner, None
-            runner.__exit__(None, None, None)
 
     async def __aenter__(self) -> "DecisionService":
         return self

@@ -104,81 +104,68 @@ def train_policies(
     from repro.experiments.common import ExperimentContext, ExperimentScale
 
     scale = scale if scale is not None else ExperimentScale.tiny()
-    owns_runner = runner is None
     if runner is None:
         runner = BatchRunner.auto()
-    if owns_runner and runner.backend == "process":
-        # Training is many small collection rounds: a persistent pool pays
-        # worker spawn once per run instead of once per round.  Closed in
-        # the ``finally`` below.
-        runner = BatchRunner(
-            backend="process", max_workers=runner.max_workers,
-            chunksize=runner.chunksize, persistent=True,
-        )
     config = config if config is not None else DEFAULT_TRAINING
-    try:
-        context = ExperimentContext(
-            scale=scale, seed=seed, checkpoint_root=checkpoint_root,
-        )
-        store = CheckpointStore(checkpoint_root)
-        # Runner may be caller-owned and shared, so report this run's
-        # fault-log delta, not lifetime totals.
-        runner_faults_before = runner.fault_log.snapshot()
-        if verbose:
-            print(f"Videos: {', '.join(context.video_ids())}; "
-                  f"traces: {', '.join(t.name for t in context.traces())}; "
-                  f"backend: {runner.backend}")
+    context = ExperimentContext(
+        scale=scale, seed=seed, checkpoint_root=checkpoint_root,
+    )
+    store = CheckpointStore(checkpoint_root)
+    # Runner may be caller-owned and shared, so report this run's
+    # fault-log delta, not lifetime totals.
+    runner_faults_before = runner.fault_log.snapshot()
+    if verbose:
+        print(f"Videos: {', '.join(context.video_ids())}; "
+              f"traces: {', '.join(t.name for t in context.traces())}; "
+              f"backend: {runner.backend}")
 
-        # Base Pensieve trains on unweighted rewards; SENSEI-Pensieve trains on
-        # the same curriculum shape with sensitivity weights in state and reward.
-        plain_curriculum = ScenarioCurriculum(
-            context.videos(), context.traces(),
-            config=CurriculumConfig(
-                trace_duration_s=scale.trace_duration_s, seed=seed + 101,
-            ),
+    # Base Pensieve trains on unweighted rewards; SENSEI-Pensieve trains on
+    # the same curriculum shape with sensitivity weights in state and reward.
+    plain_curriculum = ScenarioCurriculum(
+        context.videos(), context.traces(),
+        config=CurriculumConfig(
+            trace_duration_s=scale.trace_duration_s, seed=seed + 101,
+        ),
+    )
+    sensei_curriculum = context.training_curriculum(
+        config=CurriculumConfig(
+            trace_duration_s=scale.trace_duration_s, seed=seed + 103,
         )
-        sensei_curriculum = context.training_curriculum(
-            config=CurriculumConfig(
-                trace_duration_s=scale.trace_duration_s, seed=seed + 103,
-            )
-        )
+    )
 
-        trajectories = {
-            "pensieve": _train_one(
-                "pensieve", PensieveABR(config=PensieveConfig(seed=seed + 111)),
-                plain_curriculum, store, runner, context.oracle, config, verbose,
-            ),
-            "sensei-pensieve": _train_one(
-                "sensei-pensieve", make_sensei_pensieve(seed=seed + 117),
-                sensei_curriculum, store, runner, context.oracle, config, verbose,
-            ),
-        }
+    trajectories = {
+        "pensieve": _train_one(
+            "pensieve", PensieveABR(config=PensieveConfig(seed=seed + 111)),
+            plain_curriculum, store, runner, context.oracle, config, verbose,
+        ),
+        "sensei-pensieve": _train_one(
+            "sensei-pensieve", make_sensei_pensieve(seed=seed + 117),
+            sensei_curriculum, store, runner, context.oracle, config, verbose,
+        ),
+    }
 
-        # Round-trip: load the best checkpoints back and run the full ABR grid.
-        context.load_trained_agents(
-            store, pensieve="pensieve-best", sensei_pensieve="sensei-pensieve-best"
-        )
-        scores = _evaluate_grid(context, include_pensieve=True, runner=runner)
-        grid = {
-            name: float(np.mean(list(cells.values())))
-            for name, cells in scores.items()
-        }
-        if verbose:
-            print("\nABR grid with checkpointed policies (mean true QoE):")
-            for name, mean_qoe in grid.items():
-                print(f"  {name:16s} {mean_qoe:.3f}")
-        return {
-            "scale": scale.name,
-            "seed": int(seed),
-            "backend": runner.backend,
-            "checkpoint_root": str(checkpoint_root),
-            "policies": trajectories,
-            "grid_mean_qoe": grid,
-            "fault_log": merge_counter_dicts(
-                runner.fault_log.since(runner_faults_before),
-                store.fault_log.counters(),
-            ),
-        }
-    finally:
-        if owns_runner:
-            runner.close()
+    # Round-trip: load the best checkpoints back and run the full ABR grid.
+    context.load_trained_agents(
+        store, pensieve="pensieve-best", sensei_pensieve="sensei-pensieve-best"
+    )
+    scores = _evaluate_grid(context, include_pensieve=True, runner=runner)
+    grid = {
+        name: float(np.mean(list(cells.values())))
+        for name, cells in scores.items()
+    }
+    if verbose:
+        print("\nABR grid with checkpointed policies (mean true QoE):")
+        for name, mean_qoe in grid.items():
+            print(f"  {name:16s} {mean_qoe:.3f}")
+    return {
+        "scale": scale.name,
+        "seed": int(seed),
+        "backend": runner.backend,
+        "checkpoint_root": str(checkpoint_root),
+        "policies": trajectories,
+        "grid_mean_qoe": grid,
+        "fault_log": merge_counter_dicts(
+            runner.fault_log.since(runner_faults_before),
+            store.fault_log.counters(),
+        ),
+    }

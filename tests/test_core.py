@@ -225,6 +225,22 @@ class TestProfiler:
         ).profile_video(small_encoded)
         assert pruned.total_cost_usd < exhaustive.total_cost_usd
 
+    def test_exhaustive_arm_rates_its_pristine_rendering(
+        self, oracle, small_encoded
+    ):
+        """The exhaustive schedule's pristine rendering is rated like every
+        other rendering, not taken for the survey reference (whose ratings
+        are discarded, leaving the 3.0 fallback MOS)."""
+        campaign = SenseiProfiler(
+            oracle=oracle, campaign_seed=23, use_two_step=False,
+        ).profile_video(small_encoded).step1_result
+        pristine_id = f"{small_encoded.source.video_id}/full/pristine"
+        assert any(
+            record.accepted and record.rating.render_id == pristine_id
+            for record in campaign.records
+        )
+        assert campaign.mos[pristine_id] > 4.0
+
     def test_build_qoe_model_contains_profiles(self, oracle, small_encoded):
         profiler = SenseiProfiler(
             oracle=oracle,

@@ -365,7 +365,7 @@ class TestBatchRunnerEquivalence:
         )
         batched = simulate_many(
             _grid_abrs(), videos, traces, weights_by_video=weights,
-            runner=BatchRunner(backend="process", max_workers=2, chunksize=2),
+            runner=BatchRunner(backend="process", max_workers=2),
         )
         assert len(reference) == len(batched)
         for (k1, v1, t1, r1), (k2, v2, t2, r2) in zip(reference, batched):

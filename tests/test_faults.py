@@ -422,21 +422,6 @@ class TestLockstepRecovery:
 
 
 class TestRunnerLifecycle:
-    def test_close_is_idempotent(self):
-        runner = BatchRunner(backend="serial")
-        runner.close()
-        runner.close()  # second close must be a no-op, not an error
-
-    def test_close_logs_teardown_failure_and_drops_pool(self):
-        runner = BatchRunner(backend="process", persistent=True)
-        broken = mock.Mock()
-        broken.shutdown.side_effect = OSError("worker already dead")
-        runner._pool = broken
-        with pytest.warns(RuntimeWarning, match="dropped anyway"):
-            runner.close()
-        assert runner._pool is None
-        runner.close()  # idempotent even after a failed teardown
-
     def test_invalid_recovery_knobs_are_rejected(self):
         with pytest.raises(ValueError, match="max_shard_retries"):
             BatchRunner(max_shard_retries=-1)
@@ -471,8 +456,8 @@ class TestProcessPoolChaos:
         assert runner.fault_log.wall_clock_lost_s > 0.0
 
     def test_rebuilt_pool_keeps_the_dispatch_size(self, chaos_orders, golden):
-        """A non-persistent pool is rebuilt at the size its dispatch chose
-        (one worker per order here), not one worker per core."""
+        """A pool is rebuilt at the size its dispatch chose (one worker per
+        order here), not one worker per core."""
         orders = chaos_orders[:4]
         plan = FaultPlan(faults=(FaultSpec(kind="kill_worker", shard=0),))
         with mock.patch("repro.engine.runner.os.cpu_count", return_value=8), \

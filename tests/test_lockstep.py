@@ -39,6 +39,8 @@ from repro.engine.lockstep import (
 from repro.engine.runner import BatchRunner, WorkOrder, orders_for_grid
 from repro.network.bank import TraceBank
 from repro.network.trace import ThroughputTrace
+from repro.player.session import StreamingSession
+from repro.player.shard import ShardState
 from repro.service.decisions import decide_batch
 from repro.service.sessions import SessionTable
 from repro.video.chunk import DEFAULT_LADDER
@@ -156,22 +158,77 @@ class TestLockstepEquivalence:
         _run_both([FuguABR()], videos[:1], traces[:1], weights)
 
     def test_mixed_ladder_widths_share_a_shard(self, ragged_grid):
-        """Videos on ladders of different widths step in one SoA shard
-        (the size/quality matrices are level-padded; candidate trees stay
-        grouped per ladder)."""
+        """Videos on ladders of different widths and with different chunk
+        counts step in one SoA shard: one level- and chunk-padded
+        size/quality table per video, gathered per row through
+        ``video_of``; candidate trees stay grouped per ladder."""
         from repro.video.chunk import EncodingLadder
 
-        videos, traces, _ = ragged_grid
+        videos, traces, weights = ragged_grid
         narrow = EncodingLadder(bitrates_kbps=(300.0, 1200.0, 2850.0))
         source = SourceVideo.synthesize(
             "lk-narrow", "gaming", duration_s=64.0, chunk_duration_s=4.0,
             seed=29,
         )
-        mixed = [videos[0], SyntheticEncoder(seed=31).encode(source, narrow)]
-        _run_both(
-            [BufferBasedABR(), FuguABR(), SenseiFuguABR()],
-            mixed, traces[:2],
+        mixed = [
+            videos[0], SyntheticEncoder(seed=31).encode(source, narrow),
+            videos[1],
+        ]
+        shards = []
+
+        def recording_shard(sessions):
+            shards.append(ShardState(sessions))
+            return shards[-1]
+
+        with mock.patch(
+            "repro.engine.lockstep.ShardState", side_effect=recording_shard
+        ):
+            _run_both(
+                [BufferBasedABR(), FuguABR(), SenseiFuguABR()],
+                mixed, traces[:2], weights,
+            )
+        (shard,) = shards
+        assert shard.num_sessions == 3 * len(mixed) * 2
+        assert shard.sizes_all.shape[0] == len(mixed)
+        assert shard.quality_all.shape[0] == len(mixed)
+        assert [
+            precompute.encoded for precompute in shard.video_precomputes
+        ] == mixed
+        assert all(
+            shard.encoded[row] is mixed[shard.video_of[row]]
+            for row in range(shard.num_sessions)
         )
+
+    def test_shard_holds_one_table_per_video(self, ragged_grid):
+        """A shard of many orders on V videos keeps V size/quality tables,
+        not one copy per order."""
+        videos, traces, weights = ragged_grid
+        keyed = orders_for_grid(
+            [FuguABR(), SenseiFuguABR()], videos, traces,
+            weights_by_video=weights,
+        )
+        sessions = [
+            StreamingSession(
+                encoded=order.encoded, trace=order.trace, abr=order.abr,
+                chunk_weights=order.chunk_weights,
+            )
+            for _, order in keyed
+        ]
+        shard = ShardState(sessions)
+        assert shard.num_sessions == 2 * len(videos) * len(traces)
+        assert shard.sizes_all.shape[0] == len(videos)
+        assert shard.quality_all.shape[0] == len(videos)
+        for row, session in enumerate(sessions):
+            chunks, levels = session.precompute.sizes_bytes.shape
+            table = shard.video_of[row]
+            assert np.array_equal(
+                shard.sizes_all[table, :chunks, :levels],
+                session.precompute.sizes_bytes,
+            )
+            assert np.array_equal(
+                shard.quality_all[table, :chunks, :levels],
+                session.precompute.quality,
+            )
 
     def test_planner_with_subclassed_predictor_takes_generic_path(
         self, ragged_grid
@@ -410,27 +467,11 @@ class TestProcessShardBackend:
         for left, right in zip(reference, results):
             assert_results_identical(left, right)
 
-    @pytest.mark.slow
-    def test_persistent_pool_reuse_and_close(self):
-        """A persistent runner reuses one pool across calls until closed."""
-        with BatchRunner(
-            backend="process", max_workers=2, persistent=True
-        ) as runner:
-            first = runner.map_ordered(_double, list(range(8)))
-            pool = runner._pool
-            assert pool is not None
-            second = runner.map_ordered(_double, list(range(8)))
-            assert runner._pool is pool
-            assert first == second == [2 * i for i in range(8)]
-        assert runner._pool is None
-
     def test_auto_prefers_lockstep_on_single_core(self):
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=1):
-            assert BatchRunner.auto().backend == "lockstep"
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=8):
-            assert BatchRunner.auto().backend == "process"
-
-
-def _double(value: int) -> int:
-    """Module-level so the process backend can pickle it."""
-    return 2 * value
+        """``auto()`` is lockstep whatever the core count: the pool never
+        beat it where measured, so ``process`` is an explicit choice."""
+        for cores in (1, 8):
+            with mock.patch(
+                "repro.engine.runner.os.cpu_count", return_value=cores
+            ):
+                assert BatchRunner.auto().backend == "lockstep"

@@ -439,11 +439,9 @@ class TestEngineTelemetry:
             BatchRunner(backend="serial"), obs_orders
         )
         with mock.patch("repro.engine.runner.os.cpu_count", return_value=4):
-            runner = BatchRunner(backend="process", max_workers=2)
-            try:
-                results, process = _run_with_telemetry(runner, obs_orders)
-            finally:
-                runner.close()
+            results, process = _run_with_telemetry(
+                BatchRunner(backend="process", max_workers=2), obs_orders
+            )
         assert len(results) == len(obs_orders)
         assert (
             process["counters"]["engine.orders_completed"]
@@ -561,11 +559,9 @@ class TestPlanCacheMetrics:
         still reaches the parent's plan_cache gauges."""
         clear_plan_cache()
         with mock.patch("repro.engine.runner.os.cpu_count", return_value=4):
-            runner = BatchRunner(backend="process", max_workers=2)
-            try:
-                _, snapshot = _run_with_telemetry(runner, obs_orders)
-            finally:
-                runner.close()
+            _, snapshot = _run_with_telemetry(
+                BatchRunner(backend="process", max_workers=2), obs_orders
+            )
         # Only the workers planned; the parent's own memo is untouched.
         assert plan_cache_info().misses == 0
         gauges, counters = snapshot["gauges"], snapshot["counters"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.sensitivity import qoe_gap
 from repro.qoe.base import CHUNK_FEATURE_NAMES, chunk_feature_matrix
 from repro.qoe.ground_truth import GroundTruthOracle, SensitivityParameters
 from repro.qoe.ksqi import KSQIModel
@@ -105,8 +106,11 @@ class TestGroundTruthOracle:
 
     def test_qoe_gap_for_series(self, oracle, small_encoded):
         series = make_video_series(small_encoded, QualityIncident.rebuffering(0, 1.0))
-        gap = oracle.qoe_gap_for_series(series)
+        gap = qoe_gap(oracle.true_qoe_batch(series))
         assert gap > 0.0
+        assert qoe_gap([0.5, 0.75]) == 0.5
+        # A zero minimum is floored, not divided by.
+        assert qoe_gap([0.0, 1.0]) == pytest.approx(1e9)
 
     def test_incident_type_agnostic_ranking(self, oracle, small_encoded):
         series_a = make_video_series(small_encoded, QualityIncident.rebuffering(0, 1.0))

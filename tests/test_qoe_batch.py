@@ -203,19 +203,10 @@ def test_campaign_rejects_two_renderings_under_one_id(small_encoded):
         campaign.run([series[0], clash])
     with pytest.raises(ValueError, match="render ids"):
         campaign.run(series[:2], reference=clash)
-
-
-def test_campaign_scores_a_repeated_rendering_once(small_encoded):
-    """The exhaustive schedule rates the pristine rendering, which is also
-    the survey reference: one playback, one id, one score."""
-    pristine = render_pristine(small_encoded)
-    series = make_video_series(small_encoded, QualityIncident.rebuffering(0, 2.0))
-    oracle = GroundTruthOracle()
-    campaign = MTurkCampaign(oracle=oracle)
-    with mock.patch.object(
-        oracle, "true_qoe_batch", wraps=oracle.true_qoe_batch
-    ) as batch:
-        campaign.run([render_pristine(small_encoded), *series], reference=pristine)
-    (scored,), _ = batch.call_args
-    assert [r.render_id for r in scored].count(pristine.render_id) == 1
-    assert len(scored) == len(series) + 1
+    # Even one playback may not appear under the reference's id: its
+    # ratings would be discarded as reference ratings.
+    with pytest.raises(ValueError, match="render ids"):
+        campaign.run(
+            [render_pristine(small_encoded), *series],
+            reference=render_pristine(small_encoded),
+        )
