@@ -7,12 +7,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Unit tests only, skipping process-pool-backed tests.
+## Unit tests only, skipping long-running (`slow`) tests.
 test-fast:
 	$(PYTHON) -m pytest tests/ -q -m "not slow"
 
 ## Fault-injection suite (docs/ROBUSTNESS.md): deterministic chaos —
-## SIGKILLed workers, shard timeouts, corrupted artifacts — must recover
+## crashed lockstep shards, corrupted artifacts — must recover
 ## bit-identically or fail loudly with a quarantine record.
 chaos:
 	$(PYTHON) -m pytest tests/test_faults.py -v

@@ -177,7 +177,7 @@ def test_grid_speedup_vs_serial_engine(context, bench_report):
         "currsize": int(gauges.get("plan_cache.currsize", 0)),
     }
     # Recovery accounting for the measured runners: all-zero on a healthy
-    # run; a bench number produced through retries/rebuilds is flagged so
+    # run; a bench number produced through shard recovery is flagged so
     # a regression hunt never chases wall-clock a crash recovery ate.
     bench_report.fault_log = BatchRunner.merge_fault_logs(
         runner, serial_runner
@@ -203,14 +203,11 @@ def test_grid_speedup_vs_serial_engine(context, bench_report):
     assert phases["dispatch_s"] > 0.0
     assert phases["planner_kernel_s"] > 0.0
     assert phases["stepping_s"] > 0.0
-    if runner.backend == "lockstep":
-        # Disjoint leaves cannot exceed their parent on a single-process
-        # backend.  (On the process backend worker spans accumulate in
-        # parallel wall clocks, so the sum may legitimately exceed it.)
-        assert (
-            phases["planner_kernel_s"] + phases["stepping_s"]
-            <= phases["dispatch_s"] * 1.001
-        )
+    # Disjoint leaves cannot exceed their parent.
+    assert (
+        phases["planner_kernel_s"] + phases["stepping_s"]
+        <= phases["dispatch_s"] * 1.001
+    )
 
     # Smoke-scale runs (REPRO_BENCH_SCALE=tiny in CI) record the numbers
     # without enforcing a speedup: sub-100ms timings on shared runners are

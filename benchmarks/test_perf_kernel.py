@@ -14,7 +14,9 @@ The measured shapes mirror what the lockstep coordinator actually sends to
 tree), an MPC-style batch (single conservative scenario) and a
 SENSEI-style weighted batch (sensitivity weights + rebuffer expectation).
 Each configuration runs interleaved best-of-rounds so host-load drift hits
-every side alike — the same methodology as the engine harness.
+every side alike — the same methodology as the engine harness — and the
+two kernels take turns running first, so neither always inherits the
+other's cache and allocator state.
 
 Also records arena build-time amortisation (how many kernel calls one
 arena build pays for itself in) and the cache-blocked tile sizes
@@ -126,8 +128,8 @@ def _candidates_per_call(kwargs: Dict[str, object]) -> int:
 def test_kernel_candidates_per_sec(context):
     """Oracle (legacy) vs arena f64, interleaved best-of-rounds."""
     tiny = context.scale.name == "tiny"
-    rounds = 3 if tiny else 5
-    iters = 20 if tiny else 120
+    rounds = 4 if tiny else 40
+    iters = 20 if tiny else 25
     shapes = _shapes(tiny)
     configs = (
         ("legacy", evaluate_batch_legacy),
@@ -141,9 +143,10 @@ def test_kernel_candidates_per_sec(context):
     for name, kwargs in shapes.items():
         for _, kernel in configs:
             kernel(**kwargs)  # warm
-    for _ in range(rounds):
+    for round_index in range(rounds):
+        order = configs if round_index % 2 == 0 else configs[::-1]
         for name, kwargs in shapes.items():
-            for config, kernel in configs:
+            for config, kernel in order:
                 t0 = time.perf_counter()
                 for _ in range(iters):
                     kernel(**kwargs)

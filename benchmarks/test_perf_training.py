@@ -89,9 +89,7 @@ def test_collection_throughput_serial_vs_parallel(training_setup):
     seconds = {}
     reference = None
     for name in ("serial", "lockstep"):
-        collector = RolloutCollector(
-            runner=BatchRunner(backend=name), shard_size=4
-        )
+        collector = RolloutCollector(runner=BatchRunner(backend=name))
         collector.collect(abr, specs[:2])  # warms the precompute/plan caches
         best = float("inf")
         rollouts = None

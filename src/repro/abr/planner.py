@@ -164,16 +164,11 @@ def _publish_plan_cache(registry) -> None:
     ``python -m repro profile``, JSONL/Prometheus sinks — reads the same
     ``plan_cache.*`` gauges instead of each consumer poking at
     ``lru_cache`` introspection on its own.  Gauges, not counters:
-    ``cache_info()`` is already cumulative for the process.  Each gauge
-    adds the ``plan_cache.worker_*`` counters pool workers ship with their
-    snapshots, so planning on the process backend counts too.
+    ``cache_info()`` is already cumulative for the process.
     """
     info = _cached_level_sequences.cache_info()
     for name in PLAN_CACHE_STATS:
-        registry.gauge(f"plan_cache.{name}").set(
-            getattr(info, name)
-            + registry.counter_value(f"plan_cache.worker_{name}")
-        )
+        registry.gauge(f"plan_cache.{name}").set(getattr(info, name))
 
 
 register_collector(_publish_plan_cache)
@@ -498,7 +493,7 @@ def _workspace_layout(step_nodes: Sequence[int], num_sessions: int,
 
 #: The kernel's one float64 scratch buffer, shared by every arena and batch
 #: shape and grown (never shrunk) to the largest call.  Safe to share: the
-#: engine is process-parallel and the service single-loop asyncio, so kernel
+#: engine runs in one thread and the service on one asyncio loop, so kernel
 #: calls never overlap, and the kernel returns only fresh arrays.
 _SCRATCH = np.empty(0)
 

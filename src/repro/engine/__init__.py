@@ -14,17 +14,15 @@ sweeps fast without changing their results:
   one ``(session x stall x scenario x candidate)`` tensor evaluation while
   staying bit-identical to serial execution;
 * :mod:`repro.engine.runner` — :class:`BatchRunner`, which runs a list of
-  :class:`WorkOrder`s through a deterministic serial loop, the lockstep
-  core, or chunked shards over a ``ProcessPoolExecutor`` (each worker
-  running its shard in lockstep), always preserving result ordering;
+  :class:`WorkOrder`s through a deterministic serial loop or the lockstep
+  core, always preserving result ordering;
 * :mod:`repro.engine.report` — the ``BENCH_engine.json`` reporter that
   tracks sessions/sec, decisions/sec and grid wall-clock across PRs.
 
-The process backend is crash-recovering: lost shards (worker death,
-timeout) are retried on a rebuilt pool with capped backoff and fall back
-to in-process execution when retries are exhausted, with every recovery
-counted in the runner's :class:`~repro.faults.log.FaultLog`
-(re-exported here as :class:`FaultLog`).  See ``docs/ROBUSTNESS.md``.
+A lockstep shard that raises is re-run through the serial reference path,
+with every recovery counted in the runner's
+:class:`~repro.faults.log.FaultLog` (re-exported here as
+:class:`FaultLog`).  See ``docs/ROBUSTNESS.md``.
 
 See ``docs/PERFORMANCE.md`` for the architecture and how to run the perf
 benchmarks.

@@ -72,11 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.injector import (
-    SimulatedWorkerCrash,
-    active_injector,
-    execute_shard_fault,
-)
+from repro.faults.injector import SimulatedWorkerCrash, active_injector
 from repro.faults.log import FaultLog, ShardRecoveryWarning
 from repro.obs.trace import TRACE, trace_span
 
@@ -162,9 +158,8 @@ def run_orders_lockstep(
     :class:`~repro.faults.log.ShardRecoveryWarning` (promoted to an error
     in the test suite outside the chaos tests, so recovery can never mask
     an engine regression there).  An active
-    :class:`~repro.faults.injector.FaultInjector` may inject shard faults
-    here (``kill_worker`` degrades to a raised
-    :class:`~repro.faults.injector.SimulatedWorkerCrash` in-process);
+    :class:`~repro.faults.injector.FaultInjector` may strike a shard here
+    with a :class:`~repro.faults.injector.SimulatedWorkerCrash`;
     recoveries are counted in ``fault_log`` when the caller passes one.
     """
     orders = list(orders)
@@ -178,13 +173,9 @@ def run_orders_lockstep(
     for shard_index, indices in enumerate(shards.values()):
         shard_orders = [orders[index] for index in indices]
         injector = active_injector()
-        fault = (
-            injector.take_shard_fault(shard_index)
-            if injector is not None else None
-        )
         try:
-            if fault is not None:
-                execute_shard_fault(fault, in_worker=False)
+            if injector is not None:
+                injector.strike_shard(shard_index)
             with trace_span("engine.lockstep.shard"):
                 shard_results = _run_shard(shard_orders)
         except Exception as error:

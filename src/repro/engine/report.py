@@ -89,10 +89,10 @@ class BenchReport:
         handful of misses builds every tree a whole sweep plans over.
     fault_log:
         Recovery accounting from the measured runners
-        (:meth:`repro.faults.log.FaultLog.as_dict`): retries, pool
-        rebuilds, serial fallbacks, timeouts, quarantines and the
-        wall-clock they cost.  All-zero on a healthy run — a bench
-        number produced through recovery paths is flagged, not hidden.
+        (:meth:`repro.faults.log.FaultLog.as_dict`): serial fallbacks,
+        injected crashes and quarantines.  All-zero on a healthy run — a
+        bench number produced through recovery paths is flagged, not
+        hidden.
     phases:
         Span-tracer phase breakdown of a telemetry-enabled grid run
         (:func:`phases_from_snapshot`): planner-kernel vs player-stepping
@@ -130,10 +130,10 @@ def phases_from_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
     evaluation) and :data:`STEP_SPAN` (SoA player stepping) — plus an
     arithmetic ``other_s`` remainder (driver decide loops, request
     merging, result assembly).  Shares are fractions of the dispatch
-    total and only emitted when a dispatch span was recorded.  On the
-    process backend the worker leaves accumulate in parallel wall
-    clocks, so their sum may exceed the parent's dispatch time; the
-    remainder is clamped at zero rather than reported negative.
+    total and only emitted when a dispatch span was recorded.  Leaves
+    recorded outside any dispatch (the decision service's kernel calls,
+    say) can push their sum past the dispatch total; the remainder is
+    clamped at zero rather than reported negative.
 
     Returns ``{}`` when the snapshot has no spans (telemetry off).
     """

@@ -13,6 +13,7 @@ from repro.experiments.common import ExperimentContext
 from repro.experiments.registry import experiment
 from repro.qoe.ksqi import KSQIModel
 from repro.utils.stats import cdf_points
+from repro.utils.validation import require
 
 
 # --------------------------------------------------------------------------
@@ -279,8 +280,8 @@ def fig12b_bandwidth_usage(
 ) -> Dict[str, object]:
     """Figure 12b: mean QoE as the available bandwidth is scaled down.
 
-    The bandwidth saving at equal QoE is read off the two curves: the ratio
-    at which SENSEI reaches the QoE the baseline only reaches at full scale.
+    The bandwidth saving at equal QoE is read off the two curves by
+    :func:`bandwidth_saving_at_equal_qoe`.
     """
     base_trace = context.traces()[min(trace_index, len(context.traces()) - 1)]
     curves: Dict[str, List[float]] = {"SENSEI": [], "Fugu": [], "BBA": []}
@@ -300,17 +301,48 @@ def fig12b_bandwidth_usage(
                 )
             curves[name].append(float(np.mean(qoe_values)))
 
-    target_qoe = curves["Fugu"][-1]
-    savings = 0.0
-    for ratio, qoe in zip(scaling_ratios, curves["SENSEI"]):
-        if qoe >= target_qoe:
-            savings = 1.0 - ratio
-            break
     return {
         "scaling_ratios": list(scaling_ratios),
         "curves": curves,
-        "bandwidth_saving_at_equal_qoe": savings,
+        "bandwidth_saving_at_equal_qoe": bandwidth_saving_at_equal_qoe(
+            scaling_ratios, curves["SENSEI"], curves["Fugu"]
+        ),
     }
+
+
+def bandwidth_saving_at_equal_qoe(
+    ratios: Sequence[float],
+    sensei_qoe: Sequence[float],
+    base_qoe: Sequence[float],
+) -> float:
+    """How much less bandwidth SENSEI needs to match the base ABR.
+
+    ``ratios`` are ascending bandwidth scales; the target is the base
+    ABR's QoE at the last (full) one.  The answer is ``1 - r`` for the
+    first ratio ``r`` at which SENSEI's curve reaches the target,
+    interpolating linearly between grid points; 0.0 when the curve never
+    reaches it.  Nothing is extrapolated below the smallest ratio.
+    """
+    ratios = [float(r) for r in ratios]
+    require(
+        len(ratios) == len(sensei_qoe) == len(base_qoe) and len(ratios) > 0,
+        "need one QoE value per ratio on both curves",
+    )
+    require(
+        all(a < b for a, b in zip(ratios, ratios[1:])),
+        f"ratios must be strictly ascending, got {ratios}",
+    )
+    target = float(base_qoe[-1])
+    for index, qoe in enumerate(sensei_qoe):
+        if qoe < target:
+            continue
+        if index == 0:
+            return 1.0 - ratios[0]
+        low, high = ratios[index - 1], ratios[index]
+        below = float(sensei_qoe[index - 1])
+        crossing = low + (high - low) * (target - below) / (float(qoe) - below)
+        return 1.0 - crossing
+    return 0.0
 
 
 # --------------------------------------------------------------------------

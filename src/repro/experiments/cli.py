@@ -30,12 +30,10 @@ Subcommands
     :class:`~repro.training.checkpoint.CheckpointStore` moved aside after
     a failed verification, with the recorded reason.
 
-``run`` and ``train`` accept fault-tolerance knobs (``--shard-timeout``,
-``--max-shard-retries``) and a ``--telemetry`` switch.  These are
-execution policy, not experiment identity — they configure the
-:class:`~repro.engine.runner.BatchRunner` / the tracer *alongside* the
-spec, so they never perturb spec hashes or cached artifacts (the same
-discipline as ``--backend``/``--workers``).
+``run`` and ``train`` accept a ``--telemetry`` switch.  It is execution
+policy, not experiment identity — it turns the tracer on *alongside* the
+spec, so it never perturbs spec hashes or cached artifacts (the same
+discipline as ``--backend``).
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.registry import get_experiment, registry, run
 from repro.experiments.results import ArtifactStore
-from repro.experiments.spec import ExperimentSpec, scale_names
+from repro.experiments.spec import SPEC_BACKENDS, ExperimentSpec, scale_names
 from repro.faults.integrity import QUARANTINE_DIR, quarantine_records
 
 #: Default artifact-store location, relative to the working directory.
@@ -98,10 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--seed", type=int, default=7,
                          help="the single seed every artefact derives from")
     run_cmd.add_argument("--backend", default="serial",
-                         choices=("serial", "process", "lockstep", "auto"),
+                         choices=SPEC_BACKENDS,
                          help="batch-engine backend (results are identical)")
-    run_cmd.add_argument("--workers", type=int, default=None,
-                         help="worker count for the process backend")
     run_cmd.add_argument("--results", default=DEFAULT_RESULTS_ROOT,
                          help="artifact-store root (content-addressed)")
     run_cmd.add_argument("--no-save", action="store_true",
@@ -122,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="experiment parameter override (JSON values)")
     run_cmd.add_argument("--json", action="store_true",
                          help="print each result's full data as JSON")
-    _add_fault_knobs(run_cmd)
+    _add_telemetry_switch(run_cmd)
 
     report_cmd = sub.add_parser("report", help="inspect stored artifacts")
     report_cmd.add_argument("target", nargs="?", default=None,
@@ -141,14 +137,13 @@ def _build_parser() -> argparse.ArgumentParser:
     train_cmd.add_argument("--checkpoints", default="checkpoints",
                            metavar="DIR", help="CheckpointStore root")
     train_cmd.add_argument("--backend", default="auto",
-                           choices=("serial", "process", "lockstep", "auto"))
-    train_cmd.add_argument("--workers", type=int, default=None)
+                           choices=SPEC_BACKENDS)
     train_cmd.add_argument("--rounds", type=int, default=None,
                            help="training rounds (default: pipeline preset)")
     train_cmd.add_argument("--episodes-per-round", type=int, default=None)
     train_cmd.add_argument("--json", action="store_true",
                            help="print the training summary as JSON")
-    _add_fault_knobs(train_cmd)
+    _add_telemetry_switch(train_cmd)
 
     profile_cmd = sub.add_parser(
         "profile",
@@ -161,8 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help=f"scale preset ({', '.join(scale_names())})")
     profile_cmd.add_argument("--seed", type=int, default=7)
     profile_cmd.add_argument("--backend", default="auto",
-                             choices=("serial", "process", "lockstep", "auto"))
-    profile_cmd.add_argument("--workers", type=int, default=None)
+                             choices=SPEC_BACKENDS)
     profile_cmd.add_argument("--checkpoints", default=None, metavar="DIR",
                              help="CheckpointStore root for trained policies")
     profile_cmd.add_argument("--set", dest="overrides", action="append",
@@ -236,19 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_fault_knobs(command: argparse.ArgumentParser) -> None:
-    """Fault-tolerance runner knobs shared by ``run`` and ``train``.
-
-    Execution policy only: they shape the runner, never the spec hash.
-    """
-    command.add_argument("--shard-timeout", type=float, default=None,
-                         metavar="S",
-                         help="abandon + retry a process-backend shard "
-                              "attempt after S seconds")
-    command.add_argument("--max-shard-retries", type=int, default=None,
-                         metavar="N",
-                         help="re-dispatch a lost shard up to N times "
-                              "before running it serially in-process")
+def _add_telemetry_switch(command: argparse.ArgumentParser) -> None:
+    """The ``--telemetry`` switch shared by ``run`` and ``train``."""
     command.add_argument("--telemetry", action="store_true",
                          help="enable span tracing + metrics for this "
                               "invocation (adds a phase summary per run)")
@@ -282,15 +265,6 @@ def _make_service(args):
         capacity=args.capacity,
         shed_timeout_s=None if args.no_shed else args.shed_timeout_ms / 1e3,
     )
-
-
-def _fault_knobs(args) -> Dict[str, object]:
-    knobs: Dict[str, object] = {}
-    if args.shard_timeout is not None:
-        knobs["shard_timeout_s"] = args.shard_timeout
-    if args.max_shard_retries is not None:
-        knobs["max_shard_retries"] = args.max_shard_retries
-    return knobs
 
 
 # ----------------------------------------------------------------- commands
@@ -363,16 +337,11 @@ def _print_phase_summary(phases, indent: str = "  ") -> None:
 
 
 def _cmd_run(args) -> int:
-    from repro.experiments.registry import _runner_for
     from repro.obs.trace import set_enabled
 
     store = None if args.no_save else ArtifactStore(args.results)
     for name in args.experiments:
         get_experiment(name)  # fail fast on typos before running anything
-    # Fault knobs configure the runner, not the spec: spec hashes (and
-    # therefore cache hits) are identical with and without them.
-    knobs = _fault_knobs(args)
-    runner = None
     previous_telemetry = set_enabled(True) if args.telemetry else None
     try:
         for name in args.experiments:
@@ -381,14 +350,11 @@ def _cmd_run(args) -> int:
                 scale=args.scale,
                 seed=args.seed,
                 backend=args.backend,
-                max_workers=args.workers,
                 include_pensieve=args.include_pensieve,
                 checkpoint_root=args.checkpoints,
                 params=dict(args.overrides),
             )
-            if knobs and runner is None:
-                runner = _runner_for(spec, **knobs)
-            result = run(spec, store=store, force=args.force, runner=runner)
+            result = run(spec, store=store, force=args.force)
             status = "cached" if result.cache_hit else "computed"
             wall = result.meta.get("wall_time_s")
             wall_text = (
@@ -478,7 +444,6 @@ def _cmd_profile(args) -> int:
         scale=args.scale,
         seed=args.seed,
         backend=args.backend,
-        max_workers=args.workers,
         checkpoint_root=args.checkpoints,
         params=dict(args.overrides),
     )
@@ -544,12 +509,10 @@ def _cmd_train(args) -> int:
     from repro.experiments.spec import resolve_scale
     from repro.training.pipeline import DEFAULT_TRAINING, train_policies
 
-    knobs = _fault_knobs(args)
     if args.backend == "auto":
-        runner = BatchRunner.auto(**knobs)
+        runner = BatchRunner.auto()
     else:
-        runner = BatchRunner(backend=args.backend, max_workers=args.workers,
-                             **knobs)
+        runner = BatchRunner(backend=args.backend)
     config = DEFAULT_TRAINING
     if args.rounds is not None or args.episodes_per_round is not None:
         from dataclasses import replace

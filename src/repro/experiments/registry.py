@@ -147,15 +147,11 @@ def registry() -> List[ExperimentDef]:
 
 # ------------------------------------------------------------------ execution
 
-def _runner_for(spec: ExperimentSpec, **knobs) -> BatchRunner:
-    """The runner a spec implies; ``knobs`` are fault-tolerance overrides
-    (``shard_timeout_s``, ``max_shard_retries``) that stay out of the spec
-    — execution policy must never perturb a spec hash."""
+def _runner_for(spec: ExperimentSpec) -> BatchRunner:
+    """The runner a spec's backend names."""
     if spec.backend == "auto":
-        return BatchRunner.auto(**knobs)
-    return BatchRunner(
-        backend=spec.backend, max_workers=spec.max_workers, **knobs
-    )
+        return BatchRunner.auto()
+    return BatchRunner(backend=spec.backend)
 
 
 def context_for(spec: ExperimentSpec, runner: Optional[BatchRunner] = None) -> ExperimentContext:

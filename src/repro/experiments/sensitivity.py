@@ -42,8 +42,8 @@ def qoe_gap(qoe: Sequence[float]) -> float:
 def _series_true_qoe(item) -> List[float]:
     """True QoE of every rendering in one (video, incident) series.
 
-    Module-level so the batch engine's process backend can pickle it; each
-    item is an ``(oracle, encoded, incident)`` tuple.
+    The batch engine's ``map_ordered`` item function; each item is an
+    ``(oracle, encoded, incident)`` tuple.
     """
     oracle, encoded, incident = item
     return oracle.true_qoe_batch(make_video_series(encoded, incident)).tolist()

@@ -22,6 +22,7 @@ from repro.core.scheduler import SchedulerConfig, TwoStepScheduler
 from repro.core.weights import infer_weights
 from repro.crowd.campaign import CampaignConfig, MTurkCampaign
 from repro.engine.runner import WorkOrder
+from repro.experiments.abr_eval import bandwidth_saving_at_equal_qoe
 from repro.experiments.common import ExperimentContext
 from repro.experiments.registry import experiment
 from repro.player.manifest import SenseiManifest, manifest_to_xml
@@ -136,7 +137,7 @@ def bandwidth_savings(
     print(f"Base trace '{base_trace.name}', mean {base_trace.mean_mbps:.2f} Mbps")
     print(f"\n{'bandwidth scale':>15s} " + " ".join(f"{n:>12s}" for n in algorithms))
     # One work order per (ratio, algorithm, video), dispatched in a single
-    # batch so a process backend pays pool startup once for the whole sweep.
+    # batch so the lockstep core plans the whole sweep together.
     labels, orders = [], []
     for ratio in scaling_ratios:
         trace = base_trace.scaled(ratio)
@@ -162,11 +163,9 @@ def bandwidth_savings(
         print(row)
 
     target = curves["Fugu"][-1]
-    saving = 0.0
-    for ratio, value in zip(scaling_ratios, curves["SENSEI-Fugu"]):
-        if value >= target:
-            saving = 1.0 - ratio
-            break
+    saving = bandwidth_saving_at_equal_qoe(
+        scaling_ratios, curves["SENSEI-Fugu"], curves["Fugu"]
+    )
     print(f"\nFugu's QoE at full bandwidth: {target:.3f}")
     print(f"SENSEI reaches that QoE with ~{saving:.0%} less bandwidth")
     return {

@@ -11,10 +11,9 @@ Two hashes matter:
 * :meth:`ExperimentSpec.spec_hash` — the content address of the run's
   *results*.  It covers everything that can change the output data
   (experiment, scale, seed, pensieve inclusion, checkpoint root, params)
-  and deliberately excludes pure execution knobs (``backend``,
-  ``max_workers``): the batch engine guarantees serial ≡ process, so the
-  same spec run on either backend must hit the same cached
-  :class:`~repro.experiments.results.ResultSet`.
+  and deliberately excludes the execution ``backend``: the batch engine
+  guarantees serial ≡ lockstep, so the same spec run on either backend
+  must hit the same cached :class:`~repro.experiments.results.ResultSet`.
 * :meth:`ExperimentSpec.context_hash` — the address of reusable grid
   *cells*.  Individual (algorithm, video, trace) QoE cells depend only on
   how the :class:`~repro.experiments.common.ExperimentContext` was built
@@ -34,9 +33,9 @@ from repro.utils.validation import require
 
 #: Execution backends a spec may request; ``auto`` is the lockstep core (see
 #: :meth:`repro.engine.runner.BatchRunner.auto`).  Results are identical on
-#: every backend (lockstep and process are bit-identical to serial), which
-#: is why ``spec_hash`` excludes the backend.
-SPEC_BACKENDS = ("serial", "process", "lockstep", "auto")
+#: every backend (lockstep is bit-identical to serial), which is why
+#: ``spec_hash`` excludes the backend.
+SPEC_BACKENDS = ("serial", "lockstep", "auto")
 
 # --------------------------------------------------------------- scale presets
 
@@ -133,10 +132,9 @@ class ExperimentSpec:
         The *single* seed every artefact of the run derives from — the
         context, trace bank, profiling campaigns and trained agents all key
         off it, so identical specs are bit-identical end to end.
-    backend / max_workers:
-        Execution knobs for the :class:`~repro.engine.runner.BatchRunner`;
-        excluded from :meth:`spec_hash` because results do not depend on
-        them.
+    backend:
+        The :class:`~repro.engine.runner.BatchRunner` backend; excluded
+        from :meth:`spec_hash` because results do not depend on it.
     include_pensieve:
         Override the experiment's default for including RL policies
         (``None`` keeps the experiment's default).
@@ -159,7 +157,6 @@ class ExperimentSpec:
     scale: str = "quick"
     seed: int = 7
     backend: str = "serial"
-    max_workers: Optional[int] = None
     include_pensieve: Optional[bool] = None
     checkpoint_root: Optional[str] = None
     checkpoint_fingerprint: Optional[str] = None
@@ -205,7 +202,6 @@ class ExperimentSpec:
             "scale": self.scale,
             "seed": self.seed,
             "backend": self.backend,
-            "max_workers": self.max_workers,
             "include_pensieve": self.include_pensieve,
             "checkpoint_root": self.checkpoint_root,
             "checkpoint_fingerprint": self.checkpoint_fingerprint,
@@ -214,7 +210,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Specs stored before the process-pool backend was retired carry a
+        ``max_workers`` field and may name ``"process"``; they load as
+        lockstep specs under the same :meth:`spec_hash`, because neither
+        field ever changed results.
+        """
+        payload = dict(payload)
+        payload.pop("max_workers", None)
+        if payload.get("backend") == "process":
+            payload["backend"] = "lockstep"
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         require(not unknown, f"unknown spec fields: {sorted(unknown)}")
@@ -224,10 +230,9 @@ class ExperimentSpec:
 
     def _hash_payload(self) -> Dict[str, object]:
         payload = self.to_dict()
-        # Execution knobs never change results (serial ≡ process), so they
+        # The backend never changes results (serial ≡ lockstep), so it
         # must not change the content address either.
         payload.pop("backend")
-        payload.pop("max_workers")
         return payload
 
     def spec_hash(self) -> str:

@@ -3,17 +3,16 @@
 The fault-tolerant execution layer has three tiers, and this package is
 its shared foundation (see ``docs/ROBUSTNESS.md`` for the full model):
 
-1. **Crash-recovering runners** — :class:`~repro.engine.runner.BatchRunner`
-   detects worker deaths and shard timeouts, rebuilds its pool, retries
-   lost shards with capped exponential backoff, and falls back to
-   in-process serial execution for shards that keep failing; every
-   recovery is counted in a :class:`FaultLog`.
+1. **Shard recovery** — a lockstep shard that raises
+   (:func:`repro.engine.lockstep.run_orders_lockstep`) is re-run through
+   the serial reference path, bit-identically; every recovery is counted
+   in a :class:`FaultLog`.
 2. **Artifact & checkpoint integrity** — every persistent write is atomic
    and checksummed (:mod:`repro.faults.integrity`); corrupt files are
    quarantined with a reason record instead of silently swallowed.
 3. **Deterministic fault injection** — a seeded :class:`FaultPlan`
    (:meth:`FaultPlan.random`) activated via :func:`inject` drives faults
-   through hooks in the runner and the stores, so chaos scenarios are
+   through hooks in the lockstep core and the stores, so chaos scenarios are
    reproducible fixtures: CI proves each one recovers to bit-identical
    results or fails loudly with a quarantine record, never silently wrong.
 
@@ -26,10 +25,8 @@ from __future__ import annotations
 
 from repro.faults.injector import (
     FaultInjector,
-    ShardFault,
     SimulatedWorkerCrash,
     active_injector,
-    execute_shard_fault,
     inject,
 )
 from repro.faults.integrity import (
@@ -73,14 +70,12 @@ __all__ = [
     "QUARANTINE_DIR",
     "SHARD_FAULT_KINDS",
     "STORE_FAULT_KINDS",
-    "ShardFault",
     "ShardRecoveryWarning",
     "SimulatedWorkerCrash",
     "active_injector",
     "atomic_write_bytes",
     "atomic_write_text",
     "attach_checksum",
-    "execute_shard_fault",
     "inject",
     "merge_counter_dicts",
     "payload_checksum",

@@ -1,4 +1,4 @@
-"""The fault injector: hooks the execution layer consults, parent-side.
+"""The fault injector: hooks the execution layer and the stores consult.
 
 Activation is a context manager::
 
@@ -8,35 +8,19 @@ Activation is a context manager::
 
 Hook points (all no-ops when no injector is active):
 
-* the runner and the lockstep core call :func:`take_shard_fault` as they
-  dispatch each shard — a matching shard fault is *consumed* and attached
-  to that dispatch only, so a retried shard runs clean (which is exactly
-  the transient-fault model recovery is built for);
-* the runner calls :func:`on_pickle` before pickling each shard —
-  a matching ``broken_pickle`` fault raises :class:`pickle.PicklingError`;
+* the lockstep core calls :meth:`FaultInjector.strike_shard` before it
+  runs each shard — a matching ``raise_in_shard`` fault is *consumed* and
+  raises :class:`SimulatedWorkerCrash` for that shard only, so the serial
+  re-run that recovers it runs clean (the transient-fault model recovery
+  is built for);
 * :func:`repro.faults.integrity.atomic_write_bytes` calls
-  :func:`corrupt_bytes` — a matching ``corrupt_artifact`` fault truncates
-  or bit-flips the payload before it hits disk.
-
-The active injector is guarded by the activating process id: pool workers
-forked while a plan is active inherit the module global but must *not*
-consult it (they would re-fire faults against worker-local shard indices),
-so :func:`active_injector` answers ``None`` anywhere but the activating
-process.  Faults reach workers as plain data instead — a
-:class:`ShardFault` attached to the dispatched shard, executed by
-:func:`execute_shard_fault` inside the worker (``kill_worker`` really
-SIGKILLs the worker process, producing a genuine ``BrokenProcessPool`` in
-the parent).
+  :meth:`FaultInjector.corrupt_bytes` — a matching ``corrupt_artifact``
+  fault truncates or bit-flips the payload before it hits disk.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
@@ -45,37 +29,11 @@ from repro.faults.plan import FaultPlan, SHARD_FAULT_KINDS
 
 
 class SimulatedWorkerCrash(RuntimeError):
-    """An injected crash standing in for a worker death or workload bug.
+    """An injected crash standing in for a shard that fails mid-run.
 
-    Raised inside a pool worker it surfaces as the shard future's
-    exception; raised in-process (the ``kill_worker`` translation where a
-    real SIGKILL would take down the parent) it exercises the same
-    recovery path.
+    Raised by a ``raise_in_shard`` fault inside the lockstep core, it takes
+    the same recovery path as a genuine error in a shard.
     """
-
-
-@dataclass(frozen=True)
-class ShardFault:
-    """The picklable directive a dispatched shard carries to its executor."""
-
-    kind: str
-    delay_s: float = 0.0
-
-
-def execute_shard_fault(fault: ShardFault, in_worker: bool) -> None:
-    """Carry out a shard fault at its execution site.
-
-    ``kill_worker`` SIGKILLs the current process when running inside a
-    pool worker — the parent then observes a real ``BrokenProcessPool`` —
-    and degrades to :class:`SimulatedWorkerCrash` in-process, where a real
-    kill would destroy the run we are trying to test.
-    """
-    if fault.kind == "delay_shard":
-        time.sleep(fault.delay_s)
-        return
-    if fault.kind == "kill_worker" and in_worker:
-        os.kill(os.getpid(), signal.SIGKILL)
-    raise SimulatedWorkerCrash(f"injected fault: {fault.kind}")
 
 
 class FaultInjector:
@@ -84,8 +42,6 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._remaining: List[int] = [spec.times for spec in plan.faults]
-        self._pickle_count = 0
-        self._pid = os.getpid()
         #: Human-readable record of every fault that actually struck.
         self.fired: List[str] = []
 
@@ -101,8 +57,9 @@ class FaultInjector:
 
     # ----------------------------------------------------------------- hooks
 
-    def take_shard_fault(self, shard_index: int) -> Optional[ShardFault]:
-        """Consume a shard fault aimed at ``shard_index``, if one is live."""
+    def strike_shard(self, shard_index: int) -> None:
+        """Raise :class:`SimulatedWorkerCrash` if a shard fault aimed at
+        ``shard_index`` is live (consuming one firing of it)."""
         for i, spec in enumerate(self.plan.faults):
             if (
                 spec.kind in SHARD_FAULT_KINDS
@@ -110,22 +67,7 @@ class FaultInjector:
                 and (spec.shard is None or spec.shard == shard_index)
             ):
                 self._take(i, f"{spec.kind}@shard{shard_index}")
-                return ShardFault(kind=spec.kind, delay_s=spec.delay_s)
-        return None
-
-    def on_pickle(self) -> None:
-        """Count one dispatch pickle; raise if a ``broken_pickle`` is due."""
-        self._pickle_count += 1
-        for i, spec in enumerate(self.plan.faults):
-            if (
-                spec.kind == "broken_pickle"
-                and self._remaining[i] > 0
-                and self._pickle_count >= spec.at_pickle
-            ):
-                self._take(i, f"broken_pickle@{self._pickle_count}")
-                raise pickle.PicklingError(
-                    f"injected fault: pickle #{self._pickle_count} refused"
-                )
+                raise SimulatedWorkerCrash(f"injected fault: {spec.kind}")
 
     def corrupt_bytes(self, path: Union[str, Path], data: bytes) -> bytes:
         """Apply a matching ``corrupt_artifact`` fault to a pending write."""
@@ -153,14 +95,8 @@ _ACTIVE: Optional[FaultInjector] = None
 
 
 def active_injector() -> Optional[FaultInjector]:
-    """The injector active *in this process*, or ``None``.
-
-    Forked pool workers inherit the module global; the pid guard keeps
-    fault consumption strictly parent-side (see module docstring).
-    """
-    if _ACTIVE is not None and _ACTIVE._pid == os.getpid():
-        return _ACTIVE
-    return None
+    """The active injector, or ``None``."""
+    return _ACTIVE
 
 
 @contextmanager
@@ -169,7 +105,7 @@ def inject(
 ) -> Iterator[FaultInjector]:
     """Activate a fault plan for the duration of the ``with`` block."""
     global _ACTIVE
-    if _ACTIVE is not None and _ACTIVE._pid == os.getpid():
+    if _ACTIVE is not None:
         raise RuntimeError("a FaultPlan is already active in this process")
     injector = plan if isinstance(plan, FaultInjector) else FaultInjector(plan)
     _ACTIVE = injector
@@ -181,9 +117,7 @@ def inject(
 
 __all__ = [
     "FaultInjector",
-    "ShardFault",
     "SimulatedWorkerCrash",
     "active_injector",
-    "execute_shard_fault",
     "inject",
 ]

@@ -1,10 +1,9 @@
 """The :class:`FaultLog`: per-run accounting of faults seen and survived.
 
-Every recovery mechanism in the execution layer — shard retries after a
-worker crash, pool rebuilds, timeouts, serial fallbacks, quarantined
-artifacts — increments a counter here, so "the run succeeded" and "the run
-succeeded after recovering from three worker crashes" are distinguishable
-after the fact.  The log is stamped into ``ResultSet`` metadata
+Every recovery mechanism in the execution layer — lockstep shards re-run
+serially, quarantined artifacts — increments a counter here, so "the run
+succeeded" and "the run succeeded after recovering from three shard
+crashes" are distinguishable after the fact.  The log is stamped into ``ResultSet`` metadata
 (:func:`repro.experiments.registry.run`), the training summary
 (:func:`repro.training.pipeline.train_policies`) and ``BENCH_engine.json``
 (:class:`repro.engine.report.BenchReport`), so a chaos-free run carries an
@@ -23,7 +22,7 @@ from typing import Dict, List
 
 
 class ShardRecoveryWarning(RuntimeWarning):
-    """A shard of work failed and was recovered (retried or rerun serially).
+    """A shard of work failed and was recovered (re-run serially).
 
     Results are still correct — recovery re-executes deterministic work —
     but the failure itself deserves attention.  The test suite promotes
@@ -44,12 +43,8 @@ class IntegrityWarning(UserWarning):
 
 #: The integer counters a :class:`FaultLog` tracks, in reporting order.
 COUNTER_FIELDS = (
-    "retries",
-    "pool_rebuilds",
     "serial_fallbacks",
-    "timeouts",
     "worker_crashes",
-    "pickle_failures",
     "quarantined",
 )
 
@@ -60,34 +55,21 @@ class FaultLog:
 
     Attributes
     ----------
-    retries: shards re-dispatched after a crash or timeout.
-    pool_rebuilds: process pools torn down and rebuilt mid-run.
-    serial_fallbacks: shards that exhausted their retry budget (or failed
-        in-process) and were re-run serially in the parent.
-    timeouts: shards abandoned because an attempt exceeded the runner's
-        ``shard_timeout_s``.
-    worker_crashes: worker deaths observed (``BrokenProcessPool``) or
-        simulated crashes raised by a shard.
-    pickle_failures: shards (or batches) that could not be pickled and
-        fell back to in-process execution.
+    serial_fallbacks: lockstep shards that raised and were re-run through
+        the serial reference path.
+    worker_crashes: injected crashes (``raise_in_shard``) among those.
     quarantined: corrupt persistent files moved to a ``quarantine/``
         directory by an integrity check.
-    wall_clock_lost_s: time spent in attempts whose work was lost.
     events: human-readable trail of what fired, in order.
     """
 
-    retries: int = 0
-    pool_rebuilds: int = 0
     serial_fallbacks: int = 0
-    timeouts: int = 0
     worker_crashes: int = 0
-    pickle_failures: int = 0
     quarantined: int = 0
-    wall_clock_lost_s: float = 0.0
     events: List[str] = field(default_factory=list)
     #: Counter values already pushed to a metrics registry by
     #: :meth:`publish_metrics` (so repeated publishes emit deltas only).
-    _published: Dict[str, float] = field(
+    _published: Dict[str, int] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -99,13 +81,9 @@ class FaultLog:
 
     # ------------------------------------------------------------- reporting
 
-    def counters(self) -> Dict[str, float]:
+    def counters(self) -> Dict[str, int]:
         """The numeric counters as a plain (JSON-able) dict."""
-        payload: Dict[str, float] = {
-            name: int(getattr(self, name)) for name in COUNTER_FIELDS
-        }
-        payload["wall_clock_lost_s"] = round(float(self.wall_clock_lost_s), 6)
-        return payload
+        return {name: int(getattr(self, name)) for name in COUNTER_FIELDS}
 
     def as_dict(self) -> Dict[str, object]:
         """Counters plus the event trail (what reports embed)."""
@@ -119,20 +97,15 @@ class FaultLog:
 
     # ----------------------------------------------------------- per-run math
 
-    def snapshot(self) -> Dict[str, float]:
+    def snapshot(self) -> Dict[str, int]:
         """Current counter values, for later diffing with :meth:`since`."""
         return self.counters()
 
-    def since(self, snapshot: Dict[str, float]) -> Dict[str, float]:
+    def since(self, snapshot: Dict[str, int]) -> Dict[str, int]:
         """Counter deltas accumulated after ``snapshot`` was taken."""
-        now = self.counters()
         return {
-            key: (
-                round(value - snapshot.get(key, 0), 6)
-                if key == "wall_clock_lost_s"
-                else int(value - snapshot.get(key, 0))
-            )
-            for key, value in now.items()
+            key: int(value - snapshot.get(key, 0))
+            for key, value in self.counters().items()
         }
 
     # ------------------------------------------------------------- telemetry
@@ -140,20 +113,15 @@ class FaultLog:
     def publish_metrics(self, registry=None, prefix: str = "faults") -> None:
         """Fold this log's counters into a metrics registry.
 
-        Emits one ``<prefix>.<counter>`` counter per fault kind plus a
-        ``<prefix>.wall_clock_lost_s`` latency histogram observation of
-        the wall clock lost since the previous publish.  Incremental:
-        only the deltas accumulated since the last :meth:`publish_metrics`
-        call are pushed, so publishing after every run (as the experiment
+        Emits one ``<prefix>.<counter>`` counter per fault kind.
+        Incremental: only the deltas accumulated since the last
+        :meth:`publish_metrics` call are pushed, so publishing after every run (as the experiment
         registry does) keeps registry totals equal to log totals without
         double-counting.  ``registry`` defaults to the active one.
         """
         # Lazy import: repro.obs must stay importable from everywhere,
         # including this module's importers, without a cycle.
-        from repro.obs.metrics import (
-            DEFAULT_LATENCY_BUCKETS_S,
-            get_registry,
-        )
+        from repro.obs.metrics import get_registry
 
         if registry is None:
             registry = get_registry()
@@ -162,20 +130,13 @@ class FaultLog:
             count = int(delta.get(name, 0))
             if count:
                 registry.counter(f"{prefix}.{name}").inc(count)
-        lost = float(delta.get("wall_clock_lost_s", 0.0))
-        if lost > 0.0:
-            registry.histogram(
-                f"{prefix}.wall_clock_lost_s", DEFAULT_LATENCY_BUCKETS_S
-            ).observe(lost)
         self._published = self.counters()
 
 
-def merge_counter_dicts(*deltas: Dict[str, float]) -> Dict[str, float]:
+def merge_counter_dicts(*deltas: Dict[str, int]) -> Dict[str, int]:
     """Key-wise sum of counter dicts (runner log + store log, say)."""
-    merged: Dict[str, float] = {name: 0 for name in COUNTER_FIELDS}
-    merged["wall_clock_lost_s"] = 0.0
+    merged: Dict[str, int] = {name: 0 for name in COUNTER_FIELDS}
     for delta in deltas:
         for key, value in delta.items():
             merged[key] = merged.get(key, 0) + value
-    merged["wall_clock_lost_s"] = round(merged["wall_clock_lost_s"], 6)
     return merged

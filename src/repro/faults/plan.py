@@ -1,14 +1,14 @@
 """Deterministic fault plans: chaos scenarios as reproducible fixtures.
 
-A :class:`FaultPlan` is a frozen list of :class:`FaultSpec`s — *kill the
-worker running shard 2*, *delay shard 0 by 1.5 s*, *bit-flip the next
-``result.json`` written*, *fail the 3rd pickle* — that the execution layer
-consults through injection hooks (:mod:`repro.faults.injector`).  Because a
-plan is plain data and :meth:`FaultPlan.random` derives one purely from a
-seed, every chaos scenario is a reproducible test fixture: the same seed
-injects the same faults at the same points, so CI can assert that each one
-either recovers to bit-identical results or fails loudly with a quarantine
-record — never silently wrong (``tests/test_faults.py``).
+A :class:`FaultPlan` is a frozen list of :class:`FaultSpec`s — *raise in
+shard 2*, *bit-flip the next ``result.json`` written* — that the execution
+layer and the stores consult through injection hooks
+(:mod:`repro.faults.injector`).  Because a plan is plain data and
+:meth:`FaultPlan.random` derives one purely from a seed, every chaos
+scenario is a reproducible test fixture: the same seed injects the same
+faults at the same points, so CI can assert that each one either recovers
+to bit-identical results or fails loudly with a quarantine record — never
+silently wrong (``tests/test_faults.py``).
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from typing import Dict, Optional, Tuple
 
 from repro.utils.validation import require
 
-#: Faults aimed at one dispatched shard of work (consulted by the runner
-#: and the lockstep core; the shard index is the dispatch index on the
-#: executing path).
-SHARD_FAULT_KINDS = ("kill_worker", "delay_shard", "raise_in_shard")
+#: Faults aimed at one lockstep shard of work (the shard index is the
+#: order in which :func:`repro.engine.lockstep.run_orders_lockstep` runs
+#: its shards).
+SHARD_FAULT_KINDS = ("raise_in_shard",)
 
-#: Faults aimed at persistence and serialisation.
-STORE_FAULT_KINDS = ("corrupt_artifact", "broken_pickle")
+#: Faults aimed at persistence.
+STORE_FAULT_KINDS = ("corrupt_artifact",)
 
 FAULT_KINDS = SHARD_FAULT_KINDS + STORE_FAULT_KINDS
 
@@ -43,25 +43,19 @@ class FaultSpec:
     ----------
     kind: one of :data:`FAULT_KINDS`.
     shard: target shard index for shard faults (``None`` = first shard
-        dispatched after activation).
-    delay_s: sleep injected by ``delay_shard`` (pair with a runner
-        ``shard_timeout_s`` below it to provoke the timeout path).
+        run after activation).
     path_glob: ``fnmatch`` pattern on the *file name* a
         ``corrupt_artifact`` fault strikes (``result.json``, ``*.json``,
         ``state.npz``, …).
     mode: ``truncate`` or ``bitflip`` for ``corrupt_artifact``.
-    at_pickle: 1-based dispatch-pickle ordinal a ``broken_pickle`` fault
-        fires on.
     times: how many firings before the fault is exhausted (faults are
-        consumed: a retried shard does not re-trigger a spent fault).
+        consumed: a spent fault never strikes again).
     """
 
     kind: str
     shard: Optional[int] = None
-    delay_s: float = 0.0
     path_glob: str = "*"
     mode: str = "truncate"
-    at_pickle: int = 1
     times: int = 1
 
     def __post_init__(self) -> None:
@@ -69,24 +63,14 @@ class FaultSpec:
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}")
         require(self.mode in CORRUPT_MODES,
                 f"corrupt mode must be one of {CORRUPT_MODES}, got {self.mode!r}")
-        require(self.delay_s >= 0.0, "delay_s must be >= 0")
-        require(self.at_pickle >= 1, "at_pickle is 1-based; must be >= 1")
         require(self.times >= 1, "times must be >= 1")
 
     def describe(self) -> str:
         """One-line human-readable form (used in fault-log events)."""
-        if self.kind == "kill_worker":
-            target = "first shard" if self.shard is None else f"shard {self.shard}"
-            return f"kill worker running {target}"
-        if self.kind == "delay_shard":
-            target = "first shard" if self.shard is None else f"shard {self.shard}"
-            return f"delay {target} by {self.delay_s}s"
         if self.kind == "raise_in_shard":
             target = "first shard" if self.shard is None else f"shard {self.shard}"
             return f"raise in {target}"
-        if self.kind == "corrupt_artifact":
-            return f"{self.mode} next write matching {self.path_glob!r}"
-        return f"fail pickle #{self.at_pickle}"
+        return f"{self.mode} next write matching {self.path_glob!r}"
 
 
 @dataclass(frozen=True)
@@ -112,13 +96,12 @@ class FaultPlan:
         max_faults: int = 3,
         num_shards: int = 8,
         kinds: Tuple[str, ...] = FAULT_KINDS,
-        max_delay_s: float = 0.25,
     ) -> "FaultPlan":
         """A deterministic pseudo-random plan: same seed, same plan.
 
-        ``kinds`` narrows the fault population (e.g. in-process chaos tests
-        drop ``kill_worker``); ``num_shards`` bounds shard targets so every
-        generated fault can actually fire on a small grid.
+        ``kinds`` narrows the fault population (e.g. store-only chaos
+        tests); ``num_shards`` bounds shard targets so every generated
+        fault can actually fire on a small grid.
         """
         require(max_faults >= 1, "max_faults must be >= 1")
         require(num_shards >= 1, "num_shards must be >= 1")
@@ -128,17 +111,9 @@ class FaultPlan:
             kind = rng.choice(list(kinds))
             if kind in SHARD_FAULT_KINDS:
                 specs.append(
-                    FaultSpec(
-                        kind=kind,
-                        shard=rng.randrange(num_shards),
-                        delay_s=(
-                            round(rng.uniform(0.01, max_delay_s), 3)
-                            if kind == "delay_shard"
-                            else 0.0
-                        ),
-                    )
+                    FaultSpec(kind=kind, shard=rng.randrange(num_shards))
                 )
-            elif kind == "corrupt_artifact":
+            else:
                 specs.append(
                     FaultSpec(
                         kind=kind,
@@ -147,10 +122,6 @@ class FaultPlan:
                         ),
                         mode=rng.choice(list(CORRUPT_MODES)),
                     )
-                )
-            else:
-                specs.append(
-                    FaultSpec(kind=kind, at_pickle=rng.randint(1, 4))
                 )
         return cls(faults=tuple(specs), seed=int(seed))
 

@@ -67,9 +67,8 @@ class EpisodeBuffer:
     ) -> "EpisodeBuffer":
         """Rebuild a buffer from stacked trajectory arrays.
 
-        The rollout collector ships episodes between processes as three
-        arrays (cheaper to pickle than lists of row vectors); this is the
-        receiving end.
+        The rollout collector returns episodes as three stacked arrays;
+        this is the receiving end.
         """
         states = np.asarray(states, dtype=float)
         actions = np.asarray(actions, dtype=int)

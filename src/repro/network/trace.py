@@ -90,8 +90,8 @@ class ThroughputTrace:
         """Pickle only the declared fields.
 
         The derived integrator index (underscore attributes) roughly
-        doubles the payload and is cheap to re-derive, so process-pool
-        work orders ship without it.
+        doubles the payload and is cheap to re-derive, so copies and
+        pickles leave it out.
         """
         from repro.utils.pickling import public_state
 

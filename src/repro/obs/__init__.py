@@ -6,8 +6,7 @@ items land against (see ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.metrics` — the process-local
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
   fixed-bucket histograms, span accumulators) with a mergeable snapshot
-  format so per-worker registries travel back over the process-backend
-  shard boundary exactly like ``FaultLog`` deltas.
+  format that folds registries together like ``FaultLog`` deltas.
 * :mod:`repro.obs.trace` — ``trace_span("planner.kernel")`` phase tracing
   on the monotonic clock, off by default with a one-attribute-check no-op
   fast path and a ≤2% enabled overhead budget asserted by the perf

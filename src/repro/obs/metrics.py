@@ -11,10 +11,7 @@ Design contract (mirroring :class:`repro.faults.log.FaultLog`):
   :meth:`MetricsRegistry.merge_snapshot` fold snapshots together the same
   way :func:`repro.faults.log.merge_counter_dicts` folds fault counters:
   counters, histogram bucket counts and span totals add; gauges take the
-  most recent value.  That is exactly what lets a per-worker registry
-  travel back over the process-backend shard boundary
-  (:func:`repro.engine.runner._execute_shard` returns one snapshot per
-  shard) and land in the parent's registry without loss.
+  most recent value.
 * **Deltas by diffing.**  Long-lived owners take a snapshot before a run
   and :func:`diff_snapshots` after — the registry itself never resets
   under a reader's feet (same discipline as ``FaultLog.snapshot()`` /
@@ -22,9 +19,8 @@ Design contract (mirroring :class:`repro.faults.log.FaultLog`):
 
 The *active* registry is module-level state: hot paths record into
 :func:`get_registry` and callers scope a private registry with
-:func:`use_registry`.  Registries are not thread-safe — the engine is
-process-parallel, never thread-parallel, and each worker process owns its
-own registry.
+:func:`use_registry`.  Registries are not thread-safe — the engine runs
+in one thread, and the decision service on one asyncio loop.
 """
 
 from __future__ import annotations
@@ -164,11 +160,6 @@ class MetricsRegistry:
             found = self._counters[name] = Counter(name)
         return found
 
-    def counter_value(self, name: str) -> float:
-        """A counter's value, 0 when never recorded (without creating it)."""
-        found = self._counters.get(name)
-        return 0.0 if found is None else found.value
-
     def gauge(self, name: str) -> Gauge:
         found = self._gauges.get(name)
         if found is None:
@@ -246,8 +237,8 @@ class MetricsRegistry:
         }
 
     def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Fold a snapshot (e.g. one returned by a pool worker) into this
-        live registry — the metrics equivalent of merging FaultLog deltas."""
+        """Fold a snapshot into this live registry — the metrics
+        equivalent of merging FaultLog deltas."""
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).add(value)
         for name, value in snapshot.get("gauges", {}).items():
@@ -356,8 +347,7 @@ def get_registry() -> MetricsRegistry:
 
 @contextmanager
 def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Scope ``registry`` as the active one (profiling runs, workers,
-    tests).  Restores the previous registry on exit, exception or not."""
+    """Scope ``registry`` as the active one (profiling runs, tests).  Restores the previous registry on exit, exception or not."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = registry

@@ -37,9 +37,7 @@ shared no-op object when tracing is disabled.
 
 Enable programmatically with :func:`set_enabled` (it returns the previous
 state, so callers can restore it in ``finally``) or by exporting
-``REPRO_TELEMETRY=1`` before the process starts.  The flag is inherited by
-pool workers through the shard payload (the parent stamps it on each
-:class:`~repro.engine.runner._OrderShard`), never through ambient state.
+``REPRO_TELEMETRY=1`` before the process starts.
 """
 
 from __future__ import annotations

@@ -132,10 +132,9 @@ class LazySessionTimeline:
     start_time_s, duration_s)`` tuples — and builds the real timeline from
     them on first attribute or method access, delegating to it from then
     on, so observable values are exactly those of the eager timeline.
-    Pickling (the process backend ships results back from its workers)
-    sends the columns, so the copy stays unmaterialised; an already
-    materialised timeline pickles as its plain :class:`SessionTimeline`,
-    so records added to it survive the trip.
+    Pickling and deep copies send the columns, so the copy stays
+    unmaterialised; an already materialised timeline pickles as its plain
+    :class:`SessionTimeline`, so records added to it survive the trip.
     """
 
     __slots__ = ("_columns", "_timeline")

@@ -5,7 +5,7 @@ experiment harness and the examples can simulate an (ABR, video, trace)
 combination — or a whole grid of them — in one call.  Grid sweeps are
 delegated to the batch engine (:class:`~repro.engine.runner.BatchRunner`):
 the default serial backend reproduces the seed's sequential loop exactly,
-while a process-pool runner shards the grid across cores.
+while the lockstep runner steps the whole grid as batched arrays.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Parallel RL training subsystem: the layer between the batch simulation
+"""RL training subsystem: the layer between the batch simulation
 engine and the experiment suite.
 
 The paper's learned policies (Pensieve and its SENSEI augmentation, §5.2)
@@ -8,9 +8,9 @@ engine scale:
 * :mod:`repro.training.curriculum` — :class:`ScenarioCurriculum`, seeded
   episode sampling across the evaluation trace bank and synthetic stress
   regimes (handover, congestion onset, low-bandwidth cellular);
-* :mod:`repro.training.collector`  — :class:`RolloutCollector`, sharded
+* :mod:`repro.training.collector`  — :class:`RolloutCollector`, per-round
   experience collection on :class:`~repro.engine.runner.BatchRunner` with a
-  serial ≡ process-pool equivalence guarantee;
+  serial ≡ lockstep equivalence guarantee;
 * :mod:`repro.training.trainer`    — :class:`Trainer`, the synchronous
   learning loop with entropy/LR schedules, held-out evaluation and early
   stopping;

@@ -1,24 +1,22 @@
-"""Parallel experience collection on the batch engine.
+"""Synchronous experience collection on the batch engine.
 
 Pensieve's A3C design runs many rollout workers against a shared learner.
-The reproduction's equivalent is *synchronous*: each training round ships a
-frozen :class:`PolicySnapshot` plus a shard of seeded
-:class:`~repro.training.curriculum.EpisodeSpec`s to every worker, workers
-simulate their episodes independently, and the learner applies all updates
-in deterministic spec order.  Because an episode is a pure function of
-(snapshot parameters, spec seed) — see
-:meth:`~repro.ml.rl.ActorCriticAgent.reseed_exploration` — and the
-:class:`~repro.engine.runner.BatchRunner` preserves submission order, the
-serial and process backends produce byte-identical experience, and
-therefore byte-identical trained policies.
+The reproduction's equivalent is *synchronous*: each training round
+freezes the policy into a :class:`PolicySnapshot`, simulates every seeded
+:class:`~repro.training.curriculum.EpisodeSpec` of the round against it,
+and the learner applies all updates in deterministic spec order.  Because
+an episode is a pure function of (snapshot parameters, spec seed) — see
+:meth:`~repro.ml.rl.ActorCriticAgent.reseed_exploration` — collection
+order cannot change the experience.
 
+A serial runner replays the episodes one at a time (:func:`collect_shard`).
 A lockstep runner routes collection through the batched RL driver
 (:func:`repro.engine.lockstep.run_rl_rollouts_lockstep`): the whole round's
 episodes step together as one SoA shard, the actor forward runs once per
 decision round across the batch, and each episode samples from its own
 ``rng_from_seed(spec.seed)`` stream — the same stream the serial
-``reseed_exploration(spec.seed)`` discipline produces, so the experience
-stays byte-identical across all three backends.
+``reseed_exploration(spec.seed)`` discipline produces, so the experience,
+and therefore the trained policy, is byte-identical on both backends.
 """
 
 from __future__ import annotations
@@ -38,9 +36,9 @@ from repro.utils.validation import require
 
 @dataclass
 class PolicySnapshot:
-    """A frozen, picklable copy of a policy: config + network parameters.
+    """A frozen copy of a policy: config + network parameters.
 
-    Only what a worker needs to *act* is shipped — actor/critic parameters
+    Only what a collector needs to *act* is kept — actor/critic parameters
     and the structural config.  Optimiser state stays with the learner.
     """
 
@@ -106,14 +104,14 @@ class EpisodeRollout:
 
 @dataclass
 class RolloutShard:
-    """The unit of work shipped to one collector worker."""
+    """One round of episode specs plus the policy snapshot acting in it."""
 
     snapshot: PolicySnapshot
     specs: Tuple[EpisodeSpec, ...]
 
 
 def collect_shard(shard: RolloutShard) -> List[EpisodeRollout]:
-    """Simulate every episode of a shard (module-level: must pickle).
+    """Simulate every episode of a shard, one session at a time.
 
     Rebuilds the policy from the snapshot, then, for each spec, reseeds the
     exploration stream from the spec seed and streams the episode with the
@@ -146,8 +144,8 @@ def _rollout_from_trajectory(
     quality_model, spec: EpisodeSpec, result, trajectory
 ) -> EpisodeRollout:
     """Package one episode's (state, action) pairs and rewards — shared by
-    the serial/process and lockstep collection paths, so both ship
-    identical :class:`EpisodeRollout`\\ s for identical inputs."""
+    the serial and lockstep collection paths, so both return identical
+    :class:`EpisodeRollout`\\ s for identical inputs."""
     chunk_scores = quality_model.chunk_scores(result.rendered)
     if spec.chunk_weights is not None:
         chunk_scores = np.asarray(spec.chunk_weights, dtype=float) * chunk_scores
@@ -203,60 +201,40 @@ def collect_shard_lockstep(shard: RolloutShard) -> List[EpisodeRollout]:
 
 
 class RolloutCollector:
-    """Shards episode specs over a :class:`BatchRunner` and merges in order.
+    """Collects one round of episodes on a :class:`BatchRunner`, in order.
 
     Parameters
     ----------
     runner:
-        Execution backend; the default serial runner reproduces the pool
-        results exactly (and vice versa).
-    shard_size:
-        Episodes per work order.  Larger shards amortise the per-order
-        snapshot pickling on the process backend; 4 keeps orders small
-        enough that a quick-scale round still spreads over all workers.
+        Execution backend; the default serial runner and the lockstep
+        runner collect byte-identical experience.
     """
 
-    def __init__(
-        self, runner: Optional[BatchRunner] = None, shard_size: int = 4
-    ) -> None:
-        require(shard_size >= 1, "shard_size must be >= 1")
+    def __init__(self, runner: Optional[BatchRunner] = None) -> None:
         self.runner = runner if runner is not None else BatchRunner()
-        self.shard_size = int(shard_size)
 
     def collect(
         self, abr: PensieveABR, specs: Sequence[EpisodeSpec]
     ) -> List[EpisodeRollout]:
         """Collect one episode per spec; results align with ``specs``.
 
-        The policy is snapshotted once, so every shard acts with identical
-        parameters no matter when its worker runs — the synchronous-A2C
-        contract that makes results backend-independent.
+        The policy is snapshotted once, so every episode acts with
+        identical parameters — the synchronous-A2C contract that makes
+        results backend-independent.  The round is one shard: on lockstep
+        the batched RL driver stacks every episode's forward pass, and
+        per-spec seeds keep episodes independent of how a round is split.
         """
         specs = list(specs)
         if not specs:
             return []
-        snapshot = PolicySnapshot.of(abr)
-        if self.runner.backend == "lockstep":
-            # In-process batched collection: one shard spanning the whole
-            # round lets the lockstep RL driver stack every episode's
-            # forward pass (per-spec seeds keep episodes independent of
-            # the sharding, so results stay byte-identical).
-            shards = [RolloutShard(snapshot=snapshot, specs=tuple(specs))]
-            collect_fn = collect_shard_lockstep
-        else:
-            shards = [
-                RolloutShard(
-                    snapshot=snapshot,
-                    specs=tuple(specs[start : start + self.shard_size]),
-                )
-                for start in range(0, len(specs), self.shard_size)
-            ]
-            collect_fn = collect_shard
+        shard = RolloutShard(snapshot=PolicySnapshot.of(abr), specs=tuple(specs))
+        collect_fn = (
+            collect_shard_lockstep
+            if self.runner.backend == "lockstep"
+            else collect_shard
+        )
         with trace_span("training.collect"):
-            per_shard = self.runner.map_ordered(collect_fn, shards)
-            merged: List[EpisodeRollout] = []
-            for rollouts in per_shard:
-                merged.extend(rollouts)
+            [merged] = self.runner.map_ordered(collect_fn, [shard])
         if TRACE.enabled:
             registry = get_registry()
             registry.counter("training.episodes_collected").inc(len(merged))

@@ -12,13 +12,13 @@ consumer), so two runs with the same seed/scale/backend produce the same
 checkpoints — the same discipline
 :class:`~repro.experiments.spec.ExperimentSpec` enforces for the figures.
 
-On a single-core host :meth:`BatchRunner.auto` resolves to the lockstep
-backend, which now covers rollout collection too: the collector routes
+:meth:`BatchRunner.auto` is the lockstep backend, which covers rollout
+collection too: the collector routes
 each round through the batched RL driver
 (:func:`repro.engine.lockstep.run_rl_rollouts_lockstep`), stacking every
 episode's actor forward into one matmul per decision round while per-spec
 exploration seeds keep the experience — and therefore the checkpoints —
-byte-identical to the serial and process backends (see
+byte-identical to the serial backend (see
 ``BENCH_training.json``'s ``lockstep_collection`` section for the
 measured speedup).
 """

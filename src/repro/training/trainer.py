@@ -1,9 +1,9 @@
-"""The training loop: parallel collection, schedules, evaluation, stopping.
+"""The training loop: batched collection, schedules, evaluation, stopping.
 
 One :meth:`Trainer.train` call runs a sequence of synchronous rounds:
 
 1. the curriculum emits this round's seeded episode specs;
-2. the collector simulates them on the batch engine (serial or process
+2. the collector simulates them on the batch engine (serial or lockstep
    backend — results are identical, see :mod:`repro.training.collector`);
 3. the learner applies one policy-gradient update per episode, in spec
    order, under the round's entropy/learning-rate schedule;
@@ -122,8 +122,7 @@ def evaluate_policy(
     runner = runner if runner is not None else BatchRunner()
     oracle = oracle if oracle is not None else GroundTruthOracle()
     # One frozen copy serves every order: greedy decisions never mutate the
-    # agent, the serial backend resets per session, and the process backend
-    # pickles each order independently anyway.
+    # agent, and every session starts with a reset.
     frozen = PolicySnapshot.of(abr).build()
     frozen.greedy = True
     orders = [

@@ -2,9 +2,8 @@
 
 Several hot objects (encoded videos, throughput traces) cache derived
 arrays on themselves under underscore attributes.  Those caches are cheap
-to re-derive but roughly double pickle payloads, which matters when the
-batch engine's process backend ships thousands of work orders between
-processes.  The policy — serialise only the declared (non-underscore)
+to re-derive but roughly double pickle payloads and deep copies of work
+orders and results.  The policy — serialise only the declared (non-underscore)
 state — lives here so every class applies the same filter.
 """
 

@@ -79,8 +79,7 @@ class EncodedVideo:
         Derived caches (underscore attributes, e.g. the cached size/quality
         matrices and the engine's per-video ``SessionPrecompute``) are
         rebuildable on the other side and would otherwise bloat every
-        work-order/result pickle the process-pool runner ships between
-        processes.
+        copy and pickle of a work order or result.
         """
         from repro.utils.pickling import public_state
 

@@ -201,24 +201,15 @@ class TestVectorizedEvaluator:
 
 
 def _double(value: int) -> int:
-    """Module-level so the process backend can pickle it."""
     return 2 * value
-
-
-def _type_name(value) -> str:
-    """Module-level so the process backend can pickle it."""
-    return type(value).__name__
-
-
-def _raise_type_error(value):
-    """Module-level so the process backend can pickle it."""
-    raise TypeError(f"deliberate failure on {value!r}")
 
 
 class TestBatchRunner:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             BatchRunner(backend="threads")
+        with pytest.raises(ValueError, match="serial.*lockstep"):
+            BatchRunner(backend="process")
 
     def test_serial_map_preserves_order(self):
         runner = BatchRunner()
@@ -228,38 +219,6 @@ class TestBatchRunner:
 
     def test_empty_orders(self):
         assert BatchRunner().run_orders([]) == []
-
-    @pytest.mark.slow
-    def test_process_map_preserves_order(self):
-        runner = BatchRunner(backend="process", max_workers=2)
-        assert runner.map_ordered(_double, list(range(16))) == [
-            2 * i for i in range(16)
-        ]
-
-    def test_unpicklable_falls_back_to_serial(self):
-        runner = BatchRunner(backend="process", max_workers=2)
-        closure = lambda x: x + 1  # noqa: E731 — deliberately unpicklable
-        with pytest.warns(RuntimeWarning):
-            assert runner.map_ordered(closure, [1, 2, 3]) == [2, 3, 4]
-
-    @pytest.mark.slow
-    def test_worker_exception_propagates_without_serial_rerun(self):
-        """A TypeError raised by fn itself is the caller's bug: it must
-        propagate, not trigger the unpicklable-batch serial fallback."""
-        runner = BatchRunner(backend="process", max_workers=2)
-        with pytest.raises(TypeError, match="deliberate"):
-            runner.map_ordered(_raise_type_error, [1, 2])
-
-    @pytest.mark.slow
-    def test_heterogeneous_unpicklable_item_falls_back_mid_flight(self):
-        """The first item pickles fine, a later one does not: the pool
-        attempt must be abandoned and the whole batch rerun serially."""
-        runner = BatchRunner(backend="process", max_workers=2)
-        items = [3, lambda: None, 5]  # the lambda cannot be pickled
-        with pytest.warns(RuntimeWarning, match="rerunning serially"):
-            assert runner.map_ordered(_type_name, items) == [
-                "int", "function", "int"
-            ]
 
     def test_orders_for_grid_matches_seed_nesting(self, small_encoded):
         traces = [
@@ -355,8 +314,7 @@ class TestBatchRunnerEquivalence:
             assert (k1, v1, t1) == (k2, v2, t2)
             assert_stream_results_identical(r1, r2)
 
-    @pytest.mark.slow
-    def test_process_backend_matches_sequential_simulate_many(
+    def test_lockstep_backend_matches_sequential_simulate_many(
         self, equivalence_grid
     ):
         videos, traces, weights = equivalence_grid
@@ -365,7 +323,7 @@ class TestBatchRunnerEquivalence:
         )
         batched = simulate_many(
             _grid_abrs(), videos, traces, weights_by_video=weights,
-            runner=BatchRunner(backend="process", max_workers=2),
+            runner=BatchRunner(backend="lockstep"),
         )
         assert len(reference) == len(batched)
         for (k1, v1, t1, r1), (k2, v2, t2, r2) in zip(reference, batched):

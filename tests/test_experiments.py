@@ -259,6 +259,27 @@ class TestABREvalExperiments:
         for curve in result["curves"].values():
             assert len(curve) == 2
 
+    def test_bandwidth_saving_interpolates_between_grid_points(self):
+        # Fugu's full-bandwidth QoE is 0.4; SENSEI crosses it a quarter of
+        # the way from 0.6 (0.3) to 0.8 (0.7): ratio 0.65.
+        saving = abr_eval.bandwidth_saving_at_equal_qoe(
+            (0.4, 0.6, 0.8, 1.0), (0.1, 0.3, 0.7, 0.8), (0.0, 0.1, 0.2, 0.4)
+        )
+        assert saving == pytest.approx(0.35)
+
+    def test_bandwidth_saving_edges(self):
+        ratios = (0.4, 0.6, 0.8, 1.0)
+        base = (0.1, 0.2, 0.3, 0.5)
+        saving = abr_eval.bandwidth_saving_at_equal_qoe
+        # Never reached: no saving, whatever the shortfall.
+        assert saving(ratios, (0.1, 0.2, 0.3, 0.45), base) == 0.0
+        # Reached exactly at full bandwidth only.
+        assert saving(ratios, (0.1, 0.2, 0.3, 0.5), base) == 0.0
+        # Reached at the first point: nothing is extrapolated below it.
+        assert saving(ratios, (0.9, 0.9, 0.9, 0.9), base) == pytest.approx(0.6)
+        with pytest.raises(ValueError, match="ascending"):
+            saving((1.0, 0.8, 0.6, 0.4), (0.9,) * 4, base)
+
     def test_fig17(self, tiny_context):
         result = abr_eval.fig17_bandwidth_variance(
             tiny_context, noise_levels_mbps=(0.0, 0.5)

@@ -5,7 +5,7 @@ canonical session grid — every ABR family x two traces x proactive-stall
 mode on/off, plus genuinely *trained* Pensieve and SENSEI-Pensieve
 policies in both greedy and seeded-exploration mode — as produced by the
 serial (seed-semantics) backend.  The test replays the grid through the
-serial, lockstep and process backends and fails on any drift: a single
+serial and lockstep backends and fails on any drift: a single
 flipped bit in a level choice, a stall timestamp or a measured throughput
 is a red suite, because the whole value of the fast engine rests on
 trusting that its outputs are exactly the seed's (see docs/TESTING.md).
@@ -287,12 +287,7 @@ def golden_cells() -> dict:
 
 
 class TestGoldenMasters:
-    @pytest.mark.parametrize("backend", [
-        "serial",
-        "lockstep",
-        # Spawns workers; checks timelines pickled across the pool.
-        pytest.param("process", marks=pytest.mark.slow),
-    ])
+    @pytest.mark.parametrize("backend", ["serial", "lockstep"])
     def test_backend_matches_golden_bitwise(self, golden_cells, backend):
         """Every backend reproduces the pinned grid bit for bit."""
         computed = compute_golden(backend)

@@ -433,45 +433,9 @@ class TestDifferentialFuzz:
         _run_both(abrs, videos, traces, weights)
 
 
-class TestProcessShardBackend:
-    def test_single_core_falls_back_to_lockstep_in_process(self, ragged_grid):
-        """On a 1-core host the process backend must not spawn a pool."""
-        videos, traces, weights = ragged_grid
-        keyed = orders_for_grid([FuguABR()], videos, traces,
-                                weights_by_video=weights)
-        orders = [order for _, order in keyed]
-        reference = BatchRunner(backend="serial").run_orders(orders)
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=1):
-            with mock.patch(
-                "repro.engine.runner.ProcessPoolExecutor",
-                side_effect=AssertionError("pool must not be created"),
-            ):
-                results = BatchRunner(backend="process").run_orders(orders)
-        for left, right in zip(reference, results):
-            assert_results_identical(left, right)
-
-    @pytest.mark.slow
-    def test_shard_dispatch_bit_identical(self, ragged_grid):
-        """Chunked shards through real workers reproduce serial results."""
-        videos, traces, weights = ragged_grid
-        keyed = orders_for_grid(
-            [BufferBasedABR(), SenseiFuguABR()], videos, traces,
-            weights_by_video=weights,
-        )
-        orders = [order for _, order in keyed]
-        reference = BatchRunner(backend="serial").run_orders(orders)
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=4):
-            results = BatchRunner(
-                backend="process", max_workers=2
-            ).run_orders(orders)
-        for left, right in zip(reference, results):
-            assert_results_identical(left, right)
-
-    def test_auto_prefers_lockstep_on_single_core(self):
-        """``auto()`` is lockstep whatever the core count: the pool never
-        beat it where measured, so ``process`` is an explicit choice."""
+class TestAutoBackend:
+    def test_auto_is_lockstep_on_every_host(self):
+        """``auto()`` is lockstep whatever the core count."""
         for cores in (1, 8):
-            with mock.patch(
-                "repro.engine.runner.os.cpu_count", return_value=cores
-            ):
+            with mock.patch("os.cpu_count", return_value=cores):
                 assert BatchRunner.auto().backend == "lockstep"

@@ -1,6 +1,6 @@
 """The telemetry subsystem: registry semantics, tracing, sinks, and the
-engine integration (worker snapshot merging, backend-equivalent totals,
-fault-log publishing, cache metrics, the ``profile`` CLI).
+engine integration (backend-equivalent totals, fault-log publishing,
+cache metrics, the ``profile`` CLI).
 
 Timing-valued fields (span seconds, histogram sums over wall clock) are
 never compared across runs — only deterministic metrics are: counts of
@@ -11,13 +11,12 @@ bit-identical across backends by the engine's equivalence contract.
 from __future__ import annotations
 
 import json
-from unittest import mock
 
 import pytest
 
 from repro.abr.bba import BufferBasedABR
 from repro.abr.mpc import ModelPredictiveABR
-from repro.abr.planner import clear_plan_cache, plan_cache_info
+from repro.abr.planner import clear_plan_cache
 from repro.engine.runner import BatchRunner, orders_for_grid
 from repro.faults.log import FaultLog
 from repro.network.bank import TraceBank
@@ -431,70 +430,36 @@ class TestEngineTelemetry:
             == lockstep["histograms"]["engine.session_duration_s"]
         )
 
-    @pytest.mark.slow
-    def test_process_backend_merges_worker_snapshots(self, obs_orders):
-        """Per-worker registries travel back over the shard boundary and the
-        parent's deterministic totals match the serial run's exactly."""
-        _, serial = _run_with_telemetry(
-            BatchRunner(backend="serial"), obs_orders
-        )
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=4):
-            results, process = _run_with_telemetry(
-                BatchRunner(backend="process", max_workers=2), obs_orders
-            )
-        assert len(results) == len(obs_orders)
-        assert (
-            process["counters"]["engine.orders_completed"]
-            == serial["counters"]["engine.orders_completed"]
-        )
-        # Bucket counts are exact (each observation is bit-identical across
-        # backends); the float *sum* is accumulated shard-by-shard in the
-        # workers and merged in completion order, so its association —
-        # hence its last bits — can differ from the serial left-to-right sum.
-        serial_hist = serial["histograms"]["engine.session_duration_s"]
-        process_hist = process["histograms"]["engine.session_duration_s"]
-        assert process_hist["buckets"] == serial_hist["buckets"]
-        assert process_hist["counts"] == serial_hist["counts"]
-        assert process_hist["count"] == serial_hist["count"]
-        assert process_hist["sum"] == pytest.approx(
-            serial_hist["sum"], rel=1e-9
-        )
-        # The workers' span snapshots merged in too (names, not timings).
-        assert process["spans"]["planner.kernel"]["count"] >= 1
-        assert process["spans"]["player.step"]["count"] >= 1
-
 
 # --------------------------------------------------------- fault-log metrics
 
 class TestFaultLogMetrics:
-    def test_publish_counters_and_histogram(self):
+    def test_publish_counters(self):
         log = FaultLog()
-        log.retries = 3
+        log.serial_fallbacks = 3
         log.worker_crashes = 1
-        log.wall_clock_lost_s = 1.5
         registry = MetricsRegistry()
         log.publish_metrics(registry)
         snapshot = registry.snapshot()
-        assert snapshot["counters"]["faults.retries"] == 3.0
+        assert snapshot["counters"]["faults.serial_fallbacks"] == 3.0
         assert snapshot["counters"]["faults.worker_crashes"] == 1.0
-        hist = snapshot["histograms"]["faults.wall_clock_lost_s"]
-        assert hist["count"] == 1
-        assert hist["sum"] == pytest.approx(1.5)
+        assert "faults.quarantined" not in snapshot["counters"]
 
     def test_publish_is_incremental(self):
         """Registry totals track log totals across repeated publishes —
         the metrics/FaultLog consistency contract."""
         log = FaultLog()
         registry = MetricsRegistry()
-        log.retries = 2
+        log.serial_fallbacks = 2
         log.publish_metrics(registry)
-        log.retries = 5
-        log.timeouts = 1
+        log.serial_fallbacks = 5
+        log.quarantined = 1
         log.publish_metrics(registry)
         log.publish_metrics(registry)  # no new faults: no double count
         snapshot = registry.snapshot()
-        assert snapshot["counters"]["faults.retries"] == log.retries == 5
-        assert snapshot["counters"]["faults.timeouts"] == log.timeouts == 1
+        counters = snapshot["counters"]
+        assert counters["faults.serial_fallbacks"] == log.serial_fallbacks == 5
+        assert counters["faults.quarantined"] == log.quarantined == 1
 
     def test_healthy_log_publishes_nothing(self):
         registry = MetricsRegistry()
@@ -553,21 +518,6 @@ class TestPlanCacheMetrics:
         assert snapshot["gauges"]["plan_cache.misses"] >= 1.0
         assert snapshot["gauges"]["plan_cache.hits"] >= 1.0
         assert snapshot["gauges"]["plan_cache.currsize"] >= 1.0
-
-    def test_process_backend_reports_worker_planning(self, obs_orders):
-        """Pool workers plan in their own processes; their memo activity
-        still reaches the parent's plan_cache gauges."""
-        clear_plan_cache()
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=4):
-            _, snapshot = _run_with_telemetry(
-                BatchRunner(backend="process", max_workers=2), obs_orders
-            )
-        # Only the workers planned; the parent's own memo is untouched.
-        assert plan_cache_info().misses == 0
-        gauges, counters = snapshot["gauges"], snapshot["counters"]
-        assert gauges["plan_cache.misses"] > 0
-        assert gauges["plan_cache.misses"] == counters["plan_cache.worker_misses"]
-        assert gauges["plan_cache.hits"] == counters["plan_cache.worker_hits"]
 
 
 # ---------------------------------------------------------------- CLI profile

@@ -188,9 +188,9 @@ def _timeline_fields(timeline) -> list:
 
 
 class TestLazyTimelinePickle:
-    """The process backend ships lockstep timelines back unmaterialised,
-    as their per-chunk columns; the records built from them on the far
-    side must be the eager serial records bit for bit."""
+    """A pickled lockstep timeline travels unmaterialised, as its
+    per-chunk columns; the records built from them on the far side must
+    be the eager serial records bit for bit."""
 
     @pytest.fixture(scope="class")
     def order(self, small_encoded):

@@ -29,6 +29,15 @@ from repro.experiments.spec import ExperimentSpec, resolve_scale, scale_names
 from repro.faults.integrity import attach_checksum
 
 
+#: A ``fig12b`` spec as ``result.json`` stored it while the process-pool
+#: backend existed (every stored spec carried ``max_workers``).
+LEGACY_FIG12B_SPEC = {
+    "experiment": "fig12b", "scale": "quick", "seed": 11,
+    "backend": "process", "max_workers": 2, "include_pensieve": None,
+    "checkpoint_root": None, "checkpoint_fingerprint": None, "params": {},
+}
+
+
 def tiny_spec(experiment: str, **overrides) -> ExperimentSpec:
     fields = dict(experiment=experiment, scale="tiny", seed=13)
     fields.update(overrides)
@@ -63,8 +72,37 @@ class TestExperimentSpec:
 
     def test_hash_ignores_execution_backend(self):
         base = tiny_spec("fig04")
-        assert base.spec_hash() == base.with_(backend="process").spec_hash()
-        assert base.spec_hash() == base.with_(max_workers=4).spec_hash()
+        assert base.spec_hash() == base.with_(backend="serial").spec_hash()
+        assert base.spec_hash() == base.with_(backend="lockstep").spec_hash()
+        assert base.spec_hash() == base.with_(backend="auto").spec_hash()
+
+    def test_artifact_addresses_are_pinned(self):
+        """Stored artifacts are found by these hashes; any change to the
+        hash payload strands every results directory written before it."""
+        tiny = ExperimentSpec("fig04", scale="tiny", seed=7)
+        assert tiny.spec_hash() == "b4d1613f46d3e99b"
+        assert tiny.context_hash() == "e9df87b8bd7dbc6c"
+        full = ExperimentSpec("headline", scale="full", seed=7)
+        assert full.spec_hash() == "5675133cc2cb12c4"
+        assert full.context_hash() == "48dba9faeb9a3cc7"
+
+    def test_legacy_process_spec_loads_as_lockstep(self):
+        legacy = dict(LEGACY_FIG12B_SPEC)
+        spec = ExperimentSpec.from_dict(legacy)
+        assert legacy == LEGACY_FIG12B_SPEC  # the caller's dict is untouched
+        assert spec.backend == "lockstep"
+        assert spec.spec_hash() == "816893b2db540fa9"
+        assert "max_workers" not in spec.to_dict()
+
+    def test_retired_process_backend_is_rejected_loudly(self):
+        with pytest.raises(ValueError, match="serial.*lockstep.*auto"):
+            ExperimentSpec("fig04", backend="process")
+        with pytest.raises(ValueError, match="serial.*lockstep"):
+            BatchRunner(backend="process")
+        with pytest.raises(SystemExit):
+            cli_main(["run", "fig04", "--backend", "process", "--no-save"])
+        with pytest.raises(SystemExit):
+            cli_main(["run", "fig04", "--workers", "2", "--no-save"])
 
     def test_context_hash_is_figure_agnostic(self):
         a = tiny_spec("fig12a")
@@ -189,6 +227,40 @@ class TestArtifactStore:
         path.write_text(json.dumps(attach_checksum(payload)))
         with pytest.raises(ValueError, match="format version"):
             store.load(spec)
+
+    def test_artifact_stored_by_the_process_backend_is_a_cache_hit(
+        self, tmp_path, monkeypatch
+    ):
+        store = ArtifactStore(tmp_path)
+        spec_hash = "816893b2db540fa9"
+        payload = attach_checksum({
+            "format_version": RESULTSET_FORMAT_VERSION,
+            "experiment": "fig12b",
+            "spec": dict(LEGACY_FIG12B_SPEC),
+            "spec_hash": spec_hash,
+            "meta": {"backend": "process", "fault_log": {
+                "retries": 0, "pool_rebuilds": 0, "serial_fallbacks": 0,
+                "timeouts": 0, "worker_crashes": 0, "pickle_failures": 0,
+                "quarantined": 0, "wall_clock_lost_s": 0.0,
+            }},
+            "data": {"bandwidth_saving_at_equal_qoe": 0.0},
+        })
+        directory = tmp_path / "fig12b" / spec_hash
+        directory.mkdir(parents=True)
+        (directory / "result.json").write_text(json.dumps(payload))
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a stored artifact must not be recomputed")
+
+        monkeypatch.setattr(registry_mod, "context_for", no_compute)
+        spec = ExperimentSpec("fig12b", scale="quick", seed=11,
+                              backend="lockstep")
+        result = run(spec, store=store)
+        assert result.cache_hit
+        assert result.spec_hash == spec_hash
+        assert result.data == {"bandwidth_saving_at_equal_qoe": 0.0}
+        assert [entry["spec_hash"] for entry in store.entries()] == [spec_hash]
+        assert store.find("fig12b").spec.backend == "lockstep"
 
     def test_entries_and_find(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -407,15 +479,12 @@ class TestDeterminism:
         b = run(tiny_spec("fig12a", seed=14, **kwargs))
         assert a.data_json() != b.data_json()
 
-    @pytest.mark.slow
-    def test_serial_and_process_backends_are_bit_identical(self, tmp_path):
+    def test_serial_and_lockstep_backends_are_bit_identical(self, tmp_path):
         kwargs = dict(checkpoint_root=str(tmp_path / "no-checkpoints"))
         serial = run(tiny_spec("fig12a", backend="serial", **kwargs))
-        pooled = run(
-            tiny_spec("fig12a", backend="process", max_workers=2, **kwargs)
-        )
-        assert serial.data_json() == pooled.data_json()
-        assert serial.spec_hash == pooled.spec_hash
+        lockstep = run(tiny_spec("fig12a", backend="lockstep", **kwargs))
+        assert serial.data_json() == lockstep.data_json()
+        assert serial.spec_hash == lockstep.spec_hash
 
 
 class TestCLI:

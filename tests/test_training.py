@@ -1,12 +1,12 @@
-"""Tests for the parallel RL training subsystem.
+"""Tests for the RL training subsystem.
 
-Covers the four training layers — scenario curricula, the parallel rollout
+Covers the four training layers — scenario curricula, the rollout
 collector, the checkpoint store and the trainer loop — plus the two
 guarantees the subsystem is built on:
 
-* **serial ≡ pool**: a training run produces bit-identical checkpoints on
-  the serial and process backends, because every episode is a pure function
-  of (policy parameters, episode seed);
+* **serial ≡ lockstep**: a training run produces bit-identical checkpoints
+  on the serial and lockstep backends, because every episode is a pure
+  function of (policy parameters, episode seed);
 * **checkpoint fidelity**: a reloaded policy makes bit-identical decisions
   on a fixed observation stream and resumes training bit-identically
   (optimiser state included), and the checkpointed best policy beats the
@@ -207,38 +207,27 @@ class TestScenarioCurriculum:
 
 
 class TestRolloutCollector:
-    def test_shard_size_does_not_change_results(self, curriculum):
+    def test_round_split_does_not_change_results(self, curriculum):
+        """An episode is a pure function of (snapshot, spec seed): one
+        round, or the same specs collected in two halves, agree exactly."""
         specs = curriculum.training_specs(7, round_index=0)
         abr = fresh_policy()
-        fine = RolloutCollector(shard_size=1).collect(abr, specs)
-        coarse = RolloutCollector(shard_size=3).collect(abr, specs)
-        assert len(fine) == len(coarse) == 7
-        for a, b in zip(fine, coarse):
+        whole = RolloutCollector().collect(abr, specs)
+        halves = (
+            RolloutCollector().collect(abr, specs[:3])
+            + RolloutCollector().collect(abr, specs[3:])
+        )
+        assert len(whole) == len(halves) == 7
+        for a, b in zip(whole, halves):
             assert a.seed == b.seed
             assert np.array_equal(a.actions, b.actions)
             assert np.array_equal(a.rewards, b.rewards)
 
     def test_merge_preserves_spec_order(self, curriculum):
         specs = curriculum.training_specs(6, round_index=2)
-        rollouts = RolloutCollector(shard_size=2).collect(fresh_policy(), specs)
+        rollouts = RolloutCollector().collect(fresh_policy(), specs)
         assert [r.seed for r in rollouts] == [s.seed for s in specs]
         assert [r.regime for r in rollouts] == [s.regime for s in specs]
-
-    @pytest.mark.slow
-    def test_process_backend_matches_serial(self, curriculum):
-        specs = curriculum.training_specs(6, round_index=1)
-        abr = fresh_policy()
-        serial = RolloutCollector(
-            runner=BatchRunner(backend="serial"), shard_size=2
-        ).collect(abr, specs)
-        pooled = RolloutCollector(
-            runner=BatchRunner(backend="process", max_workers=2), shard_size=2
-        ).collect(abr, specs)
-        assert len(serial) == len(pooled)
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.actions, b.actions)
-            assert np.array_equal(a.rewards, b.rewards)
 
     def test_lockstep_backend_matches_serial(self, curriculum):
         """The batched RL driver collects byte-identical experience: the
@@ -247,10 +236,10 @@ class TestRolloutCollector:
         specs = curriculum.training_specs(6, round_index=1)
         abr = fresh_policy()
         serial = RolloutCollector(
-            runner=BatchRunner(backend="serial"), shard_size=2
+            runner=BatchRunner(backend="serial")
         ).collect(abr, specs)
         lockstep = RolloutCollector(
-            runner=BatchRunner(backend="lockstep"), shard_size=2
+            runner=BatchRunner(backend="lockstep")
         ).collect(abr, specs)
         assert len(serial) == len(lockstep) == 6
         for a, b in zip(serial, lockstep):
@@ -480,7 +469,7 @@ class TestTrainer:
         assert result.best_round >= 0
 
     @pytest.mark.slow
-    def test_serial_and_process_backends_produce_identical_checkpoints(
+    def test_serial_and_lockstep_backends_produce_identical_checkpoints(
         self, curriculum, training_oracle, tmp_path
     ):
         """The acceptance guarantee: same seed, either backend, same
@@ -497,18 +486,16 @@ class TestTrainer:
             return store
 
         serial_store = run("serial", BatchRunner(backend="serial"))
-        pool_store = run(
-            "process", BatchRunner(backend="process", max_workers=2)
-        )
-        assert serial_store.names() == pool_store.names()
+        lockstep_store = run("lockstep", BatchRunner(backend="lockstep"))
+        assert serial_store.names() == lockstep_store.names()
         for name in serial_store.names():
             serial_state = serial_store.load(name).agent.state_dict()
-            pool_state = pool_store.load(name).agent.state_dict()
-            assert set(serial_state) == set(pool_state)
+            lockstep_state = lockstep_store.load(name).agent.state_dict()
+            assert set(serial_state) == set(lockstep_state)
             for key in serial_state:
-                assert np.array_equal(serial_state[key], pool_state[key]), (
-                    name, key,
-                )
+                assert np.array_equal(
+                    serial_state[key], lockstep_state[key]
+                ), (name, key)
 
     def test_trained_policy_beats_untrained_on_holdout(
         self, curriculum, training_oracle, tmp_path
