@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast chaos coverage regen-golden bench bench-kernel bench-training bench-e2e train figures list profile serve loadtest
+.PHONY: test test-fast chaos coverage regen-golden bench perf-floors train figures list profile serve loadtest
 
 ## Tier-1 verification: the full unit + benchmark suite.
 test:
@@ -30,26 +30,19 @@ coverage:
 regen-golden:
 	$(PYTHON) tests/test_golden.py --regen
 
-## Perf harness: measures the engine and writes BENCH_engine.json.
+## The benchmark (bench/README.md): `python -m bench measure` for every
+## BENCHMARK.json workload, each output checked against its reference;
+## the combined report goes to bench/out/run.json (untracked).
 bench:
-	$(PYTHON) -m pytest benchmarks/test_perf_engine.py -v -s
-
-## Kernel microbench: candidates-scored/sec for the arena kernel vs the
-## pre-arena test oracle (tests/planner_oracle.py), arena build
-## amortisation -> "kernel" section of BENCH_engine.json
-## (docs/PERFORMANCE.md).
-bench-kernel:
-	$(PYTHON) -m pytest benchmarks/test_perf_kernel.py -v -s
-
-## Training perf harness: episodes/sec per backend -> BENCH_training.json.
-bench-training:
-	$(PYTHON) -m pytest benchmarks/test_perf_training.py -v -s
-
-## End-to-end benchmark (bench/README.md): `python -m bench measure` for
-## every BENCHMARK.json workload, each output checked against its
-## reference; the combined report goes to bench/out/run.json.
-bench-e2e:
 	$(PYTHON) -m bench run --seed 7
+
+## Same-run perf floors (docs/PERFORMANCE.md): lockstep vs the serial
+## engine on the quick grid and the RL grid, the arena kernel vs the
+## pre-arena test oracle, lockstep vs serial rollout collection.  Asserts
+## each ratio and prints the numbers; writes no file.
+perf-floors:
+	$(PYTHON) -m pytest benchmarks/test_perf_engine.py \
+	    benchmarks/test_perf_kernel.py benchmarks/test_perf_training.py -v -s
 
 ## Phase-level profile of the headline experiment: telemetry on, fresh
 ## registry, no artifact cache (docs/OBSERVABILITY.md).

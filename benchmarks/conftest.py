@@ -27,24 +27,11 @@ def context() -> ExperimentContext:
     experiment name is per-test).
 
     ``REPRO_BENCH_SCALE`` overrides the scale (default ``quick``): the CI
-    ``bench-smoke`` job runs the whole harness at ``tiny`` scale, where
-    only the report schema and the lockstep/serial equivalence matter.
+    ``bench-smoke`` job runs the perf floors at ``tiny`` scale, where only
+    their behaviour checks and the lockstep/serial equivalence matter.
     """
     scale = os.environ.get("REPRO_BENCH_SCALE", "quick")
     return context_for(
         ExperimentSpec(experiment="benchmarks", scale=scale, seed=7)
     )
 
-
-def print_table(title: str, rows) -> None:
-    """Pretty-print a list of dict rows under a title."""
-    print(f"\n=== {title} ===")
-    for row in rows:
-        if isinstance(row, dict):
-            cells = "  ".join(
-                f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
-                for key, value in row.items()
-            )
-            print(f"  {cells}")
-        else:
-            print(f"  {row}")

@@ -1,12 +1,12 @@
-"""Kernel-only microbenchmark: the planner batch kernel in isolation.
+"""Kernel-only perf floor: the planner batch kernel in isolation.
 
-Measures candidates-scored/sec for the production arena kernel
-(``evaluate_candidates_batch``, float64, reported as ``arena_f64``)
-against the pre-arena allocating kernel it is bit-identical to
-(``legacy``: the test-only oracle in ``tests/planner_oracle.py``) over the
-engine's quick-grid call shapes, and writes a ``kernel`` section into
-``BENCH_engine.json`` (read-modify-write: the engine harness's sections
-are preserved).
+Times the production arena kernel (``evaluate_candidates_batch``,
+float64, reported as ``arena_f64``) against the pre-arena allocating
+kernel it is bit-identical to (``legacy``: the test-only oracle in
+``tests/planner_oracle.py``) over the engine's quick-grid call shapes, and
+asserts the arena's aggregate candidates-scored/sec speedup is at least
+:data:`MIN_ARENA_SPEEDUP`.  The numbers are printed (run with ``-s``) and
+written nowhere.
 
 The measured shapes mirror what the lockstep coordinator actually sends to
 ``evaluate_candidates_batch`` on the quick grid: a Fugu-style batch
@@ -14,51 +14,34 @@ The measured shapes mirror what the lockstep coordinator actually sends to
 tree), an MPC-style batch (single conservative scenario) and a
 SENSEI-style weighted batch (sensitivity weights + rebuffer expectation).
 Each configuration runs interleaved best-of-rounds so host-load drift hits
-every side alike — the same methodology as the engine harness — and the
+every side alike — the same methodology as the engine floors — and the
 two kernels take turns running first, so neither always inherits the
 other's cache and allocator state.
 
-Also records arena build-time amortisation (how many kernel calls one
-arena build pays for itself in) and the cache-blocked tile sizes
-(:func:`repro.abr.planner.kernel_block_sessions`) the coordinator would
-use for each shape.
-
-Run via ``make bench-kernel`` or, from the repository root,
-``PYTHONPATH=src python -m pytest benchmarks/test_perf_kernel.py -v``
+Run via ``make perf-floors`` or, from the repository root,
+``PYTHONPATH=src python -m pytest benchmarks/test_perf_kernel.py -v -s``
 (the oracle is imported as ``tests.planner_oracle``).
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import Dict
 
 import numpy as np
 import pytest
 
-from repro.abr import planner
-from repro.abr.planner import (
-    clear_plan_cache,
-    enumerate_level_sequences,
-    evaluate_candidates_batch,
-    kernel_block_sessions,
-)
-from repro.engine.report import update_bench_section
+from repro.abr.planner import enumerate_level_sequences, evaluate_candidates_batch
 from repro.qoe.ksqi import KSQIModel
 from tests.planner_oracle import evaluate_batch_legacy
 
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-#: The tracked target: arena float64 must score candidates at least this
-#: much faster than the pre-arena kernel on the quick-grid call mix.
-TARGET_ARENA_SPEEDUP = 2.0
-
-#: Assertion floor at quick scale — below the target (host noise on shared
-#: runners), but an arena that stops being meaningfully faster fails loudly.
+#: Floor on the arena's aggregate speedup over the pre-arena kernel at
+#: quick scale (the recording host measures ~2.5x): low enough for host
+#: noise on shared runners, but an arena that stops being meaningfully
+#: faster fails loudly.
 MIN_ARENA_SPEEDUP = 1.5
 
-#: The ISSUE/ROADMAP acceptance bar recorded in the report.
+#: The bitrate ladder every measured shape plans over.
 LADDER_KBPS = np.array([300.0, 750.0, 1850.0, 2850.0, 4300.0])
 
 
@@ -153,73 +136,25 @@ def test_kernel_candidates_per_sec(context):
                 elapsed = (time.perf_counter() - t0) / iters
                 best[name][config] = min(best[name][config], elapsed)
 
-    section: Dict[str, object] = {"scale": context.scale.name, "shapes": {}}
     total_time = {config: 0.0 for config, _ in configs}
     total_candidates = 0
     for name, kwargs in shapes.items():
-        per_call = _candidates_per_call(kwargs)
-        total_candidates += per_call
-        entry: Dict[str, float] = {}
+        total_candidates += _candidates_per_call(kwargs)
         for config, _ in configs:
-            elapsed = best[name][config]
-            total_time[config] += elapsed
-            entry[f"{config}_us"] = round(elapsed * 1e6, 1)
-            entry[f"{config}_cands_per_sec"] = round(per_call / elapsed, 0)
-        entry["speedup_arena_f64"] = round(
-            best[name]["legacy"] / best[name]["arena_f64"], 2
-        )
-        section["shapes"][name] = entry
+            total_time[config] += best[name][config]
         print(
-            f"\n{name}: legacy {entry['legacy_us']:.0f}us, "
-            f"arena f64 {entry['arena_f64_us']:.0f}us "
-            f"({entry['speedup_arena_f64']:.2f}x)"
+            f"\n{name}: legacy {best[name]['legacy'] * 1e6:.0f}us, "
+            f"arena f64 {best[name]['arena_f64'] * 1e6:.0f}us "
+            f"({best[name]['legacy'] / best[name]['arena_f64']:.2f}x)"
         )
-
-    aggregate = {
-        f"{config}_cands_per_sec": round(total_candidates / total_time[config])
-        for config, _ in configs
-    }
-    aggregate["speedup_arena_f64"] = round(
-        total_time["legacy"] / total_time["arena_f64"], 2
-    )
-    aggregate["target_speedup_arena_f64"] = TARGET_ARENA_SPEEDUP
-    section["aggregate"] = aggregate
-
-    # Arena build-time amortisation: one cold build vs per-call savings on
-    # the dominant shape.
-    kwargs = shapes["fugu_batch"]
-    clear_plan_cache()
-    candidates = enumerate_level_sequences(5, 4, max_step=2)
-    t0 = time.perf_counter()
-    arena = planner._TreeArena(candidates, LADDER_KBPS)
-    build_s = time.perf_counter() - t0
-    saved = max(
-        best["fugu_batch"]["legacy"] - best["fugu_batch"]["arena_f64"], 1e-9
-    )
-    section["arena_build"] = {
-        "build_ms": round(build_s * 1e3, 3),
-        "amortise_calls": int(np.ceil(build_s / saved)),
-    }
-    assert arena.C == candidates.shape[0]
-
-    # Cache-blocked tile sizes the coordinator would use per shape.
-    section["block_sessions"] = {
-        "fugu": kernel_block_sessions(5, 4, 2, 5),
-        "mpc": kernel_block_sessions(5, 4, 2, 1),
-    }
-
-    update_bench_section("kernel", section, REPORT_PATH)
+    speedup = total_time["legacy"] / total_time["arena_f64"]
     print(
-        f"\nkernel aggregate: arena f64 "
-        f"{aggregate['speedup_arena_f64']:.2f}x legacy, "
-        f"{aggregate['arena_f64_cands_per_sec']:.0f} cands/s; "
-        f"build {section['arena_build']['build_ms']:.1f}ms amortised in "
-        f"{section['arena_build']['amortise_calls']} calls; wrote kernel "
-        f"section to {REPORT_PATH.name}"
+        f"\nkernel aggregate: arena f64 {speedup:.2f}x legacy, "
+        f"{total_candidates / total_time['arena_f64']:.0f} cands/s"
     )
 
     if not tiny:
-        assert aggregate["speedup_arena_f64"] >= MIN_ARENA_SPEEDUP
+        assert speedup >= MIN_ARENA_SPEEDUP
 
 
 @pytest.mark.benchmark(group="kernel")

@@ -160,10 +160,10 @@ PLAN_CACHE_STATS = ("hits", "misses", "currsize")
 def _publish_plan_cache(registry) -> None:
     """Snapshot-time collector publishing the candidate-tree memo stats.
 
-    Registered with the metrics registry so every snapshot — bench reports,
-    ``python -m repro profile``, JSONL/Prometheus sinks — reads the same
-    ``plan_cache.*`` gauges instead of each consumer poking at
-    ``lru_cache`` introspection on its own.  Gauges, not counters:
+    Registered with the metrics registry so every snapshot — the grid
+    perf floor, ``python -m repro profile``, JSONL/Prometheus sinks —
+    reads the same ``plan_cache.*`` gauges instead of each consumer
+    poking at ``lru_cache`` introspection on its own.  Gauges, not counters:
     ``cache_info()`` is already cumulative for the process.
     """
     info = _cached_level_sequences.cache_info()

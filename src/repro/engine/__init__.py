@@ -16,29 +16,27 @@ sweeps fast without changing their results:
 * :mod:`repro.engine.runner` — :class:`BatchRunner`, which runs a list of
   :class:`WorkOrder`s through a deterministic serial loop or the lockstep
   core, always preserving result ordering;
-* :mod:`repro.engine.report` — the ``BENCH_engine.json`` reporter that
-  tracks sessions/sec, decisions/sec and grid wall-clock across PRs.
+* :mod:`repro.engine.report` — run provenance (environment fingerprint,
+  git revision) and the span-derived phase split of a dispatch.
 
 A lockstep shard that raises is re-run through the serial reference path,
 with every recovery counted in the runner's
 :class:`~repro.faults.log.FaultLog` (re-exported here as
 :class:`FaultLog`).  See ``docs/ROBUSTNESS.md``.
 
-See ``docs/PERFORMANCE.md`` for the architecture and how to run the perf
-benchmarks.
+See ``docs/PERFORMANCE.md`` for the architecture, the perf floors and the
+end-to-end benchmark.
 """
 
 from __future__ import annotations
 
 from repro.engine.lockstep import run_orders_lockstep, supports_lockstep
 from repro.engine.precompute import HistoryRing, SessionPrecompute
-from repro.engine.report import BenchReport, write_bench_report
 from repro.engine.runner import BatchRunner, WorkOrder
 from repro.faults.log import FaultLog, ShardRecoveryWarning
 
 __all__ = [
     "BatchRunner",
-    "BenchReport",
     "FaultLog",
     "HistoryRing",
     "SessionPrecompute",
@@ -46,5 +44,4 @@ __all__ = [
     "WorkOrder",
     "run_orders_lockstep",
     "supports_lockstep",
-    "write_bench_report",
 ]

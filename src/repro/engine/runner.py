@@ -31,12 +31,12 @@ Result ordering always matches submission ordering, whichever backend ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm
-from repro.faults.log import FaultLog, merge_counter_dicts
+from repro.faults.log import FaultLog
 from repro.network.trace import ThroughputTrace
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.obs.trace import TRACE, trace_span
@@ -142,20 +142,6 @@ class BatchRunner:
         """The lockstep runner: bit-identical to serial and the fastest."""
         return cls(backend="lockstep")
 
-    @staticmethod
-    def merge_fault_logs(*runners: "BatchRunner") -> Dict[str, object]:
-        """Merged fault-log dict across runners (what bench reports embed)."""
-        merged: Dict[str, object] = dict(
-            merge_counter_dicts(
-                *(runner.fault_log.counters() for runner in runners)
-            )
-        )
-        events: List[str] = []
-        for runner in runners:
-            events.extend(runner.fault_log.events)
-        merged["events"] = events
-        return merged
-
     # ------------------------------------------------------------------ API
 
     def run_orders(self, orders: Sequence[WorkOrder]) -> List[StreamResult]:
@@ -163,8 +149,8 @@ class BatchRunner:
 
         The whole dispatch — whichever backend runs it — is timed under
         the ``engine.dispatch`` root span, the denominator every phase
-        share in ``BENCH_engine.json`` and ``repro profile`` is computed
-        against.
+        share (:func:`repro.engine.report.phases_from_snapshot`) is
+        computed against.
         """
         orders = list(orders)
         if not orders:

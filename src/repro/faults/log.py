@@ -3,11 +3,11 @@
 Every recovery mechanism in the execution layer — lockstep shards re-run
 serially, quarantined artifacts — increments a counter here, so "the run
 succeeded" and "the run succeeded after recovering from three shard
-crashes" are distinguishable after the fact.  The log is stamped into ``ResultSet`` metadata
-(:func:`repro.experiments.registry.run`), the training summary
-(:func:`repro.training.pipeline.train_policies`) and ``BENCH_engine.json``
-(:class:`repro.engine.report.BenchReport`), so a chaos-free run carries an
-all-zero log and a chaotic one documents exactly what it survived.
+crashes" are distinguishable after the fact.  The log is stamped into
+``ResultSet`` metadata (:func:`repro.experiments.registry.run`) and the
+training summary (:func:`repro.training.pipeline.train_policies`), so a
+chaos-free run carries an all-zero log and a chaotic one documents exactly
+what it survived.
 
 Counters are cumulative over the owner's lifetime; callers that need
 per-run numbers take a :meth:`FaultLog.snapshot` before and diff with

@@ -162,11 +162,11 @@ class ShardState:
         self.levels = np.zeros((n, self.max_chunks), dtype=int)
         self.stalls = np.zeros((n, self.max_chunks))
 
-        # Deferred download records, one column per chunk step.
-        self.rec_size = np.zeros((n, self.max_chunks))
+        # Deferred download records, one column per chunk step.  Sizes and
+        # throughputs are not stored: ``finalize`` rebuilds them from
+        # ``levels``, ``sizes_all`` and ``rec_duration``.
         self.rec_start = np.zeros((n, self.max_chunks))
         self.rec_duration = np.zeros((n, self.max_chunks))
-        self.rec_throughput = np.zeros((n, self.max_chunks))
         self.rec_buffer_before = np.zeros((n, self.max_chunks))
         self.rec_buffer_after = np.zeros((n, self.max_chunks))
         # Stall events, (cause, chunk_index, start_s, duration_s) per entry.
@@ -313,10 +313,8 @@ class ShardState:
             self.buffer_s[rows] = buffer
 
         throughput = sizes * 8.0 / 1e6 / downloads
-        self.rec_size[rows, chunk] = sizes
         self.rec_start[rows, chunk] = starts
         self.rec_duration[rows, chunk] = downloads
-        self.rec_throughput[rows, chunk] = throughput
         self.rec_buffer_before[rows, chunk] = buffer_before
         self.rec_buffer_after[rows, chunk] = self.buffer_s[rows]
         self.throughput_history.push_column(rows, throughput)
@@ -455,14 +453,19 @@ class ShardState:
 
         # Most consumers only read the rendered video, so the per-chunk
         # record objects are built lazily — from row copies, not views of
-        # the shard (the timeline must not pin the whole SoA state).
+        # the shard (the timeline must not pin the whole SoA state).  Sizes
+        # and throughputs repeat ``step``'s float operations, so they are
+        # bit-identical to the values it computed.
+        levels = self.levels[row, :num_chunks]
+        sizes = self.sizes_all[self.video_of[row], np.arange(num_chunks), levels]
+        durations = self.rec_duration[row, :num_chunks]
         timeline = LazySessionTimeline(
-            self.levels[row, :num_chunks].copy(),
+            levels.copy(),
             np.stack((
-                self.rec_size[row, :num_chunks],
+                sizes,
                 self.rec_start[row, :num_chunks],
-                self.rec_duration[row, :num_chunks],
-                self.rec_throughput[row, :num_chunks],
+                durations,
+                sizes * 8.0 / 1e6 / durations,
                 self.rec_buffer_before[row, :num_chunks],
                 self.rec_buffer_after[row, :num_chunks],
             )),
@@ -472,7 +475,7 @@ class ShardState:
         encoded = self.encoded[row]
         rendered = RenderedVideo(
             encoded=encoded,
-            levels=self.levels[row, :num_chunks].copy(),
+            levels=levels.copy(),
             stalls_s=self.stalls[row, :num_chunks].copy(),
             startup_delay_s=float(self.startup_delay[row]),
             render_id=(

@@ -11,8 +11,8 @@ exactly the assets the offline experiments sweep.
 :func:`bench_payload` shapes the results into ``BENCH_service.json`` —
 decisions/sec, p50/p99/mean request latency, the batch-size distribution
 and per-tenant fairness accounting — with the same environment/git
-fingerprints the engine's perf harness records (``BENCH_engine.json``),
-and :func:`verify_online_offline` is the golden-master hook: every
+fingerprints experiment ``ResultSet`` metadata carries, and
+:func:`verify_online_offline` is the golden-master hook: every
 non-degraded finished session is re-run offline through the stock
 :class:`WorkOrder` path and must match level-for-level, stall-for-stall.
 """

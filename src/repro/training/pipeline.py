@@ -18,9 +18,8 @@ each round through the batched RL driver
 (:func:`repro.engine.lockstep.run_rl_rollouts_lockstep`), stacking every
 episode's actor forward into one matmul per decision round while per-spec
 exploration seeds keep the experience — and therefore the checkpoints —
-byte-identical to the serial backend (see
-``BENCH_training.json``'s ``lockstep_collection`` section for the
-measured speedup).
+byte-identical to the serial backend
+(``benchmarks/test_perf_training.py`` floors the measured speedup).
 """
 
 from __future__ import annotations

@@ -314,15 +314,16 @@ def _cache_entry_args(cache, key):
 
 
 class TestBlockSessions:
-    """Cache-blocked tiling: floors, caps and the recorded tile sizes."""
+    """Cache-blocked tiling: floors, caps and the pinned tile sizes."""
 
     def test_floor_and_cap(self):
         for scenarios in (1, 5):
             block = kernel_block_sessions(5, 4, 2, scenarios)
             assert 12 <= block <= 64
 
-    def test_tile_sizes_match_the_recorded_kernel_section(self):
-        # BENCH_engine.json's kernel.block_sessions: Fugu- and MPC-shaped
+    def test_tile_sizes_for_fugu_and_mpc_shapes(self):
+        # Pinned for the 2 MiB L2 target: a Fugu-shaped block (5 scenarios)
+        # holds 23 sessions, an MPC-shaped one (1 scenario) 54.
         assert kernel_block_sessions(5, 4, 2, 5) == 23
         assert kernel_block_sessions(5, 4, 2, 1) == 54
 
