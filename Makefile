@@ -26,7 +26,7 @@ coverage:
 	    --cov-report=term --cov-fail-under=80
 
 ## Rewrite the golden-master fixtures (tests/golden/) from the serial
-## backend.  ONLY after an intentional, reviewed semantic change.
+## reference.  ONLY after an intentional, reviewed semantic change.
 regen-golden:
 	$(PYTHON) tests/test_golden.py --regen
 
@@ -47,7 +47,7 @@ perf-floors:
 ## Phase-level profile of the headline experiment: telemetry on, fresh
 ## registry, no artifact cache (docs/OBSERVABILITY.md).
 profile:
-	$(PYTHON) -m repro profile headline --scale quick --backend lockstep
+	$(PYTHON) -m repro profile headline --scale quick
 
 ## The experiment catalogue (spec/registry CLI).
 list:
@@ -57,7 +57,7 @@ list:
 ## served from results/ (content-addressed), interrupted grids resume.
 figures:
 	$(PYTHON) -m repro run fig03 fig04 fig12a fig13 fig14 headline \
-	    --scale quick --backend auto --results results
+	    --scale quick --results results
 
 ## The always-on decision service behind a JSON-lines TCP front-end
 ## (docs/SERVICE.md): register/decide/evict/health ops, micro-batched onto

@@ -3,7 +3,7 @@
 Deprecated shim: the sweep now lives in the experiment registry as the
 ``bandwidth-savings`` demo and runs through the unified CLI —
 
-    python -m repro run bandwidth-savings --scale quick --backend auto
+    python -m repro run bandwidth-savings --scale quick
 
 This script remains so existing invocations keep working; it simply
 forwards to the CLI (see docs/EXPERIMENTS.md for the migration table).
@@ -20,5 +20,5 @@ from repro.experiments.cli import main
 if __name__ == "__main__":
     sys.exit(main([
         "run", "bandwidth-savings",
-        "--scale", "quick", "--backend", "auto", "--no-save",
+        "--scale", "quick", "--no-save",
     ]))

@@ -14,8 +14,8 @@ sweeps fast without changing their results:
   one ``(session x stall x scenario x candidate)`` tensor evaluation while
   staying bit-identical to serial execution;
 * :mod:`repro.engine.runner` — :class:`BatchRunner`, which runs a list of
-  :class:`WorkOrder`s through a deterministic serial loop or the lockstep
-  core, always preserving result ordering;
+  :class:`WorkOrder`s through the lockstep core (the default) or the
+  serial reference loop, always preserving result ordering;
 * :mod:`repro.engine.report` — run provenance (environment fingerprint,
   git revision) and the span-derived phase split of a dispatch.
 

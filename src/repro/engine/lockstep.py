@@ -61,7 +61,9 @@ the trajectories match checkpoint for checkpoint (fuzzed in
 ``tests/test_rl_batch.py``).  *Unseeded* exploration orders keep the old
 serial fallback: their serial results depend on one RNG stream shared
 across sessions in submission order, which no parallel decomposition can
-reproduce.
+reproduce.  A seeded order on the same stream reseeds it under serial
+execution, so every order that shares an RL agent with an unseeded one
+runs through that fallback too, in submission order.
 """
 
 from __future__ import annotations
@@ -140,63 +142,48 @@ def order_supports_lockstep(order: "WorkOrder") -> bool:
     )
 
 
+def _stream_owner(abr: ABRAlgorithm) -> int:
+    """Identity of the exploration stream an ABR draws from: its RL agent
+    (shared by every ABR instance holding it), else the instance itself."""
+    return id(getattr(abr, "agent", abr))
+
+
 def run_orders_lockstep(
     orders: Sequence["WorkOrder"],
     fault_log: Optional[FaultLog] = None,
 ) -> List[StreamResult]:
     """Run work orders through the lockstep core; results align with input.
 
-    Orders are grouped by (ABR instance, player config): each group is one
-    lockstep shard.  Sessions are independent (every serial session starts
-    with ``abr.reset()``), so executing groups out of submission order
-    cannot change any result; the returned list is reassembled in
+    Orders are grouped by player config: each group is one lockstep shard
+    (:func:`_run_shards`).  Sessions are independent (every serial session
+    starts with ``abr.reset()``), so executing groups out of submission
+    order cannot change any result; the returned list is reassembled in
     submission order regardless.
 
-    A shard that raises is *recovered*, not fatal: its orders are re-run
-    one session at a time through the serial reference path — the ground
-    truth lockstep is proven bit-identical to — under a loud
-    :class:`~repro.faults.log.ShardRecoveryWarning` (promoted to an error
-    in the test suite outside the chaos tests, so recovery can never mask
-    an engine regression there).  An active
-    :class:`~repro.faults.injector.FaultInjector` may strike a shard here
-    with a :class:`~repro.faults.injector.SimulatedWorkerCrash`;
-    recoveries are counted in ``fault_log`` when the caller passes one.
+    Orders that lockstep cannot reproduce (:func:`order_supports_lockstep`)
+    run through the serial reference path — together with every other
+    order drawing from the same exploration stream (:func:`_stream_owner`),
+    in submission order, because a seeded order reseeds that stream under
+    serial execution and so shapes what later unseeded orders draw.
     """
     orders = list(orders)
     results: List[Optional[StreamResult]] = [None] * len(orders)
-    shards: Dict[object, List[int]] = {}
+    serial_owners = {
+        _stream_owner(order.abr)
+        for order in orders
+        if not order_supports_lockstep(order)
+    }
+    batched = []
     for index, order in enumerate(orders):
-        if not order_supports_lockstep(order):
+        if _stream_owner(order.abr) in serial_owners:
             results[index] = order.run()
-            continue
-        shards.setdefault(order.config, []).append(index)
-    for shard_index, indices in enumerate(shards.values()):
-        shard_orders = [orders[index] for index in indices]
-        injector = active_injector()
-        try:
-            if injector is not None:
-                injector.strike_shard(shard_index)
-            with trace_span("engine.lockstep.shard"):
-                shard_results = _run_shard(shard_orders)
-        except Exception as error:
-            warnings.warn(
-                f"lockstep: shard {shard_index} ({len(shard_orders)} "
-                f"orders) failed with {error!r}; re-running its orders "
-                "serially",
-                ShardRecoveryWarning,
-                stacklevel=2,
-            )
-            if fault_log is not None:
-                if isinstance(error, SimulatedWorkerCrash):
-                    fault_log.worker_crashes += 1
-                fault_log.serial_fallbacks += 1
-                fault_log.record(
-                    f"lockstep shard {shard_index} recovered serially "
-                    f"after {type(error).__name__}"
-                )
-            shard_results = [order.run() for order in shard_orders]
-        for index, result in zip(indices, shard_results):
-            results[index] = result
+        else:
+            batched.append(index)
+    shard_results, _ = _run_shards(
+        [orders[index] for index in batched], fault_log, capture=False
+    )
+    for index, result in zip(batched, shard_results):
+        results[index] = result
     if TRACE.enabled:
         # Lazy import: the runner module imports lockstep functions
         # lazily, so the reverse edge must not run at module import time.
@@ -212,18 +199,15 @@ def run_rl_rollouts_lockstep(
 ) -> Tuple[List[StreamResult], List[List[Tuple[np.ndarray, int]]]]:
     """Run RL work orders in lockstep, capturing training trajectories.
 
-    The rollout collector's lockstep entry point: every order must be a
-    stock Pensieve-family policy with lockstep support at the order level
-    (greedy, or exploration-mode with a pinned ``exploration_seed``).
-    Returns ``(results, trajectories)``, both aligned with ``orders``;
-    each trajectory is the order's ``(state, action)`` list — bitwise what
-    the serial ``begin_capture()``/``end_capture()`` discipline records,
-    because the batched driver's states, probabilities and sampled actions
-    are bitwise the scalar path's (see :class:`_RLDriver`).
-
-    A shard that raises is recovered through the serial reference path —
-    reseed, capture, run — under a :class:`ShardRecoveryWarning`, exactly
-    mirroring :func:`run_orders_lockstep`'s recovery contract.
+    The lockstep side of :meth:`~repro.engine.runner.BatchRunner.
+    run_rollouts`: every order must be a stock Pensieve-family policy with
+    lockstep support at the order level (greedy, or exploration-mode with
+    a pinned ``exploration_seed``).  Returns ``(results, trajectories)``,
+    both aligned with ``orders``; each trajectory is the order's
+    ``(state, action)`` list — bitwise what the serial
+    ``begin_capture()``/``end_capture()`` discipline records, because the
+    batched driver's states, probabilities and sampled actions are bitwise
+    the scalar path's (see :class:`_RLDriver`).
     """
     orders = list(orders)
     for order in orders:
@@ -232,51 +216,82 @@ def run_rl_rollouts_lockstep(
             "run_rl_rollouts_lockstep needs stock Pensieve-family orders "
             "with lockstep support (greedy, or a pinned exploration_seed)",
         )
+    return _run_shards(orders, fault_log, capture=True)
+
+
+def _run_shards(
+    orders: Sequence["WorkOrder"],
+    fault_log: Optional[FaultLog],
+    capture: bool,
+) -> Tuple[List[StreamResult], list]:
+    """Run lockstep-capable orders as one shard per player config.
+
+    Returns ``(results, trajectories)`` aligned with ``orders``; the
+    trajectories are the captured ``(state, action)`` lists when
+    ``capture`` is set (RL rollouts), else ``None`` entries.
+
+    A shard that raises is *recovered*, not fatal: its orders are re-run
+    one session at a time through the serial reference path — the ground
+    truth lockstep is proven bit-identical to — under a loud
+    :class:`~repro.faults.log.ShardRecoveryWarning` (promoted to an error
+    in the test suite outside the chaos tests, so recovery can never mask
+    an engine regression there).  An active
+    :class:`~repro.faults.injector.FaultInjector` may strike any shard here
+    with a :class:`~repro.faults.injector.SimulatedWorkerCrash`;
+    recoveries are counted in ``fault_log`` when the caller passes one.
+    """
+    # Lazy import, as in run_orders_lockstep.
+    from repro.engine.runner import _run_rollouts_serial
+
     results: List[Optional[StreamResult]] = [None] * len(orders)
-    trajectories: List[Optional[List[Tuple[np.ndarray, int]]]] = (
-        [None] * len(orders)
-    )
+    trajectories: list = [None] * len(orders)
     shards: Dict[object, List[int]] = {}
     for index, order in enumerate(orders):
         shards.setdefault(order.config, []).append(index)
+    label = "rollout shard" if capture else "shard"
+    injector = active_injector()
     for shard_index, indices in enumerate(shards.values()):
         shard_orders = [orders[index] for index in indices]
-        capture: Dict[int, List[Tuple[np.ndarray, int]]] = {
-            row: [] for row in range(len(shard_orders))
-        }
+        shard_trajectories = [[] for _ in indices] if capture else None
         try:
+            if injector is not None:
+                injector.strike_shard(shard_index)
             with trace_span("engine.lockstep.shard"):
-                shard_results = _run_shard(shard_orders, capture=capture)
+                shard_results = _run_shard(
+                    shard_orders, capture=shard_trajectories
+                )
         except Exception as error:
             warnings.warn(
-                f"lockstep: rollout shard {shard_index} "
-                f"({len(shard_orders)} orders) failed with {error!r}; "
-                "re-running its orders serially",
+                f"lockstep: {label} {shard_index} ({len(shard_orders)} "
+                f"orders) failed with {error!r}; re-running its orders "
+                "serially",
                 ShardRecoveryWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             if fault_log is not None:
                 if isinstance(error, SimulatedWorkerCrash):
                     fault_log.worker_crashes += 1
                 fault_log.serial_fallbacks += 1
                 fault_log.record(
-                    f"lockstep rollout shard {shard_index} recovered "
-                    f"serially after {type(error).__name__}"
+                    f"lockstep {label} {shard_index} recovered serially "
+                    f"after {type(error).__name__}"
                 )
-            shard_results = []
-            for row, order in enumerate(shard_orders):
-                order.abr.begin_capture()
-                shard_results.append(order.run())
-                capture[row] = order.abr.end_capture()
+            if capture:
+                shard_results, shard_trajectories = _run_rollouts_serial(
+                    shard_orders
+                )
+            else:
+                shard_results = [order.run() for order in shard_orders]
         for row, index in enumerate(indices):
             results[index] = shard_results[row]
-            trajectories[index] = capture[row]
+            if capture:
+                trajectories[index] = shard_trajectories[row]
     return results, trajectories
 
 
 def _run_shard(
     orders: Sequence["WorkOrder"],
-    capture: Optional[Dict[int, List[Tuple[np.ndarray, int]]]] = None,
+    capture: Optional[List[List[Tuple[np.ndarray, int]]]] = None,
 ) -> List[StreamResult]:
     """Run one shard of orders (shared player config) in lockstep.
 
@@ -297,7 +312,7 @@ def _run_shard(
     serial session starts with ``abr.reset()``), so interleaving groups
     in one shard cannot change any result.
 
-    ``capture``, when given, maps row index -> list; RL drivers append
+    ``capture``, when given, holds one list per row; RL drivers append
     each row's ``(state, action)`` pairs to it — the lockstep counterpart
     of :meth:`PensieveABR.begin_capture`, used by the training rollout
     collector (:func:`run_rl_rollouts_lockstep`).
@@ -512,9 +527,9 @@ class _RLDriver:
     touches no mutable agent state, and sampling never touches the shared
     ``agent._rng``), so one driver serves every row of the instance group.
 
-    Setting :attr:`capture` to a ``row -> list`` mapping records each
-    row's ``(state, action)`` pairs, exactly like the scalar capture hook
-    the trainer uses.
+    Setting :attr:`capture` to one list per shard row records each row's
+    ``(state, action)`` pairs, exactly like the scalar capture hook the
+    trainer uses.
     """
 
     def __init__(
@@ -536,7 +551,7 @@ class _RLDriver:
             int(shard.num_levels.max()) <= self.cfg.num_levels,
             "ladder wider than the agent's next-chunk-size slot",
         )
-        self.capture: Optional[Dict[int, List[Tuple[np.ndarray, int]]]] = None
+        self.capture: Optional[List[List[Tuple[np.ndarray, int]]]] = None
         self.rngs: Dict[int, object] = {}
         if not self.greedy:
             for row, order in enumerate(orders):

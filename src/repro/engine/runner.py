@@ -2,21 +2,22 @@
 
 The experiment harness reduces to one primitive: run a list of streaming
 sessions and collect their :class:`~repro.player.session.StreamResult`s in a
-deterministic order.  :class:`BatchRunner` provides exactly that primitive
-with two interchangeable backends:
+deterministic order.  :class:`BatchRunner` provides exactly that primitive,
+and it is the one place that knows which engine runs it:
 
-* ``serial`` — runs orders in submission order, in process, reusing the ABR
-  instances it is given.  This is byte-for-byte the seed behaviour and the
-  independent reference every equivalence check compares against.
-* ``lockstep`` — runs orders through the lockstep multi-session core
-  (:mod:`repro.engine.lockstep`): whole shards of sessions advance chunk
-  by chunk as structure-of-arrays state (:mod:`repro.player.shard` —
-  batched download integrals, masked buffer/stall evolution, shared
-  history rings) and the planner is evaluated across sessions — and
-  across compatible ABR instances — as batched tensors.  Results are
-  bit-identical to ``serial`` (``tests/test_lockstep.py``, the golden
-  masters and the property/fuzz layers — see ``docs/TESTING.md``); this
-  is the default (:meth:`BatchRunner.auto`).
+* ``lockstep`` (the default, used by every entry point) — runs orders
+  through the lockstep multi-session core (:mod:`repro.engine.lockstep`):
+  whole shards of sessions advance chunk by chunk as structure-of-arrays
+  state (:mod:`repro.player.shard` — batched download integrals, masked
+  buffer/stall evolution, shared history rings) and the planner is
+  evaluated across sessions — and across compatible ABR instances — as
+  batched tensors.
+* ``serial`` — runs orders in submission order, in process, reusing the
+  ABR instances it is given.  This is byte-for-byte the seed behaviour:
+  the independent reference that tests and ``bench/`` ask for explicitly
+  and every equivalence check compares lockstep against
+  (``tests/test_lockstep.py``, the golden masters and the property/fuzz
+  layers — see ``docs/TESTING.md``).
 
 A lockstep shard that raises is re-run through the serial reference path,
 so a fault degrades throughput, never correctness; every recovery is
@@ -31,7 +32,7 @@ Result ordering always matches submission ordering, whichever backend ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,11 +45,11 @@ from repro.player.session import SessionConfig, StreamingSession, StreamResult
 from repro.utils.validation import require
 from repro.video.encoder import EncodedVideo
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 #: Supported backends.
 BACKENDS = ("serial", "lockstep")
+
+#: One session's captured ``(state, action)`` pairs (RL rollouts).
+Trajectory = List[Tuple[np.ndarray, int]]
 
 
 @dataclass
@@ -96,9 +97,21 @@ class WorkOrder:
         return session.run()
 
 
-def _execute_order(order: WorkOrder) -> StreamResult:
-    """Run one order (the serial backend's per-item function)."""
-    return order.run()
+def _run_rollouts_serial(
+    orders: Sequence[WorkOrder],
+) -> Tuple[List[StreamResult], List[Trajectory]]:
+    """The serial rollout reference: per order, in submission order,
+    reseed the exploration stream, capture the policy's ``(state,
+    action)`` pairs and run the session.  The serial runner's
+    :meth:`BatchRunner.run_rollouts` and the lockstep rollout recovery
+    both run it."""
+    results: List[StreamResult] = []
+    trajectories: List[Trajectory] = []
+    for order in orders:
+        order.abr.begin_capture()
+        results.append(order.run())  # reseeds before the session
+        trajectories.append(order.abr.end_capture())
+    return results, trajectories
 
 
 def _observe_session_results(results: Sequence[StreamResult]) -> None:
@@ -120,16 +133,16 @@ def _observe_session_results(results: Sequence[StreamResult]) -> None:
 
 
 class BatchRunner:
-    """Runs work orders through the serial or the lockstep backend.
+    """Runs work orders through the lockstep core or the serial reference.
 
     Parameters
     ----------
     backend:
-        ``"serial"`` (the reference) or ``"lockstep"`` (the default of
-        :meth:`auto`).
+        ``"lockstep"`` (the default) or ``"serial"`` (the bit-identical
+        reference, for tests and ``bench/``).
     """
 
-    def __init__(self, backend: str = "serial") -> None:
+    def __init__(self, backend: str = "lockstep") -> None:
         require(backend in BACKENDS,
                 f"backend must be one of {BACKENDS}, got {backend!r}")
         self.backend = backend
@@ -139,8 +152,8 @@ class BatchRunner:
 
     @classmethod
     def auto(cls) -> "BatchRunner":
-        """The lockstep runner: bit-identical to serial and the fastest."""
-        return cls(backend="lockstep")
+        """The default (lockstep) runner."""
+        return cls()
 
     # ------------------------------------------------------------------ API
 
@@ -160,20 +173,30 @@ class BatchRunner:
                 from repro.engine.lockstep import run_orders_lockstep
 
                 return run_orders_lockstep(orders, fault_log=self.fault_log)
-            results = self.map_ordered(_execute_order, orders)
+            results = [order.run() for order in orders]
             # Lockstep runs observe inside run_orders_lockstep; the serial
             # loop is the one path that must observe here.
             _observe_session_results(results)
             return results
 
-    def map_ordered(
-        self, fn: Callable[[_T], _R], items: Sequence[_T]
-    ) -> List[_R]:
-        """Apply ``fn`` to every item in order, under the ``engine.map``
-        span (lockstep only accelerates :meth:`run_orders`, where the work
-        is known to be streaming sessions)."""
-        with trace_span("engine.map"):
-            return [fn(item) for item in items]
+    def run_rollouts(
+        self, orders: Sequence[WorkOrder]
+    ) -> Tuple[List[StreamResult], List[Trajectory]]:
+        """Run RL work orders, capturing each session's ``(state,
+        action)`` trajectory for the trainer.
+
+        Returns ``(results, trajectories)``, both aligned with ``orders``.
+        Lockstep runs :func:`repro.engine.lockstep.run_rl_rollouts_lockstep`
+        (stock Pensieve-family policies, greedy or with a pinned
+        ``exploration_seed``); serial runs the reseed → capture → run
+        reference, which the lockstep trajectories equal byte for byte.
+        """
+        orders = list(orders)
+        if self.backend == "lockstep":
+            from repro.engine.lockstep import run_rl_rollouts_lockstep
+
+            return run_rl_rollouts_lockstep(orders, fault_log=self.fault_log)
+        return _run_rollouts_serial(orders)
 
 
 def orders_for_grid(

@@ -83,9 +83,8 @@ def _evaluate_grid(
 
     The whole grid is dispatched through the batch engine: work orders are
     built in the seed's (video, trace, algorithm) nesting order, executed by
-    ``runner`` (the context's runner by default — serial unless configured
-    otherwise), and scored by the oracle in the parent process, one batched
-    call per video.
+    ``runner`` (the context's runner by default — lockstep), and scored by
+    the oracle in the calling process, one batched call per video.
 
     When the registry attached a finished-cell cache to the context
     (``context.cell_cache``), cells already scored by an earlier run of the

@@ -32,8 +32,8 @@ Subcommands
 
 ``run`` and ``train`` accept a ``--telemetry`` switch.  It is execution
 policy, not experiment identity — it turns the tracer on *alongside* the
-spec, so it never perturbs spec hashes or cached artifacts (the same
-discipline as ``--backend``).
+spec, so it never perturbs spec hashes or cached artifacts.  Every
+subcommand runs the batch engine's default lockstep core.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.registry import get_experiment, registry, run
 from repro.experiments.results import ArtifactStore
-from repro.experiments.spec import SPEC_BACKENDS, ExperimentSpec, scale_names
+from repro.experiments.spec import ExperimentSpec, scale_names
 from repro.faults.integrity import QUARANTINE_DIR, quarantine_records
 
 #: Default artifact-store location, relative to the working directory.
@@ -95,9 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"scale preset ({', '.join(scale_names())})")
     run_cmd.add_argument("--seed", type=int, default=7,
                          help="the single seed every artefact derives from")
-    run_cmd.add_argument("--backend", default="serial",
-                         choices=SPEC_BACKENDS,
-                         help="batch-engine backend (results are identical)")
     run_cmd.add_argument("--results", default=DEFAULT_RESULTS_ROOT,
                          help="artifact-store root (content-addressed)")
     run_cmd.add_argument("--no-save", action="store_true",
@@ -136,8 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train_cmd.add_argument("--seed", type=int, default=7)
     train_cmd.add_argument("--checkpoints", default="checkpoints",
                            metavar="DIR", help="CheckpointStore root")
-    train_cmd.add_argument("--backend", default="auto",
-                           choices=SPEC_BACKENDS)
     train_cmd.add_argument("--rounds", type=int, default=None,
                            help="training rounds (default: pipeline preset)")
     train_cmd.add_argument("--episodes-per-round", type=int, default=None)
@@ -155,8 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("--scale", default="tiny",
                              help=f"scale preset ({', '.join(scale_names())})")
     profile_cmd.add_argument("--seed", type=int, default=7)
-    profile_cmd.add_argument("--backend", default="auto",
-                             choices=SPEC_BACKENDS)
     profile_cmd.add_argument("--checkpoints", default=None, metavar="DIR",
                              help="CheckpointStore root for trained policies")
     profile_cmd.add_argument("--set", dest="overrides", action="append",
@@ -349,7 +342,6 @@ def _cmd_run(args) -> int:
                 experiment=name,
                 scale=args.scale,
                 seed=args.seed,
-                backend=args.backend,
                 include_pensieve=args.include_pensieve,
                 checkpoint_root=args.checkpoints,
                 params=dict(args.overrides),
@@ -443,7 +435,6 @@ def _cmd_profile(args) -> int:
         experiment=defn.name,
         scale=args.scale,
         seed=args.seed,
-        backend=args.backend,
         checkpoint_root=args.checkpoints,
         params=dict(args.overrides),
     )
@@ -505,14 +496,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from repro.engine.runner import BatchRunner
     from repro.experiments.spec import resolve_scale
     from repro.training.pipeline import DEFAULT_TRAINING, train_policies
 
-    if args.backend == "auto":
-        runner = BatchRunner.auto()
-    else:
-        runner = BatchRunner(backend=args.backend)
     config = DEFAULT_TRAINING
     if args.rounds is not None or args.episodes_per_round is not None:
         from dataclasses import replace
@@ -533,7 +519,6 @@ def _cmd_train(args) -> int:
             scale=resolve_scale(args.scale),
             seed=args.seed,
             checkpoint_root=args.checkpoints,
-            runner=runner,
             config=config,
             verbose=not args.json,
         )

@@ -10,7 +10,7 @@ points are thin shims over the same functions).  Everything else — the
     run(ExperimentSpec(experiment="fig12a", scale="quick", seed=7))
 
 which builds the :class:`~repro.experiments.common.ExperimentContext` from
-the spec (single seed, chosen backend, checkpoint store), consults the
+the spec (single seed, checkpoint store), consults the
 :class:`~repro.experiments.results.ArtifactStore` for a cached
 :class:`~repro.experiments.results.ResultSet` first, wires the finished-cell
 cache into grid sweeps, and stamps provenance metadata on the way out.
@@ -147,20 +147,15 @@ def registry() -> List[ExperimentDef]:
 
 # ------------------------------------------------------------------ execution
 
-def _runner_for(spec: ExperimentSpec) -> BatchRunner:
-    """The runner a spec's backend names."""
-    if spec.backend == "auto":
-        return BatchRunner.auto()
-    return BatchRunner(backend=spec.backend)
-
-
 def context_for(spec: ExperimentSpec, runner: Optional[BatchRunner] = None) -> ExperimentContext:
     """The :class:`ExperimentContext` a spec describes — every knob (scale,
-    seed, backend, checkpoints) comes from the spec, nowhere else."""
+    seed, checkpoints) comes from the spec, nowhere else.  ``runner``
+    injects a batch engine (tests pass the serial reference); ``None``
+    uses the default lockstep runner."""
     return ExperimentContext(
         scale=spec.resolve_scale(),
         seed=spec.seed,
-        runner=runner if runner is not None else _runner_for(spec),
+        runner=runner,
         checkpoint_root=spec.checkpoint_root,
     )
 

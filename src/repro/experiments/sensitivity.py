@@ -39,14 +39,13 @@ def qoe_gap(qoe: Sequence[float]) -> float:
     return (float(values.max()) - q_min) / max(q_min, 1e-9)
 
 
-def _series_true_qoe(item) -> List[float]:
-    """True QoE of every rendering in one (video, incident) series.
-
-    The batch engine's ``map_ordered`` item function; each item is an
-    ``(oracle, encoded, incident)`` tuple.
-    """
-    oracle, encoded, incident = item
-    return oracle.true_qoe_batch(make_video_series(encoded, incident)).tolist()
+def _series_true_qoe(
+    context: ExperimentContext, encoded: EncodedVideo,
+    incident: QualityIncident,
+) -> List[float]:
+    """True QoE of every rendering in one (video, incident) series."""
+    series = make_video_series(encoded, incident)
+    return context.oracle.true_qoe_batch(series).tolist()
 
 
 @experiment("table1", group="sensitivity", figures=("Table 1",))
@@ -124,16 +123,14 @@ def fig03_qoe_gap_cdf(
     """
     whole_video_gaps: List[float] = []
     windowed_gaps: List[float] = []
-    items = [
-        (context.oracle, encoded, incident)
-        for encoded in context.videos()
-        for incident in STANDARD_INCIDENTS.values()
-    ]
-    for series_qoe in context.runner.map_ordered(_series_true_qoe, items):
-        qoe = np.array(series_qoe)
-        whole_video_gaps.append(qoe_gap(qoe))
-        for start in range(0, qoe.size - window_chunks + 1, window_chunks):
-            windowed_gaps.append(qoe_gap(qoe[start : start + window_chunks]))
+    for encoded in context.videos():
+        for incident in STANDARD_INCIDENTS.values():
+            qoe = np.array(_series_true_qoe(context, encoded, incident))
+            whole_video_gaps.append(qoe_gap(qoe))
+            for start in range(0, qoe.size - window_chunks + 1, window_chunks):
+                windowed_gaps.append(
+                    qoe_gap(qoe[start : start + window_chunks])
+                )
     whole_x, whole_cdf = cdf_points(whole_video_gaps)
     return {
         "num_series": len(whole_video_gaps),
@@ -174,18 +171,10 @@ def fig05_incident_rank_correlation(context: ExperimentContext) -> Dict[str, obj
     corr_1s_vs_4s: List[float] = []
     corr_1s_vs_drop: List[float] = []
     video_ids: List[str] = []
-    videos = context.videos()
-    incident_names = list(STANDARD_INCIDENTS)
-    items = [
-        (context.oracle, encoded, STANDARD_INCIDENTS[name])
-        for encoded in videos
-        for name in incident_names
-    ]
-    scored = context.runner.map_ordered(_series_true_qoe, items)
-    for video_index, encoded in enumerate(videos):
+    for encoded in context.videos():
         series_by_incident = {
-            name: scored[video_index * len(incident_names) + offset]
-            for offset, name in enumerate(incident_names)
+            name: _series_true_qoe(context, encoded, incident)
+            for name, incident in STANDARD_INCIDENTS.items()
         }
         video_ids.append(encoded.source.video_id)
         corr_1s_vs_4s.append(

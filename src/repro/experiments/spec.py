@@ -10,10 +10,9 @@ Two hashes matter:
 
 * :meth:`ExperimentSpec.spec_hash` — the content address of the run's
   *results*.  It covers everything that can change the output data
-  (experiment, scale, seed, pensieve inclusion, checkpoint root, params)
-  and deliberately excludes the execution ``backend``: the batch engine
-  guarantees serial ≡ lockstep, so the same spec run on either backend
-  must hit the same cached :class:`~repro.experiments.results.ResultSet`.
+  (experiment, scale, seed, pensieve inclusion, checkpoint root, params).
+  How the batch engine runs is not part of a spec: every run goes through
+  the lockstep core, bit-identical to the serial reference.
 * :meth:`ExperimentSpec.context_hash` — the address of reusable grid
   *cells*.  Individual (algorithm, video, trace) QoE cells depend only on
   how the :class:`~repro.experiments.common.ExperimentContext` was built
@@ -31,11 +30,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.experiments.common import ExperimentScale
 from repro.utils.validation import require
 
-#: Execution backends a spec may request; ``auto`` is the lockstep core (see
-#: :meth:`repro.engine.runner.BatchRunner.auto`).  Results are identical on
-#: every backend (lockstep is bit-identical to serial), which is why
-#: ``spec_hash`` excludes the backend.
-SPEC_BACKENDS = ("serial", "lockstep", "auto")
+#: Execution fields older stored specs carry (``backend`` in any of its
+#: historical values, ``max_workers`` from the process-pool era).  Neither
+#: ever changed results or entered :meth:`ExperimentSpec.spec_hash`.
+_RETIRED_FIELDS = ("backend", "max_workers")
 
 # --------------------------------------------------------------- scale presets
 
@@ -132,9 +130,6 @@ class ExperimentSpec:
         The *single* seed every artefact of the run derives from — the
         context, trace bank, profiling campaigns and trained agents all key
         off it, so identical specs are bit-identical end to end.
-    backend:
-        The :class:`~repro.engine.runner.BatchRunner` backend; excluded
-        from :meth:`spec_hash` because results do not depend on it.
     include_pensieve:
         Override the experiment's default for including RL policies
         (``None`` keeps the experiment's default).
@@ -156,7 +151,6 @@ class ExperimentSpec:
     experiment: str
     scale: str = "quick"
     seed: int = 7
-    backend: str = "serial"
     include_pensieve: Optional[bool] = None
     checkpoint_root: Optional[str] = None
     checkpoint_fingerprint: Optional[str] = None
@@ -164,10 +158,6 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         require(bool(self.experiment), "spec needs an experiment name")
-        require(
-            self.backend in SPEC_BACKENDS,
-            f"backend must be one of {SPEC_BACKENDS}, got {self.backend!r}",
-        )
         params = self.params
         if isinstance(params, dict):
             params = tuple(
@@ -201,7 +191,6 @@ class ExperimentSpec:
             "experiment": self.experiment,
             "scale": self.scale,
             "seed": self.seed,
-            "backend": self.backend,
             "include_pensieve": self.include_pensieve,
             "checkpoint_root": self.checkpoint_root,
             "checkpoint_fingerprint": self.checkpoint_fingerprint,
@@ -212,15 +201,13 @@ class ExperimentSpec:
     def from_dict(cls, payload: Dict[str, object]) -> "ExperimentSpec":
         """Rebuild a spec from :meth:`to_dict` output.
 
-        Specs stored before the process-pool backend was retired carry a
-        ``max_workers`` field and may name ``"process"``; they load as
-        lockstep specs under the same :meth:`spec_hash`, because neither
-        field ever changed results.
+        Older stored specs carry a ``backend`` (``serial``, ``lockstep``,
+        ``auto`` or ``process``) and may carry ``max_workers``; both are
+        dropped, so those specs load under the same :meth:`spec_hash`.
         """
         payload = dict(payload)
-        payload.pop("max_workers", None)
-        if payload.get("backend") == "process":
-            payload["backend"] = "lockstep"
+        for name in _RETIRED_FIELDS:
+            payload.pop(name, None)
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         require(not unknown, f"unknown spec fields: {sorted(unknown)}")
@@ -228,16 +215,9 @@ class ExperimentSpec:
 
     # ----------------------------------------------------------------- hashes
 
-    def _hash_payload(self) -> Dict[str, object]:
-        payload = self.to_dict()
-        # The backend never changes results (serial ≡ lockstep), so it
-        # must not change the content address either.
-        payload.pop("backend")
-        return payload
-
     def spec_hash(self) -> str:
         """Content address of this spec's results (16 hex chars)."""
-        canonical = json.dumps(self._hash_payload(), sort_keys=True)
+        canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def context_hash(self) -> str:

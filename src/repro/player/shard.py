@@ -164,10 +164,11 @@ class ShardState:
 
         # Deferred download records, one column per chunk step.  Sizes and
         # throughputs are not stored: ``finalize`` rebuilds them from
-        # ``levels``, ``sizes_all`` and ``rec_duration``.
+        # ``levels``, ``sizes_all`` and ``rec_duration``.  Neither is the
+        # buffer before each download: ``buffer_s`` changes only in
+        # ``step``, so it is the previous chunk's buffer after (0 at chunk 0).
         self.rec_start = np.zeros((n, self.max_chunks))
         self.rec_duration = np.zeros((n, self.max_chunks))
-        self.rec_buffer_before = np.zeros((n, self.max_chunks))
         self.rec_buffer_after = np.zeros((n, self.max_chunks))
         # Stall events, (cause, chunk_index, start_s, duration_s) per entry.
         self.stall_records: List[List[Tuple[str, int, float, float]]] = [
@@ -279,7 +280,6 @@ class ShardState:
                 )
         np.maximum(downloads, MIN_DOWNLOAD_DURATION_S, out=downloads)
 
-        buffer_before = self.buffer_s[rows]
         self.total_bytes[rows] += sizes
 
         if chunk == 0:
@@ -315,7 +315,6 @@ class ShardState:
         throughput = sizes * 8.0 / 1e6 / downloads
         self.rec_start[rows, chunk] = starts
         self.rec_duration[rows, chunk] = downloads
-        self.rec_buffer_before[rows, chunk] = buffer_before
         self.rec_buffer_after[rows, chunk] = self.buffer_s[rows]
         self.throughput_history.push_column(rows, throughput)
         self.download_time_history.push_column(rows, downloads)
@@ -459,6 +458,7 @@ class ShardState:
         levels = self.levels[row, :num_chunks]
         sizes = self.sizes_all[self.video_of[row], np.arange(num_chunks), levels]
         durations = self.rec_duration[row, :num_chunks]
+        buffer_after = self.rec_buffer_after[row, :num_chunks]
         timeline = LazySessionTimeline(
             levels.copy(),
             np.stack((
@@ -466,8 +466,8 @@ class ShardState:
                 self.rec_start[row, :num_chunks],
                 durations,
                 sizes * 8.0 / 1e6 / durations,
-                self.rec_buffer_before[row, :num_chunks],
-                self.rec_buffer_after[row, :num_chunks],
+                np.concatenate(([0.0], buffer_after[:-1])),
+                buffer_after,
             )),
             stall_entries,
         )

@@ -3,9 +3,9 @@
 These wrap :class:`~repro.player.session.StreamingSession` so that the
 experiment harness and the examples can simulate an (ABR, video, trace)
 combination — or a whole grid of them — in one call.  Grid sweeps are
-delegated to the batch engine (:class:`~repro.engine.runner.BatchRunner`):
-the default serial backend reproduces the seed's sequential loop exactly,
-while the lockstep runner steps the whole grid as batched arrays.
+delegated to the batch engine (:class:`~repro.engine.runner.BatchRunner`),
+whose default lockstep core steps the whole grid as batched arrays,
+bit-identical to the seed's sequential loop.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def simulate_many(
     sensitivity weights per video id (used by SENSEI variants); other videos
     stream with uniform weights.
 
-    ``runner`` selects the execution backend; ``None`` uses the serial
-    :class:`~repro.engine.runner.BatchRunner`, which runs the grid in the
-    seed's iteration order.  Result ordering is identical for every backend.
+    ``runner`` is the batch engine; ``None`` uses the default (lockstep)
+    :class:`~repro.engine.runner.BatchRunner`.  Results come back in the
+    seed's iteration order whichever engine runs them.
     """
     from repro.engine.runner import BatchRunner, orders_for_grid
 

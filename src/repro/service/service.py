@@ -39,7 +39,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, Decision
-from repro.engine.runner import BatchRunner
 from repro.network.trace import ThroughputTrace
 from repro.obs import get_registry
 from repro.obs.metrics import DEFAULT_MICRO_LATENCY_BUCKETS_S
@@ -108,7 +107,6 @@ class DecisionService:
         capacity: Optional[int] = None,
         shed_timeout_s: Optional[float] = 0.05,
         max_backlog_per_tenant: int = 64,
-        runner: Optional[BatchRunner] = None,
     ) -> None:
         self.table = table if table is not None else SessionTable()
         if scheduler is None:
@@ -121,7 +119,6 @@ class DecisionService:
             self._execute_flush, max_batch=max_batch, max_delay_s=max_delay_s,
         )
         self.shed_timeout_s = shed_timeout_s
-        self._runner = runner
         self._closed = False
         self._started_at = time.time()
 
@@ -221,18 +218,11 @@ class DecisionService:
     def offline_result(self, entry: SessionEntry) -> StreamResult:
         """Re-run a session offline for the golden online ≡ offline check.
 
-        Uses the untouched original ABR instance through the stock
-        :class:`WorkOrder` path on a service-owned runner, exactly like a
-        grid cell.
+        Runs the untouched original ABR instance through the serial
+        reference (:meth:`WorkOrder.run <repro.engine.runner.WorkOrder.run>`),
+        exactly like a serial grid cell.
         """
-        runner = self._ensure_runner()
-        return runner.run_orders([entry.work_order()])[0]
-
-    def _ensure_runner(self) -> BatchRunner:
-        if self._runner is None:
-            self._require_open()
-            self._runner = BatchRunner(backend="serial")
-        return self._runner
+        return entry.work_order().run()
 
     # ---------------------------------------------------------------- health
 

@@ -10,7 +10,7 @@ engine scale:
   regimes (handover, congestion onset, low-bandwidth cellular);
 * :mod:`repro.training.collector`  — :class:`RolloutCollector`, per-round
   experience collection on :class:`~repro.engine.runner.BatchRunner` with a
-  serial ≡ lockstep equivalence guarantee;
+  lockstep ≡ serial equivalence guarantee;
 * :mod:`repro.training.trainer`    — :class:`Trainer`, the synchronous
   learning loop with entropy/LR schedules, held-out evaluation and early
   stopping;
@@ -31,9 +31,7 @@ from repro.training.collector import (
     EpisodeRollout,
     PolicySnapshot,
     RolloutCollector,
-    RolloutShard,
     build_policy,
-    collect_shard,
 )
 from repro.training.curriculum import (
     CurriculumConfig,
@@ -63,14 +61,12 @@ __all__ = [
     "PolicySnapshot",
     "REGIMES",
     "RolloutCollector",
-    "RolloutShard",
     "RoundStats",
     "ScenarioCurriculum",
     "Trainer",
     "TrainerConfig",
     "TrainingResult",
     "build_policy",
-    "collect_shard",
     "congestion_onset_trace",
     "evaluate_policy",
 ]

@@ -9,25 +9,27 @@ an episode is a pure function of (snapshot parameters, spec seed) — see
 :meth:`~repro.ml.rl.ActorCriticAgent.reseed_exploration` — collection
 order cannot change the experience.
 
-A serial runner replays the episodes one at a time (:func:`collect_shard`).
-A lockstep runner routes collection through the batched RL driver
+Each episode becomes a work order pinning ``exploration_seed=spec.seed``,
+and the round runs through one call, :meth:`BatchRunner.run_rollouts
+<repro.engine.runner.BatchRunner.run_rollouts>`.  On the default lockstep
+runner that is the batched RL driver
 (:func:`repro.engine.lockstep.run_rl_rollouts_lockstep`): the whole round's
 episodes step together as one SoA shard, the actor forward runs once per
 decision round across the batch, and each episode samples from its own
 ``rng_from_seed(spec.seed)`` stream — the same stream the serial
-``reseed_exploration(spec.seed)`` discipline produces, so the experience,
+reference's ``reseed_exploration(spec.seed)`` produces, so the experience,
 and therefore the trained policy, is byte-identical on both backends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.abr.pensieve import PensieveABR, PensieveConfig
-from repro.engine.runner import BatchRunner
+from repro.engine.runner import BatchRunner, WorkOrder
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.obs.trace import TRACE, trace_span
 from repro.training.curriculum import EpisodeSpec
@@ -102,50 +104,12 @@ class EpisodeRollout:
         return float(np.mean(self.rewards)) if self.rewards.size else 0.0
 
 
-@dataclass
-class RolloutShard:
-    """One round of episode specs plus the policy snapshot acting in it."""
-
-    snapshot: PolicySnapshot
-    specs: Tuple[EpisodeSpec, ...]
-
-
-def collect_shard(shard: RolloutShard) -> List[EpisodeRollout]:
-    """Simulate every episode of a shard, one session at a time.
-
-    Rebuilds the policy from the snapshot, then, for each spec, reseeds the
-    exploration stream from the spec seed and streams the episode with the
-    same player the evaluation uses.  Rewards are the quality model's chunk
-    scores, reweighted by the spec's sensitivity weights (Eq. 4's training
-    signal for SENSEI-Pensieve).
-    """
-    # simulate_session lives behind a lazy import for the same reason the
-    # seed trainer's did: the player package imports the ABR base module.
-    from repro.player.simulator import simulate_session
-
-    abr = shard.snapshot.build()
-    abr.greedy = False
-    quality_model = abr.quality_model
-    rollouts: List[EpisodeRollout] = []
-    for spec in shard.specs:
-        abr.agent.reseed_exploration(spec.seed)
-        abr.begin_capture()
-        result = simulate_session(
-            abr, spec.encoded, spec.trace, chunk_weights=spec.chunk_weights
-        )
-        trajectory = abr.end_capture()
-        rollouts.append(
-            _rollout_from_trajectory(quality_model, spec, result, trajectory)
-        )
-    return rollouts
-
-
 def _rollout_from_trajectory(
     quality_model, spec: EpisodeSpec, result, trajectory
 ) -> EpisodeRollout:
-    """Package one episode's (state, action) pairs and rewards — shared by
-    the serial and lockstep collection paths, so both return identical
-    :class:`EpisodeRollout`\\ s for identical inputs."""
+    """Package one episode's (state, action) pairs and rewards.  Rewards
+    are the quality model's chunk scores, reweighted by the spec's
+    sensitivity weights (Eq. 4's training signal for SENSEI-Pensieve)."""
     chunk_scores = quality_model.chunk_scores(result.rendered)
     if spec.chunk_weights is not None:
         chunk_scores = np.asarray(spec.chunk_weights, dtype=float) * chunk_scores
@@ -164,50 +128,14 @@ def _rollout_from_trajectory(
     )
 
 
-def collect_shard_lockstep(shard: RolloutShard) -> List[EpisodeRollout]:
-    """Simulate a shard's episodes through the lockstep batched RL driver.
-
-    The lockstep counterpart of :func:`collect_shard`: one policy instance
-    serves every episode (the batched driver never touches shared mutable
-    agent state — see :class:`repro.engine.lockstep._RLDriver`), each
-    episode's work order pins ``exploration_seed=spec.seed``, and the
-    driver captures the ``(state, action)`` trajectories the scalar
-    capture hook would have recorded.  Byte-identical to
-    :func:`collect_shard` for the same specs and snapshot.
-    """
-    from repro.engine.lockstep import run_rl_rollouts_lockstep
-    from repro.engine.runner import WorkOrder
-
-    abr = shard.snapshot.build()
-    abr.greedy = False
-    quality_model = abr.quality_model
-    orders = [
-        WorkOrder(
-            abr=abr,
-            encoded=spec.encoded,
-            trace=spec.trace,
-            chunk_weights=spec.chunk_weights,
-            exploration_seed=spec.seed,
-        )
-        for spec in shard.specs
-    ]
-    results, trajectories = run_rl_rollouts_lockstep(orders)
-    return [
-        _rollout_from_trajectory(quality_model, spec, result, trajectory)
-        for spec, result, trajectory in zip(
-            shard.specs, results, trajectories
-        )
-    ]
-
-
 class RolloutCollector:
     """Collects one round of episodes on a :class:`BatchRunner`, in order.
 
     Parameters
     ----------
     runner:
-        Execution backend; the default serial runner and the lockstep
-        runner collect byte-identical experience.
+        Execution engine; the default lockstep runner and the serial
+        reference collect byte-identical experience.
     """
 
     def __init__(self, runner: Optional[BatchRunner] = None) -> None:
@@ -227,20 +155,34 @@ class RolloutCollector:
         specs = list(specs)
         if not specs:
             return []
-        shard = RolloutShard(snapshot=PolicySnapshot.of(abr), specs=tuple(specs))
-        collect_fn = (
-            collect_shard_lockstep
-            if self.runner.backend == "lockstep"
-            else collect_shard
-        )
+        policy = PolicySnapshot.of(abr).build()
+        policy.greedy = False
+        orders = [
+            WorkOrder(
+                abr=policy,
+                encoded=spec.encoded,
+                trace=spec.trace,
+                chunk_weights=spec.chunk_weights,
+                exploration_seed=spec.seed,
+            )
+            for spec in specs
+        ]
         with trace_span("training.collect"):
-            [merged] = self.runner.map_ordered(collect_fn, [shard])
+            results, trajectories = self.runner.run_rollouts(orders)
+            rollouts = [
+                _rollout_from_trajectory(
+                    policy.quality_model, spec, result, trajectory
+                )
+                for spec, result, trajectory in zip(
+                    specs, results, trajectories
+                )
+            ]
         if TRACE.enabled:
             registry = get_registry()
-            registry.counter("training.episodes_collected").inc(len(merged))
+            registry.counter("training.episodes_collected").inc(len(rollouts))
             steps = registry.histogram(
                 "training.episode_steps", DEFAULT_SIZE_BUCKETS
             )
-            for rollout in merged:
+            for rollout in rollouts:
                 steps.observe(float(rollout.num_steps))
-        return merged
+        return rollouts

@@ -8,17 +8,17 @@ versioned checkpoints, then reload the best checkpoints and evaluate the
 full ABR grid.
 
 Every seed derives from the single pipeline ``seed`` (fixed offsets per
-consumer), so two runs with the same seed/scale/backend produce the same
+consumer), so two runs with the same seed/scale produce the same
 checkpoints — the same discipline
 :class:`~repro.experiments.spec.ExperimentSpec` enforces for the figures.
 
-:meth:`BatchRunner.auto` is the lockstep backend, which covers rollout
+The default :class:`BatchRunner` is lockstep, which covers rollout
 collection too: the collector routes
 each round through the batched RL driver
 (:func:`repro.engine.lockstep.run_rl_rollouts_lockstep`), stacking every
 episode's actor forward into one matmul per decision round while per-spec
 exploration seeds keep the experience — and therefore the checkpoints —
-byte-identical to the serial backend
+byte-identical to the serial reference
 (``benchmarks/test_perf_training.py`` floors the measured speedup).
 """
 
@@ -103,8 +103,7 @@ def train_policies(
     from repro.experiments.common import ExperimentContext, ExperimentScale
 
     scale = scale if scale is not None else ExperimentScale.tiny()
-    if runner is None:
-        runner = BatchRunner.auto()
+    runner = runner if runner is not None else BatchRunner()
     config = config if config is not None else DEFAULT_TRAINING
     context = ExperimentContext(
         scale=scale, seed=seed, checkpoint_root=checkpoint_root,

@@ -3,8 +3,9 @@
 One :meth:`Trainer.train` call runs a sequence of synchronous rounds:
 
 1. the curriculum emits this round's seeded episode specs;
-2. the collector simulates them on the batch engine (serial or lockstep
-   backend — results are identical, see :mod:`repro.training.collector`);
+2. the collector simulates them on the batch engine (lockstep by default;
+   the serial reference gives identical results, see
+   :mod:`repro.training.collector`);
 3. the learner applies one policy-gradient update per episode, in spec
    order, under the round's entropy/learning-rate schedule;
 4. periodically, the policy is evaluated greedily on the curriculum's
@@ -12,7 +13,7 @@ One :meth:`Trainer.train` call runs a sequence of synchronous rounds:
    stops improving.
 
 Everything downstream of the seeds is deterministic, so the same
-:class:`TrainerConfig` produces the same checkpoint on every backend — the
+:class:`TrainerConfig` produces the same checkpoint on either engine — the
 guarantee ``tests/test_training.py`` locks in.
 """
 
@@ -150,7 +151,8 @@ class Trainer:
     curriculum:
         Episode source for training and held-out evaluation.
     runner:
-        Batch-engine backend shared by collection and evaluation.
+        Batch engine shared by collection and evaluation (default:
+        lockstep).
     store / checkpoint_name:
         Where checkpoints go; ``store=None`` disables checkpointing.
     oracle:

@@ -10,6 +10,8 @@ and the equivalence guarantee — every backend returns numerically identical
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -200,10 +202,6 @@ class TestVectorizedEvaluator:
 # ----------------------------------------------------------------- runner
 
 
-def _double(value: int) -> int:
-    return 2 * value
-
-
 class TestBatchRunner:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -211,14 +209,27 @@ class TestBatchRunner:
         with pytest.raises(ValueError, match="serial.*lockstep"):
             BatchRunner(backend="process")
 
-    def test_serial_map_preserves_order(self):
-        runner = BatchRunner()
-        assert runner.map_ordered(_double, list(range(10))) == [
-            2 * i for i in range(10)
-        ]
-
     def test_empty_orders(self):
         assert BatchRunner().run_orders([]) == []
+
+    def test_entry_points_default_to_lockstep(self, small_encoded):
+        """The lockstep core is every entry point's engine; serial is only
+        ever asked for explicitly."""
+        from repro.engine import lockstep
+        from repro.experiments.common import ExperimentContext
+
+        assert BatchRunner().backend == "lockstep"
+        assert BatchRunner.auto().backend == "lockstep"
+        assert ExperimentContext().runner.backend == "lockstep"
+        with mock.patch.object(
+            lockstep, "run_orders_lockstep",
+            wraps=lockstep.run_orders_lockstep,
+        ) as core:
+            simulate_many(
+                [BufferBasedABR()], [small_encoded],
+                [ThroughputTrace.constant(2.0, name="t0")],
+            )
+        assert core.call_count == 1
 
     def test_orders_for_grid_matches_seed_nesting(self, small_encoded):
         traces = [

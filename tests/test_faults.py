@@ -403,6 +403,39 @@ class TestLockstepRecovery:
         assert runner.fault_log.serial_fallbacks >= 1
         assert runner.fault_log.worker_crashes >= 1
 
+    def test_raise_in_rollout_shard_recovers_bit_identically(self):
+        """A struck rollout shard is re-run through the serial reseed ->
+        capture -> run reference: the collected experience is byte-equal
+        to a clean collection, and the recovery is counted."""
+        from repro.abr.pensieve import PensieveABR, PensieveConfig
+        from repro.training import (
+            CurriculumConfig,
+            RolloutCollector,
+            ScenarioCurriculum,
+        )
+
+        curriculum = ScenarioCurriculum(
+            [_encode("ch-roll", "sports", 48.0, 63)],
+            TraceBank(num_traces=2, duration_s=300.0, seed=73).traces(),
+            config=CurriculumConfig(trace_duration_s=300.0, seed=31),
+        )
+        specs = curriculum.training_specs(3, round_index=0)
+        policy = PensieveABR(config=PensieveConfig(seed=5))
+        clean = RolloutCollector().collect(policy, specs)
+        runner = BatchRunner(backend="lockstep")
+        plan = FaultPlan(faults=(FaultSpec(kind="raise_in_shard"),))
+        with inject(plan) as injector:
+            with pytest.warns(ShardRecoveryWarning, match="rollout shard"):
+                struck = RolloutCollector(runner=runner).collect(policy, specs)
+        assert injector.exhausted()
+        assert len(struck) == len(clean) == 3
+        for left, right in zip(clean, struck):
+            assert left.states.tobytes() == right.states.tobytes()
+            assert left.actions.tobytes() == right.actions.tobytes()
+            assert left.rewards.tobytes() == right.rewards.tobytes()
+        assert runner.fault_log.serial_fallbacks == 1
+        assert runner.fault_log.worker_crashes == 1
+
 
 # ========================================================== property layer
 

@@ -356,6 +356,35 @@ class TestLockstepEquivalence:
         for left, right in zip(serial, lockstep):
             assert_results_identical(left, right)
 
+    @pytest.mark.parametrize("shared_agent", [False, True])
+    def test_seeded_order_before_unseeded_one_matches_serial(
+        self, ragged_grid, shared_agent
+    ):
+        """Under serial execution a seeded order reseeds the agent's
+        exploration stream, which a later *unseeded* order then draws
+        from; lockstep must run every order on that stream — the same
+        policy, or another instance sharing its agent — serially, in
+        submission order."""
+        videos, traces, _ = ragged_grid
+
+        def run(backend):
+            seeded = PensieveABR(config=PensieveConfig(seed=3), greedy=False)
+            unseeded = seeded
+            if shared_agent:
+                unseeded = PensieveABR(
+                    config=PensieveConfig(seed=4), greedy=False
+                )
+                unseeded.agent = seeded.agent
+            orders = [
+                WorkOrder(abr=seeded, encoded=videos[0], trace=traces[0],
+                          exploration_seed=5),
+                WorkOrder(abr=unseeded, encoded=videos[0], trace=traces[1]),
+            ]
+            return BatchRunner(backend=backend).run_orders(orders)
+
+        for left, right in zip(run("serial"), run("lockstep")):
+            assert_results_identical(left, right)
+
 
 @st.composite
 def lockstep_scenarios(draw):

@@ -392,18 +392,6 @@ class TestEngineTelemetry:
         hist = snapshot["histograms"]["engine.session_duration_s"]
         assert hist["count"] == len(results)
 
-    def test_map_ordered_records_dispatch_span(self):
-        set_enabled(True)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            out = BatchRunner(backend="serial").map_ordered(
-                lambda x: x * 2, [1, 2, 3]
-            )
-        assert out == [2, 4, 6]
-        spans = registry.snapshot()["spans"]
-        assert spans["engine.map"]["count"] == 1
-        assert spans["engine.map"]["total_s"] >= 0.0
-
     def test_disabled_telemetry_records_nothing(self, obs_orders):
         set_enabled(False)
         registry = MetricsRegistry()
@@ -530,8 +518,7 @@ class TestProfileCommand:
         events = tmp_path / "run.jsonl"
         prom = tmp_path / "metrics.prom"
         code = main([
-            "profile", "headline", "--scale", "tiny",
-            "--backend", "lockstep", "--json",
+            "profile", "headline", "--scale", "tiny", "--json",
             "--events", str(events), "--prom", str(prom),
         ])
         assert code == 0

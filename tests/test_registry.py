@@ -70,12 +70,6 @@ class TestExperimentSpec:
             != base.with_(params={"clip_chunks": 4}).spec_hash()
         )
 
-    def test_hash_ignores_execution_backend(self):
-        base = tiny_spec("fig04")
-        assert base.spec_hash() == base.with_(backend="serial").spec_hash()
-        assert base.spec_hash() == base.with_(backend="lockstep").spec_hash()
-        assert base.spec_hash() == base.with_(backend="auto").spec_hash()
-
     def test_artifact_addresses_are_pinned(self):
         """Stored artifacts are found by these hashes; any change to the
         hash payload strands every results directory written before it."""
@@ -90,19 +84,50 @@ class TestExperimentSpec:
         legacy = dict(LEGACY_FIG12B_SPEC)
         spec = ExperimentSpec.from_dict(legacy)
         assert legacy == LEGACY_FIG12B_SPEC  # the caller's dict is untouched
-        assert spec.backend == "lockstep"
         assert spec.spec_hash() == "816893b2db540fa9"
+        assert "backend" not in spec.to_dict()
         assert "max_workers" not in spec.to_dict()
 
+    @pytest.mark.parametrize(
+        "backend", ["serial", "lockstep", "auto", "process"]
+    )
+    def test_stored_backend_fields_are_dropped_on_load(self, backend):
+        """Specs stored while a spec named its engine load to the pinned
+        addresses, whatever engine they named."""
+        stored = {
+            "experiment": "fig04", "scale": "tiny", "seed": 7,
+            "backend": backend, "max_workers": 2, "include_pensieve": None,
+            "checkpoint_root": None, "checkpoint_fingerprint": None,
+            "params": {},
+        }
+        spec = ExperimentSpec.from_dict(stored)
+        assert spec == ExperimentSpec("fig04", scale="tiny", seed=7)
+        assert spec.spec_hash() == "b4d1613f46d3e99b"
+        assert spec.context_hash() == "e9df87b8bd7dbc6c"
+        legacy = ExperimentSpec.from_dict(
+            dict(LEGACY_FIG12B_SPEC, backend=backend)
+        )
+        assert legacy.spec_hash() == "816893b2db540fa9"
+
     def test_retired_process_backend_is_rejected_loudly(self):
-        with pytest.raises(ValueError, match="serial.*lockstep.*auto"):
+        with pytest.raises(TypeError):
             ExperimentSpec("fig04", backend="process")
         with pytest.raises(ValueError, match="serial.*lockstep"):
             BatchRunner(backend="process")
         with pytest.raises(SystemExit):
-            cli_main(["run", "fig04", "--backend", "process", "--no-save"])
-        with pytest.raises(SystemExit):
             cli_main(["run", "fig04", "--workers", "2", "--no-save"])
+
+    @pytest.mark.parametrize("command", [
+        ["run", "fig04", "--no-save"],
+        ["train"],
+        ["profile", "fig04"],
+    ])
+    def test_backend_flag_is_gone(self, command):
+        """Every entry point runs the lockstep core: the flag named after
+        the retired spec field is rejected."""
+        retired = "backend"
+        with pytest.raises(SystemExit):
+            cli_main(command + [f"--{retired}", "lockstep"])
 
     def test_context_hash_is_figure_agnostic(self):
         a = tiny_spec("fig12a")
@@ -138,7 +163,7 @@ class TestExperimentSpec:
         assert clone.params_dict() == params
 
     def test_rejects_bad_backend_and_unknown_fields(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ExperimentSpec(experiment="fig04", backend="gpu")
         with pytest.raises(ValueError):
             ExperimentSpec.from_dict({"experiment": "fig04", "nope": 1})
@@ -253,14 +278,13 @@ class TestArtifactStore:
             raise AssertionError("a stored artifact must not be recomputed")
 
         monkeypatch.setattr(registry_mod, "context_for", no_compute)
-        spec = ExperimentSpec("fig12b", scale="quick", seed=11,
-                              backend="lockstep")
+        spec = ExperimentSpec("fig12b", scale="quick", seed=11)
         result = run(spec, store=store)
         assert result.cache_hit
         assert result.spec_hash == spec_hash
         assert result.data == {"bandwidth_saving_at_equal_qoe": 0.0}
         assert [entry["spec_hash"] for entry in store.entries()] == [spec_hash]
-        assert store.find("fig12b").spec.backend == "lockstep"
+        assert store.find("fig12b").spec == spec
 
     def test_entries_and_find(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -480,9 +504,13 @@ class TestDeterminism:
         assert a.data_json() != b.data_json()
 
     def test_serial_and_lockstep_backends_are_bit_identical(self, tmp_path):
-        kwargs = dict(checkpoint_root=str(tmp_path / "no-checkpoints"))
-        serial = run(tiny_spec("fig12a", backend="serial", **kwargs))
-        lockstep = run(tiny_spec("fig12a", backend="lockstep", **kwargs))
+        spec = tiny_spec(
+            "fig12a", checkpoint_root=str(tmp_path / "no-checkpoints")
+        )
+        serial = run(spec, runner=BatchRunner(backend="serial"))
+        lockstep = run(spec)
+        assert serial.meta["backend"] == "serial"
+        assert lockstep.meta["backend"] == "lockstep"
         assert serial.data_json() == lockstep.data_json()
         assert serial.spec_hash == lockstep.spec_hash
 

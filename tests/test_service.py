@@ -27,6 +27,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.engine.runner import BatchRunner
 from repro.experiments.common import ExperimentContext
 from repro.experiments.spec import resolve_scale
 from repro.obs import MetricsRegistry, use_registry
@@ -361,23 +362,29 @@ class TestDecisionService:
         assert service.health()["status"] == "closed"
 
     def test_close_shuts_owned_runner(self, context):
-        """Closing a service that made its own (serial) runner for the
-        offline re-run leaves that re-run equal to the online session."""
+        """The service owns no batch runner: its offline re-run is the
+        serial reference itself, equal to the online session and to an
+        explicit serial runner, and it still works once the service is
+        closed."""
         async def scenario():
             service = DecisionService(max_batch=4, max_delay_s=0.005)
             entry = _register_one(service, context, kind="bba")
             while not entry.done:
                 await service.decide("t", "s")
-            offline = service.offline_result(entry)  # creates owned runner
-            runner = service._runner
             await service.close()
-            return entry, offline, runner, service
+            return entry, service.offline_result(entry)
 
-        entry, offline, runner, service = asyncio.run(scenario())
-        assert runner is not None and runner.backend == "serial"
+        entry, offline = asyncio.run(scenario())
+        [reference] = BatchRunner(backend="serial").run_orders(
+            [entry.work_order()]
+        )
         assert np.array_equal(
             entry.result.rendered.levels, offline.rendered.levels
         )
+        assert np.array_equal(
+            reference.rendered.levels, offline.rendered.levels
+        )
+        assert reference.session_duration_s == offline.session_duration_s
 
     def test_telemetry_surface(self, context):
         async def scenario():

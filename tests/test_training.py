@@ -5,8 +5,8 @@ collector, the checkpoint store and the trainer loop — plus the two
 guarantees the subsystem is built on:
 
 * **serial ≡ lockstep**: a training run produces bit-identical checkpoints
-  on the serial and lockstep backends, because every episode is a pure
-  function of (policy parameters, episode seed);
+  on the default lockstep runner and the serial reference, because every
+  episode is a pure function of (policy parameters, episode seed);
 * **checkpoint fidelity**: a reloaded policy makes bit-identical decisions
   on a fixed observation stream and resumes training bit-identically
   (optimiser state included), and the checkpointed best policy beats the
@@ -16,6 +16,7 @@ guarantees the subsystem is built on:
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,18 +32,15 @@ from repro.training import (
     CheckpointStore,
     CurriculumConfig,
     EpisodeSpec,
-    PolicySnapshot,
     RolloutCollector,
     ScenarioCurriculum,
     Trainer,
     TrainerConfig,
-    collect_shard,
     congestion_onset_trace,
     evaluate_policy,
 )
 from repro.faults.integrity import attach_checksum
 from repro.training.checkpoint import CHECKPOINT_FORMAT_VERSION
-from repro.training.collector import RolloutShard
 from repro.video.chunk import DEFAULT_LADDER
 from repro.video.encoder import SyntheticEncoder
 from repro.video.video import SourceVideo
@@ -95,6 +93,13 @@ def fresh_policy() -> SenseiPensieveABR:
     return make_sensei_pensieve(seed=47)
 
 
+def collect_serially(abr, specs):
+    """Rollouts through the serial reference (reseed -> capture -> run)."""
+    return RolloutCollector(runner=BatchRunner(backend="serial")).collect(
+        abr, specs
+    )
+
+
 # ------------------------------------------------------------------ seeding
 
 
@@ -111,12 +116,9 @@ class TestSeeding:
         for _ in range(50):
             warmed.agent.select_action(state)
 
-        shard = lambda abr, spec: RolloutShard(
-            snapshot=PolicySnapshot.of(abr), specs=(spec,)
-        )
         for spec in specs:
-            [a] = collect_shard(shard(fresh, spec))
-            [b] = collect_shard(shard(warmed, spec))
+            [a] = collect_serially(fresh, [spec])
+            [b] = collect_serially(warmed, [spec])
             assert np.array_equal(a.actions, b.actions)
             assert np.array_equal(a.states, b.states)
             assert np.array_equal(a.rewards, b.rewards)
@@ -229,6 +231,22 @@ class TestRolloutCollector:
         assert [r.seed for r in rollouts] == [s.seed for s in specs]
         assert [r.regime for r in rollouts] == [s.regime for s in specs]
 
+    def test_collection_and_evaluation_default_to_lockstep(self, curriculum):
+        """The collector, the trainer and held-out evaluation run the
+        lockstep core unless handed the serial reference."""
+        from repro.engine import lockstep
+
+        assert RolloutCollector().runner.backend == "lockstep"
+        trainer = Trainer(fresh_policy(), curriculum)
+        assert trainer.runner.backend == "lockstep"
+        assert trainer.collector.runner is trainer.runner
+        with mock.patch.object(
+            lockstep, "run_orders_lockstep",
+            wraps=lockstep.run_orders_lockstep,
+        ) as core:
+            evaluate_policy(fresh_policy(), curriculum.holdout_specs(1))
+        assert core.call_count == 1
+
     def test_lockstep_backend_matches_serial(self, curriculum):
         """The batched RL driver collects byte-identical experience: the
         whole round steps as one SoA shard, yet every (state, action,
@@ -281,9 +299,7 @@ class TestCheckpointStore:
         # A fixed stream of observations: the states visited on a held-out
         # episode by the original policy.
         spec = curriculum.holdout_specs(1)[0]
-        [rollout] = collect_shard(
-            RolloutShard(snapshot=PolicySnapshot.of(abr), specs=(spec,))
-        )
+        [rollout] = collect_serially(abr, [spec])
         for state in rollout.states:
             original_probs = abr.agent.action_probabilities(state)
             loaded_probs = loaded.agent.action_probabilities(state)
