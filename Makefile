@@ -66,11 +66,12 @@ serve:
 	$(PYTHON) -m repro serve --scale tiny --port 7788
 
 ## Closed-loop multi-tenant load against an in-process service; writes
-## BENCH_service.json (decisions/sec, batch-size distribution, p50/p99
-## latency) and verifies online decisions ≡ offline lockstep sweeps.
+## results/BENCH_service.json (untracked: decisions/sec, batch-size
+## distribution, p50/p99 latency) and verifies online decisions ≡ offline
+## lockstep sweeps.
 loadtest:
 	$(PYTHON) -m repro loadtest --scale tiny --no-shed --verify \
-	    --out BENCH_service.json
+	    --out results/BENCH_service.json
 
 ## RL training: curriculum -> checkpoints/ -> checkpoint-backed ABR grid.
 train:

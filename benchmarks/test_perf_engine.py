@@ -83,6 +83,15 @@ def test_grid_speedup_vs_serial_engine(context):
     # overhead.  Interleaved, any drift hits both sides alike.  The
     # telemetry attempts trace into a fresh registry, which also yields the
     # span-derived phase breakdown checked below.
+    def evaluate(runner: BatchRunner):
+        """One grid sweep on ``runner``; the shared context keeps its own."""
+        shared = context.runner
+        context.runner = runner
+        try:
+            return _evaluate_grid(context)
+        finally:
+            context.runner = shared
+
     runner = BatchRunner.auto()
     metrics = MetricsRegistry()
     engine_seconds = float("inf")
@@ -91,14 +100,14 @@ def test_grid_speedup_vs_serial_engine(context):
     telemetry_scores = None
     for _ in range(MEASUREMENT_ATTEMPTS):
         t0 = time.perf_counter()
-        engine_scores = _evaluate_grid(context, runner=runner)
+        engine_scores = evaluate(runner)
         engine_seconds = min(engine_seconds, time.perf_counter() - t0)
 
         previous_telemetry = set_enabled(True)
         try:
             with use_registry(metrics):
                 t0 = time.perf_counter()
-                telemetry_scores = _evaluate_grid(context, runner=runner)
+                telemetry_scores = evaluate(runner)
                 telemetry_seconds = min(
                     telemetry_seconds, time.perf_counter() - t0
                 )
@@ -112,7 +121,7 @@ def test_grid_speedup_vs_serial_engine(context):
     serial_engine_seconds = float("inf")
     for _ in range(MEASUREMENT_ATTEMPTS):
         t0 = time.perf_counter()
-        _evaluate_grid(context, runner=serial_runner)
+        evaluate(serial_runner)
         serial_engine_seconds = min(
             serial_engine_seconds, time.perf_counter() - t0
         )

@@ -222,8 +222,8 @@ class PensieveTrainer:
         is trained exactly on the dynamics it will be evaluated under.
         """
         # Imported here to avoid a circular dependency at module import time
-        # (the player imports the ABR base module).
-        from repro.player.simulator import simulate_session
+        # (the engine imports the ABR modules).
+        from repro.engine.runner import WorkOrder
 
         require(bool(videos), "need at least one training video")
         require(bool(traces), "need at least one training trace")
@@ -239,9 +239,12 @@ class PensieveTrainer:
                 trace = traces[int(rng.integers(0, len(traces)))]
                 weights = weights_by_video.get(encoded.source.video_id)
                 self.abr.begin_capture()
-                result = simulate_session(
-                    self.abr, encoded, trace, chunk_weights=weights
-                )
+                # Serial on purpose: episodes draw, in order, from the
+                # agent's one unseeded exploration stream.
+                result = WorkOrder(
+                    abr=self.abr, encoded=encoded, trace=trace,
+                    chunk_weights=weights,
+                ).run()
                 trajectory = self.abr.end_capture()
                 rewards = self._chunk_rewards(result, weights)
                 episode = EpisodeBuffer()

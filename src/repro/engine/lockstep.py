@@ -1,9 +1,9 @@
 """Lockstep multi-session simulation: batch the planner across sessions.
 
-The serial backend walks one :class:`~repro.player.session.StreamingSession`
-at a time, so a grid sweep pays the per-chunk Python and small-numpy-op
-overhead once per *session*.  The lockstep core runs a whole shard of
-:class:`~repro.engine.runner.WorkOrder`s together, chunk-step by chunk-step:
+The serial backend walks one :class:`~repro.engine.runner.WorkOrder` at a
+time (``WorkOrder.run``), so a grid sweep pays the per-chunk Python and
+small-numpy-op overhead once per *session*.  The lockstep core runs a whole
+shard of work orders together, chunk-step by chunk-step:
 
 * every session's mutable state lives as one row of a
   :class:`~repro.player.shard.ShardState` — the structure-of-arrays
@@ -63,7 +63,9 @@ serial fallback: their serial results depend on one RNG stream shared
 across sessions in submission order, which no parallel decomposition can
 reproduce.  A seeded order on the same stream reseeds it under serial
 execution, so every order that shares an RL agent with an unseeded one
-runs through that fallback too, in submission order.
+runs through that fallback too, in submission order.  After a run each
+agent holds the stream the serial reference would leave it with: that of
+its last seeded order, advanced by the session's draws.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from repro.abr import pensieve as _pensieve
 from repro.abr.pensieve import PensieveABR
 from repro.core.sensei_abr import SenseiFuguABR, SenseiPensieveABR
 from repro.ml.rl import ActorCriticAgent
-from repro.player.session import StreamingSession, StreamResult
+from repro.player.session import StreamResult
 from repro.player.shard import ShardState
 from repro.utils.rand import rng_from_seed
 from repro.utils.validation import require
@@ -239,12 +241,16 @@ def _run_shards(
     :class:`~repro.faults.injector.FaultInjector` may strike any shard here
     with a :class:`~repro.faults.injector.SimulatedWorkerCrash`;
     recoveries are counted in ``fault_log`` when the caller passes one.
+
+    Afterwards every RL agent's exploration stream is where the serial
+    reference leaves it (:func:`_hand_back_streams`).
     """
     # Lazy import, as in run_orders_lockstep.
     from repro.engine.runner import _run_rollouts_serial
 
     results: List[Optional[StreamResult]] = [None] * len(orders)
     trajectories: list = [None] * len(orders)
+    streams: list = [None] * len(orders)
     shards: Dict[object, List[int]] = {}
     for index, order in enumerate(orders):
         shards.setdefault(order.config, []).append(index)
@@ -257,7 +263,7 @@ def _run_shards(
             if injector is not None:
                 injector.strike_shard(shard_index)
             with trace_span("engine.lockstep.shard"):
-                shard_results = _run_shard(
+                shard_results, shard_streams = _run_shard(
                     shard_orders, capture=shard_trajectories
                 )
         except Exception as error:
@@ -276,24 +282,61 @@ def _run_shards(
                     f"lockstep {label} {shard_index} recovered serially "
                     f"after {type(error).__name__}"
                 )
-            if capture:
-                shard_results, shard_trajectories = _run_rollouts_serial(
-                    shard_orders
+            shard_results, shard_streams = [], []
+            for row, order in enumerate(shard_orders):
+                if capture:
+                    (result,), (shard_trajectories[row],) = (
+                        _run_rollouts_serial([order])
+                    )
+                else:
+                    result = order.run()
+                shard_results.append(result)
+                # The stream this session left on the agent, before the
+                # next serial run reseeds it.
+                shard_streams.append(
+                    getattr(getattr(order.abr, "agent", None), "_rng", None)
                 )
-            else:
-                shard_results = [order.run() for order in shard_orders]
         for row, index in enumerate(indices):
             results[index] = shard_results[row]
+            streams[index] = shard_streams[row]
             if capture:
                 trajectories[index] = shard_trajectories[row]
+    _hand_back_streams(orders, streams)
     return results, trajectories
+
+
+def _hand_back_streams(orders: Sequence["WorkOrder"], streams: list) -> None:
+    """Leave each RL agent's exploration stream where the serial reference
+    would: ``WorkOrder.run`` reseeds the agent before every seeded order
+    (greedy ones too), so after a run the agent holds the stream of its
+    last seeded order in submission order, advanced by that session's
+    draws.  ``streams[i]`` is order ``i``'s stream after its session, or
+    ``None`` when the session drew nothing (a fresh
+    ``rng_from_seed(exploration_seed)``)."""
+    last: Dict[int, int] = {}
+    for index, order in enumerate(orders):
+        agent = getattr(order.abr, "agent", None)
+        if order.exploration_seed is not None and hasattr(
+            agent, "reseed_exploration"
+        ):
+            last[id(agent)] = index
+    for index in last.values():
+        order = orders[index]
+        if streams[index] is None:
+            order.abr.agent.reseed_exploration(int(order.exploration_seed))
+        else:
+            order.abr.agent._rng = streams[index]
 
 
 def _run_shard(
     orders: Sequence["WorkOrder"],
     capture: Optional[List[List[Tuple[np.ndarray, int]]]] = None,
-) -> List[StreamResult]:
+) -> Tuple[List[StreamResult], list]:
     """Run one shard of orders (shared player config) in lockstep.
+
+    Returns the results and, per row, the exploration stream the row's
+    session drew from (``None`` for rows that drew nothing), both aligned
+    with ``orders``.
 
     The *stepping* — download times, buffer evolution, stall accounting,
     history rings — advances as one SoA batch across every order of the
@@ -317,17 +360,7 @@ def _run_shard(
     of :meth:`PensieveABR.begin_capture`, used by the training rollout
     collector (:func:`run_rl_rollouts_lockstep`).
     """
-    sessions = [
-        StreamingSession(
-            encoded=order.encoded,
-            trace=order.trace,
-            abr=order.abr,
-            config=order.config,
-            chunk_weights=order.chunk_weights,
-        )
-        for order in orders
-    ]
-    shard = ShardState(sessions)
+    shard = ShardState(orders)
     groups: Dict[int, List[int]] = {}
     abrs: Dict[int, ABRAlgorithm] = {}
     for row, order in enumerate(orders):
@@ -369,12 +402,18 @@ def _run_shard(
             stalls[positions] = group_stalls
         shard.step(live, levels, stalls)
         live = shard.live_rows
-    return [
+    streams: list = [None] * len(orders)
+    for _, driver in drivers:
+        if isinstance(driver, _RLDriver):
+            for row, rng in driver.rngs.items():
+                streams[row] = rng
+    results = [
         shard.finalize(
             row, abr_name=order.abr.name, trace_name=order.trace.name
         )
         for row, order in enumerate(orders)
     ]
+    return results, streams
 
 
 #: The kinds :func:`decision_kind` sorts ABRs into.

@@ -42,6 +42,9 @@ class SessionPrecompute:
         (num_chunks, num_levels) chunk sizes, read-only.
     quality:
         (num_chunks, num_levels) VMAF-like quality scores, read-only.
+    uniform_weights:
+        (num_chunks,) ones, read-only: the weights of every unweighted
+        work order on this video.
     """
 
     def __init__(self, encoded: EncodedVideo) -> None:
@@ -55,6 +58,8 @@ class SessionPrecompute:
         # hot path (native list indexing beats numpy scalar extraction;
         # ``tolist`` round-trips the exact doubles).
         self._sizes_rows = self.sizes_bytes.tolist()
+        self.uniform_weights = np.ones(self.num_chunks)
+        self.uniform_weights.setflags(write=False)
 
     @classmethod
     def of(cls, encoded: EncodedVideo) -> "SessionPrecompute":

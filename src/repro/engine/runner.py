@@ -1,7 +1,13 @@
 """BatchRunner: ordered execution of (ABR, video, trace) work orders.
 
-The experiment harness reduces to one primitive: run a list of streaming
-sessions and collect their :class:`~repro.player.session.StreamResult`s in a
+A :class:`WorkOrder` is the one description of a streaming session: the
+ABR, video, trace, player config and sensitivity weights, validated once.
+``WorkOrder.run`` is the serial reference loop; the lockstep shard, the
+decision service's per-session state and every experiment read the same
+order.
+
+The experiment harness reduces to one primitive: run a list of work orders
+and collect their :class:`~repro.player.session.StreamResult`s in a
 deterministic order.  :class:`BatchRunner` provides exactly that primitive,
 and it is the one place that knows which engine runs it:
 
@@ -12,10 +18,11 @@ and it is the one place that knows which engine runs it:
   buffer/stall evolution, shared history rings) and the planner is
   evaluated across sessions — and across compatible ABR instances — as
   batched tensors.
-* ``serial`` — runs orders in submission order, in process, reusing the
-  ABR instances it is given.  This is byte-for-byte the seed behaviour:
-  the independent reference that tests and ``bench/`` ask for explicitly
-  and every equivalence check compares lockstep against
+* ``serial`` — walks the orders one :meth:`WorkOrder.run` at a time, in
+  submission order, reusing the ABR instances it is given.  This is
+  byte-for-byte the seed behaviour: the independent reference that tests
+  and ``bench/`` ask for explicitly and every equivalence check compares
+  lockstep against
   (``tests/test_lockstep.py``, the golden masters and the property/fuzz
   layers — see ``docs/TESTING.md``).
 
@@ -37,11 +44,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm
+from repro.engine.precompute import SessionPrecompute
 from repro.faults.log import FaultLog
 from repro.network.trace import ThroughputTrace
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.obs.trace import TRACE, trace_span
-from repro.player.session import SessionConfig, StreamingSession, StreamResult
+from repro.player.session import SessionConfig, SessionState, StreamResult
 from repro.utils.validation import require
 from repro.video.encoder import EncodedVideo
 
@@ -54,15 +62,16 @@ Trajectory = List[Tuple[np.ndarray, int]]
 
 @dataclass
 class WorkOrder:
-    """One streaming session to run.
+    """One streaming session (the only type that describes one).
 
     Attributes
     ----------
     abr: the ABR algorithm instance (reset at session start).
     encoded: the video to stream.
     trace: the throughput trace to stream over.
-    config: optional player configuration.
-    chunk_weights: optional per-chunk sensitivity weights.
+    config: the player configuration (``None`` means ``SessionConfig()``).
+    chunk_weights: per-chunk sensitivity weights, one positive entry per
+        chunk (``None`` means uniform ones).
     exploration_seed: optional per-order RNG seed for exploration-mode RL
         policies.  When set, the order reseeds the agent's exploration
         stream (``agent.reseed_exploration``) immediately before the
@@ -72,6 +81,14 @@ class WorkOrder:
         it gives each row its own ``rng_from_seed(exploration_seed)``
         stream and reproduces this serial path bit for bit.  Orders whose
         ABR has no exploration stream ignore the field.
+
+    Construction normalises ``config`` and ``chunk_weights`` once (an
+    unweighted order shares its video's read-only ``uniform_weights``),
+    and :attr:`precompute` serves the video's cached
+    :class:`~repro.engine.precompute.SessionPrecompute`, so the serial
+    loop (:meth:`run`), the lockstep shard
+    (:class:`~repro.player.shard.ShardState`) and the decision service's
+    per-session state all read the same validated inputs.
     """
 
     abr: ABRAlgorithm
@@ -81,20 +98,39 @@ class WorkOrder:
     chunk_weights: Optional[np.ndarray] = None
     exploration_seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.config is None:
+            self.config = SessionConfig()
+        if self.chunk_weights is None:
+            self.chunk_weights = self.precompute.uniform_weights
+            return
+        weights = np.asarray(self.chunk_weights, dtype=float)
+        require(
+            weights.shape == (self.encoded.num_chunks,),
+            "chunk_weights must have one entry per chunk",
+        )
+        require(bool(np.all(weights > 0)), "chunk weights must be positive")
+        self.chunk_weights = weights
+
+    @property
+    def precompute(self) -> SessionPrecompute:
+        """The video's cached precompute (a derived cache: like the
+        video's own, it is never pickled with the order)."""
+        return SessionPrecompute.of(self.encoded)
+
     def run(self) -> StreamResult:
-        """Execute the order and return the session result."""
+        """The serial reference: reseed the exploration stream (if the
+        order pins one), reset the ABR, then observe → decide → apply once
+        per chunk and finalize."""
         if self.exploration_seed is not None:
             agent = getattr(self.abr, "agent", None)
             if agent is not None and hasattr(agent, "reseed_exploration"):
                 agent.reseed_exploration(int(self.exploration_seed))
-        session = StreamingSession(
-            encoded=self.encoded,
-            trace=self.trace,
-            abr=self.abr,
-            config=self.config,
-            chunk_weights=self.chunk_weights,
-        )
-        return session.run()
+        self.abr.reset()
+        state = SessionState(self)
+        while not state.done:
+            state.apply(self.abr.decide(state.observe()))
+        return state.finalize(abr_name=self.abr.name, trace_name=self.trace.name)
 
 
 def _run_rollouts_serial(
@@ -208,8 +244,8 @@ def orders_for_grid(
 ) -> List[Tuple[Tuple[str, str, str], WorkOrder]]:
     """Work orders for every (ABR, video, trace) combination.
 
-    Iteration order matches the seed ``simulate_many`` loop (ABR outermost,
-    trace innermost) so serial execution reproduces it exactly.  Each entry
+    Iteration order is the seed's grid loop (ABR outermost, trace
+    innermost), so serial execution reproduces it exactly.  Each entry
     pairs the ``(abr_name, video_id, trace_name)`` key with its order.
     """
     weights_by_video = weights_by_video or {}

@@ -8,7 +8,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.abr.offline import OfflineOptimalABR
-from repro.engine.runner import BatchRunner, WorkOrder
 from repro.experiments.common import ExperimentContext
 from repro.experiments.registry import experiment
 from repro.qoe.ksqi import KSQIModel
@@ -77,14 +76,13 @@ def fig06_potential_gains(
 def _evaluate_grid(
     context: ExperimentContext,
     include_pensieve: bool = False,
-    runner: Optional[BatchRunner] = None,
 ) -> Dict[str, Dict[Tuple[str, str], float]]:
     """True QoE of each ABR on every (video, trace) pair.
 
-    The whole grid is dispatched through the batch engine: work orders are
-    built in the seed's (video, trace, algorithm) nesting order, executed by
-    ``runner`` (the context's runner by default — lockstep), and scored by
-    the oracle in the calling process, one batched call per video.
+    The whole grid is one :meth:`ExperimentContext.stream_qoe` batch: cells
+    are built in the seed's (video, trace, algorithm) nesting order, run on
+    the context's runner and scored by the oracle in the calling process,
+    one batched call per video.
 
     When the registry attached a finished-cell cache to the context
     (``context.cell_cache``), cells already scored by an earlier run of the
@@ -92,7 +90,6 @@ def _evaluate_grid(
     re-simulated, and every freshly scored cell is persisted — an
     interrupted grid resumes where it stopped.
     """
-    runner = runner if runner is not None else context.runner
     cache = getattr(context, "cell_cache", None)
     # Factories, not instances: the RL policies (the expensive ones — ad-hoc
     # training when no checkpoint exists) only materialise when some cell of
@@ -120,7 +117,7 @@ def _evaluate_grid(
         name: {} for name in algorithms
     }
     keys: List[Tuple[str, str, str, str]] = []
-    orders: List[WorkOrder] = []
+    cells = []
     for encoded in context.videos():
         video_id = encoded.source.video_id
         for trace in context.traces():
@@ -140,16 +137,9 @@ def _evaluate_grid(
                     continue
                 if name not in instances:
                     instances[name] = factory()
-                weights = context.weights(video_id) if use_weights else None
                 keys.append((name, video_id, trace.name, cell_key))
-                orders.append(
-                    WorkOrder(
-                        abr=instances[name], encoded=encoded, trace=trace,
-                        chunk_weights=weights,
-                    )
-                )
-    results = runner.run_orders(orders)
-    qoes = context.oracle.true_qoe_grouped([r.rendered for r in results])
+                cells.append((instances[name], encoded, trace, use_weights))
+    qoes = context.stream_qoe(cells)
     for (name, video_id, trace_name, cell_key), qoe in zip(keys, qoes.tolist()):
         scores[name][(video_id, trace_name)] = qoe
         if cache is not None:
@@ -283,23 +273,25 @@ def fig12b_bandwidth_usage(
     :func:`bandwidth_saving_at_equal_qoe`.
     """
     base_trace = context.traces()[min(trace_index, len(context.traces()) - 1)]
-    curves: Dict[str, List[float]] = {"SENSEI": [], "Fugu": [], "BBA": []}
-    for ratio in scaling_ratios:
-        trace = base_trace.scaled(ratio)
-        for name in curves:
-            qoe_values = []
-            for encoded in context.videos():
-                if name == "SENSEI":
-                    abr, use_weights = context.make_sensei_fugu(), True
-                elif name == "Fugu":
-                    abr, use_weights = context.make_fugu(), False
-                else:
-                    abr, use_weights = context.make_bba(), False
-                qoe_values.append(
-                    context.stream_qoe(abr, encoded, trace, use_weights=use_weights)
-                )
-            curves[name].append(float(np.mean(qoe_values)))
-
+    arms = {
+        "SENSEI": (context.make_sensei_fugu(), True),
+        "Fugu": (context.make_fugu(), False),
+        "BBA": (context.make_bba(), False),
+    }
+    videos = context.videos()
+    cells = [
+        (abr, encoded, trace, use_weights)
+        for trace in [base_trace.scaled(ratio) for ratio in scaling_ratios]
+        for abr, use_weights in arms.values()
+        for encoded in videos
+    ]
+    qoes = context.stream_qoe(cells).reshape(
+        len(scaling_ratios), len(arms), len(videos)
+    ).tolist()
+    curves: Dict[str, List[float]] = {
+        name: [float(np.mean(per_ratio[arm])) for per_ratio in qoes]
+        for arm, name in enumerate(arms)
+    }
     return {
         "scaling_ratios": list(scaling_ratios),
         "curves": curves,
@@ -365,19 +357,26 @@ def fig17_bandwidth_variance(
             ("Pensieve", context.trained_pensieve, False),
             ("SENSEI-Pensieve", context.trained_sensei_pensieve, True),
         ]
-    curves: Dict[str, List[float]] = {name: [] for name, _, _ in pairs}
-    stds: List[float] = []
-    for sigma in noise_levels_mbps:
-        trace = base_trace.with_added_noise(sigma, seed=context.seed + 91)
-        stds.append(trace.std_kbps)
-        for name, factory, use_weights in pairs:
-            qoe_values = [
-                context.stream_qoe(
-                    factory(), encoded, trace, use_weights=use_weights
-                )
-                for encoded in context.videos()
-            ]
-            curves[name].append(float(np.mean(qoe_values)))
+    traces = [
+        base_trace.with_added_noise(sigma, seed=context.seed + 91)
+        for sigma in noise_levels_mbps
+    ]
+    abrs = [(factory(), use_weights) for _, factory, use_weights in pairs]
+    videos = context.videos()
+    cells = [
+        (abr, encoded, trace, use_weights)
+        for trace in traces
+        for abr, use_weights in abrs
+        for encoded in videos
+    ]
+    qoes = context.stream_qoe(cells).reshape(
+        len(traces), len(pairs), len(videos)
+    ).tolist()
+    curves: Dict[str, List[float]] = {
+        name: [float(np.mean(per_noise[pair])) for per_noise in qoes]
+        for pair, (name, _, _) in enumerate(pairs)
+    }
+    stds = [trace.std_kbps for trace in traces]
     return {
         "throughput_std_kbps": stds,
         "curves": curves,
@@ -415,25 +414,25 @@ def fig18b_gain_breakdown(context: ExperimentContext) -> Dict[str, object]:
     action (full SENSEI)."""
     from repro.core.sensei_abr import SenseiFuguABR
 
-    bitrate_only = SenseiFuguABR(stall_options_s=(0.0,))
     arms = {
         "base_abr_with_ksqi": (context.make_fugu(), False),
-        "only_bitrate_adaptation": (bitrate_only, True),
+        "only_bitrate_adaptation": (
+            SenseiFuguABR(stall_options_s=(0.0,)), True
+        ),
         "full_sensei": (context.make_sensei_fugu(), True),
     }
-    bba_scores = []
-    arm_scores: Dict[str, List[float]] = {name: [] for name in arms}
-    for encoded in context.videos():
-        for trace in context.traces():
-            bba_scores.append(
-                context.stream_qoe(context.make_bba(), encoded, trace)
-            )
-            for name, (abr, use_weights) in arms.items():
-                arm_scores[name].append(
-                    context.stream_qoe(abr, encoded, trace, use_weights=use_weights)
-                )
+    abrs = [(context.make_bba(), False)] + list(arms.values())
+    cells = [
+        (abr, encoded, trace, use_weights)
+        for encoded in context.videos()
+        for trace in context.traces()
+        for abr, use_weights in abrs
+    ]
+    bba_scores, *arm_scores = (
+        context.stream_qoe(cells).reshape(-1, len(abrs)).T.tolist()
+    )
     bba_arr = np.maximum(np.array(bba_scores), 1e-3)
     return {
         name: float(np.mean(np.array(values) / bba_arr - 1))
-        for name, values in arm_scores.items()
+        for name, values in zip(arms, arm_scores)
     }

@@ -181,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     loadtest_cmd = sub.add_parser(
         "loadtest",
-        help="drive the decision service closed-loop and write "
-             "BENCH_service.json",
+        help="drive the decision service closed-loop and print a "
+             "summary (--out also writes the JSON report)",
     )
     loadtest_cmd.add_argument("--scale", default="tiny",
                               help=f"scale preset "
@@ -200,9 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
     loadtest_cmd.add_argument("--duration", type=float, default=None,
                               metavar="S", help="stop offering load after S "
                                                 "seconds")
-    loadtest_cmd.add_argument("--out", default="BENCH_service.json",
-                              metavar="PATH",
-                              help="where to write the benchmark report")
+    loadtest_cmd.add_argument("--out", default=None, metavar="PATH",
+                              help="also write the JSON report to PATH "
+                                   "(default: write no file)")
     loadtest_cmd.add_argument("--verify", action="store_true",
                               help="re-run finished sessions offline and "
                                    "assert online ≡ offline decisions")
@@ -687,7 +687,7 @@ def _cmd_loadtest(args) -> int:
     })
     if verdict is not None:
         payload["verify"] = verdict
-    path = write_bench(args.out, payload)
+    path = write_bench(args.out, payload) if args.out else None
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -711,7 +711,8 @@ def _cmd_loadtest(args) -> int:
             status = "identical" if verdict["identical"] else "MISMATCH"
             print(f"  verify: online ≡ offline over {verdict['checked']} "
                   f"sessions — {status}")
-        print(f"  report: {path}")
+        if path is not None:
+            print(f"  report: {path}")
     if verdict is not None and not verdict["identical"]:
         return 1
     return 0

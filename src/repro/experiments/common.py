@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,15 +32,22 @@ from repro.core.qoe_model import SenseiQoEModel
 from repro.core.scheduler import SchedulerConfig
 from repro.core.sensei_abr import SenseiFuguABR, SenseiPensieveABR, make_sensei_pensieve
 from repro.core.weights import SensitivityProfile
-from repro.engine.runner import BatchRunner
+from repro.engine.runner import BatchRunner, WorkOrder
 from repro.network.bank import TraceBank
 from repro.network.trace import ThroughputTrace
-from repro.player.simulator import simulate_session
+from repro.player.session import StreamResult
 from repro.qoe.ground_truth import GroundTruthOracle
 from repro.qoe.ksqi import KSQIModel
 from repro.utils.validation import require
 from repro.video.encoder import EncodedVideo
 from repro.video.library import VideoLibrary
+
+
+#: One streaming cell: ``(abr, encoded, trace, use_weights)``, where
+#: ``use_weights`` is a bool or an explicit per-chunk weight array.
+Cell = Tuple[
+    ABRAlgorithm, EncodedVideo, ThroughputTrace, Union[bool, np.ndarray]
+]
 
 
 @dataclass(frozen=True)
@@ -428,27 +435,35 @@ class ExperimentContext:
 
     # ------------------------------------------------------------ simulation
 
-    def stream_qoe(
-        self,
-        abr: ABRAlgorithm,
-        encoded: EncodedVideo,
-        trace: ThroughputTrace,
-        use_weights: bool = False,
-        qoe_model=None,
-    ) -> float:
-        """Stream once and score the result.
+    def stream(self, cells: Sequence[Cell]) -> List[StreamResult]:
+        """Stream every ``(abr, encoded, trace, use_weights)`` cell as one
+        batch on :attr:`runner`; results align with ``cells``.
 
-        ``qoe_model=None`` scores with the ground-truth oracle (the paper's
-        "real user ratings"); passing a model scores with that model instead
-        (the paper's §7.4 microbenchmarks use SENSEI's model for scale).
+        ``use_weights`` is ``False`` (uniform weights), ``True`` (the
+        video's profiled weights, :meth:`weights`) or an explicit weight
+        array.
         """
-        weights = (
-            self.weights(encoded.source.video_id) if use_weights else None
+        orders = []
+        for abr, encoded, trace, use_weights in cells:
+            weights = use_weights
+            if isinstance(use_weights, bool):
+                weights = (
+                    self.weights(encoded.source.video_id) if use_weights
+                    else None
+                )
+            orders.append(WorkOrder(
+                abr=abr, encoded=encoded, trace=trace, chunk_weights=weights,
+            ))
+        return self.runner.run_orders(orders)
+
+    def stream_qoe(self, cells: Sequence[Cell]) -> np.ndarray:
+        """True QoE of every cell (see :meth:`stream`), scored by the
+        ground-truth oracle — the paper's "real user ratings" — in one
+        :meth:`~repro.qoe.ground_truth.GroundTruthOracle.true_qoe_grouped`
+        call."""
+        return self.oracle.true_qoe_grouped(
+            [result.rendered for result in self.stream(cells)]
         )
-        result = simulate_session(abr, encoded, trace, chunk_weights=weights)
-        if qoe_model is None:
-            return self.oracle.true_qoe(result.rendered)
-        return float(qoe_model.score(result.rendered))
 
     def gain_over(self, qoe: float, baseline_qoe: float) -> float:
         """Relative QoE gain ``(Q1 - Q2) / Q2`` used throughout §7."""

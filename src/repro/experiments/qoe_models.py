@@ -16,7 +16,6 @@ from repro.crowd.campaign import CampaignConfig, MTurkCampaign
 from repro.crowd.worker import WorkerPool
 from repro.experiments.common import ExperimentContext
 from repro.experiments.registry import experiment
-from repro.player.simulator import simulate_session
 from repro.qoe.ksqi import KSQIModel
 from repro.qoe.lstm_qoe import LSTMQoEModel
 from repro.qoe.metrics import evaluate_model
@@ -31,11 +30,13 @@ def _streamed_dataset(
     """Renderings produced by streaming every (ABR, video, trace) combination,
     labelled with their true QoE — the dataset of §2.2 / §7.3."""
     abrs = [BufferBasedABR(), RateBasedABR(), FuguABR()]
-    renderings: List[RenderedVideo] = []
-    for encoded in context.videos():
-        for trace in context.traces():
-            for abr in abrs:
-                renderings.append(simulate_session(abr, encoded, trace).rendered)
+    results = context.stream([
+        (abr, encoded, trace, False)
+        for encoded in context.videos()
+        for trace in context.traces()
+        for abr in abrs
+    ])
+    renderings = [result.rendered for result in results]
     return renderings, context.oracle.true_qoe_grouped(renderings).tolist()
 
 
@@ -180,7 +181,8 @@ def fig12c_cost_vs_qoe(
     resulting weights by streaming SENSEI-Fugu against Fugu.
     """
     encoded = context.library.encoded(video_id)
-    arms = {}
+    traces = context.traces()
+    profiles = {}
     for name, use_two_step in (("pruned", True), ("exhaustive", False)):
         profiler = SenseiProfiler(
             oracle=context.oracle,
@@ -191,23 +193,26 @@ def fig12c_cost_vs_qoe(
             campaign_seed=context.seed + 61,
             use_two_step=use_two_step,
         )
-        result = profiler.profile_video(encoded)
-        qoe_values = context.oracle.true_qoe_batch([
-            simulate_session(
-                context.make_sensei_fugu(), encoded, trace,
-                chunk_weights=result.profile.weights,
-            ).rendered
-            for trace in context.traces()
-        ])
-        arms[name] = {
+        profiles[name] = profiler.profile_video(encoded)
+    # SENSEI-Fugu with each arm's weights, then the unweighted base ABR.
+    abrs = [
+        (context.make_sensei_fugu(), result.profile.weights)
+        for result in profiles.values()
+    ] + [(context.make_fugu(), False)]
+    qoes = context.stream_qoe([
+        (abr, encoded, trace, weights)
+        for abr, weights in abrs
+        for trace in traces
+    ]).reshape(len(abrs), len(traces))
+    arms = {
+        name: {
             "cost_usd_per_min": result.cost_per_source_minute_usd,
-            "mean_qoe": float(np.mean(qoe_values)),
+            "mean_qoe": float(np.mean(arm_qoes)),
             "num_renderings": result.num_renderings,
         }
-    baseline_qoe = float(np.mean(context.oracle.true_qoe_batch([
-        simulate_session(context.make_fugu(), encoded, trace).rendered
-        for trace in context.traces()
-    ])))
+        for (name, result), arm_qoes in zip(profiles.items(), qoes)
+    }
+    baseline_qoe = float(np.mean(qoes[-1]))
     cost_saving = 1.0 - (
         arms["pruned"]["cost_usd_per_min"]
         / max(arms["exhaustive"]["cost_usd_per_min"], 1e-9)

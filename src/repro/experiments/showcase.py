@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.scheduler import SchedulerConfig, TwoStepScheduler
 from repro.core.weights import infer_weights
 from repro.crowd.campaign import CampaignConfig, MTurkCampaign
-from repro.engine.runner import WorkOrder
 from repro.experiments.abr_eval import bandwidth_saving_at_equal_qoe
 from repro.experiments.common import ExperimentContext
 from repro.experiments.registry import experiment
@@ -75,23 +74,19 @@ def quickstart(
     print(f"\nStreaming over trace '{trace.name}' "
           f"(mean {trace.mean_mbps:.2f} Mbps)\n")
     print(f"{'ABR':14s} {'true QoE':>9s} {'bitrate':>9s} {'stalls':>7s} {'switches':>9s}")
-    orders = [
-        WorkOrder(abr=abr, encoded=encoded, trace=trace,
-                  chunk_weights=weights if use_weights else None)
-        for abr, use_weights in (
-            (context.make_bba(), False),
-            (context.make_fugu(), False),
-            (context.make_sensei_fugu(), True),
-        )
-    ]
+    results = context.stream([
+        (context.make_bba(), encoded, trace, False),
+        (context.make_fugu(), encoded, trace, False),
+        (context.make_sensei_fugu(), encoded, trace, weights),
+    ])
+    qoes = context.oracle.true_qoe_grouped([r.rendered for r in results])
     rows = []
-    for order, result in zip(orders, context.runner.run_orders(orders)):
-        qoe = context.oracle.true_qoe(result.rendered)
-        print(f"{order.abr.name:14s} {qoe:9.3f} "
+    for result, qoe in zip(results, qoes.tolist()):
+        print(f"{result.abr_name:14s} {qoe:9.3f} "
               f"{result.average_bitrate_kbps:7.0f}kb {result.total_stall_s:6.1f}s "
               f"{result.rendered.num_switches():9d}")
         rows.append({
-            "abr": order.abr.name,
+            "abr": result.abr_name,
             "true_qoe": qoe,
             "average_bitrate_kbps": float(result.average_bitrate_kbps),
             "total_stall_s": float(result.total_stall_s),
@@ -129,35 +124,30 @@ def bandwidth_savings(
     traces = context.traces()
     base_trace = traces[min(trace_index, len(traces) - 1)]
     algorithms = {
-        "BBA": (context.make_bba, False),
-        "Fugu": (context.make_fugu, False),
-        "SENSEI-Fugu": (context.make_sensei_fugu, True),
+        "BBA": (context.make_bba(), False),
+        "Fugu": (context.make_fugu(), False),
+        "SENSEI-Fugu": (context.make_sensei_fugu(), True),
     }
 
     print(f"Base trace '{base_trace.name}', mean {base_trace.mean_mbps:.2f} Mbps")
     print(f"\n{'bandwidth scale':>15s} " + " ".join(f"{n:>12s}" for n in algorithms))
-    # One work order per (ratio, algorithm, video), dispatched in a single
-    # batch so the lockstep core plans the whole sweep together.
-    labels, orders = [], []
-    for ratio in scaling_ratios:
-        trace = base_trace.scaled(ratio)
-        for name, (factory, use_weights) in algorithms.items():
-            for vid in video_ids:
-                labels.append((ratio, name))
-                orders.append(WorkOrder(
-                    abr=factory(), encoded=context.library.encoded(vid),
-                    trace=trace,
-                    chunk_weights=context.weights(vid) if use_weights else None,
-                ))
-    results = context.runner.run_orders(orders)
-    qoe: Dict[tuple, list] = {label: [] for label in labels}
-    for label, result in zip(labels, results):
-        qoe[label].append(context.oracle.true_qoe(result.rendered))
+    # One cell per (ratio, algorithm, video), streamed as a single batch so
+    # the lockstep core plans the whole sweep together (as fig12b does).
+    videos = [context.library.encoded(vid) for vid in video_ids]
+    cells = [
+        (abr, encoded, trace, use_weights)
+        for trace in [base_trace.scaled(ratio) for ratio in scaling_ratios]
+        for abr, use_weights in algorithms.values()
+        for encoded in videos
+    ]
+    qoes = context.stream_qoe(cells).reshape(
+        len(scaling_ratios), len(algorithms), len(videos)
+    ).tolist()
     curves: Dict[str, list] = {name: [] for name in algorithms}
-    for ratio in scaling_ratios:
+    for ratio, per_ratio in zip(scaling_ratios, qoes):
         row = f"{ratio:>14.0%} "
-        for name in algorithms:
-            mean_qoe = float(np.mean(qoe[(ratio, name)]))
+        for name, values in zip(algorithms, per_ratio):
+            mean_qoe = float(np.mean(values))
             curves[name].append(mean_qoe)
             row += f" {mean_qoe:12.3f}"
         print(row)

@@ -6,12 +6,9 @@ Design contract (mirroring :class:`repro.faults.log.FaultLog`):
   counters, gauges, fixed-bucket histograms and span accumulators.  No
   threads, no sockets, no third-party clients — sinks that speak external
   formats live in :mod:`repro.obs.sinks`.
-* **Mergeable snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
-  plain JSON-able dict, and :func:`merge_snapshots` /
-  :meth:`MetricsRegistry.merge_snapshot` fold snapshots together the same
-  way :func:`repro.faults.log.merge_counter_dicts` folds fault counters:
-  counters, histogram bucket counts and span totals add; gauges take the
-  most recent value.
+* **Plain snapshots.**  :meth:`MetricsRegistry.snapshot` returns a plain
+  JSON-able dict of counters, gauges, histogram bucket counts and span
+  totals.
 * **Deltas by diffing.**  Long-lived owners take a snapshot before a run
   and :func:`diff_snapshots` after — the registry itself never resets
   under a reader's feet (same discipline as ``FaultLog.snapshot()`` /
@@ -39,7 +36,6 @@ __all__ = [
     "MetricsRegistry",
     "diff_snapshots",
     "get_registry",
-    "merge_snapshots",
     "register_collector",
     "use_registry",
 ]
@@ -139,7 +135,7 @@ def register_collector(collector: Callable[["MetricsRegistry"], None]) -> None:
 
 
 class MetricsRegistry:
-    """One process-local bag of metrics with a mergeable snapshot format."""
+    """One process-local bag of metrics with a plain snapshot format."""
 
     __slots__ = ("_counters", "_gauges", "_histograms", "_spans")
 
@@ -236,54 +232,12 @@ class MetricsRegistry:
             },
         }
 
-    def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Fold a snapshot into this live registry — the metrics
-        equivalent of merging FaultLog deltas."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).add(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, payload in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, buckets=payload["buckets"])
-            if list(hist.buckets) != [float(b) for b in payload["buckets"]]:
-                raise ValueError(
-                    f"histogram {name!r} bucket mismatch on merge: "
-                    f"{hist.buckets} vs {payload['buckets']}"
-                )
-            for index, count in enumerate(payload["counts"]):
-                hist.counts[index] += count
-            hist.sum += payload["sum"]
-            hist.count += payload["count"]
-        for name, payload in snapshot.get("spans", {}).items():
-            entry = self._spans.get(name)
-            if entry is None:
-                self._spans[name] = [
-                    payload["count"], payload["total_s"], payload["max_s"]
-                ]
-            else:
-                entry[0] += payload["count"]
-                entry[1] += payload["total_s"]
-                if payload["max_s"] > entry[2]:
-                    entry[2] = payload["max_s"]
-
     def clear(self) -> None:
         """Drop everything recorded (tests and scoped profiling runs)."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
         self._spans.clear()
-
-
-def merge_snapshots(*snapshots: Dict[str, object]) -> Dict[str, object]:
-    """Key-wise merge of snapshots: counters/histograms/spans add, gauges
-    take the last snapshot's value (point-in-time semantics)."""
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        merged.merge_snapshot(snapshot)
-    # merge_snapshot re-runs no collectors (they are snapshot-time hooks on
-    # *live* registries); export through the raw structure instead.
-    payload = merged.snapshot()
-    return payload
 
 
 def diff_snapshots(

@@ -1,5 +1,10 @@
 """The streaming session: the control loop of a DASH-style player.
 
+A session is described by a :class:`~repro.engine.runner.WorkOrder`; this
+module holds its player-side pieces: the configuration, the result, and
+:class:`SessionState`, the scalar state machine the serial reference
+(``WorkOrder.run``) and the decision service step.
+
 The session downloads chunks one at a time.  Before each download it builds
 a :class:`~repro.abr.base.PlayerObservation` and asks the ABR algorithm for
 a :class:`~repro.abr.base.Decision`.  Playback drains the buffer in real
@@ -12,13 +17,11 @@ higher bitrate without risking an involuntary stall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation
-from repro.network.trace import ThroughputTrace
+from repro.abr.base import Decision, PlayerObservation
 from repro.player.buffer import PlaybackBuffer
 from repro.player.events import (
     STALL_PROACTIVE,
@@ -29,7 +32,6 @@ from repro.player.events import (
     StallEvent,
 )
 from repro.utils.validation import require, require_positive
-from repro.video.encoder import EncodedVideo
 from repro.video.rendering import RenderedVideo
 
 #: Floor for download durations when computing measured throughput; a trace
@@ -159,12 +161,14 @@ class StreamResult:
 class SessionState:
     """The mutable state of one in-flight streaming session.
 
-    Extracted from :meth:`StreamingSession.run` so that two drivers can step
-    it with the *same* code — and therefore the same floating-point
-    operation sequence:
+    Built from a :class:`~repro.engine.runner.WorkOrder` (which holds the
+    validated config, weights and precompute) and stepped by two drivers
+    with the *same* code — and therefore the same floating-point operation
+    sequence:
 
-    * :class:`StreamingSession` steps one state to completion in a loop
-      (observe → ABR decide → apply) — the serial reference run;
+    * :meth:`WorkOrder.run <repro.engine.runner.WorkOrder.run>` steps one
+      state to completion in a loop (observe → ABR decide → apply) — the
+      serial reference run;
     * the decision service (:mod:`repro.service`) steps one state per
       registered session, one request at a time.  (The lockstep engine
       steps sessions as arrays: :class:`~repro.player.shard.ShardState`.)
@@ -174,22 +178,17 @@ class SessionState:
     :class:`StreamResult`.
     """
 
-    def __init__(
-        self,
-        encoded: EncodedVideo,
-        trace: ThroughputTrace,
-        config: SessionConfig,
-        chunk_weights: np.ndarray,
-        precompute: "SessionPrecompute",
-    ) -> None:
+    def __init__(self, order: "WorkOrder") -> None:
         # Imported lazily: repro.engine depends on the player package.
         from repro.engine.precompute import HistoryRing
 
+        encoded = order.encoded
+        config = order.config
         self.encoded = encoded
-        self.trace = trace
+        self.trace = order.trace
         self.config = config
-        self.chunk_weights = chunk_weights
-        self.precompute = precompute
+        self.chunk_weights = order.chunk_weights
+        self.precompute = order.precompute
         self.num_chunks = encoded.num_chunks
         self.chunk_duration = encoded.chunk_duration_s
 
@@ -396,72 +395,3 @@ class SessionState:
             self.played_s += drained
             self.wall_time += drained
             remaining -= drained
-
-
-class StreamingSession:
-    """Runs one ABR algorithm over one encoded video and one trace.
-
-    Per-chunk observations are served as slices of the video's cached
-    :class:`~repro.engine.precompute.SessionPrecompute` matrices (built
-    here unless one is supplied), throughput histories live in fixed ring
-    buffers, and downloads go through the indexed trace integrator
-    (:meth:`ThroughputTrace.download_time_s`).
-    """
-
-    def __init__(
-        self,
-        encoded: EncodedVideo,
-        trace: ThroughputTrace,
-        abr: ABRAlgorithm,
-        config: Optional[SessionConfig] = None,
-        chunk_weights: Optional[np.ndarray] = None,
-        precompute: Optional["SessionPrecompute"] = None,
-    ) -> None:
-        self.encoded = encoded
-        self.trace = trace
-        self.abr = abr
-        self.config = config if config is not None else SessionConfig()
-        if chunk_weights is None:
-            chunk_weights = np.ones(encoded.num_chunks)
-        chunk_weights = np.asarray(chunk_weights, dtype=float)
-        require(
-            chunk_weights.shape == (encoded.num_chunks,),
-            "chunk_weights must have one entry per chunk",
-        )
-        require(bool(np.all(chunk_weights > 0)), "chunk weights must be positive")
-        self.chunk_weights = chunk_weights
-        require(
-            precompute is None or precompute.encoded is encoded,
-            "precompute belongs to a different encoded video",
-        )
-        if precompute is None:
-            # Imported lazily: repro.engine depends on the player package.
-            from repro.engine.precompute import SessionPrecompute
-
-            precompute = SessionPrecompute.of(encoded)
-        self.precompute = precompute
-
-    # ------------------------------------------------------------------ run
-
-    def make_state(self) -> SessionState:
-        """A fresh :class:`SessionState` for this session's parameters.
-
-        Used by the lockstep engine to step many sessions in parallel with
-        the exact state-evolution code :meth:`run` uses.
-        """
-        return SessionState(
-            encoded=self.encoded,
-            trace=self.trace,
-            config=self.config,
-            chunk_weights=self.chunk_weights,
-            precompute=self.precompute,
-        )
-
-    def run(self) -> StreamResult:
-        """Execute the session and return its :class:`StreamResult`."""
-        self.abr.reset()
-        state = self.make_state()
-        while not state.done:
-            decision = self.abr.decide(state.observe())
-            state.apply(decision)
-        return state.finalize(abr_name=self.abr.name, trace_name=self.trace.name)

@@ -1,10 +1,12 @@
 """Structure-of-arrays player stepping for a shard of lockstep sessions.
 
 :class:`ShardState` is the SoA counterpart of
-:class:`~repro.player.session.SessionState`: one array slot per session for
-every scalar the session control loop mutates (wall clock, buffer level,
-played seconds, pending proactive stall, …), advanced for the whole shard
-with numpy elementwise operations instead of a per-session Python loop.
+:class:`~repro.player.session.SessionState`: built from a shard's work
+orders (:class:`~repro.engine.runner.WorkOrder`), it holds one array slot
+per order for every scalar the session control loop mutates (wall clock,
+buffer level, played seconds, pending proactive stall, …), advanced for
+the whole shard with numpy elementwise operations instead of a
+per-session Python loop.
 
 Bit-identity with the scalar path is a hard contract (enforced by the
 golden-master fixtures, the hypothesis suite, and the differential fuzz in
@@ -55,7 +57,6 @@ from repro.player.session import (
     MIN_DOWNLOAD_DURATION_S,
     PLAYBACK_EPSILON_S,
     StreamResult,
-    StreamingSession,
     observation_from_precompute,
 )
 from repro.utils.validation import require
@@ -68,35 +69,35 @@ _BUFFER_EMPTY_S = 1e-9
 class ShardState:
     """SoA state of a shard of streaming sessions sharing one config.
 
-    The protocol mirrors the scalar state machine, batched: call
-    :meth:`step` once per chunk step with the live rows and their decided
-    (level, proactive stall) arrays until :attr:`live_rows` is empty, then
+    One row per :class:`~repro.engine.runner.WorkOrder` of the shard.  The
+    protocol mirrors the scalar state machine, batched: call :meth:`step`
+    once per chunk step with the live rows and their decided (level,
+    proactive stall) arrays until :attr:`live_rows` is empty, then
     :meth:`finalize` each row for its :class:`StreamResult`.
     """
 
-    def __init__(self, sessions: Sequence[StreamingSession]) -> None:
-        require(len(sessions) >= 1, "a shard needs at least one session")
-        config = sessions[0].config
+    def __init__(self, orders: Sequence["WorkOrder"]) -> None:
+        require(len(orders) >= 1, "a shard needs at least one session")
+        config = orders[0].config
         require(
-            all(session.config == config for session in sessions),
+            all(order.config == config for order in orders),
             "shard sessions must share one player config",
         )
-        n = len(sessions)
+        n = len(orders)
         self.num_sessions = n
         self.config = config
-        self.encoded = [session.encoded for session in sessions]
-        self.traces = [session.trace for session in sessions]
-        self.precomputes = [session.precompute for session in sessions]
-        self.chunk_weights = [session.chunk_weights for session in sessions]
+        self.encoded = [order.encoded for order in orders]
+        self.traces = [order.trace for order in orders]
+        self.precomputes = [order.precompute for order in orders]
+        self.chunk_weights = [order.chunk_weights for order in orders]
         self.num_chunks = np.array(
-            [session.encoded.num_chunks for session in sessions], dtype=int
+            [encoded.num_chunks for encoded in self.encoded], dtype=int
         )
         self.num_levels = np.array(
-            [session.encoded.ladder.num_levels for session in sessions],
-            dtype=int,
+            [encoded.ladder.num_levels for encoded in self.encoded], dtype=int
         )
         self.chunk_duration = np.array(
-            [session.encoded.chunk_duration_s for session in sessions]
+            [encoded.chunk_duration_s for encoded in self.encoded]
         )
         # A shared scalar (when every video agrees) keeps planner kernel
         # broadcasts on the fast ufunc path.

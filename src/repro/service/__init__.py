@@ -1,8 +1,9 @@
 """The always-on ABR decision service (docs/SERVICE.md).
 
 The roadmap's production story: a long-lived asyncio front-end over the
-batch engine.  Sessions register keyed by ``(tenant, session_id)`` and
-hold unmodified :class:`~repro.player.session.SessionState`; ``decide()``
+batch engine.  Sessions register keyed by ``(tenant, session_id)``; each
+holds its :class:`~repro.engine.runner.WorkOrder` and the unmodified
+:class:`~repro.player.session.SessionState` built from it; ``decide()``
 requests coalesce in an adaptive micro-batching window and each flush is
 answered by one batched planner dispatch through
 :func:`repro.engine.lockstep.plan_batch`, so online decisions are
@@ -15,7 +16,8 @@ and the whole surface is instrumented through :mod:`repro.obs`.
 * :mod:`repro.service.fairsched` — weighted fair admission (SFQ)
 * :mod:`repro.service.sessions` — the session table + ABR clones
 * :mod:`repro.service.decisions` — batched, bit-identical decide paths
-* :mod:`repro.service.loadgen` — load generator + ``BENCH_service.json``
+* :mod:`repro.service.loadgen` — load generator + the JSON load report
+  (written only where ``python -m repro loadtest --out PATH`` says)
 """
 
 from repro.service.batcher import AdaptiveBatcher

@@ -8,8 +8,9 @@ from the standard :class:`~repro.experiments.common.ExperimentContext`
 inventory (videos × traces × the non-RL ABR zoo), so a loadtest exercises
 exactly the assets the offline experiments sweep.
 
-:func:`bench_payload` shapes the results into ``BENCH_service.json`` —
-decisions/sec, p50/p99/mean request latency, the batch-size distribution
+:func:`bench_payload` shapes the results into the load report
+(``BENCH_SERVICE_SCHEMA``; ``python -m repro loadtest --out PATH`` writes
+it) — decisions/sec, p50/p99/mean request latency, the batch-size distribution
 and per-tenant fairness accounting — with the same environment/git
 fingerprints experiment ``ResultSet`` metadata carries, and
 :func:`verify_online_offline` is the golden-master hook: every

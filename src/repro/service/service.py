@@ -2,7 +2,8 @@
 
 :class:`DecisionService` is the asyncio front door that turns the offline
 batch engine into a long-lived system: many concurrent sessions hold their
-:class:`~repro.player.session.SessionState` in the
+:class:`~repro.engine.runner.WorkOrder` and the
+:class:`~repro.player.session.SessionState` built from it in the
 :class:`~repro.service.sessions.SessionTable`, ``decide()`` calls coalesce
 in the :class:`~repro.service.batcher.AdaptiveBatcher`'s micro-batching
 window, and every flush answers the whole window from one batched planner
@@ -10,7 +11,7 @@ dispatch (:func:`~repro.service.decisions.decide_batch` →
 :func:`~repro.engine.lockstep.plan_batch` → the shared
 ``evaluate_candidates_batch`` kernel).  Because the kernel is elementwise
 over the batch axis, the decisions a session receives online are
-bit-identical to the serial ``StreamingSession.run`` it would have seen
+bit-identical to the serial ``WorkOrder.run`` of the same order
 offline — the golden contract the service test suite asserts across the
 whole non-RL ABR zoo.
 
@@ -218,9 +219,10 @@ class DecisionService:
     def offline_result(self, entry: SessionEntry) -> StreamResult:
         """Re-run a session offline for the golden online ≡ offline check.
 
-        Runs the untouched original ABR instance through the serial
-        reference (:meth:`WorkOrder.run <repro.engine.runner.WorkOrder.run>`),
-        exactly like a serial grid cell.
+        Runs the entry's order — with its untouched original ABR instance —
+        through the serial reference (:meth:`WorkOrder.run
+        <repro.engine.runner.WorkOrder.run>`), exactly like a serial grid
+        cell.
         """
         return entry.work_order().run()
 

@@ -1,19 +1,18 @@
 """The session table: live streaming sessions keyed by ``(tenant, id)``.
 
-Each registered session wraps an unmodified
-:class:`~repro.player.session.SessionState` (built through
-:meth:`StreamingSession.make_state`, so precompute wiring and weight
-validation are exactly the offline path's) plus a deep-copied, reset clone
-of the caller's ABR instance.  The clone carries all per-session algorithm
-state (throughput predictor history, SENSEI's proactive-stall budget)
-between ``decide`` calls — the same per-session-clone pattern the lockstep
-engine's ``_PerSessionDriver`` uses, and the reason online decisions can
-be bit-identical to a serial ``StreamingSession.run`` over the same
-history.
+Each registered session holds its :class:`~repro.engine.runner.WorkOrder`
+(validated weights, config and precompute, exactly the offline path's), an
+unmodified :class:`~repro.player.session.SessionState` built from it, and a
+deep-copied, reset clone of the order's ABR instance.  The clone carries
+all per-session algorithm state (throughput predictor history, SENSEI's
+proactive-stall budget) between ``decide`` calls — the same
+per-session-clone pattern the lockstep engine's ``_PerSessionDriver``
+uses, and the reason online decisions can be bit-identical to a serial
+``WorkOrder.run`` over the same history.
 
-The *original* ABR instance is kept untouched on the entry: it is what
-:meth:`SessionEntry.work_order` hands to the offline engine for the
-golden online ≡ offline comparison (``WorkOrder.run`` resets it first,
+The order's *original* ABR instance is never stepped online: it is what
+the offline engine runs for the golden online ≡ offline comparison
+(:meth:`SessionEntry.work_order`; ``WorkOrder.run`` resets it first,
 exactly like any grid cell).
 """
 
@@ -35,11 +34,7 @@ from repro.engine.lockstep import (
 )
 from repro.engine.runner import WorkOrder
 from repro.network.trace import ThroughputTrace
-from repro.player.session import (
-    SessionConfig,
-    StreamingSession,
-    StreamResult,
-)
+from repro.player.session import SessionConfig, SessionState, StreamResult
 from repro.video.encoder import EncodedVideo
 
 __all__ = [
@@ -76,23 +71,18 @@ def planner_kind(abr: ABRAlgorithm) -> str:
 
 
 class SessionEntry:
-    """One live session: player state + ABR clone + accounting."""
+    """One live session: work order + player state + ABR clone + accounting."""
 
     __slots__ = (
-        "tenant", "session_id", "abr", "clone", "kind", "session", "state",
+        "tenant", "session_id", "order", "clone", "kind", "state",
         "evicted", "result", "decisions", "degraded", "in_flight",
     )
 
-    def __init__(
-        self,
-        tenant: str,
-        session_id: str,
-        abr: ABRAlgorithm,
-        session: StreamingSession,
-    ) -> None:
+    def __init__(self, tenant: str, session_id: str, order: WorkOrder) -> None:
         self.tenant = tenant
         self.session_id = session_id
-        self.abr = abr
+        self.order = order
+        abr = order.abr
         # Serial runs reuse one ABR with reset() between sessions; a reset
         # deep copy therefore decides identically and gives this session
         # private predictor state.
@@ -106,8 +96,7 @@ class SessionEntry:
             # agent identity to stack their forwards, and N sessions stop
             # paying N copies of the network parameters.
             self.clone.agent = abr.agent
-        self.session = session
-        self.state = session.make_state()
+        self.state = SessionState(order)
         self.evicted = False
         self.result: Optional[StreamResult] = None
         self.decisions = 0
@@ -130,19 +119,13 @@ class SessionEntry:
         """Finalize the underlying state (idempotent)."""
         if self.result is None:
             self.result = self.state.finalize(
-                abr_name=self.clone.name, trace_name=self.session.trace.name
+                abr_name=self.clone.name, trace_name=self.order.trace.name
             )
         return self.result
 
     def work_order(self) -> WorkOrder:
-        """The equivalent offline work order (golden comparison path)."""
-        return WorkOrder(
-            abr=self.abr,
-            encoded=self.session.encoded,
-            trace=self.session.trace,
-            config=self.session.config,
-            chunk_weights=self.session.chunk_weights,
-        )
+        """The session's offline work order (golden comparison path)."""
+        return self.order
 
 
 class SessionTable:
@@ -165,14 +148,11 @@ class SessionTable:
         key = (tenant, session_id)
         if key in self._entries:
             raise ValueError(f"session already registered: {key}")
-        session = StreamingSession(
-            encoded=encoded,
-            trace=trace,
-            abr=abr,
-            config=config,
+        order = WorkOrder(
+            abr=abr, encoded=encoded, trace=trace, config=config,
             chunk_weights=chunk_weights,
         )
-        entry = SessionEntry(tenant, session_id, abr, session)
+        entry = SessionEntry(tenant, session_id, order)
         self._entries[key] = entry
         return entry
 

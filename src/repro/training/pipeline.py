@@ -106,7 +106,7 @@ def train_policies(
     runner = runner if runner is not None else BatchRunner()
     config = config if config is not None else DEFAULT_TRAINING
     context = ExperimentContext(
-        scale=scale, seed=seed, checkpoint_root=checkpoint_root,
+        scale=scale, seed=seed, runner=runner, checkpoint_root=checkpoint_root,
     )
     store = CheckpointStore(checkpoint_root)
     # Runner may be caller-owned and shared, so report this run's
@@ -146,7 +146,7 @@ def train_policies(
     context.load_trained_agents(
         store, pensieve="pensieve-best", sensei_pensieve="sensei-pensieve-best"
     )
-    scores = _evaluate_grid(context, include_pensieve=True, runner=runner)
+    scores = _evaluate_grid(context, include_pensieve=True)
     grid = {
         name: float(np.mean(list(cells.values())))
         for name, cells in scores.items()

@@ -19,7 +19,7 @@ from repro.abr.throughput import (
     HarmonicMeanPredictor,
 )
 from repro.network.trace import ThroughputTrace
-from repro.player.simulator import simulate_session
+from repro.engine.runner import WorkOrder
 from repro.qoe.ksqi import KSQIModel
 from repro.video.chunk import DEFAULT_LADDER
 
@@ -236,19 +236,19 @@ class TestPlanner:
 class TestMPCAndFugu:
     @pytest.mark.parametrize("abr_cls", [ModelPredictiveABR, FuguABR])
     def test_streams_without_error(self, abr_cls, small_encoded, constant_trace):
-        result = simulate_session(abr_cls(), small_encoded, constant_trace)
+        result = WorkOrder(abr_cls(), small_encoded, constant_trace).run()
         assert result.rendered.num_chunks == small_encoded.num_chunks
 
     @pytest.mark.parametrize("abr_cls", [ModelPredictiveABR, FuguABR])
     def test_avoids_stalls_on_steady_network(self, abr_cls, small_encoded, constant_trace):
-        result = simulate_session(abr_cls(), small_encoded, constant_trace)
+        result = WorkOrder(abr_cls(), small_encoded, constant_trace).run()
         assert result.rendered.total_stall_s() <= 1.0
 
     def test_fugu_uses_higher_bitrate_on_faster_network(self, small_encoded):
         slow = ThroughputTrace.constant(0.8, duration_s=600.0)
         fast = ThroughputTrace.constant(4.0, duration_s=600.0)
-        slow_rate = simulate_session(FuguABR(), small_encoded, slow).average_bitrate_kbps
-        fast_rate = simulate_session(FuguABR(), small_encoded, fast).average_bitrate_kbps
+        slow_rate = WorkOrder(FuguABR(), small_encoded, slow).run().average_bitrate_kbps
+        fast_rate = WorkOrder(FuguABR(), small_encoded, fast).run().average_bitrate_kbps
         assert fast_rate > slow_rate
 
     def test_fugu_beats_bba_on_true_qoe_over_trace_mix(self, small_encoded, oracle):
@@ -257,9 +257,9 @@ class TestMPCAndFugu:
         fugu_scores, bba_scores = [], []
         for trace in bank.traces():
             fugu_scores.append(oracle.true_qoe(
-                simulate_session(FuguABR(), small_encoded, trace).rendered))
+                WorkOrder(FuguABR(), small_encoded, trace).run().rendered))
             bba_scores.append(oracle.true_qoe(
-                simulate_session(BufferBasedABR(), small_encoded, trace).rendered))
+                WorkOrder(BufferBasedABR(), small_encoded, trace).run().rendered))
         assert np.mean(fugu_scores) > np.mean(bba_scores)
 
 
@@ -285,7 +285,7 @@ class TestPensieve:
         assert stall_decision.proactive_stall_s == 2.0
 
     def test_decide_returns_valid_decision(self, small_encoded, constant_trace):
-        result = simulate_session(PensieveABR(), small_encoded, constant_trace)
+        result = WorkOrder(PensieveABR(), small_encoded, constant_trace).run()
         assert np.all(result.rendered.levels >= 0)
         assert np.all(result.rendered.levels <= 4)
 
@@ -301,7 +301,7 @@ class TestPensieve:
     def test_capture_mechanism(self, small_encoded, constant_trace):
         abr = PensieveABR()
         abr.begin_capture()
-        simulate_session(abr, small_encoded, constant_trace)
+        WorkOrder(abr, small_encoded, constant_trace).run()
         trajectory = abr.end_capture()
         assert len(trajectory) == small_encoded.num_chunks
 

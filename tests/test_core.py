@@ -11,7 +11,7 @@ from repro.core.scheduler import SchedulerConfig, TwoStepScheduler
 from repro.core.sensei_abr import SenseiFuguABR, SenseiPensieveABR, make_sensei_pensieve
 from repro.core.weights import SensitivityProfile, infer_weights
 from repro.network.trace import ThroughputTrace
-from repro.player.simulator import simulate_session
+from repro.engine.runner import WorkOrder
 from repro.qoe.ksqi import KSQIModel
 from repro.utils.stats import spearman_correlation
 from repro.video.rendering import (
@@ -255,9 +255,9 @@ class TestProfiler:
 class TestSenseiABR:
     def test_sensei_fugu_streams(self, small_encoded, constant_trace, oracle):
         weights = oracle.normalized_sensitivity(small_encoded.source)
-        result = simulate_session(
+        result = WorkOrder(
             SenseiFuguABR(), small_encoded, constant_trace, chunk_weights=weights
-        )
+        ).run()
         assert result.rendered.num_chunks == small_encoded.num_chunks
 
     def test_sensei_fugu_no_gratuitous_stalls_on_fast_network(
@@ -265,9 +265,9 @@ class TestSenseiABR:
     ):
         trace = ThroughputTrace.constant(10.0, duration_s=600.0)
         weights = oracle.normalized_sensitivity(small_encoded.source)
-        result = simulate_session(
+        result = WorkOrder(
             SenseiFuguABR(), small_encoded, trace, chunk_weights=weights
-        )
+        ).run()
         assert result.timeline.proactive_stall_count() == 0
         assert result.rendered.total_stall_s() == 0.0
 
@@ -275,9 +275,9 @@ class TestSenseiABR:
         trace = ThroughputTrace.constant(0.6, duration_s=600.0)
         weights = oracle.normalized_sensitivity(small_encoded.source)
         abr = SenseiFuguABR(max_total_proactive_stall_s=2.0)
-        result = simulate_session(
+        result = WorkOrder(
             abr, small_encoded, trace, chunk_weights=weights
-        )
+        ).run()
         proactive = sum(
             s.duration_s for s in result.timeline.stalls if s.cause == "proactive"
         )
@@ -303,12 +303,12 @@ class TestSenseiABR:
             encoded = library.encoded(video_id)
             weights = profiler.profile_video(encoded).profile.weights
             for trace in bank.traces():
-                sensei_scores.append(oracle.true_qoe(simulate_session(
+                sensei_scores.append(oracle.true_qoe(WorkOrder(
                     SenseiFuguABR(), encoded, trace, chunk_weights=weights
-                ).rendered))
-                fugu_scores.append(oracle.true_qoe(simulate_session(
+                ).run().rendered))
+                fugu_scores.append(oracle.true_qoe(WorkOrder(
                     FuguABR(), encoded, trace
-                ).rendered))
+                ).run().rendered))
         assert np.mean(sensei_scores) >= np.mean(fugu_scores) - 0.03
 
     def test_sensei_pensieve_configuration(self):
@@ -324,8 +324,8 @@ class TestSenseiABR:
 
     def test_sensei_pensieve_streams(self, small_encoded, constant_trace, oracle):
         weights = oracle.normalized_sensitivity(small_encoded.source)
-        result = simulate_session(
+        result = WorkOrder(
             make_sensei_pensieve(), small_encoded, constant_trace,
             chunk_weights=weights,
-        )
+        ).run()
         assert result.rendered.num_chunks == small_encoded.num_chunks

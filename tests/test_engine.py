@@ -5,7 +5,7 @@ history rings), plan caching and the vectorised evaluator (checked against
 the loop oracle in ``tests/planner_oracle.py``), the BatchRunner backends,
 and the equivalence guarantee — every backend returns numerically identical
 :class:`~repro.player.session.StreamResult`s to a sequential loop over
-:func:`~repro.player.simulator.simulate_session`.
+:meth:`WorkOrder.run <repro.engine.runner.WorkOrder.run>`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.engine import BatchRunner, HistoryRing, SessionPrecompute, WorkOrder
 from repro.engine.runner import orders_for_grid
 from repro.network.bank import TraceBank
 from repro.network.trace import ThroughputTrace
-from repro.player.simulator import simulate_many, simulate_session
 from repro.qoe.ksqi import KSQIModel
 from repro.video.chunk import DEFAULT_LADDER
 from repro.video.encoder import SyntheticEncoder
@@ -225,8 +224,8 @@ class TestBatchRunner:
             lockstep, "run_orders_lockstep",
             wraps=lockstep.run_orders_lockstep,
         ) as core:
-            simulate_many(
-                [BufferBasedABR()], [small_encoded],
+            _run_grid(
+                BatchRunner(), [BufferBasedABR()], [small_encoded],
                 [ThroughputTrace.constant(2.0, name="t0")],
             )
         assert core.call_count == 1
@@ -250,8 +249,17 @@ class TestBatchRunner:
 # ------------------------------------------------------------- equivalence
 
 
+def _run_grid(runner, abrs, videos, traces, weights_by_video=None):
+    """``runner.run_orders(orders_for_grid(...))``, keyed like the reference."""
+    keyed = orders_for_grid(
+        abrs, videos, traces, weights_by_video=weights_by_video
+    )
+    results = runner.run_orders([order for _, order in keyed])
+    return [(*key, result) for (key, _), result in zip(keyed, results)]
+
+
 def _sequential_reference_grid(abrs, videos, traces, weights_by_video=None):
-    """The ``simulate_many`` loop, spelled out independently."""
+    """The grid loop (ABR, video, trace), spelled out independently."""
     weights_by_video = weights_by_video or {}
     results = []
     for abr in abrs:
@@ -261,9 +269,9 @@ def _sequential_reference_grid(abrs, videos, traces, weights_by_video=None):
                 results.append(
                     (
                         abr.name, encoded.source.video_id, trace.name,
-                        simulate_session(
+                        WorkOrder(
                             abr, encoded, trace, chunk_weights=weights
-                        ),
+                        ).run(),
                     )
                 )
     return results
@@ -316,9 +324,9 @@ class TestBatchRunnerEquivalence:
         reference = _sequential_reference_grid(
             _grid_abrs(), videos, traces, weights
         )
-        batched = simulate_many(
-            _grid_abrs(), videos, traces, weights_by_video=weights,
-            runner=BatchRunner(backend="serial"),
+        batched = _run_grid(
+            BatchRunner(backend="serial"), _grid_abrs(), videos, traces,
+            weights_by_video=weights,
         )
         assert len(reference) == len(batched) == 18
         for (k1, v1, t1, r1), (k2, v2, t2, r2) in zip(reference, batched):
@@ -332,9 +340,9 @@ class TestBatchRunnerEquivalence:
         reference = _sequential_reference_grid(
             _grid_abrs(), videos, traces, weights
         )
-        batched = simulate_many(
-            _grid_abrs(), videos, traces, weights_by_video=weights,
-            runner=BatchRunner(backend="lockstep"),
+        batched = _run_grid(
+            BatchRunner(backend="lockstep"), _grid_abrs(), videos, traces,
+            weights_by_video=weights,
         )
         assert len(reference) == len(batched)
         for (k1, v1, t1, r1), (k2, v2, t2, r2) in zip(reference, batched):

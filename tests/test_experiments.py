@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.abr.pensieve import PensieveABR, PensieveConfig
 from repro.core.sensei_abr import SenseiPensieveABR, make_sensei_pensieve
+from repro.engine.runner import BatchRunner, WorkOrder
 from repro.experiments.common import ExperimentContext, ExperimentScale
 from repro.experiments import abr_eval, qoe_models, sensitivity
 from repro.training.checkpoint import CheckpointStore
@@ -49,7 +52,9 @@ class TestContext:
     def test_stream_qoe_in_unit_range(self, tiny_context):
         encoded = tiny_context.videos()[0]
         trace = tiny_context.traces()[0]
-        qoe = tiny_context.stream_qoe(tiny_context.make_bba(), encoded, trace)
+        (qoe,) = tiny_context.stream_qoe(
+            [(tiny_context.make_bba(), encoded, trace, False)]
+        )
         assert 0.0 <= qoe <= 1.0
 
     def test_gain_over(self, tiny_context):
@@ -292,3 +297,112 @@ class TestABREvalExperiments:
         assert set(result) == {
             "base_abr_with_ksqi", "only_bitrate_adaptation", "full_sensei"
         }
+
+
+# Figures 12b, 17, 18b and 12c at tiny scale, seed 7, computed before they
+# moved onto ExperimentContext.stream_qoe (one session at a time, one oracle
+# call per rendering): the batched path must reproduce them bit for bit.
+PINNED_FIGURES = {
+    "fig12b": {
+        "scaling_ratios": [0.4, 0.6, 0.8, 1.0],
+        "curves": {
+            "SENSEI": [0.45174088928884315, 0.5888675354847279,
+                       0.6589146681118773, 0.77363213389571],
+            "Fugu": [0.4223320158694954, 0.6043354851752574,
+                     0.7158162454308126, 0.8095097908007695],
+            "BBA": [0.40557434226044753, 0.4770929465104581,
+                    0.5948535825753442, 0.9055865929309562],
+        },
+        "bandwidth_saving_at_equal_qoe": 0.0,
+    },
+    "fig17": {
+        "throughput_std_kbps": [1026.114092479393, 1082.131133568117,
+                                1209.5305376378483, 1447.2504299506334],
+        "curves": {
+            "Fugu": [0.8095097908007695, 0.8641255018598932,
+                     0.8661329225371607, 0.8865092356389819],
+            "SENSEI-Fugu": [0.77363213389571, 0.7766785087641462,
+                            0.7404535031567796, 0.776025011330322],
+        },
+    },
+    "fig18b": {
+        "base_abr_with_ksqi": 0.723407255105331,
+        "only_bitrate_adaptation": 0.8378696938954887,
+        "full_sensei": 0.8378696938954887,
+    },
+    "fig12c": {
+        "video_id": "mountain",
+        "arms": {
+            "pruned": {"cost_usd_per_min": 44.78035714285715,
+                       "mean_qoe": 0.6984234709648978,
+                       "num_renderings": 73},
+            "exhaustive": {"cost_usd_per_min": 1403.6801587301563,
+                           "mean_qoe": 0.704341753441927,
+                           "num_renderings": 190},
+        },
+        "base_abr_qoe": 0.704341753441927,
+        "pruning_cost_saving": 0.9680978912009643,
+    },
+}
+
+FIGURES = {
+    "fig12b": abr_eval.fig12b_bandwidth_usage,
+    "fig17": abr_eval.fig17_bandwidth_variance,
+    "fig18b": abr_eval.fig18b_gain_breakdown,
+    "fig12c": qoe_models.fig12c_cost_vs_qoe,
+}
+
+
+class CountingRunner(BatchRunner):
+    """The default runner, counting its ``run_orders`` dispatches."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dispatches = 0
+
+    def run_orders(self, orders):
+        self.dispatches += 1
+        return super().run_orders(orders)
+
+
+def _tiny_seed7(runner=None) -> ExperimentContext:
+    return ExperimentContext(
+        scale=ExperimentScale.tiny(), seed=7, runner=runner
+    )
+
+
+class TestFiguresStreamThroughTheRunner:
+    @pytest.fixture(scope="class")
+    def context(self):
+        return _tiny_seed7()
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_figure_matches_its_pinned_values(self, context, name):
+        assert FIGURES[name](context) == PINNED_FIGURES[name]
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_figure_streams_on_the_context_runner(self, name):
+        """Every session of the figure goes through ``context.runner``; none
+        is stepped on the side through the serial ``WorkOrder.run``."""
+        context = _tiny_seed7(CountingRunner())
+        context.weights_by_video()  # profiling streams nothing
+        with mock.patch.object(
+            WorkOrder, "run", side_effect=AssertionError("serial side path")
+        ):
+            FIGURES[name](context)
+        assert context.runner.dispatches >= 1
+
+    def test_streamed_dataset_is_engine_independent(self, context):
+        """fig02-15's dataset (BBA, rate-based — generic driver — and Fugu
+        over every video and trace) is byte-identical on the serial
+        reference and the default runner."""
+        serial = _tiny_seed7(BatchRunner(backend="serial"))
+        renderings, labels = qoe_models._streamed_dataset(context)
+        serial_renderings, serial_labels = qoe_models._streamed_dataset(serial)
+        assert labels == serial_labels
+        assert len(renderings) == len(serial_renderings) == 2 * 3 * 3
+        for left, right in zip(renderings, serial_renderings):
+            assert left.render_id == right.render_id
+            assert left.levels.tobytes() == right.levels.tobytes()
+            assert left.stalls_s.tobytes() == right.stalls_s.tobytes()
+            assert left.startup_delay_s == right.startup_delay_s

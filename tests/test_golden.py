@@ -109,16 +109,16 @@ def _train_rl(abr, encoded, traces, chunk_weights, episode_seeds):
     greedy mode.
     """
     from repro.ml.rl import EpisodeBuffer
-    from repro.player.simulator import simulate_session
+    from repro.engine.runner import WorkOrder
 
     abr.greedy = False
     for seed in episode_seeds:
         for trace in traces:
             abr.agent.reseed_exploration(seed)
             abr.begin_capture()
-            result = simulate_session(
+            result = WorkOrder(
                 abr, encoded, trace, chunk_weights=chunk_weights
-            )
+            ).run()
             trajectory = abr.end_capture()
             rewards = abr.quality_model.chunk_scores(result.rendered)
             if chunk_weights is not None:

@@ -39,7 +39,6 @@ from repro.engine.lockstep import (
 from repro.engine.runner import BatchRunner, WorkOrder, orders_for_grid
 from repro.network.bank import TraceBank
 from repro.network.trace import ThroughputTrace
-from repro.player.session import StreamingSession
 from repro.player.shard import ShardState
 from repro.service.decisions import decide_batch
 from repro.service.sessions import SessionTable
@@ -176,8 +175,8 @@ class TestLockstepEquivalence:
         ]
         shards = []
 
-        def recording_shard(sessions):
-            shards.append(ShardState(sessions))
+        def recording_shard(orders):
+            shards.append(ShardState(orders))
             return shards[-1]
 
         with mock.patch(
@@ -207,27 +206,21 @@ class TestLockstepEquivalence:
             [FuguABR(), SenseiFuguABR()], videos, traces,
             weights_by_video=weights,
         )
-        sessions = [
-            StreamingSession(
-                encoded=order.encoded, trace=order.trace, abr=order.abr,
-                chunk_weights=order.chunk_weights,
-            )
-            for _, order in keyed
-        ]
-        shard = ShardState(sessions)
+        orders = [order for _, order in keyed]
+        shard = ShardState(orders)
         assert shard.num_sessions == 2 * len(videos) * len(traces)
         assert shard.sizes_all.shape[0] == len(videos)
         assert shard.quality_all.shape[0] == len(videos)
-        for row, session in enumerate(sessions):
-            chunks, levels = session.precompute.sizes_bytes.shape
+        for row, order in enumerate(orders):
+            chunks, levels = order.precompute.sizes_bytes.shape
             table = shard.video_of[row]
             assert np.array_equal(
                 shard.sizes_all[table, :chunks, :levels],
-                session.precompute.sizes_bytes,
+                order.precompute.sizes_bytes,
             )
             assert np.array_equal(
                 shard.quality_all[table, :chunks, :levels],
-                session.precompute.quality,
+                order.precompute.quality,
             )
 
     def test_planner_with_subclassed_predictor_takes_generic_path(
@@ -384,6 +377,37 @@ class TestLockstepEquivalence:
 
         for left, right in zip(run("serial"), run("lockstep")):
             assert_results_identical(left, right)
+
+    @pytest.mark.parametrize("entry", ["run_orders", "run_rollouts"])
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_agent_stream_after_a_call_matches_serial(
+        self, ragged_grid, greedy, entry
+    ):
+        """``WorkOrder.run`` reseeds the agent before every seeded order
+        (greedy ones too), so after a call the agent holds the stream of
+        its last seeded order, advanced by that session's draws.  Lockstep
+        must hand that stream back, or a later call on the same agent
+        draws differently."""
+        videos, traces, _ = ragged_grid
+
+        def run(backend):
+            abr = PensieveABR(config=PensieveConfig(seed=3), greedy=greedy)
+            runner = BatchRunner(backend=backend)
+            getattr(runner, entry)([
+                WorkOrder(abr=abr, encoded=videos[0], trace=traces[0],
+                          exploration_seed=9),
+            ])
+            state = abr.agent._rng.bit_generator.state
+            abr.greedy = False
+            (later,) = runner.run_orders([
+                WorkOrder(abr=abr, encoded=videos[0], trace=traces[0]),
+            ])
+            return state, later
+
+        serial_state, serial = run("serial")
+        lockstep_state, lockstep = run("lockstep")
+        assert serial_state == lockstep_state
+        assert_results_identical(serial, lockstep)
 
 
 @st.composite

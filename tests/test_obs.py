@@ -26,7 +26,6 @@ from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
     diff_snapshots,
-    merge_snapshots,
     phase_table,
     register_collector,
     run_events,
@@ -161,40 +160,6 @@ class TestMetricsRegistry:
         snapshot = registry.snapshot()
         assert not snapshot["counters"]
         assert not snapshot["spans"]
-
-    def test_merge_snapshot_adds_counters_histograms_spans(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(2)
-        source.histogram("h", buckets=(1.0,)).observe(0.5)
-        source.record_span("s", 0.25)
-        source.gauge("g").set(9)
-        target = MetricsRegistry()
-        target.counter("c").inc(1)
-        target.histogram("h", buckets=(1.0,)).observe(3.0)
-        target.record_span("s", 0.75)
-        target.merge_snapshot(source.snapshot())
-        merged = target.snapshot()
-        assert merged["counters"]["c"] == 3.0
-        assert merged["histograms"]["h"]["counts"] == [1, 1]
-        assert merged["spans"]["s"] == {
-            "count": 2, "total_s": 1.0, "max_s": 0.75,
-        }
-        assert merged["gauges"]["g"] == 9.0
-
-    def test_merge_rejects_bucket_mismatch(self):
-        source = MetricsRegistry()
-        source.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        target = MetricsRegistry()
-        target.histogram("h", buckets=(1.0, 5.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            target.merge_snapshot(source.snapshot())
-
-    def test_merge_snapshots_function(self):
-        a = MetricsRegistry()
-        a.counter("c").inc(1)
-        b = MetricsRegistry()
-        b.counter("c").inc(2)
-        assert merge_snapshots(a.snapshot(), b.snapshot())["counters"]["c"] == 3.0
 
     def test_diff_snapshots_window(self):
         registry = MetricsRegistry()

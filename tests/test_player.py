@@ -23,8 +23,8 @@ from repro.player.events import (
     StallEvent,
 )
 from repro.player.manifest import SenseiManifest, manifest_from_xml, manifest_to_xml
-from repro.player.session import SessionConfig, StreamingSession
-from repro.player.simulator import simulate_many, simulate_session
+from repro.engine.runner import BatchRunner, WorkOrder, orders_for_grid
+from repro.player.session import SessionConfig
 
 
 class FixedLevelABR(ABRAlgorithm):
@@ -73,80 +73,80 @@ class TestPlaybackBuffer:
 class TestStreamingSession:
     def test_fast_network_top_rate_no_stalls(self, small_encoded):
         trace = ThroughputTrace.constant(20.0, duration_s=600.0)
-        result = simulate_session(FixedLevelABR(4), small_encoded, trace)
+        result = WorkOrder(FixedLevelABR(4), small_encoded, trace).run()
         assert np.all(result.rendered.levels == 4)
         assert result.rendered.total_stall_s() == 0.0
         assert result.startup_delay_s > 0.0
 
     def test_slow_network_causes_stalls_at_high_bitrate(self, small_encoded, slow_trace):
-        result = simulate_session(FixedLevelABR(4), small_encoded, slow_trace)
+        result = WorkOrder(FixedLevelABR(4), small_encoded, slow_trace).run()
         assert result.rendered.total_stall_s() > 0.0
 
     def test_lowest_level_avoids_stalls_on_slow_network(self, small_encoded, slow_trace):
-        result = simulate_session(FixedLevelABR(0), small_encoded, slow_trace)
+        result = WorkOrder(FixedLevelABR(0), small_encoded, slow_trace).run()
         assert result.rendered.total_stall_s() == pytest.approx(0.0, abs=1e-6)
 
     def test_total_bytes_matches_rendering(self, small_encoded, constant_trace):
-        result = simulate_session(FixedLevelABR(2), small_encoded, constant_trace)
+        result = WorkOrder(FixedLevelABR(2), small_encoded, constant_trace).run()
         assert result.total_bytes == pytest.approx(result.rendered.total_bytes())
 
     def test_session_duration_covers_playback(self, small_encoded, constant_trace):
-        result = simulate_session(FixedLevelABR(2), small_encoded, constant_trace)
+        result = WorkOrder(FixedLevelABR(2), small_encoded, constant_trace).run()
         playback = small_encoded.num_chunks * small_encoded.chunk_duration_s
         assert result.session_duration_s >= playback
 
     def test_proactive_stall_recorded(self, small_encoded, constant_trace):
         abr = FixedLevelABR(1, stall_at=4, stall_s=2.0)
-        result = simulate_session(abr, small_encoded, constant_trace)
+        result = WorkOrder(abr, small_encoded, constant_trace).run()
         assert result.rendered.total_stall_s() == pytest.approx(2.0, abs=1e-6)
         assert result.timeline.proactive_stall_count() >= 1
 
     def test_proactive_stall_grows_buffer_relative_to_no_stall(
         self, small_encoded, constant_trace
     ):
-        base = simulate_session(FixedLevelABR(2), small_encoded, constant_trace)
-        stalled = simulate_session(
+        base = WorkOrder(FixedLevelABR(2), small_encoded, constant_trace).run()
+        stalled = WorkOrder(
             FixedLevelABR(2, stall_at=3, stall_s=2.0), small_encoded, constant_trace
-        )
+        ).run()
         # Same downloads, but playback paused 2 s, so the session takes longer.
         assert stalled.session_duration_s >= base.session_duration_s + 1.9
 
     def test_throughput_measurements_recorded(self, small_encoded, constant_trace):
-        result = simulate_session(FixedLevelABR(2), small_encoded, constant_trace)
+        result = WorkOrder(FixedLevelABR(2), small_encoded, constant_trace).run()
         throughputs = result.timeline.measured_throughputs_mbps()
         assert len(throughputs) == small_encoded.num_chunks
         assert all(t > 0 for t in throughputs)
 
     def test_measured_throughput_close_to_trace(self, small_encoded, constant_trace):
-        result = simulate_session(FixedLevelABR(3), small_encoded, constant_trace)
+        result = WorkOrder(FixedLevelABR(3), small_encoded, constant_trace).run()
         mean_measured = np.mean(result.timeline.measured_throughputs_mbps())
         assert mean_measured == pytest.approx(2.0, rel=0.05)
 
     def test_buffer_capacity_respected(self, small_encoded):
         trace = ThroughputTrace.constant(50.0, duration_s=600.0)
         config = SessionConfig(buffer_capacity_s=12.0)
-        session = StreamingSession(small_encoded, trace, FixedLevelABR(0), config=config)
-        result = session.run()
+        result = WorkOrder(FixedLevelABR(0), small_encoded, trace, config=config).run()
         for record in result.timeline.downloads:
             assert record.buffer_after_s <= 12.0 + 1e-6
 
     def test_weights_validation(self, small_encoded, constant_trace):
         with pytest.raises(ValueError):
-            StreamingSession(
-                small_encoded, constant_trace, FixedLevelABR(0),
+            WorkOrder(
+                FixedLevelABR(0), small_encoded, constant_trace,
                 chunk_weights=np.ones(3),
             )
 
     def test_bandwidth_usage_positive(self, small_encoded, constant_trace):
-        result = simulate_session(FixedLevelABR(2), small_encoded, constant_trace)
+        result = WorkOrder(FixedLevelABR(2), small_encoded, constant_trace).run()
         assert 0.0 < result.bandwidth_usage_mbps() < 20.0
 
     def test_simulate_many_grid(self, small_encoded, constant_trace, slow_trace):
-        results = simulate_many(
+        keyed = orders_for_grid(
             [BufferBasedABR()], [small_encoded], [constant_trace, slow_trace]
         )
+        results = BatchRunner().run_orders([order for _, order in keyed])
         assert len(results) == 2
-        names = {r[0] for r in results}
+        names = {result.abr_name for result in results}
         assert names == {"BBA"}
 
     def test_zero_duration_download_does_not_divide_by_zero(self, small_encoded):
@@ -162,7 +162,7 @@ class TestStreamingSession:
             bandwidths_mbps=np.array([1.0]),
             name="instant",
         )
-        result = simulate_session(FixedLevelABR(2), small_encoded, trace)
+        result = WorkOrder(FixedLevelABR(2), small_encoded, trace).run()
         throughputs = result.timeline.measured_throughputs_mbps()
         assert all(np.isfinite(throughputs))
         assert all(t > 0 for t in throughputs)
@@ -258,7 +258,7 @@ class TestObservation:
                 captured.append(observation)
                 return Decision(level=1)
 
-        simulate_session(Spy(), small_encoded, constant_trace)
+        WorkOrder(Spy(), small_encoded, constant_trace).run()
         assert len(captured) == small_encoded.num_chunks
         first = captured[0]
         assert first.chunk_index == 0
@@ -280,7 +280,7 @@ class TestObservation:
                 captured.append(observation.horizon)
                 return Decision(level=0)
 
-        simulate_session(Spy(), small_encoded, constant_trace)
+        WorkOrder(Spy(), small_encoded, constant_trace).run()
         assert captured[-1] == 1
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.abr.base import Decision
 from repro.core.weights import SensitivityProfile
 from repro.network.trace import ThroughputTrace
-from repro.player.simulator import simulate_session
+from repro.engine.runner import WorkOrder
 from repro.qoe.ground_truth import GroundTruthOracle
 from repro.qoe.ksqi import KSQIModel
 from repro.video.chunk import DEFAULT_LADDER
@@ -133,7 +133,7 @@ class TestSessionProperties:
                 return Decision(level=level)
 
         trace = ThroughputTrace.constant(rate_mbps, duration_s=4000.0)
-        result = simulate_session(Fixed(), encoded, trace)
+        result = WorkOrder(Fixed(), encoded, trace).run()
         rendered = result.rendered
         # Every chunk was played at the requested level.
         assert np.all(rendered.levels == level)
@@ -161,7 +161,7 @@ class TestSessionProperties:
                 return Decision(level=0)
 
         trace = ThroughputTrace.constant(rate_mbps, duration_s=4000.0)
-        result = simulate_session(Lowest(), encoded, trace)
+        result = WorkOrder(Lowest(), encoded, trace).run()
         max_chunk_rate_mbps = max(
             encoded.chunk_size_bytes(i, 0) * 8 / 1e6 / encoded.chunk_duration_s
             for i in range(encoded.num_chunks)
@@ -268,7 +268,7 @@ def streamed_sessions(draw):
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 10_000)))
         weights = rng.uniform(0.3, 3.0, encoded.num_chunks)
-    return simulate_session(abr, encoded, trace, chunk_weights=weights)
+    return WorkOrder(abr, encoded, trace, chunk_weights=weights).run()
 
 
 class TestPlayerConservationInvariants:
