@@ -293,8 +293,9 @@ def _run_shards(
                 shard_results.append(result)
                 # The stream this session left on the agent, before the
                 # next serial run reseeds it.
+                agent = getattr(order.abr, "agent", None)
                 shard_streams.append(
-                    getattr(getattr(order.abr, "agent", None), "_rng", None)
+                    getattr(agent, "exploration_stream", None)
                 )
         for row, index in enumerate(indices):
             results[index] = shard_results[row]
@@ -325,7 +326,7 @@ def _hand_back_streams(orders: Sequence["WorkOrder"], streams: list) -> None:
         if streams[index] is None:
             order.abr.agent.reseed_exploration(int(order.exploration_seed))
         else:
-            order.abr.agent._rng = streams[index]
+            order.abr.agent.exploration_stream = streams[index]
 
 
 def _run_shard(
@@ -564,7 +565,8 @@ class _RLDriver:
 
     The agent is read-only here: clones are unnecessary (greedy decide
     touches no mutable agent state, and sampling never touches the shared
-    ``agent._rng``), so one driver serves every row of the instance group.
+    ``agent.exploration_stream``), so one driver serves every row of the
+    instance group.
 
     Setting :attr:`capture` to one list per shard row records each row's
     ``(state, action)`` pairs, exactly like the scalar capture hook the

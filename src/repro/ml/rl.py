@@ -125,6 +125,20 @@ class ActorCriticAgent:
         """
         self._rng = rng_from_seed(int(seed))
 
+    @property
+    def exploration_stream(self) -> np.random.Generator:
+        """The generator sampled actions draw from.
+
+        Batched drivers give each session its own stream and hand the
+        last one back through the setter, so the agent ends a batch where
+        the one-session-at-a-time reference would leave it.
+        """
+        return self._rng
+
+    @exploration_stream.setter
+    def exploration_stream(self, stream: np.random.Generator) -> None:
+        self._rng = stream
+
     # ------------------------------------------------------------- schedules
 
     @property

@@ -452,7 +452,7 @@ class TestLockstepRecovery:
                           exploration_seed=seed)
                 for seed, trace in zip((11, 12), traces)
             ])
-            return abr.agent._rng.bit_generator.state
+            return abr.agent.exploration_stream.bit_generator.state
 
         serial = run(BatchRunner(backend="serial"))
         plan = FaultPlan(faults=(FaultSpec(kind="raise_in_shard"),))

@@ -397,7 +397,7 @@ class TestLockstepEquivalence:
                 WorkOrder(abr=abr, encoded=videos[0], trace=traces[0],
                           exploration_seed=9),
             ])
-            state = abr.agent._rng.bit_generator.state
+            state = abr.agent.exploration_stream.bit_generator.state
             abr.greedy = False
             (later,) = runner.run_orders([
                 WorkOrder(abr=abr, encoded=videos[0], trace=traces[0]),

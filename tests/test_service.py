@@ -14,7 +14,8 @@ Four layers, bottom-up:
 * ``TestOnlineOfflineIdentity`` — the golden contract: sessions decided
   online through micro-batched ``plan_batch`` flushes finish bit-identical
   to the serial offline ``WorkOrder`` path, across every non-RL ABR
-  family, while running concurrently in shared flushes.
+  family, while running concurrently in shared flushes; greedy Pensieve
+  sessions share their order's agent and verify identical too.
 
 No pytest-asyncio in the toolchain: every async scenario runs under a
 plain ``asyncio.run`` inside a synchronous test.
@@ -27,6 +28,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.abr.pensieve import PensieveABR, PensieveConfig
 from repro.engine.runner import BatchRunner
 from repro.experiments.common import ExperimentContext
 from repro.experiments.spec import resolve_scale
@@ -46,6 +48,7 @@ from repro.service import (
 )
 from repro.service import loadgen
 from repro.service.loadgen import synthetic_weights
+from repro.service.sessions import KIND_RL
 
 pytestmark = pytest.mark.service
 
@@ -466,6 +469,37 @@ class TestOnlineOfflineIdentity:
         assert payload["batch"]["mean_size"] > 1.0
         assert payload["latency"]["p99_ms"] > 0.0
         assert payload["throughput"]["decisions"] == report["decisions"]
+
+    def test_greedy_rl_sessions_share_agent_and_verify_identical(
+        self, context
+    ):
+        """Greedy Pensieve sessions take the batched RL decide path: every
+        clone shares its order's agent (the forwards stack by agent
+        identity) and still finishes bit-identical offline."""
+        abr = PensieveABR(PensieveConfig(seed=3), greedy=True)
+        encoded = context.videos()[0]
+
+        async def scenario():
+            service = DecisionService(max_batch=8, max_delay_s=0.002)
+            entries = [
+                service.register(
+                    tenant="rl", session_id=f"pensieve-{index}", abr=abr,
+                    encoded=encoded, trace=trace,
+                )
+                for index, trace in enumerate(context.traces()[:2])
+            ]
+            for entry in entries:
+                assert entry.kind == KIND_RL
+                assert entry.clone is not entry.order.abr
+                assert entry.clone.agent is entry.order.abr.agent
+            await run_load(service, entries)
+            verdict = verify_online_offline(service, entries)
+            await service.close()
+            return verdict
+
+        verdict = asyncio.run(scenario())
+        assert verdict["checked"] == 2
+        assert verdict["identical"], verdict["mismatches"]
 
     def test_degraded_sessions_are_excluded_from_verification(self, context):
         async def scenario():
