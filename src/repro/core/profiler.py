@@ -192,10 +192,7 @@ class SenseiProfiler:
         profile = SensitivityProfile(
             video_id=encoded.source.video_id,
             weights=self._infer_from_results(encoded, campaigns).weights,
-            num_ratings=sum(
-                1 for result in results for record in result.records
-                if record.accepted
-            ),
+            num_ratings=sum(result.num_accepted_ratings for result in results),
             cost_usd=total_cost,
         )
         return ProfilingResult(

@@ -84,10 +84,7 @@ class RenderingSchedule:
 
         This is the quantity campaign cost is proportional to (§4.3).
         """
-        per_view = sum(
-            r.num_chunks * r.chunk_duration_s + r.total_stall_s() + r.startup_delay_s
-            for r in self.renderings
-        )
+        per_view = sum(r.watch_duration_s for r in self.renderings)
         return float(per_view * self.ratings_per_rendering)
 
 
@@ -140,39 +137,13 @@ class TwoStepScheduler:
     ) -> RenderingSchedule:
         """Renderings probing only the high/low-sensitivity chunks (step 2)."""
         config = self.config
-        chunks = self.select_chunks_to_reprobe(step1_weights)
-        pristine = render_pristine(encoded)
-        renderings: List[RenderedVideo] = []
-
-        drop_levels = list(range(config.step2_num_bitrate_levels))
-        extra_stalls = list(
-            config.step2_rebuffer_lengths_s[: config.step2_num_rebuffer_lengths]
+        renderings = _probe_renderings(
+            encoded,
+            "step2",
+            self.select_chunks_to_reprobe(step1_weights).tolist(),
+            range(config.step2_num_bitrate_levels),
+            config.step2_rebuffer_lengths_s[: config.step2_num_rebuffer_lengths],
         )
-        for chunk_index in chunks:
-            for drop_level in drop_levels:
-                incident = QualityIncident.bitrate_drop(
-                    int(chunk_index), drop_to_level=drop_level
-                )
-                renderings.append(
-                    inject_incident(
-                        pristine, incident,
-                        render_id=(
-                            f"{encoded.source.video_id}/step2/"
-                            f"drop{drop_level}@{chunk_index}"
-                        ),
-                    )
-                )
-            for stall_s in extra_stalls:
-                incident = QualityIncident.rebuffering(int(chunk_index), stall_s)
-                renderings.append(
-                    inject_incident(
-                        pristine, incident,
-                        render_id=(
-                            f"{encoded.source.video_id}/step2/"
-                            f"stall{stall_s:g}@{chunk_index}"
-                        ),
-                    )
-                )
         return RenderingSchedule(
             renderings=renderings,
             ratings_per_rendering=config.step2_ratings,
@@ -193,37 +164,46 @@ class TwoStepScheduler:
         This is the "SENSEI w/o cost pruning" arm of Figure 12c, used to
         quantify how much the two-step scheduler saves.
         """
-        pristine = render_pristine(encoded)
         # Its own id: under the survey reference's id every rating of it
         # would be discarded as a reference rating.
-        renderings: List[RenderedVideo] = [
-            pristine.with_render_id(f"{encoded.source.video_id}/full/pristine")
-        ]
-        for chunk_index in range(encoded.num_chunks):
-            for drop_level in range(num_bitrate_levels - 1):
-                renderings.append(
-                    inject_incident(
-                        pristine,
-                        QualityIncident.bitrate_drop(chunk_index, drop_level),
-                        render_id=(
-                            f"{encoded.source.video_id}/full/"
-                            f"drop{drop_level}@{chunk_index}"
-                        ),
-                    )
-                )
-            for stall_s in rebuffer_lengths_s:
-                renderings.append(
-                    inject_incident(
-                        pristine,
-                        QualityIncident.rebuffering(chunk_index, stall_s),
-                        render_id=(
-                            f"{encoded.source.video_id}/full/"
-                            f"stall{stall_s:g}@{chunk_index}"
-                        ),
-                    )
-                )
+        pristine = render_pristine(encoded).with_render_id(
+            f"{encoded.source.video_id}/full/pristine"
+        )
+        renderings = [pristine] + _probe_renderings(
+            encoded,
+            "full",
+            range(encoded.num_chunks),
+            range(num_bitrate_levels - 1),
+            rebuffer_lengths_s,
+        )
         return RenderingSchedule(
             renderings=renderings,
             ratings_per_rendering=ratings_per_rendering,
             step=0,
         )
+
+
+def _probe_renderings(
+    encoded: EncodedVideo,
+    step: str,
+    chunks: Sequence[int],
+    drop_levels: Sequence[int],
+    stalls_s: Sequence[float],
+) -> List[RenderedVideo]:
+    """Per chunk, one rendering per reduced bitrate level, then one per
+    stall length, each injected into the pristine rendering."""
+    pristine = render_pristine(encoded)
+    prefix = f"{encoded.source.video_id}/{step}/"
+    renderings: List[RenderedVideo] = []
+    for chunk_index in chunks:
+        for level in drop_levels:
+            renderings.append(inject_incident(
+                pristine, QualityIncident.bitrate_drop(chunk_index, level),
+                render_id=f"{prefix}drop{level}@{chunk_index}",
+            ))
+        for stall_s in stalls_s:
+            renderings.append(inject_incident(
+                pristine, QualityIncident.rebuffering(chunk_index, stall_s),
+                render_id=f"{prefix}stall{stall_s:g}@{chunk_index}",
+            ))
+    return renderings

@@ -8,19 +8,19 @@ not watching in full, inconsistent incident confirmation); MOS aggregation;
 and cost accounting at an hourly rate proportional to watched video time.
 """
 
-from repro.crowd.worker import WorkerProfile, SimulatedWorker, WorkerPool, WorkerRating
+from repro.crowd.worker import WorkerProfile, WorkerPool, WorkerRating
 from repro.crowd.survey import Survey, SurveyPlan, build_survey_plan
 from repro.crowd.campaign import (
     CampaignConfig,
     CampaignResult,
     MTurkCampaign,
+    RatingColumns,
     RatingRecord,
 )
 from repro.crowd.cost import CostModel
 
 __all__ = [
     "WorkerProfile",
-    "SimulatedWorker",
     "WorkerPool",
     "WorkerRating",
     "Survey",
@@ -29,6 +29,7 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "MTurkCampaign",
+    "RatingColumns",
     "RatingRecord",
     "CostModel",
 ]

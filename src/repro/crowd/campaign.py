@@ -10,19 +10,21 @@ Implements the quality-control measures of §4.1 and Appendix B:
 * rejected participants are not paid.
 
 The campaign returns the per-rendering MOS over accepted ratings along with
-cost and rejection statistics.
+cost and rejection statistics.  Each survey is a row of ratings, scored from
+the pool's per-worker draw table with the float operations of one rating,
+and the ratings are kept as columns (:class:`RatingColumns`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.crowd.cost import CostModel
-from repro.crowd.survey import Survey, build_survey_plan
-from repro.crowd.worker import SimulatedWorker, WorkerPool, WorkerRating
+from repro.crowd.survey import build_survey_plan
+from repro.crowd.worker import WorkerPool, WorkerRating
 from repro.qoe.ground_truth import GroundTruthOracle
 from repro.utils.rand import spawn_rng
 from repro.utils.validation import require
@@ -64,6 +66,30 @@ class RatingRecord:
     rejection_reason: str = ""
 
 
+#: Rejection reasons by code; code 0 accepts the participant.
+REJECTION_REASONS = (
+    "",
+    "did not watch all videos in full",
+    "inconsistent incident confirmation",
+    "rated a degraded video well above the reference",
+)
+
+
+class RatingColumns(NamedTuple):
+    """A campaign's ratings, one entry per rating in survey order (and each
+    survey's viewing order): the fields of :class:`WorkerRating` and
+    :class:`RatingRecord` as arrays."""
+
+    worker_id: np.ndarray
+    render_id: np.ndarray
+    score: np.ndarray
+    watched_fully: np.ndarray
+    incident_confirmed: np.ndarray
+    watch_time_s: np.ndarray
+    accepted: np.ndarray
+    rejection_reason: np.ndarray
+
+
 @dataclass
 class CampaignResult:
     """Outcome of a campaign.
@@ -72,40 +98,37 @@ class CampaignResult:
     ----------
     mos: mean opinion score (1–5) per render_id over accepted ratings.
     normalized_mos: MOS rescaled to [0, 1] per render_id.
-    records: every individual rating with its acceptance decision.
+    ratings: every individual rating and its participant's verdict.
     num_participants: surveys answered.
     num_rejected_participants: participants whose ratings were discarded.
+    num_accepted_ratings: ratings the MOS averages.
     total_paid_usd: total payment to accepted participants.
     total_watch_seconds: video-seconds watched by accepted participants.
     """
 
-    mos: Dict[str, float] = field(default_factory=dict)
-    normalized_mos: Dict[str, float] = field(default_factory=dict)
-    records: List[RatingRecord] = field(default_factory=list)
-    num_participants: int = 0
-    num_rejected_participants: int = 0
-    total_paid_usd: float = 0.0
-    total_watch_seconds: float = 0.0
+    mos: Dict[str, float]
+    normalized_mos: Dict[str, float]
+    ratings: RatingColumns
+    num_participants: int
+    num_rejected_participants: int
+    num_accepted_ratings: int
+    total_paid_usd: float
+    total_watch_seconds: float
+
+    @property
+    def records(self) -> List[RatingRecord]:
+        """Every rating with its acceptance decision, built on access."""
+        columns = (column.tolist() for column in self.ratings)
+        return [
+            RatingRecord(WorkerRating(*rating), accepted, reason)
+            for *rating, accepted, reason in zip(*columns)
+        ]
 
     def rejection_rate(self) -> float:
         """Fraction of participants rejected."""
         if self.num_participants == 0:
             return 0.0
         return self.num_rejected_participants / self.num_participants
-
-
-def _require_unique_ids(renderings: Sequence[RenderedVideo]) -> None:
-    """Scores and ratings are keyed by render id, and a rating under the
-    reference's id counts as a reference rating, so no id may name two
-    renderings."""
-    seen: set = set()
-    for rendered in renderings:
-        require(
-            rendered.render_id not in seen,
-            "render ids must be unique within a campaign: "
-            f"{rendered.render_id!r} names two renderings",
-        )
-        seen.add(rendered.render_id)
 
 
 class MTurkCampaign:
@@ -138,12 +161,21 @@ class MTurkCampaign:
         if reference is None:
             reference = render_pristine(renderings[0].encoded)
         # The oracle is a pure function of the rendering: score every
-        # rendering (and the reference) once, in one batched call, and let
-        # the survey loop look scores up.
+        # rendering (and the reference, index ``ref``) once, in one batched
+        # call, and let the surveys look scores up by index.  Ratings are
+        # keyed by render id, so no id may name two renderings.
         scored = [*renderings, reference]
-        _require_unique_ids(scored)
-        true_mos = self.oracle.true_mos_batch(scored).tolist()
-        mos_by_id = dict(zip((r.render_id for r in scored), true_mos))
+        render_ids = [r.render_id for r in scored]
+        index_of = {render_id: i for i, render_id in enumerate(render_ids)}
+        for i, render_id in enumerate(render_ids):
+            require(
+                index_of[render_id] == i,
+                f"render ids must be unique within a campaign: {render_id!r} "
+                "names two renderings",
+            )
+        ref = len(renderings)
+        true_mos = self.oracle.true_mos_batch(scored)
+        seconds = np.array([r.watch_duration_s for r in scored])
         plan = build_survey_plan(
             renderings,
             reference,
@@ -154,75 +186,65 @@ class MTurkCampaign:
         workers = self.worker_pool.sample_workers(
             plan.num_participants(), masters_only=self.config.masters_only
         )
+        # Row s: survey s in viewing order, padded with ``ref``; column k:
+        # the participant's k-th rating, from the worker's k-th draws.
         order_rng = spawn_rng(self.config.seed, "viewing-order")
-
-        result = CampaignResult()
-        scores: Dict[str, List[float]] = {r.render_id: [] for r in renderings}
-        for survey, worker in zip(plan.surveys, workers):
-            records, accepted_participant, watch_seconds = self._run_survey(
-                survey, worker, reference, order_rng, mos_by_id
-            )
-            result.records.extend(records)
-            result.num_participants += 1
-            if accepted_participant:
-                result.total_watch_seconds += watch_seconds
-                result.total_paid_usd += self.cost_model.payment_for_watch_time(
-                    watch_seconds
-                )
-                for record in records:
-                    if record.accepted and record.rating.render_id in scores:
-                        scores[record.rating.render_id].append(record.rating.score)
-            else:
-                result.num_rejected_participants += 1
-
-        for render_id, values in scores.items():
-            # No accepted ratings at all: fall back to the scale midpoint.
-            mos = float(np.mean(values)) if values else 3.0
-            result.mos[render_id] = mos
-            result.normalized_mos[render_id] = (mos - 1.0) / 4.0
-        return result
-
-    # ------------------------------------------------------------ internals
-
-    def _run_survey(
-        self,
-        survey: Survey,
-        worker: SimulatedWorker,
-        reference: RenderedVideo,
-        order_rng: np.random.Generator,
-        mos_by_id: Dict[str, float],
-    ):
-        """Run one participant through one survey; apply rejection rules."""
-        videos = survey.presentation_order(order_rng)
-        ratings: List[WorkerRating] = []
-        reference_score: Optional[float] = None
-        watch_seconds = 0.0
-        for video in videos:
-            rating = worker.rate(video, mos_by_id[video.render_id])
-            watch_seconds += rating.watch_time_s
-            if video.render_id == reference.render_id:
-                reference_score = rating.score
-            ratings.append(rating)
-
-        rejection_reason = ""
-        if any(not rating.watched_fully for rating in ratings):
-            rejection_reason = "did not watch all videos in full"
-        elif any(not rating.incident_confirmed for rating in ratings):
-            rejection_reason = "inconsistent incident confirmation"
-        elif reference_score is not None and any(
-            rating.score >= reference_score + 1.0
-            for rating in ratings
-            if rating.render_id != reference.render_id
-        ):
-            rejection_reason = "rated a degraded video well above the reference"
-
-        accepted = rejection_reason == ""
-        records = [
-            RatingRecord(
-                rating=rating,
-                accepted=accepted and rating.render_id != reference.render_id,
-                rejection_reason=rejection_reason,
-            )
-            for rating in ratings
+        rows = [
+            [index_of[v.render_id] for v in survey.presentation_order(order_rng)]
+            for survey in plan.surveys
         ]
-        return records, accepted, watch_seconds
+        width = max(map(len, rows))
+        valid = np.arange(width) < np.array([len(row) for row in rows])[:, None]
+        shown = np.array([row + [ref] * (width - len(row)) for row in rows])
+        slope, offset, noise, watched, confirmed, fraction = self.worker_pool.draws(
+            workers, width
+        )
+        # (mos + bias) + sigma * z when attentive, 0.3 * mos + 0.7 * u when
+        # careless: the table's 1.0 and 0.0 terms leave both exact.
+        raw = (true_mos[shown] * slope + offset) + noise
+        # np.rint rounds half to even, as Python's round() does.
+        score = np.clip(np.rint(raw * 2.0) / 2.0, 1.0, 5.0)
+        watched = (watched > 0.0) | ~valid
+        confirmed = (confirmed > 0.0) | ~valid
+        watch = np.where(valid, seconds[shown] * fraction, 0.0)
+        is_reference = valid & (shown == ref)
+        above = valid & ~is_reference & (score >= score[is_reference][:, None] + 1.0)
+        # The rejection rules in order: the first that applies is the reason.
+        reasons = np.select(
+            [~watched.all(axis=1), ~confirmed.all(axis=1), above.any(axis=1)], [1, 2, 3]
+        )
+        accepted = reasons == 0
+
+        # Sums run in survey and viewing order, as one rating at a time would.
+        total_paid = total_watch = 0.0
+        for survey_seconds in np.cumsum(watch, axis=1)[accepted, -1].tolist():
+            total_watch += survey_seconds
+            total_paid += self.cost_model.payment_for_watch_time(survey_seconds)
+        # MOS is the mean of a rendering's accepted scores.  Scores are
+        # multiples of 0.5, so every partial sum is exact in any order, and
+        # sum / count is np.mean over them bit for bit.
+        rated = valid & ~is_reference & accepted[:, None]
+        rated_ids = shown[rated]
+        counts = np.bincount(rated_ids, minlength=ref)
+        # No accepted ratings at all: fall back to the scale midpoint.
+        means = np.full(ref, 3.0)
+        sums = np.bincount(rated_ids, weights=score[rated], minlength=ref)
+        np.divide(sums, counts, out=means, where=counts > 0)
+        mos = dict(zip(render_ids, means.tolist()))
+        names = np.array([p.worker_id for p in self.worker_pool.profiles], object)
+        survey = np.nonzero(valid)[0]
+        return CampaignResult(
+            mos=mos,
+            normalized_mos={key: (value - 1.0) / 4.0 for key, value in mos.items()},
+            ratings=RatingColumns(
+                names[workers[survey]],
+                np.array(render_ids, object)[shown[valid]],
+                *(grid[valid] for grid in (score, watched, confirmed, watch, rated)),
+                np.array(REJECTION_REASONS, object)[reasons[survey]],
+            ),
+            num_participants=len(rows),
+            num_rejected_participants=int(len(rows) - accepted.sum()),
+            num_accepted_ratings=int(rated_ids.size),
+            total_paid_usd=total_paid,
+            total_watch_seconds=total_watch,
+        )

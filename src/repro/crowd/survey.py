@@ -40,8 +40,7 @@ class Survey:
     def presentation_order(self, rng: np.random.Generator) -> List[RenderedVideo]:
         """All videos (including the reference) in a randomised viewing order."""
         videos = list(self.renderings) + [self.reference]
-        order = rng.permutation(len(videos))
-        return [videos[int(i)] for i in order]
+        return [videos[i] for i in rng.permutation(len(videos)).tolist()]
 
     def total_video_seconds(self) -> float:
         """Total length of video a participant watches in this survey."""
@@ -89,8 +88,7 @@ def build_survey_plan(
     slots: List[int] = []
     for index in range(len(renderings)):
         slots.extend([index] * ratings_per_rendering)
-    order = rng.permutation(len(slots))
-    shuffled = [slots[int(i)] for i in order]
+    shuffled = [slots[i] for i in rng.permutation(len(slots)).tolist()]
 
     surveys: List[Survey] = []
     current: List[int] = []

@@ -5,18 +5,20 @@ through personal bias and noise, may occasionally not watch the video in
 full or answer carelessly, and confirms which quality incident they saw.
 "Master" workers (Appendix C) are more reliable and less noisy, matching the
 paper's observation that their rejection rate is over 4x lower.
+
+No draw depends on what is rated, so :class:`WorkerPool` draws each
+worker's per-position outcomes once, for the campaign to score surveys from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
 from repro.utils.rand import spawn_rng
 from repro.utils.validation import require, require_probability
-from repro.video.rendering import RenderedVideo
 
 
 @dataclass(frozen=True)
@@ -68,42 +70,17 @@ class WorkerRating:
     watch_time_s: float
 
 
-class SimulatedWorker:
-    """A worker that turns true QoE into noisy Likert ratings."""
-
-    def __init__(self, profile: WorkerProfile, seed: int = 0) -> None:
-        self.profile = profile
-        self._rng = spawn_rng(seed, "worker", profile.worker_id)
-
-    def rate(self, rendered: RenderedVideo, true_mos: float) -> WorkerRating:
-        """Rate one rendering whose latent true MOS (1–5) is ``true_mos``."""
-        require(1.0 <= true_mos <= 5.0, "true_mos must be on the 1-5 scale")
-        attentive = bool(self._rng.random() < self.profile.attention)
-        watched_fully = attentive or bool(self._rng.random() < 0.5)
-        incident_confirmed = attentive or bool(self._rng.random() < 0.3)
-        if attentive:
-            raw = true_mos + self.profile.bias
-            raw += self.profile.noise_sigma * self._rng.standard_normal()
-        else:
-            # Careless response: weak correlation with the truth.
-            raw = 0.3 * true_mos + 0.7 * self._rng.uniform(1.0, 5.0)
-        # Python's round() rounds half to even, as np.round does.
-        score = min(max(round(raw * 2.0) / 2.0, 1.0), 5.0)
-        watch_time = rendered.watch_duration_s
-        if not watched_fully:
-            watch_time *= float(self._rng.uniform(0.3, 0.9))
-        return WorkerRating(
-            worker_id=self.profile.worker_id,
-            render_id=rendered.render_id,
-            score=score,
-            watched_fully=watched_fully,
-            incident_confirmed=incident_confirmed,
-            watch_time_s=watch_time,
-        )
-
-
 class WorkerPool:
     """A population of simulated workers to draw survey participants from.
+
+    The pool keeps a *draw table* of each worker it hands out: per position
+    in a survey, the terms of ``raw = (true_mos * slope + offset) + noise``,
+    watched in full, incident confirmed, and the watched fraction (1.0 when
+    watched in full), drawn from the worker's stream in the order one rating
+    draws them.  That stream starts over at every survey, so a worker makes
+    the same attention and noise draws, position by position, in every
+    survey (across videos and a video's two profiling steps): a correlation
+    no real rater has.
 
     Parameters
     ----------
@@ -120,6 +97,9 @@ class WorkerPool:
         self.seed = int(seed)
         self._profiles = self._build_profiles()
         self._draw_rng = spawn_rng(seed, "pool-draws")
+        self._streams: Dict[int, np.random.Generator] = {}
+        self._drawn = np.zeros(self.size, dtype=np.intp)
+        self._table = np.zeros((6, self.size, 0))
 
     def _build_profiles(self) -> List[WorkerProfile]:
         rng = spawn_rng(self.seed, "pool-profiles")
@@ -147,21 +127,43 @@ class WorkerPool:
         """All worker profiles in the pool."""
         return list(self._profiles)
 
-    def sample_workers(
-        self, count: int, masters_only: bool = True
-    ) -> List[SimulatedWorker]:
-        """Sample ``count`` workers (with replacement across calls, without
-        replacement within one call when possible)."""
+    def sample_workers(self, count: int, masters_only: bool = True) -> np.ndarray:
+        """Pool indices of ``count`` participants (with replacement across
+        calls, without replacement within one call when possible)."""
         require(count >= 1, "count must be >= 1")
-        candidates = [
-            p for p in self._profiles if p.is_master or not masters_only
-        ]
-        require(bool(candidates), "no eligible workers in the pool")
-        replace = count > len(candidates)
-        chosen_indices = self._draw_rng.choice(
-            len(candidates), size=count, replace=replace
+        candidates = np.flatnonzero(
+            [p.is_master or not masters_only for p in self._profiles]
         )
-        return [
-            SimulatedWorker(candidates[int(i)], seed=self.seed + 1)
-            for i in np.atleast_1d(chosen_indices)
+        require(candidates.size > 0, "no eligible workers in the pool")
+        return candidates[
+            self._draw_rng.choice(
+                candidates.size, size=count, replace=count > candidates.size
+            )
         ]
+
+    def draws(self, workers: np.ndarray, length: int) -> np.ndarray:
+        """The table's rows for the first ``length`` ratings of each of
+        ``workers`` (pool indices), as a ``(6, len(workers), length)`` array."""
+        grow = length - self._table.shape[2]
+        if grow > 0:
+            self._table = np.pad(self._table, ((0, 0), (0, 0), (0, grow)))
+        for index in np.unique(workers[self._drawn[workers] < length]).tolist():
+            profile = self._profiles[index]
+            if index not in self._streams:
+                seed = self.seed + 1
+                self._streams[index] = spawn_rng(seed, "worker", profile.worker_id)
+            rng = self._streams[index]
+            for position in range(self._drawn[index], length):
+                attentive = rng.random() < profile.attention
+                watched = attentive or rng.random() < 0.5
+                confirmed = attentive or rng.random() < 0.3
+                if attentive:
+                    sigma = profile.noise_sigma
+                    score = (1.0, profile.bias, sigma * rng.standard_normal())
+                else:
+                    # Careless response: weak correlation with the truth.
+                    score = (0.3, 0.0, 0.7 * rng.uniform(1.0, 5.0))
+                fraction = 1.0 if watched else rng.uniform(0.3, 0.9)
+                self._table[:, index, position] = (*score, watched, confirmed, fraction)
+            self._drawn[index] = length
+        return self._table[:, workers, :length]

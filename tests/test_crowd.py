@@ -8,8 +8,9 @@ import pytest
 from repro.crowd.campaign import CampaignConfig, MTurkCampaign
 from repro.crowd.cost import CostModel
 from repro.crowd.survey import build_survey_plan
-from repro.crowd.worker import SimulatedWorker, WorkerPool, WorkerProfile
+from repro.crowd.worker import WorkerPool, WorkerProfile
 from repro.video.rendering import QualityIncident, make_video_series, render_pristine
+from tests.crowd_oracle import SimulatedWorker
 
 
 @pytest.fixture(scope="module")

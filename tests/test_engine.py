@@ -317,7 +317,7 @@ def _grid_abrs():
 
 
 class TestBatchRunnerEquivalence:
-    def test_serial_backend_matches_sequential_simulate_many(
+    def test_serial_backend_matches_sequential_work_orders(
         self, equivalence_grid
     ):
         videos, traces, weights = equivalence_grid
@@ -333,7 +333,7 @@ class TestBatchRunnerEquivalence:
             assert (k1, v1, t1) == (k2, v2, t2)
             assert_stream_results_identical(r1, r2)
 
-    def test_lockstep_backend_matches_sequential_simulate_many(
+    def test_lockstep_backend_matches_sequential_work_orders(
         self, equivalence_grid
     ):
         videos, traces, weights = equivalence_grid

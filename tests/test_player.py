@@ -70,7 +70,7 @@ class TestPlaybackBuffer:
             PlaybackBuffer(capacity_s=5.0, level_s=6.0)
 
 
-class TestStreamingSession:
+class TestWorkOrderRun:
     def test_fast_network_top_rate_no_stalls(self, small_encoded):
         trace = ThroughputTrace.constant(20.0, duration_s=600.0)
         result = WorkOrder(FixedLevelABR(4), small_encoded, trace).run()
@@ -140,7 +140,7 @@ class TestStreamingSession:
         result = WorkOrder(FixedLevelABR(2), small_encoded, constant_trace).run()
         assert 0.0 < result.bandwidth_usage_mbps() < 20.0
 
-    def test_simulate_many_grid(self, small_encoded, constant_trace, slow_trace):
+    def test_run_orders_grid(self, small_encoded, constant_trace, slow_trace):
         keyed = orders_for_grid(
             [BufferBasedABR()], [small_encoded], [constant_trace, slow_trace]
         )
