@@ -6,7 +6,8 @@ sizes, last bitrate and the number of chunks remaining, and whose actions
 are the bitrate levels.  The reward is the QoE contribution of the chunk.
 
 The reproduction implements a single-worker advantage actor–critic (see
-:mod:`repro.ml.rl`) with the same state, action and reward structure.  The
+:mod:`repro.ml.rl`) with the same state, action and reward structure,
+trained by :mod:`repro.training`.  The
 SENSEI augmentation (§5.2) extends the state with the sensitivity weights of
 the next ``h`` chunks, adds proactive-rebuffering actions, and reweights the
 reward — see :mod:`repro.core.sensei_abr`.
@@ -15,14 +16,13 @@ reward — see :mod:`repro.core.sensei_abr`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation, pad_history
-from repro.ml.rl import ActorCriticAgent, ActorCriticConfig, EpisodeBuffer
+from repro.ml.rl import ActorCriticAgent, ActorCriticConfig
 from repro.qoe.ksqi import KSQIModel
-from repro.utils.rand import spawn_rng
 from repro.utils.validation import require
 
 #: Normalisation constants for state features.
@@ -192,75 +192,3 @@ class PensieveABR(ABRAlgorithm):
         """Number of training episodes applied to this agent."""
         return self._trained_episodes
 
-
-class PensieveTrainer:
-    """Policy-gradient training loop over simulated streaming sessions."""
-
-    def __init__(
-        self,
-        abr: PensieveABR,
-        quality_model: Optional[KSQIModel] = None,
-        seed: int = 43,
-    ) -> None:
-        self.abr = abr
-        self.quality_model = (
-            quality_model if quality_model is not None else abr.quality_model
-        )
-        self.seed = int(seed)
-
-    def train(
-        self,
-        videos: Sequence,
-        traces: Sequence,
-        episodes: int = 100,
-        weights_by_video: Optional[Dict[str, np.ndarray]] = None,
-    ) -> List[Dict[str, float]]:
-        """Train for ``episodes`` randomly sampled (video, trace) sessions.
-
-        Returns the per-episode training statistics from the agent.  Sessions
-        are simulated with the same player the evaluation uses, so the agent
-        is trained exactly on the dynamics it will be evaluated under.
-        """
-        # Imported here to avoid a circular dependency at module import time
-        # (the engine imports the ABR modules).
-        from repro.engine.runner import WorkOrder
-
-        require(bool(videos), "need at least one training video")
-        require(bool(traces), "need at least one training trace")
-        rng = spawn_rng(self.seed, "pensieve-training")
-        weights_by_video = weights_by_video or {}
-        history: List[Dict[str, float]] = []
-
-        original_greedy = self.abr.greedy
-        self.abr.greedy = False
-        try:
-            for _ in range(int(episodes)):
-                encoded = videos[int(rng.integers(0, len(videos)))]
-                trace = traces[int(rng.integers(0, len(traces)))]
-                weights = weights_by_video.get(encoded.source.video_id)
-                self.abr.begin_capture()
-                # Serial on purpose: episodes draw, in order, from the
-                # agent's one unseeded exploration stream.
-                result = WorkOrder(
-                    abr=self.abr, encoded=encoded, trace=trace,
-                    chunk_weights=weights,
-                ).run()
-                trajectory = self.abr.end_capture()
-                rewards = self._chunk_rewards(result, weights)
-                episode = EpisodeBuffer()
-                for (state, action), reward in zip(trajectory, rewards):
-                    episode.add(state, action, reward)
-                stats = self.abr.agent.train_on_episode(episode)
-                history.append(stats)
-            self.abr.record_training(int(episodes))
-        finally:
-            self.abr.greedy = original_greedy
-        return history
-
-    def _chunk_rewards(self, result, weights: Optional[np.ndarray]) -> np.ndarray:
-        """Per-decision rewards: (weighted) KSQI chunk scores of the outcome."""
-        chunk_scores = self.quality_model.chunk_scores(result.rendered)
-        if weights is None:
-            return chunk_scores
-        weights = np.asarray(weights, dtype=float)
-        return weights * chunk_scores

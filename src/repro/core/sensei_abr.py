@@ -152,8 +152,8 @@ class SenseiPensieveABR(PensieveABR):
     The class only changes the default configuration and the name; the
     state/action/reward plumbing in :class:`PensieveABR` already honours
     ``weight_horizon`` and ``stall_actions_s`` when they are non-trivial,
-    and :class:`~repro.abr.pensieve.PensieveTrainer` reweights the reward
-    whenever per-video weights are supplied.
+    and the training collector (:mod:`repro.training.collector`) reweights
+    the reward whenever an episode carries per-video weights.
     """
 
     name = "SENSEI-Pensieve"

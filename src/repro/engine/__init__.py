@@ -30,7 +30,7 @@ end-to-end benchmark.
 
 from __future__ import annotations
 
-from repro.engine.lockstep import run_orders_lockstep, supports_lockstep
+from repro.engine.lockstep import run_orders_lockstep
 from repro.engine.precompute import HistoryRing, SessionPrecompute
 from repro.engine.runner import BatchRunner, WorkOrder
 from repro.faults.log import FaultLog, ShardRecoveryWarning
@@ -43,5 +43,4 @@ __all__ = [
     "ShardRecoveryWarning",
     "WorkOrder",
     "run_orders_lockstep",
-    "supports_lockstep",
 ]

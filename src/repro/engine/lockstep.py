@@ -50,22 +50,14 @@ and the golden masters under ``tests/golden/``.
 Sessions end at different chunk counts (ragged shards): finished sessions
 simply leave the live set while the rest keep stepping.
 
-Exploration-mode RL (``greedy=False``) is batchable only when each work
-order pins a per-session RNG stream via
-:attr:`~repro.engine.runner.WorkOrder.exploration_seed`: the serial path
-then reseeds the agent (:meth:`repro.ml.rl.ActorCriticAgent.
-reseed_exploration`) immediately before the session, and the lockstep
-driver gives the row its own ``rng_from_seed(exploration_seed)`` stream —
-the same generator state drawing from bitwise-equal probability rows, so
-the trajectories match checkpoint for checkpoint (fuzzed in
-``tests/test_rl_batch.py``).  *Unseeded* exploration orders keep the old
-serial fallback: their serial results depend on one RNG stream shared
-across sessions in submission order, which no parallel decomposition can
-reproduce.  A seeded order on the same stream reseeds it under serial
-execution, so every order that shares an RL agent with an unseeded one
-runs through that fallback too, in submission order.  After a run each
-agent holds the stream the serial reference would leave it with: that of
-its last seeded order, advanced by the session's draws.
+Every exploration-mode RL (``greedy=False``) order pins its session's RNG
+stream with :attr:`~repro.engine.runner.WorkOrder.exploration_seed`
+(unseeded ones are rejected on both backends): the serial path samples
+from a fresh ``rng_from_seed(exploration_seed)``, and the lockstep driver
+gives the row that same stream — the same generator state drawing from
+bitwise-equal probability rows, so the trajectories match checkpoint for
+checkpoint (fuzzed in ``tests/test_rl_batch.py``).  Neither backend
+touches the agent's own exploration stream.
 """
 
 from __future__ import annotations
@@ -103,18 +95,6 @@ from repro.utils.rand import rng_from_seed
 from repro.utils.validation import require
 
 
-def supports_lockstep(abr: ABRAlgorithm) -> bool:
-    """Whether lockstep reproduces serial results for this ABR *on its own*.
-
-    False only for exploration-mode (``greedy=False``) RL policies, whose
-    serial results depend on one RNG stream shared across sessions.  Such
-    an ABR can still run in lockstep when its *work order* pins a
-    per-session stream — see :func:`order_supports_lockstep`, the check
-    the engine actually applies.
-    """
-    return bool(getattr(abr, "greedy", True))
-
-
 def _is_batched_rl(abr: ABRAlgorithm) -> bool:
     """Whether ``abr`` is a stock Pensieve-family policy the dedicated
     batched RL driver reproduces exactly (exact types only: a subclass may
@@ -123,31 +103,6 @@ def _is_batched_rl(abr: ABRAlgorithm) -> bool:
         type(abr) in (PensieveABR, SenseiPensieveABR)
         and type(getattr(abr, "agent", None)) is ActorCriticAgent
     )
-
-
-def order_supports_lockstep(order: "WorkOrder") -> bool:
-    """Whether lockstep execution reproduces serial results for this order.
-
-    Greedy ABRs always qualify.  Exploration-mode RL qualifies exactly when
-    the order pins a per-session RNG stream (``exploration_seed``) *and*
-    the policy is a stock Pensieve-family agent: the serial path then
-    reseeds the agent before the session, so the batched driver's
-    ``rng_from_seed(exploration_seed)`` row stream replays it bit for bit.
-    Unseeded exploration orders (or exotic RL subclasses) keep the serial
-    fallback.
-    """
-    if supports_lockstep(order.abr):
-        return True
-    return (
-        getattr(order, "exploration_seed", None) is not None
-        and _is_batched_rl(order.abr)
-    )
-
-
-def _stream_owner(abr: ABRAlgorithm) -> int:
-    """Identity of the exploration stream an ABR draws from: its RL agent
-    (shared by every ABR instance holding it), else the instance itself."""
-    return id(getattr(abr, "agent", abr))
 
 
 def run_orders_lockstep(
@@ -161,31 +116,8 @@ def run_orders_lockstep(
     starts with ``abr.reset()``), so executing groups out of submission
     order cannot change any result; the returned list is reassembled in
     submission order regardless.
-
-    Orders that lockstep cannot reproduce (:func:`order_supports_lockstep`)
-    run through the serial reference path — together with every other
-    order drawing from the same exploration stream (:func:`_stream_owner`),
-    in submission order, because a seeded order reseeds that stream under
-    serial execution and so shapes what later unseeded orders draw.
     """
-    orders = list(orders)
-    results: List[Optional[StreamResult]] = [None] * len(orders)
-    serial_owners = {
-        _stream_owner(order.abr)
-        for order in orders
-        if not order_supports_lockstep(order)
-    }
-    batched = []
-    for index, order in enumerate(orders):
-        if _stream_owner(order.abr) in serial_owners:
-            results[index] = order.run()
-        else:
-            batched.append(index)
-    shard_results, _ = _run_shards(
-        [orders[index] for index in batched], fault_log, capture=False
-    )
-    for index, result in zip(batched, shard_results):
-        results[index] = result
+    results, _ = _run_shards(orders, fault_log, capture=False)
     if TRACE.enabled:
         # Lazy import: the runner module imports lockstep functions
         # lazily, so the reverse edge must not run at module import time.
@@ -202,21 +134,19 @@ def run_rl_rollouts_lockstep(
     """Run RL work orders in lockstep, capturing training trajectories.
 
     The lockstep side of :meth:`~repro.engine.runner.BatchRunner.
-    run_rollouts`: every order must be a stock Pensieve-family policy with
-    lockstep support at the order level (greedy, or exploration-mode with
-    a pinned ``exploration_seed``).  Returns ``(results, trajectories)``,
-    both aligned with ``orders``; each trajectory is the order's
-    ``(state, action)`` list — bitwise what the serial
-    ``begin_capture()``/``end_capture()`` discipline records, because the
-    batched driver's states, probabilities and sampled actions are bitwise
-    the scalar path's (see :class:`_RLDriver`).
+    run_rollouts`: every order must be a stock Pensieve-family policy,
+    greedy or exploration-mode with a pinned ``exploration_seed``.
+    Returns ``(results, trajectories)``, both aligned with ``orders``;
+    each trajectory is the order's ``(state, action)`` list — bitwise what
+    the serial ``begin_capture()``/``end_capture()`` discipline records,
+    because the batched driver's states, probabilities and sampled actions
+    are bitwise the scalar path's (see :class:`_RLDriver`).
     """
     orders = list(orders)
     for order in orders:
         require(
-            _is_batched_rl(order.abr) and order_supports_lockstep(order),
-            "run_rl_rollouts_lockstep needs stock Pensieve-family orders "
-            "with lockstep support (greedy, or a pinned exploration_seed)",
+            _is_batched_rl(order.abr),
+            "run_rl_rollouts_lockstep needs stock Pensieve-family orders",
         )
     return _run_shards(orders, fault_log, capture=True)
 
@@ -226,7 +156,13 @@ def _run_shards(
     fault_log: Optional[FaultLog],
     capture: bool,
 ) -> Tuple[List[StreamResult], list]:
-    """Run lockstep-capable orders as one shard per player config.
+    """Run orders as one shard per player config.
+
+    Every exploration-mode order must pin an ``exploration_seed``
+    (:meth:`~repro.engine.runner.WorkOrder.require_seeded`) and use a
+    stock Pensieve-family policy, whose batched driver gives the row its
+    own stream; anything else is rejected before any shard runs, so a
+    rejection is never mistaken for a shard fault.
 
     Returns ``(results, trajectories)`` aligned with ``orders``; the
     trajectories are the captured ``(state, action)`` lists when
@@ -241,16 +177,20 @@ def _run_shards(
     :class:`~repro.faults.injector.FaultInjector` may strike any shard here
     with a :class:`~repro.faults.injector.SimulatedWorkerCrash`;
     recoveries are counted in ``fault_log`` when the caller passes one.
-
-    Afterwards every RL agent's exploration stream is where the serial
-    reference leaves it (:func:`_hand_back_streams`).
     """
     # Lazy import, as in run_orders_lockstep.
     from repro.engine.runner import _run_rollouts_serial
 
+    orders = list(orders)
+    for order in orders:
+        order.require_seeded()
+        require(
+            not order.explores or _is_batched_rl(order.abr),
+            "exploration-mode orders need a stock Pensieve-family policy "
+            f"to run in lockstep, got {type(order.abr).__name__}",
+        )
     results: List[Optional[StreamResult]] = [None] * len(orders)
     trajectories: list = [None] * len(orders)
-    streams: list = [None] * len(orders)
     shards: Dict[object, List[int]] = {}
     for index, order in enumerate(orders):
         shards.setdefault(order.config, []).append(index)
@@ -263,7 +203,7 @@ def _run_shards(
             if injector is not None:
                 injector.strike_shard(shard_index)
             with trace_span("engine.lockstep.shard"):
-                shard_results, shard_streams = _run_shard(
+                shard_results = _run_shard(
                     shard_orders, capture=shard_trajectories
                 )
         except Exception as error:
@@ -282,62 +222,25 @@ def _run_shards(
                     f"lockstep {label} {shard_index} recovered serially "
                     f"after {type(error).__name__}"
                 )
-            shard_results, shard_streams = [], []
-            for row, order in enumerate(shard_orders):
-                if capture:
-                    (result,), (shard_trajectories[row],) = (
-                        _run_rollouts_serial([order])
-                    )
-                else:
-                    result = order.run()
-                shard_results.append(result)
-                # The stream this session left on the agent, before the
-                # next serial run reseeds it.
-                agent = getattr(order.abr, "agent", None)
-                shard_streams.append(
-                    getattr(agent, "exploration_stream", None)
+            if capture:
+                shard_results, shard_trajectories = _run_rollouts_serial(
+                    shard_orders
                 )
+            else:
+                shard_results = [order.run() for order in shard_orders]
         for row, index in enumerate(indices):
             results[index] = shard_results[row]
-            streams[index] = shard_streams[row]
             if capture:
                 trajectories[index] = shard_trajectories[row]
-    _hand_back_streams(orders, streams)
     return results, trajectories
-
-
-def _hand_back_streams(orders: Sequence["WorkOrder"], streams: list) -> None:
-    """Leave each RL agent's exploration stream where the serial reference
-    would: ``WorkOrder.run`` reseeds the agent before every seeded order
-    (greedy ones too), so after a run the agent holds the stream of its
-    last seeded order in submission order, advanced by that session's
-    draws.  ``streams[i]`` is order ``i``'s stream after its session, or
-    ``None`` when the session drew nothing (a fresh
-    ``rng_from_seed(exploration_seed)``)."""
-    last: Dict[int, int] = {}
-    for index, order in enumerate(orders):
-        agent = getattr(order.abr, "agent", None)
-        if order.exploration_seed is not None and hasattr(
-            agent, "reseed_exploration"
-        ):
-            last[id(agent)] = index
-    for index in last.values():
-        order = orders[index]
-        if streams[index] is None:
-            order.abr.agent.reseed_exploration(int(order.exploration_seed))
-        else:
-            order.abr.agent.exploration_stream = streams[index]
 
 
 def _run_shard(
     orders: Sequence["WorkOrder"],
     capture: Optional[List[List[Tuple[np.ndarray, int]]]] = None,
-) -> Tuple[List[StreamResult], list]:
-    """Run one shard of orders (shared player config) in lockstep.
-
-    Returns the results and, per row, the exploration stream the row's
-    session drew from (``None`` for rows that drew nothing), both aligned
-    with ``orders``.
+) -> List[StreamResult]:
+    """Run one shard of orders (shared player config) in lockstep; the
+    results align with ``orders``.
 
     The *stepping* — download times, buffer evolution, stall accounting,
     history rings — advances as one SoA batch across every order of the
@@ -403,18 +306,12 @@ def _run_shard(
             stalls[positions] = group_stalls
         shard.step(live, levels, stalls)
         live = shard.live_rows
-    streams: list = [None] * len(orders)
-    for _, driver in drivers:
-        if isinstance(driver, _RLDriver):
-            for row, rng in driver.rngs.items():
-                streams[row] = rng
-    results = [
+    return [
         shard.finalize(
             row, abr_name=order.abr.name, trace_name=order.trace.name
         )
         for row, order in enumerate(orders)
     ]
-    return results, streams
 
 
 #: The kinds :func:`decision_kind` sorts ABRs into.
@@ -559,9 +456,9 @@ class _RLDriver:
     * greedy policies take per-row argmaxes (same first-max tie break as
       the scalar ``np.argmax``); exploration policies draw each row's
       action from a private ``rng_from_seed(order.exploration_seed)``
-      stream — the very generator state the serial path's pre-session
-      ``reseed_exploration`` produces, consuming bitwise-equal
-      probability rows, hence identical trajectories.
+      stream — the very generator state the serial ``WorkOrder.run``
+      samples from, consuming bitwise-equal probability rows, hence
+      identical trajectories.
 
     The agent is read-only here: clones are unnecessary (greedy decide
     touches no mutable agent state, and sampling never touches the shared
@@ -596,14 +493,8 @@ class _RLDriver:
         self.rngs: Dict[int, object] = {}
         if not self.greedy:
             for row, order in enumerate(orders):
-                if order.abr is not abr:
-                    continue
-                require(
-                    order.exploration_seed is not None,
-                    "exploration-mode RL rows need per-order "
-                    "exploration seeds to run in lockstep",
-                )
-                self.rngs[row] = rng_from_seed(int(order.exploration_seed))
+                if order.abr is abr:
+                    self.rngs[row] = rng_from_seed(int(order.exploration_seed))
 
     def _padded_history(self, history, rows: np.ndarray) -> np.ndarray:
         """Rectangular histories left-padded/truncated to the agent's

@@ -50,6 +50,7 @@ from repro.network.trace import ThroughputTrace
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.obs.trace import TRACE, trace_span
 from repro.player.session import SessionConfig, SessionState, StreamResult
+from repro.utils.rand import rng_from_seed
 from repro.utils.validation import require
 from repro.video.encoder import EncodedVideo
 
@@ -72,15 +73,14 @@ class WorkOrder:
     config: the player configuration (``None`` means ``SessionConfig()``).
     chunk_weights: per-chunk sensitivity weights, one positive entry per
         chunk (``None`` means uniform ones).
-    exploration_seed: optional per-order RNG seed for exploration-mode RL
-        policies.  When set, the order reseeds the agent's exploration
-        stream (``agent.reseed_exploration``) immediately before the
-        session runs, making the trajectory a pure function of
-        (checkpoint, seed) — independent of execution order.  That is the
-        contract that lets the lockstep core batch exploration-mode RL:
-        it gives each row its own ``rng_from_seed(exploration_seed)``
-        stream and reproduces this serial path bit for bit.  Orders whose
-        ABR has no exploration stream ignore the field.
+    exploration_seed: the RNG seed of the session's exploration stream,
+        required when the ABR is an exploration-mode (``greedy=False``) RL
+        policy (:meth:`require_seeded`).  The session samples its actions
+        from a fresh ``rng_from_seed(exploration_seed)``, so its
+        trajectory is a pure function of (checkpoint, seed) — independent
+        of execution order.  That is what lets the lockstep core give each
+        row its own stream and reproduce the serial path bit for bit.
+        Orders whose ABR has no exploration stream ignore the field.
 
     Construction normalises ``config`` and ``chunk_weights`` once (an
     unweighted order shares its video's read-only ``uniform_weights``),
@@ -118,14 +118,41 @@ class WorkOrder:
         video's own, it is never pickled with the order)."""
         return SessionPrecompute.of(self.encoded)
 
+    @property
+    def explores(self) -> bool:
+        """Whether the session samples its actions (an exploration-mode RL
+        policy).  Read when the order runs: callers may flip
+        ``abr.greedy`` after building the order."""
+        return not getattr(self.abr, "greedy", True)
+
+    def require_seeded(self) -> None:
+        """Reject an exploration-mode order without an ``exploration_seed``:
+        its actions would depend on whatever the agent's shared stream
+        drew before, which no backend can reproduce."""
+        require(
+            not self.explores or self.exploration_seed is not None,
+            "exploration-mode RL orders need an exploration_seed",
+        )
+
     def run(self) -> StreamResult:
-        """The serial reference: reseed the exploration stream (if the
-        order pins one), reset the ABR, then observe → decide → apply once
-        per chunk and finalize."""
-        if self.exploration_seed is not None:
-            agent = getattr(self.abr, "agent", None)
-            if agent is not None and hasattr(agent, "reseed_exploration"):
-                agent.reseed_exploration(int(self.exploration_seed))
+        """The serial reference: reset the ABR, then observe → decide →
+        apply once per chunk and finalize.  A seeded order samples from a
+        fresh ``rng_from_seed(exploration_seed)``, and the agent gets its
+        previous stream back afterwards, so a run never changes it."""
+        self.require_seeded()
+        agent = getattr(self.abr, "agent", None)
+        if self.exploration_seed is None or not hasattr(
+            agent, "exploration_stream"
+        ):
+            return self._run()
+        previous = agent.exploration_stream
+        agent.exploration_stream = rng_from_seed(int(self.exploration_seed))
+        try:
+            return self._run()
+        finally:
+            agent.exploration_stream = previous
+
+    def _run(self) -> StreamResult:
         self.abr.reset()
         state = SessionState(self)
         while not state.done:
@@ -137,16 +164,18 @@ def _run_rollouts_serial(
     orders: Sequence[WorkOrder],
 ) -> Tuple[List[StreamResult], List[Trajectory]]:
     """The serial rollout reference: per order, in submission order,
-    reseed the exploration stream, capture the policy's ``(state,
-    action)`` pairs and run the session.  The serial runner's
-    :meth:`BatchRunner.run_rollouts` and the lockstep rollout recovery
-    both run it."""
+    capture the policy's ``(state, action)`` pairs and run the session.
+    The serial runner's :meth:`BatchRunner.run_rollouts` and the lockstep
+    rollout recovery both run it."""
     results: List[StreamResult] = []
     trajectories: List[Trajectory] = []
     for order in orders:
         order.abr.begin_capture()
-        results.append(order.run())  # reseeds before the session
-        trajectories.append(order.abr.end_capture())
+        try:
+            results.append(order.run())
+        finally:
+            # A rejected or failed session must not leave capture on.
+            trajectories.append(order.abr.end_capture())
     return results, trajectories
 
 
@@ -224,8 +253,8 @@ class BatchRunner:
         Returns ``(results, trajectories)``, both aligned with ``orders``.
         Lockstep runs :func:`repro.engine.lockstep.run_rl_rollouts_lockstep`
         (stock Pensieve-family policies, greedy or with a pinned
-        ``exploration_seed``); serial runs the reseed → capture → run
-        reference, which the lockstep trajectories equal byte for byte.
+        ``exploration_seed``); serial runs the capture → run reference,
+        which the lockstep trajectories equal byte for byte.
         """
         orders = list(orders)
         if self.backend == "lockstep":

@@ -91,8 +91,8 @@ def _evaluate_grid(
     interrupted grid resumes where it stopped.
     """
     cache = getattr(context, "cell_cache", None)
-    # Factories, not instances: the RL policies (the expensive ones — ad-hoc
-    # training when no checkpoint exists) only materialise when some cell of
+    # Factories, not instances: the RL policies (the expensive ones — they
+    # train when no checkpoint exists) only materialise when some cell of
     # theirs actually misses the cache.
     algorithms: Dict[str, Tuple[Callable[[], object], bool]] = {
         "BBA": (context.make_bba, False),
@@ -104,8 +104,8 @@ def _evaluate_grid(
         algorithms["Pensieve"] = (context.trained_pensieve, False)
         algorithms["SENSEI-Pensieve"] = (context.trained_sensei_pensieve, True)
         # RL cells embed the policy's provenance (checkpoint name + save
-        # index, or ad-hoc training), so cached cells from one checkpoint
-        # generation are never served for another.
+        # index, or the fallback recipe's label), so cached cells from one
+        # policy generation are never served for another.
         cell_suffix["Pensieve"] = (
             "/" + context.trained_policy_provenance("pensieve")
         )

@@ -26,11 +26,11 @@ import numpy as np
 from repro.abr.base import ABRAlgorithm
 from repro.abr.bba import BufferBasedABR
 from repro.abr.fugu import FuguABR
-from repro.abr.pensieve import PensieveABR, PensieveConfig, PensieveTrainer
+from repro.abr.pensieve import PensieveABR
 from repro.core.profiler import SenseiProfiler
 from repro.core.qoe_model import SenseiQoEModel
 from repro.core.scheduler import SchedulerConfig
-from repro.core.sensei_abr import SenseiFuguABR, SenseiPensieveABR, make_sensei_pensieve
+from repro.core.sensei_abr import SenseiFuguABR, SenseiPensieveABR
 from repro.core.weights import SensitivityProfile
 from repro.engine.runner import BatchRunner, WorkOrder
 from repro.network.bank import TraceBank
@@ -42,6 +42,11 @@ from repro.utils.validation import require
 from repro.video.encoder import EncodedVideo
 from repro.video.library import VideoLibrary
 
+
+#: Provenance of a policy trained by the no-checkpoint fallback.  Grid cell
+#: keys embed it, so change it whenever the fallback's recipe or learner
+#: changes.
+FALLBACK_PROVENANCE = "pipeline-recipe-v1"
 
 #: One streaming cell: ``(abr, encoded, trace, use_weights)``, where
 #: ``use_weights`` is a bool or an explicit per-chunk weight array.
@@ -59,7 +64,6 @@ class ExperimentScale:
     num_videos: how many of the 16 catalogue videos to use.
     num_traces: how many evaluation traces to use.
     step1_ratings / step2_ratings: rating multiplicities for profiling.
-    pensieve_episodes: training episodes for the RL agents.
     trace_duration_s: length of generated traces.
     """
 
@@ -68,7 +72,6 @@ class ExperimentScale:
     num_traces: int
     step1_ratings: int = 10
     step2_ratings: int = 5
-    pensieve_episodes: int = 80
     trace_duration_s: float = 900.0
 
     @classmethod
@@ -80,7 +83,6 @@ class ExperimentScale:
             num_traces=4,
             step1_ratings=8,
             step2_ratings=4,
-            pensieve_episodes=40,
             trace_duration_s=900.0,
         )
 
@@ -93,7 +95,6 @@ class ExperimentScale:
             num_traces=10,
             step1_ratings=10,
             step2_ratings=5,
-            pensieve_episodes=300,
             trace_duration_s=1500.0,
         )
 
@@ -106,7 +107,6 @@ class ExperimentScale:
             num_traces=3,
             step1_ratings=4,
             step2_ratings=2,
-            pensieve_episodes=8,
             trace_duration_s=400.0,
         )
 
@@ -186,7 +186,8 @@ class ExperimentContext:
         #: registry attaches so grid sweeps resume from finished cells.
         self.cell_cache = None
         #: Where each RL policy came from: ``checkpoint:<name>`` /
-        #: ``installed`` / ``ad-hoc-training`` (provenance for ResultSets).
+        #: ``installed`` / :data:`FALLBACK_PROVENANCE` (provenance for
+        #: ResultSets).
         self.trained_agent_sources: Dict[str, str] = {}
         self._profiles: Dict[str, SensitivityProfile] = {}
         self._profiler: Optional[SenseiProfiler] = None
@@ -292,7 +293,7 @@ class ExperimentContext:
         Installed agents are what :meth:`trained_pensieve` /
         :meth:`trained_sensei_pensieve` return, so every figure that takes
         ``include_pensieve=True`` evaluates the installed policies instead
-        of training ad hoc ones.
+        of training fallback ones.
         """
         if pensieve is not None:
             require(
@@ -362,32 +363,38 @@ class ExperimentContext:
         would source this policy from — without training or loading it.
 
         ``installed`` / ``checkpoint:<name>@<metadata digest>`` /
-        ``ad-hoc-training``.  Grid cell keys embed this, so cells computed
-        with one checkpoint generation never masquerade as another's.
+        :data:`FALLBACK_PROVENANCE`.  Grid cell keys embed this, so cells
+        computed with one checkpoint generation (or fallback recipe) never
+        masquerade as another's.
         """
         if base_name in self.trained_agent_sources:
             return self.trained_agent_sources[base_name]
         want_sensei = base_name == "sensei-pensieve"
         candidate = self._find_checkpoint(base_name, want_sensei)
         if candidate is None:
-            return "ad-hoc-training"
+            return FALLBACK_PROVENANCE
         store = self.checkpoint_store()
         digest = _checkpoint_digest(store.metadata(candidate))
         return f"checkpoint:{candidate}@{digest}"
 
-    def _checkpoint_policy(
-        self, base_name: str, want_sensei: bool
-    ) -> Optional[PensieveABR]:
-        """The best available checkpoint of one policy family, or ``None``."""
-        candidate = self._find_checkpoint(base_name, want_sensei)
+    def _resolve_policy(self, family: str, want_sensei: bool) -> PensieveABR:
+        """The best available checkpoint of one policy family; without one,
+        the policy ``python -m repro train`` would save as
+        ``<family>-final`` at this context's scale and seed, trained here
+        through :func:`~repro.training.pipeline.recipe_trainer` (bit for
+        bit, on either backend)."""
+        candidate = self._find_checkpoint(family, want_sensei)
         if candidate is None:
-            return None
+            from repro.training.pipeline import recipe_trainer
+
+            trainer = recipe_trainer(self, family)
+            trainer.train()
+            self.trained_agent_sources[family] = FALLBACK_PROVENANCE
+            return trainer.abr
         store = self.checkpoint_store()
         abr = store.load(candidate)
         digest = _checkpoint_digest(store.metadata(candidate))
-        self.trained_agent_sources[base_name] = (
-            f"checkpoint:{candidate}@{digest}"
-        )
+        self.trained_agent_sources[family] = f"checkpoint:{candidate}@{digest}"
         return abr
 
     def trained_pensieve(self) -> PensieveABR:
@@ -395,42 +402,23 @@ class ExperimentContext:
 
         Loads the newest versioned checkpoint (``pensieve-best`` →
         ``pensieve-final``) from :meth:`checkpoint_store` by default; only
-        when no checkpoint exists does it fall back to ad-hoc
-        :class:`PensieveTrainer` training at this scale.
+        when no checkpoint exists does it train one
+        (:meth:`_resolve_policy`).
         """
         if self._trained_pensieve is None:
-            loaded = self._checkpoint_policy("pensieve", want_sensei=False)
-            if loaded is not None:
-                self._trained_pensieve = loaded
-            else:
-                agent = PensieveABR(config=PensieveConfig(seed=self.seed + 21))
-                trainer = PensieveTrainer(agent, seed=self.seed + 22)
-                trainer.train(
-                    self.videos(), self.traces(),
-                    episodes=self.scale.pensieve_episodes,
-                )
-                self.trained_agent_sources["pensieve"] = "ad-hoc-training"
-                self._trained_pensieve = agent
+            self._trained_pensieve = self._resolve_policy(
+                "pensieve", want_sensei=False
+            )
         return self._trained_pensieve
 
     def trained_sensei_pensieve(self) -> SenseiPensieveABR:
         """SENSEI-Pensieve agent for this context's grids (checkpoint-first,
-        like :meth:`trained_pensieve`; ad-hoc training puts the weights in
+        like :meth:`trained_pensieve`; the fallback puts the weights in
         state and reward)."""
         if self._trained_sensei_pensieve is None:
-            loaded = self._checkpoint_policy("sensei-pensieve", want_sensei=True)
-            if loaded is not None:
-                self._trained_sensei_pensieve = loaded
-            else:
-                agent = make_sensei_pensieve(seed=self.seed + 31)
-                trainer = PensieveTrainer(agent, seed=self.seed + 32)
-                trainer.train(
-                    self.videos(), self.traces(),
-                    episodes=self.scale.pensieve_episodes,
-                    weights_by_video=self.weights_by_video(),
-                )
-                self.trained_agent_sources["sensei-pensieve"] = "ad-hoc-training"
-                self._trained_sensei_pensieve = agent
+            self._trained_sensei_pensieve = self._resolve_policy(
+                "sensei-pensieve", want_sensei=True
+            )
         return self._trained_sensei_pensieve
 
     # ------------------------------------------------------------ simulation

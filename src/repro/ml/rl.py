@@ -113,25 +113,15 @@ class ActorCriticAgent:
 
     # ---------------------------------------------------------------- seeding
 
-    def reseed_exploration(self, seed: int) -> None:
-        """Reset the exploration stream to a fresh, fully determined state.
-
-        The constructor-seeded stream makes an episode's actions depend on
-        how many samples every *earlier* episode consumed, so a rollout
-        worker could never reproduce its episodes from a work-order seed
-        alone.  Reseeding immediately before each episode makes the episode
-        a pure function of (parameters, episode seed) — the property the
-        parallel collector's serial ≡ pool guarantee rests on.
-        """
-        self._rng = rng_from_seed(int(seed))
-
     @property
     def exploration_stream(self) -> np.random.Generator:
-        """The generator sampled actions draw from.
+        """The generator sampled actions draw from (seeded from the config).
 
-        Batched drivers give each session its own stream and hand the
-        last one back through the setter, so the agent ends a batch where
-        the one-session-at-a-time reference would leave it.
+        A work order with an ``exploration_seed`` swaps in a fresh
+        ``rng_from_seed(exploration_seed)`` for its session and puts this
+        stream back afterwards (:meth:`repro.engine.runner.WorkOrder.run`),
+        so an episode is a pure function of (parameters, episode seed) and
+        running one never changes the agent's stream.
         """
         return self._rng
 

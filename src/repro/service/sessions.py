@@ -58,9 +58,10 @@ def planner_kind(abr: ABRAlgorithm) -> str:
     narrowed to the paths the service batches: the three planner families
     and *greedy* stock Pensieve-family policies, which decide via an
     argmax over a row-stable actor forward (repro.ml.nn.row_matmul).
-    Exploration-mode clones stay generic — the service has no
-    per-decision seed to pin — and so does everything else (BBA,
-    rate-based, subclasses), deciding on its own clone.
+    Everything else (BBA, rate-based, subclasses) stays generic, deciding
+    on its own clone.  Exploration-mode RL never gets here: the service
+    has no ``exploration_seed`` to pin, so :meth:`SessionTable.register`
+    rejects it.
     """
     kind = decision_kind(abr)
     if kind in (KIND_MPC, KIND_FUGU, KIND_SENSEI) or (
@@ -152,6 +153,7 @@ class SessionTable:
             abr=abr, encoded=encoded, trace=trace, config=config,
             chunk_weights=chunk_weights,
         )
+        order.require_seeded()
         entry = SessionEntry(tenant, session_id, order)
         self._entries[key] = entry
         return entry

@@ -6,7 +6,7 @@ freezes the policy into a :class:`PolicySnapshot`, simulates every seeded
 :class:`~repro.training.curriculum.EpisodeSpec` of the round against it,
 and the learner applies all updates in deterministic spec order.  Because
 an episode is a pure function of (snapshot parameters, spec seed) — see
-:meth:`~repro.ml.rl.ActorCriticAgent.reseed_exploration` — collection
+:attr:`~repro.engine.runner.WorkOrder.exploration_seed` — collection
 order cannot change the experience.
 
 Each episode becomes a work order pinning ``exploration_seed=spec.seed``,
@@ -17,8 +17,8 @@ runner that is the batched RL driver
 episodes step together as one SoA shard, the actor forward runs once per
 decision round across the batch, and each episode samples from its own
 ``rng_from_seed(spec.seed)`` stream — the same stream the serial
-reference's ``reseed_exploration(spec.seed)`` produces, so the experience,
-and therefore the trained policy, is byte-identical on both backends.
+reference samples from, so the experience, and therefore the trained
+policy, is byte-identical on both backends.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from repro.faults.log import merge_counter_dicts
 from repro.training.checkpoint import CheckpointStore
 from repro.training.curriculum import CurriculumConfig, ScenarioCurriculum
 from repro.training.trainer import Trainer, TrainerConfig, evaluate_policy
+from repro.utils.validation import require
 
 #: Gentle default rates: at small scales the default rates can collapse the
 #: policy before the curriculum has shown it enough regimes.  The trainer's
@@ -53,19 +54,56 @@ DEFAULT_TRAINING = TrainerConfig(
 )
 
 
-def _train_one(name, abr, curriculum, store, runner, oracle, config, verbose):
-    """Train one policy, checkpoint it, and report its trajectory."""
-    untrained_qoe = evaluate_policy(
-        abr, curriculum.holdout_specs(config.eval_episodes),
-        runner=runner, oracle=oracle,
+def recipe_trainer(
+    context, family: str, store: Optional[CheckpointStore] = None,
+    config: Optional[TrainerConfig] = None,
+) -> Trainer:
+    """The :class:`Trainer` :func:`train_policies` runs for one family.
+
+    ``family`` is ``"pensieve"`` (unweighted rewards) or
+    ``"sensei-pensieve"`` (the same curriculum shape, with sensitivity
+    weights in state and reward).  Seeds derive from ``context.seed``;
+    collection and evaluation use ``context.runner`` and
+    ``context.oracle``.  With ``store=None`` it is the fallback
+    :class:`~repro.experiments.common.ExperimentContext` trains when no
+    checkpoint exists, so the fallback's policy is bit for bit the one
+    :func:`train_policies` saves as ``<family>-final``.
+    """
+    seed = context.seed
+    duration_s = context.scale.trace_duration_s
+    if family == "pensieve":
+        abr = PensieveABR(config=PensieveConfig(seed=seed + 111))
+        curriculum = ScenarioCurriculum(
+            context.videos(), context.traces(),
+            config=CurriculumConfig(
+                trace_duration_s=duration_s, seed=seed + 101,
+            ),
+        )
+    else:
+        require(family == "sensei-pensieve", f"unknown family {family!r}")
+        abr = make_sensei_pensieve(seed=seed + 117)
+        curriculum = context.training_curriculum(
+            config=CurriculumConfig(
+                trace_duration_s=duration_s, seed=seed + 103,
+            )
+        )
+    return Trainer(
+        abr, curriculum, runner=context.runner, store=store,
+        checkpoint_name=family, oracle=context.oracle,
+        config=config if config is not None else DEFAULT_TRAINING,
     )
-    trainer = Trainer(
-        abr, curriculum, runner=runner, store=store, checkpoint_name=name,
-        oracle=oracle, config=config,
+
+
+def _train_one(context, family, store, config, verbose):
+    """Train one policy, checkpoint it, and report its trajectory."""
+    trainer = recipe_trainer(context, family, store=store, config=config)
+    untrained_qoe = evaluate_policy(
+        trainer.abr, trainer.curriculum.holdout_specs(config.eval_episodes),
+        runner=context.runner, oracle=context.oracle,
     )
     result = trainer.train()
     if verbose:
-        print(f"\n{name}: untrained held-out QoE {untrained_qoe:.3f}")
+        print(f"\n{family}: untrained held-out QoE {untrained_qoe:.3f}")
         for evaluation in result.evaluations:
             print(f"  round {int(evaluation['round']) + 1:2d}: "
                   f"mean QoE {evaluation['mean_qoe']:.3f}")
@@ -117,29 +155,9 @@ def train_policies(
               f"traces: {', '.join(t.name for t in context.traces())}; "
               f"backend: {runner.backend}")
 
-    # Base Pensieve trains on unweighted rewards; SENSEI-Pensieve trains on
-    # the same curriculum shape with sensitivity weights in state and reward.
-    plain_curriculum = ScenarioCurriculum(
-        context.videos(), context.traces(),
-        config=CurriculumConfig(
-            trace_duration_s=scale.trace_duration_s, seed=seed + 101,
-        ),
-    )
-    sensei_curriculum = context.training_curriculum(
-        config=CurriculumConfig(
-            trace_duration_s=scale.trace_duration_s, seed=seed + 103,
-        )
-    )
-
     trajectories = {
-        "pensieve": _train_one(
-            "pensieve", PensieveABR(config=PensieveConfig(seed=seed + 111)),
-            plain_curriculum, store, runner, context.oracle, config, verbose,
-        ),
-        "sensei-pensieve": _train_one(
-            "sensei-pensieve", make_sensei_pensieve(seed=seed + 117),
-            sensei_curriculum, store, runner, context.oracle, config, verbose,
-        ),
+        family: _train_one(context, family, store, config, verbose)
+        for family in ("pensieve", "sensei-pensieve")
     }
 
     # Round-trip: load the best checkpoints back and run the full ABR grid.

@@ -10,7 +10,11 @@ import pytest
 from repro.abr.pensieve import PensieveABR, PensieveConfig
 from repro.core.sensei_abr import SenseiPensieveABR, make_sensei_pensieve
 from repro.engine.runner import BatchRunner, WorkOrder
-from repro.experiments.common import ExperimentContext, ExperimentScale
+from repro.experiments.common import (
+    FALLBACK_PROVENANCE,
+    ExperimentContext,
+    ExperimentScale,
+)
 from repro.experiments import abr_eval, qoe_models, sensitivity
 from repro.training.checkpoint import CheckpointStore
 
@@ -24,10 +28,22 @@ def tiny_context():
         num_traces=2,
         step1_ratings=5,
         step2_ratings=2,
-        pensieve_episodes=8,
         trace_duration_s=700.0,
     )
     return ExperimentContext(scale=scale, seed=13)
+
+
+@pytest.fixture(scope="module")
+def pipeline_checkpoints(tmp_path_factory):
+    """The checkpoints ``train_policies`` writes at tiny scale, seed 5."""
+    from repro.training.pipeline import train_policies
+
+    root = tmp_path_factory.mktemp("pipeline") / "checkpoints"
+    train_policies(
+        scale=ExperimentScale.tiny(), seed=5, checkpoint_root=root,
+        verbose=False,
+    )
+    return root
 
 
 class TestContext:
@@ -79,7 +95,6 @@ class TestContextAgentCaching:
             num_traces=1,
             step1_ratings=4,
             step2_ratings=2,
-            pensieve_episodes=2,
             trace_duration_s=400.0,
         )
         fields.update(overrides)
@@ -166,7 +181,36 @@ class TestContextAgentCaching:
         )
         agent = context.trained_pensieve()
         assert agent.trained_episodes > 0
-        assert context.trained_agent_sources["pensieve"] == "ad-hoc-training"
+        assert context.trained_agent_sources["pensieve"] == (
+            FALLBACK_PROVENANCE
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "lockstep"])
+    def test_fallback_is_the_pipelines_final_policy(
+        self, tmp_path, pipeline_checkpoints, backend
+    ):
+        """Without checkpoints the context trains each family with
+        ``train_policies``' own recipe: on either backend its parameters
+        are bit for bit the ``<family>-final`` checkpoint that pipeline
+        writes at the same scale and seed."""
+        store = CheckpointStore(pipeline_checkpoints)
+        context = ExperimentContext(
+            scale=ExperimentScale.tiny(), seed=5,
+            runner=BatchRunner(backend=backend),
+            checkpoint_root=tmp_path / "none",
+        )
+        for family, fallback in (
+            ("pensieve", context.trained_pensieve()),
+            ("sensei-pensieve", context.trained_sensei_pensieve()),
+        ):
+            final = store.load(f"{family}-final").agent.state_dict()
+            fallback_state = fallback.agent.state_dict()
+            assert sorted(fallback_state) == sorted(final)
+            for key, value in final.items():
+                assert fallback_state[key].tobytes() == value.tobytes(), key
+            assert context.trained_agent_sources[family] == (
+                FALLBACK_PROVENANCE
+            )
 
 
 class TestSensitivityExperiments:

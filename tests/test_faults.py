@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.abr.bba import BufferBasedABR
 from repro.abr.fugu import FuguABR
-from repro.engine.runner import BatchRunner, WorkOrder, orders_for_grid
+from repro.engine.runner import BatchRunner, orders_for_grid
 from repro.experiments.results import ArtifactStore, CellCache, ResultSet
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import (
@@ -404,7 +404,7 @@ class TestLockstepRecovery:
         assert runner.fault_log.worker_crashes >= 1
 
     def test_raise_in_rollout_shard_recovers_bit_identically(self):
-        """A struck rollout shard is re-run through the serial reseed ->
+        """A struck rollout shard is re-run through the serial seeded
         capture -> run reference: the collected experience is byte-equal
         to a clean collection, and the recovery is counted."""
         from repro.abr.pensieve import PensieveABR, PensieveConfig
@@ -438,28 +438,19 @@ class TestLockstepRecovery:
 
     def test_recovered_shard_leaves_the_agent_stream_serial_leaves(self):
         """A struck shard of seeded exploration orders is re-run serially,
-        and the agent still ends on the stream the serial reference leaves:
-        the last order's, advanced by that session's draws."""
-        from repro.abr.pensieve import PensieveABR, PensieveConfig
+        and the agent's exploration stream still ends as it started — as
+        the serial reference and an unstruck shard leave it."""
+        from tests.test_lockstep import assert_call_keeps_agent_stream
 
         encoded = _encode("ch-stream", "sports", 48.0, 63)
         traces = TraceBank(num_traces=2, duration_s=300.0, seed=73).traces()
-
-        def run(runner):
-            abr = PensieveABR(config=PensieveConfig(seed=5), greedy=False)
-            runner.run_orders([
-                WorkOrder(abr=abr, encoded=encoded, trace=trace,
-                          exploration_seed=seed)
-                for seed, trace in zip((11, 12), traces)
-            ])
-            return abr.agent.exploration_stream.bit_generator.state
-
-        serial = run(BatchRunner(backend="serial"))
         plan = FaultPlan(faults=(FaultSpec(kind="raise_in_shard"),))
         with inject(plan):
             with pytest.warns(ShardRecoveryWarning, match="shard"):
-                struck = run(BatchRunner(backend="lockstep"))
-        assert struck == serial
+                assert_call_keeps_agent_stream(
+                    BatchRunner(backend="lockstep"), "run_orders", encoded,
+                    traces,
+                )
 
 
 # ========================================================== property layer

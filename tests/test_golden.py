@@ -103,30 +103,32 @@ def _chunk_weights(encoded, stall_mode: str):
 def _train_rl(abr, encoded, traces, chunk_weights, episode_seeds):
     """A few genuine policy-gradient updates, deterministic by seeds.
 
-    Every episode is a pure function of (parameters, episode seed) — the
-    ``reseed_exploration`` discipline — so the resulting weights are fully
-    pinned by the seeds here and the grid stays reproducible.  Returned in
-    greedy mode.
+    Every episode is a pure function of (parameters, episode seed) — each
+    order pins ``exploration_seed`` — and its rewards come from the
+    training collector's reward, so the resulting weights are fully pinned
+    by the seeds here and the grid stays reproducible.  Returned in greedy
+    mode.
     """
-    from repro.ml.rl import EpisodeBuffer
     from repro.engine.runner import WorkOrder
+    from repro.ml.rl import EpisodeBuffer
+    from repro.training.collector import _rollout_from_trajectory
+    from repro.training.curriculum import EpisodeSpec
 
     abr.greedy = False
     for seed in episode_seeds:
         for trace in traces:
-            abr.agent.reseed_exploration(seed)
             abr.begin_capture()
             result = WorkOrder(
-                abr, encoded, trace, chunk_weights=chunk_weights
+                abr, encoded, trace, chunk_weights=chunk_weights,
+                exploration_seed=seed,
             ).run()
-            trajectory = abr.end_capture()
-            rewards = abr.quality_model.chunk_scores(result.rendered)
-            if chunk_weights is not None:
-                rewards = np.asarray(chunk_weights, dtype=float) * rewards
+            rollout = _rollout_from_trajectory(
+                abr.quality_model,
+                EpisodeSpec(encoded, trace, chunk_weights, seed),
+                result, abr.end_capture(),
+            )
             abr.agent.train_on_episode(EpisodeBuffer.from_arrays(
-                np.stack([state for state, _ in trajectory]),
-                np.asarray([action for _, action in trajectory], dtype=int),
-                rewards,
+                rollout.states, rollout.actions, rollout.rewards,
             ))
     abr.greedy = True
     return abr

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.abr.bba import BufferBasedABR
 from repro.abr.fugu import FuguABR
 from repro.abr.mpc import ModelPredictiveABR
-from repro.abr.pensieve import PensieveABR, PensieveConfig, PensieveTrainer
+from repro.abr.pensieve import PensieveABR, PensieveConfig
 from repro.abr.rate import RateBasedABR
 from repro.core.sensei_abr import SenseiFuguABR, make_sensei_pensieve
 from repro.abr.throughput import (
@@ -32,9 +32,7 @@ from repro.engine.lockstep import (
     KIND_GENERIC,
     _PlannerDriverBase,
     decision_kind,
-    order_supports_lockstep,
     run_orders_lockstep,
-    supports_lockstep,
 )
 from repro.engine.runner import BatchRunner, WorkOrder, orders_for_grid
 from repro.network.bank import TraceBank
@@ -42,6 +40,8 @@ from repro.network.trace import ThroughputTrace
 from repro.player.shard import ShardState
 from repro.service.decisions import decide_batch
 from repro.service.sessions import SessionTable
+from repro.training.curriculum import CurriculumConfig, ScenarioCurriculum
+from repro.training.trainer import Trainer, TrainerConfig
 from repro.video.chunk import DEFAULT_LADDER
 from repro.video.encoder import SyntheticEncoder
 from repro.video.video import SourceVideo
@@ -128,11 +128,16 @@ class TestLockstepEquivalence:
         """Greedy Pensieve / SENSEI-Pensieve with trained weights."""
         videos, traces, weights = ragged_grid
         pensieve = PensieveABR(config=PensieveConfig(seed=11))
-        PensieveTrainer(pensieve, seed=12).train(videos, traces, episodes=3)
         sensei = make_sensei_pensieve(seed=13)
-        PensieveTrainer(sensei, seed=14).train(
-            videos, traces, episodes=3, weights_by_video=weights
-        )
+        for abr, seed, abr_weights in ((pensieve, 12, None),
+                                       (sensei, 14, weights)):
+            curriculum = ScenarioCurriculum(
+                videos, traces, weights_by_video=abr_weights,
+                config=CurriculumConfig(regime_mix=(("bank", 1.0),), seed=seed),
+            )
+            Trainer(abr, curriculum, config=TrainerConfig(
+                rounds=1, episodes_per_round=3, eval_every=0,
+            )).train()
         _run_both([pensieve, sensei], videos, traces, weights)
 
     def test_sensei_proactive_stalls_survive_lockstep(self, ragged_grid):
@@ -304,60 +309,41 @@ class TestLockstepEquivalence:
                 stalls += online.timeline.proactive_stall_count()
             assert stalls > 0
 
-    def test_exploring_rl_policy_falls_back_to_serial_execution(
-        self, ragged_grid
-    ):
-        """*Unseeded* greedy=False policies depend on one shared RNG stream
-        consumed across sessions: lockstep must execute them serially (and
-        say so via order_supports_lockstep)."""
+    @pytest.mark.parametrize("backend", ["serial", "lockstep"])
+    def test_unseeded_exploring_order_is_rejected(self, ragged_grid, backend):
+        """An exploration-mode RL order without an ``exploration_seed``
+        would draw from the agent's shared stream, which no backend can
+        reproduce: both refuse it — alone, after a seeded order on the
+        same agent, through ``run_rollouts``, and when ``greedy`` is
+        flipped after the order was built."""
         videos, traces, _ = ragged_grid
         explorer = PensieveABR(config=PensieveConfig(seed=3), greedy=False)
-        assert not supports_lockstep(explorer)
-        orders = [
-            WorkOrder(abr=explorer, encoded=videos[0], trace=trace)
-            for trace in traces
-        ]
-        assert not any(order_supports_lockstep(order) for order in orders)
-        # The exploration RNG is shared across sessions and consumed by
-        # every run, so both backends must start it from the same state.
-        explorer.agent.reseed_exploration(123)
-        serial = BatchRunner(backend="serial").run_orders(orders)
-        explorer.agent.reseed_exploration(123)
-        lockstep = BatchRunner(backend="lockstep").run_orders(orders)
-        for left, right in zip(serial, lockstep):
-            assert_results_identical(left, right)
-
-    def test_seeded_exploring_rl_policy_batches_in_lockstep(
-        self, ragged_grid
-    ):
-        """Pinning ``WorkOrder.exploration_seed`` lifts the fallback: each
-        session gets a private RNG stream, so the batched RL driver can
-        co-schedule exploring sessions and still match serial bitwise
-        (the full differential fuzz lives in tests/test_rl_batch.py)."""
-        videos, traces, _ = ragged_grid
-        explorer = PensieveABR(config=PensieveConfig(seed=3), greedy=False)
-        orders = [
-            WorkOrder(
-                abr=explorer, encoded=videos[0], trace=trace,
-                exploration_seed=900 + index,
-            )
-            for index, trace in enumerate(traces)
-        ]
-        assert all(order_supports_lockstep(order) for order in orders)
-        serial = BatchRunner(backend="serial").run_orders(orders)
-        lockstep = BatchRunner(backend="lockstep").run_orders(orders)
-        for left, right in zip(serial, lockstep):
-            assert_results_identical(left, right)
+        seeded = WorkOrder(abr=explorer, encoded=videos[0], trace=traces[0],
+                           exploration_seed=5)
+        unseeded = WorkOrder(abr=explorer, encoded=videos[0], trace=traces[1])
+        flipped_abr = PensieveABR(config=PensieveConfig(seed=4))
+        flipped = WorkOrder(abr=flipped_abr, encoded=videos[0], trace=traces[0])
+        flipped_abr.greedy = False
+        runner = BatchRunner(backend=backend)
+        for call, orders in (
+            (runner.run_orders, [unseeded]),
+            (runner.run_orders, [seeded, unseeded]),
+            (runner.run_rollouts, [unseeded]),
+            (runner.run_orders, [flipped]),
+        ):
+            with pytest.raises(ValueError, match="exploration_seed"):
+                call(orders)
+            assert explorer._capture is None  # no capture left running
 
     @pytest.mark.parametrize("shared_agent", [False, True])
     def test_seeded_order_before_unseeded_one_matches_serial(
         self, ragged_grid, shared_agent
     ):
-        """Under serial execution a seeded order reseeds the agent's
-        exploration stream, which a later *unseeded* order then draws
-        from; lockstep must run every order on that stream — the same
-        policy, or another instance sharing its agent — serially, in
-        submission order."""
+        """A seeded order followed by an unseeded one on the same agent's
+        stream — the same policy, or another instance sharing its agent —
+        gets the same answer from lockstep as from serial: both refuse the
+        batch before any session runs, leaving the agent's exploration
+        stream where it was."""
         videos, traces, _ = ragged_grid
 
         def run(backend):
@@ -368,14 +354,57 @@ class TestLockstepEquivalence:
                     config=PensieveConfig(seed=4), greedy=False
                 )
                 unseeded.agent = seeded.agent
+            seeded.agent.exploration_stream.random(3)
+            before = seeded.agent.exploration_stream.bit_generator.state
             orders = [
                 WorkOrder(abr=seeded, encoded=videos[0], trace=traces[0],
                           exploration_seed=5),
                 WorkOrder(abr=unseeded, encoded=videos[0], trace=traces[1]),
             ]
-            return BatchRunner(backend=backend).run_orders(orders)
+            with pytest.raises(ValueError, match="exploration_seed") as info:
+                BatchRunner(backend=backend).run_orders(orders)
+            after = seeded.agent.exploration_stream.bit_generator.state
+            assert after == before
+            return str(info.value)
 
-        for left, right in zip(run("serial"), run("lockstep")):
+        assert run("serial") == run("lockstep")
+
+    def test_lockstep_rejects_exploring_non_stock_rl(self, ragged_grid):
+        """Only the stock Pensieve-family driver gives each row its own
+        seeded stream, so lockstep refuses any other exploration-mode
+        policy loudly instead of falling back to serial."""
+        videos, traces, _ = ragged_grid
+
+        class _SubclassedPensieve(PensieveABR):
+            pass
+
+        order = WorkOrder(
+            abr=_SubclassedPensieve(config=PensieveConfig(seed=3), greedy=False),
+            encoded=videos[0], trace=traces[0], exploration_seed=5,
+        )
+        order.run()  # the serial reference runs it
+        with pytest.raises(ValueError, match="stock Pensieve-family"):
+            BatchRunner(backend="lockstep").run_orders([order])
+
+    def test_seeded_exploring_rl_policy_batches_in_lockstep(
+        self, ragged_grid
+    ):
+        """Pinning ``WorkOrder.exploration_seed`` gives each session a
+        private RNG stream, so the batched RL driver can co-schedule
+        exploring sessions and still match serial bitwise (the full
+        differential fuzz lives in tests/test_rl_batch.py)."""
+        videos, traces, _ = ragged_grid
+        explorer = PensieveABR(config=PensieveConfig(seed=3), greedy=False)
+        orders = [
+            WorkOrder(
+                abr=explorer, encoded=videos[0], trace=trace,
+                exploration_seed=900 + index,
+            )
+            for index, trace in enumerate(traces)
+        ]
+        serial = BatchRunner(backend="serial").run_orders(orders)
+        lockstep = BatchRunner(backend="lockstep").run_orders(orders)
+        for left, right in zip(serial, lockstep):
             assert_results_identical(left, right)
 
     @pytest.mark.parametrize("entry", ["run_orders", "run_rollouts"])
@@ -383,31 +412,31 @@ class TestLockstepEquivalence:
     def test_agent_stream_after_a_call_matches_serial(
         self, ragged_grid, greedy, entry
     ):
-        """``WorkOrder.run`` reseeds the agent before every seeded order
-        (greedy ones too), so after a call the agent holds the stream of
-        its last seeded order, advanced by that session's draws.  Lockstep
-        must hand that stream back, or a later call on the same agent
-        draws differently."""
+        """Neither backend changes the agent's exploration stream: seeded
+        sessions sample from their own streams, so a later call on the
+        same agent draws the same whichever backend ran this one.  (The
+        struck-shard case is in tests/test_faults.py.)"""
         videos, traces, _ = ragged_grid
+        for backend in ("serial", "lockstep"):
+            assert_call_keeps_agent_stream(
+                BatchRunner(backend=backend), entry, videos[0], traces[:2],
+                greedy=greedy,
+            )
 
-        def run(backend):
-            abr = PensieveABR(config=PensieveConfig(seed=3), greedy=greedy)
-            runner = BatchRunner(backend=backend)
-            getattr(runner, entry)([
-                WorkOrder(abr=abr, encoded=videos[0], trace=traces[0],
-                          exploration_seed=9),
-            ])
-            state = abr.agent.exploration_stream.bit_generator.state
-            abr.greedy = False
-            (later,) = runner.run_orders([
-                WorkOrder(abr=abr, encoded=videos[0], trace=traces[0]),
-            ])
-            return state, later
 
-        serial_state, serial = run("serial")
-        lockstep_state, lockstep = run("lockstep")
-        assert serial_state == lockstep_state
-        assert_results_identical(serial, lockstep)
+def assert_call_keeps_agent_stream(runner, entry, encoded, traces,
+                                   greedy=False):
+    """One ``runner.<entry>`` call of seeded orders on a policy whose
+    stream has already drawn leaves that stream's state unchanged."""
+    abr = PensieveABR(config=PensieveConfig(seed=3), greedy=greedy)
+    abr.agent.exploration_stream.random(3)
+    before = abr.agent.exploration_stream.bit_generator.state
+    getattr(runner, entry)([
+        WorkOrder(abr=abr, encoded=encoded, trace=trace,
+                  exploration_seed=9 + index)
+        for index, trace in enumerate(traces)
+    ])
+    assert abr.agent.exploration_stream.bit_generator.state == before
 
 
 @st.composite

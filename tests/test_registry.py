@@ -494,6 +494,45 @@ class TestCheckpointAwareCaching:
         assert resumed.data_json() == first.data_json()
 
 
+    def test_retired_fallback_cells_are_never_served(
+        self, tmp_path, monkeypatch
+    ):
+        """Without checkpoints the RL cell keys name the fallback's recipe,
+        so a cell scored by an older fallback (keyed ``ad-hoc-training``)
+        is never served for the policy the current recipe trains."""
+        from repro.experiments import abr_eval
+
+        art_store = ArtifactStore(tmp_path / "results")
+        spec = tiny_spec(
+            "fig12a", include_pensieve=True,
+            checkpoint_root=str(tmp_path / "no-checkpoints"),
+        )
+        context = context_for(spec)
+        cache = art_store.cell_cache(spec)
+        sentinel = 1234.5
+        for name in ("Pensieve", "SENSEI-Pensieve"):
+            for encoded in context.videos():
+                for trace in context.traces():
+                    cache.put(
+                        f"grid/{name}/{encoded.source.video_id}/"
+                        f"{trace.name}/ad-hoc-training",
+                        sentinel,
+                    )
+        grids = []
+        evaluate_grid = abr_eval._evaluate_grid
+
+        def capturing(*args, **kwargs):
+            grids.append(evaluate_grid(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(abr_eval, "_evaluate_grid", capturing)
+        run(spec, store=art_store)
+        (scores,) = grids
+        for name in ("Pensieve", "SENSEI-Pensieve"):
+            assert len(scores[name]) == 6
+            assert sentinel not in scores[name].values()
+
+
 class TestDeterminism:
     """Satellite: identical specs are bit-identical on both backends."""
 

@@ -12,7 +12,7 @@ only sound if batching is *bitwise* invisible:
   ``action_probabilities`` per row (including ragged views, single-row
   and empty batches);
 * exploration-mode sampling through the lockstep driver's per-session RNG
-  streams must replay the serial ``reseed_exploration`` discipline
+  streams must replay the serial ``WorkOrder.exploration_seed`` streams
   exactly, for any checkpoint and any shard split
   (``TestSamplingBitidentityFuzz`` — randomized end-to-end sessions with
   hypothesis-shrinkable repros; every failing example prints its full
@@ -32,10 +32,7 @@ from hypothesis import strategies as st
 
 from repro.abr.pensieve import PensieveABR, PensieveConfig
 from repro.core.sensei_abr import make_sensei_pensieve
-from repro.engine.lockstep import (
-    order_supports_lockstep,
-    run_rl_rollouts_lockstep,
-)
+from repro.engine.lockstep import run_rl_rollouts_lockstep
 from repro.engine.runner import WorkOrder
 from repro.ml.nn import MLP, row_matmul
 from repro.ml.rl import ActorCriticAgent, ActorCriticConfig, EpisodeBuffer
@@ -237,7 +234,7 @@ class TestSamplingBitidentityFuzz:
     def test_lockstep_sampling_replays_serial_streams(
         self, family, checkpoint_seed, exploration_seeds, split_seed
     ):
-        """Batched exploration ≡ serial reseed-replay, for any checkpoint,
+        """Batched exploration ≡ serial seeded streams, for any checkpoint,
         seed set and shard split — results *and* trajectories bitwise."""
         note(
             "repro: family=%s checkpoint_seed=%d exploration_seeds=%r "
@@ -250,9 +247,8 @@ class TestSamplingBitidentityFuzz:
             if family == "sensei-pensieve" else None
         )
         orders = _orders(abr, exploration_seeds, weights)
-        assert all(order_supports_lockstep(order) for order in orders)
 
-        # Serial reference: the shared-agent reseed discipline.
+        # Serial reference: one fresh seeded stream per order.
         serial = []
         serial_trajectories = []
         for order in orders:
@@ -291,17 +287,20 @@ class TestSamplingBitidentityFuzz:
                 _trajectory_key(serial_trajectories[index])
             )
 
-    def test_unseeded_exploration_stays_serial(self):
-        """The narrowed gate: exploration without a pinned seed cannot
-        batch (no stream to replay), so the lockstep engine must refuse."""
+    def test_unseeded_exploration_is_rejected(self):
+        """Exploration without a pinned seed has no stream to replay, so
+        the lockstep rollout path and the serial reference both refuse
+        it."""
         abr = _random_checkpoint("pensieve", 7)
         order = WorkOrder(abr=abr, encoded=_ENCODED, trace=_TRACES[0])
-        assert not order_supports_lockstep(order)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exploration_seed"):
             run_rl_rollouts_lockstep([order])
+        with pytest.raises(ValueError, match="exploration_seed"):
+            order.run()
 
     def test_greedy_orders_batch_without_seed(self):
         abr = _random_checkpoint("pensieve", 11)
         abr.greedy = True
         order = WorkOrder(abr=abr, encoded=_ENCODED, trace=_TRACES[0])
-        assert order_supports_lockstep(order)
+        (result,), _ = run_rl_rollouts_lockstep([order])
+        assert _result_key(result) == _result_key(order.run())

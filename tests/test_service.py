@@ -501,6 +501,19 @@ class TestOnlineOfflineIdentity:
         assert verdict["checked"] == 2
         assert verdict["identical"], verdict["mismatches"]
 
+    def test_exploring_rl_session_is_rejected_at_registration(self, context):
+        """The service has no exploration seed to pin, so an
+        exploration-mode policy is refused up front rather than served
+        online and then failing its offline replay."""
+        service = DecisionService()
+        with pytest.raises(ValueError, match="exploration_seed"):
+            service.register(
+                tenant="rl", session_id="explorer",
+                abr=PensieveABR(PensieveConfig(seed=3), greedy=False),
+                encoded=context.videos()[0], trace=context.traces()[0],
+            )
+        assert len(service.table) == 0
+
     def test_degraded_sessions_are_excluded_from_verification(self, context):
         async def scenario():
             service = DecisionService(max_batch=4, max_delay_s=0.005,

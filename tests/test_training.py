@@ -94,7 +94,7 @@ def fresh_policy() -> SenseiPensieveABR:
 
 
 def collect_serially(abr, specs):
-    """Rollouts through the serial reference (reseed -> capture -> run)."""
+    """Rollouts through the serial reference (seeded capture -> run)."""
     return RolloutCollector(runner=BatchRunner(backend="serial")).collect(
         abr, specs
     )
@@ -111,7 +111,6 @@ class TestSeeding:
         fresh = fresh_policy()
         warmed = fresh_policy()
         # Burn exploration samples on one agent only.
-        warmed.agent.reseed_exploration(12345)
         state = np.zeros(warmed.config.state_dim)
         for _ in range(50):
             warmed.agent.select_action(state)
@@ -250,7 +249,7 @@ class TestRolloutCollector:
     def test_lockstep_backend_matches_serial(self, curriculum):
         """The batched RL driver collects byte-identical experience: the
         whole round steps as one SoA shard, yet every (state, action,
-        reward) array must equal the serial reseed-replay's exactly."""
+        reward) array must equal the serial reference's exactly."""
         specs = curriculum.training_specs(6, round_index=1)
         abr = fresh_policy()
         serial = RolloutCollector(
