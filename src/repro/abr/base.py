@@ -12,8 +12,7 @@ request a proactive stall.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,10 +154,3 @@ class ABRAlgorithm(ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
-
-def pad_history(values: Sequence[float], length: int, fill: float = 0.0) -> np.ndarray:
-    """Left-pad a history sequence to a fixed length (RL state building)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size >= length:
-        return arr[-length:]
-    return np.concatenate([np.full(length - arr.size, fill), arr])

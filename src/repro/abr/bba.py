@@ -37,12 +37,26 @@ class BufferBasedABR(ABRAlgorithm):
 
     def decide(self, observation: PlayerObservation) -> Decision:
         """Map the buffer level to a bitrate level via the BBA chunk map."""
-        ladder = observation.ladder
-        buffer_s = observation.buffer_s
-        if buffer_s <= self.reservoir_s:
-            return Decision(level=ladder.lowest_level)
-        if buffer_s >= self.reservoir_s + self.cushion_s:
-            return Decision(level=ladder.highest_level)
+        level = self.levels_for_buffers(
+            np.array([observation.buffer_s]),
+            np.array([observation.ladder.num_levels]),
+        )[0]
+        return Decision(level=int(level))
+
+    def levels_for_buffers(
+        self, buffer_s: np.ndarray, num_levels: np.ndarray
+    ) -> np.ndarray:
+        """The chunk map over rows: each row's level for its buffer level
+        (seconds) on a ladder of ``num_levels`` levels."""
         fraction = (buffer_s - self.reservoir_s) / self.cushion_s
-        level = int(np.floor(fraction * (ladder.num_levels - 1) + 1e-9))
-        return Decision(level=self.clamp_level(level, ladder))
+        ramp = np.floor(fraction * (num_levels - 1) + 1e-9).astype(int)
+        ramp = np.minimum(np.maximum(ramp, 0), num_levels - 1)
+        return np.where(
+            buffer_s <= self.reservoir_s,
+            0,
+            np.where(
+                buffer_s >= self.reservoir_s + self.cushion_s,
+                num_levels - 1,
+                ramp,
+            ),
+        )

@@ -57,11 +57,15 @@ class ModelPredictiveABR(ABRAlgorithm):
     def reset(self) -> None:
         self.predictor.reset()
 
+    def conservative(self, predicted):
+        """The one throughput scenario planned against: the prediction (a
+        float or an array of them) with RobustMPC's discount applied."""
+        return predicted / (1.0 + self.robustness_discount)
+
     def decide(self, observation: PlayerObservation) -> Decision:
         """Plan over the horizon and return the first step's level."""
         horizon = min(self.horizon, observation.horizon)
-        predicted = self.predictor.predict(observation)
-        conservative = predicted / (1.0 + self.robustness_discount)
+        conservative = self.conservative(self.predictor.predict(observation))
         candidates = enumerate_level_sequences(
             observation.ladder.num_levels,
             horizon,

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation, pad_history
+from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation
 from repro.ml.rl import ActorCriticAgent, ActorCriticConfig
 from repro.qoe.ksqi import KSQIModel
 from repro.utils.validation import require
@@ -102,48 +102,100 @@ class PensieveABR(ABRAlgorithm):
 
     # -------------------------------------------------------------- encoding
 
+    def check_ladder(self, num_levels: int) -> None:
+        """Refuse a ladder wider than the agent's next-chunk-size inputs."""
+        require(
+            num_levels <= self.config.num_levels,
+            f"a {num_levels}-level ladder is wider than the agent's "
+            f"{self.config.num_levels} next-chunk-size inputs",
+        )
+
     def encode_state(self, observation: PlayerObservation) -> np.ndarray:
         """Flatten a player observation into the agent's state vector."""
-        cfg = self.config
-        throughput = pad_history(
-            observation.throughput_history_mbps, cfg.history_length
-        ) / _THROUGHPUT_SCALE_MBPS
-        download_times = pad_history(
-            observation.download_time_history_s, cfg.history_length
-        ) / _DOWNLOAD_TIME_SCALE_S
-        next_sizes = np.zeros(cfg.num_levels)
-        available = observation.next_chunk_sizes()
-        next_sizes[: available.size] = available / _CHUNK_SIZE_SCALE_BYTES
-        buffer_norm = observation.buffer_s / _BUFFER_SCALE_S
-        last_level_norm = (
-            (observation.last_level + 1) / observation.ladder.num_levels
-        )
-        remaining_norm = observation.chunks_remaining / max(1, observation.num_chunks)
-        parts = [
-            throughput,
-            download_times,
-            next_sizes,
-            np.array([buffer_norm, last_level_norm, remaining_norm]),
-        ]
-        if cfg.weight_horizon > 0:
-            weights = np.ones(cfg.weight_horizon)
-            available_weights = observation.upcoming_weights[: cfg.weight_horizon]
-            weights[: available_weights.size] = available_weights
-            parts.append(weights)
-        state = np.concatenate(parts)
-        require(state.size == cfg.state_dim, "state encoding size mismatch")
-        return state
+        weights = observation.upcoming_weights
+        return self.encode_states(
+            observation.throughput_history_mbps[None, :],
+            observation.download_time_history_s[None, :],
+            observation.next_chunk_sizes()[None, :],
+            np.array([observation.ladder.num_levels]),
+            np.array([observation.buffer_s]),
+            np.array([observation.last_level]),
+            np.array([observation.chunks_remaining]),
+            np.array([observation.num_chunks]),
+            weights[None, :],
+            np.array([weights.size]),
+        )[0]
 
-    def action_to_decision(self, action: int) -> Decision:
-        """Map a discrete action index to an ABR decision."""
+    def encode_states(
+        self,
+        throughput: np.ndarray,
+        download_times: np.ndarray,
+        next_sizes: np.ndarray,
+        num_levels: np.ndarray,
+        buffer_s: np.ndarray,
+        last_levels: np.ndarray,
+        chunks_remaining: np.ndarray,
+        num_chunks: np.ndarray,
+        weights: np.ndarray,
+        num_weights: np.ndarray,
+    ) -> np.ndarray:
+        """``(rows, state_dim)`` states, one per row of the inputs.
+
+        ``throughput`` and ``download_times`` are ``(rows, width)``
+        histories, oldest first, left-padded with zeros (or cut) to the
+        agent's window.  ``next_sizes`` holds the next chunk's sizes per
+        level, zero past each row's ``num_levels``.  ``weights`` holds the
+        upcoming chunks' weights, of which the first ``num_weights`` per
+        row are real; the rest of the weight inputs read 1.
+        """
         cfg = self.config
-        if action < cfg.num_levels:
-            return Decision(level=int(action))
-        stall_index = action - cfg.num_levels
-        stall_s = cfg.stall_actions_s[stall_index]
-        # A stall action keeps the previous level for the next chunk; the
-        # level itself is resolved by the caller (lowest safe default here).
-        return Decision(level=0, proactive_stall_s=float(stall_s))
+        self.check_ladder(int(num_levels.max()))
+        rows = buffer_s.size
+        states = np.zeros((rows, cfg.state_dim))
+        length = cfg.history_length
+        for offset, history, scale in (
+            (0, throughput, _THROUGHPUT_SCALE_MBPS),
+            (length, download_times, _DOWNLOAD_TIME_SCALE_S),
+        ):
+            width = min(history.shape[1], length)
+            stop = offset + length
+            states[:, stop - width:stop] = history[:, history.shape[1] - width:] / scale
+        at = 2 * length
+        width = min(next_sizes.shape[1], cfg.num_levels)
+        states[:, at:at + width] = next_sizes[:, :width] / _CHUNK_SIZE_SCALE_BYTES
+        at += cfg.num_levels
+        states[:, at] = buffer_s / _BUFFER_SCALE_S
+        states[:, at + 1] = (last_levels + 1) / num_levels
+        states[:, at + 2] = chunks_remaining / np.maximum(num_chunks, 1)
+        at += 3
+        if cfg.weight_horizon > 0:
+            width = min(weights.shape[1], cfg.weight_horizon)
+            states[:, at:] = 1.0
+            states[:, at:at + width] = np.where(
+                np.arange(width) < num_weights[:, None], weights[:, :width], 1.0
+            )
+        return states
+
+    def decisions_for_actions(
+        self, actions: np.ndarray, last_levels: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(levels, proactive stalls)`` for action indices, given each
+        row's previously played level (-1 before the first chunk).
+
+        A stall action with a positive stall keeps streaming at the
+        previous level (the paper reruns the ABR after crediting the
+        buffer; keeping the level is the equivalent single-pass form), or
+        the lowest before any chunk; a zero-second one plays the lowest.
+        """
+        cfg = self.config
+        is_stall = actions >= cfg.num_levels
+        levels = np.where(is_stall, 0, actions)
+        stalls = np.zeros(actions.size)
+        if is_stall.any():
+            options = np.asarray(cfg.stall_actions_s, dtype=float)
+            stalls[is_stall] = options[actions[is_stall] - cfg.num_levels]
+            levels = np.where(stalls > 0, np.maximum(last_levels, 0), levels)
+        return levels, stalls
 
     # --------------------------------------------------------------- deciding
 
@@ -158,18 +210,12 @@ class PensieveABR(ABRAlgorithm):
     ) -> Decision:
         """The decision for ``action``, chosen in ``state`` (the encoded
         ``observation``); records the pair while capturing."""
-        decision = self.action_to_decision(action)
-        if decision.proactive_stall_s > 0:
-            # Keep streaming at the previously chosen level during a
-            # proactive stall (the paper reruns the ABR after crediting the
-            # buffer; keeping the level is the equivalent single-pass form).
-            previous = max(observation.last_level, 0)
-            decision = Decision(
-                level=previous, proactive_stall_s=decision.proactive_stall_s
-            )
+        levels, stalls = self.decisions_for_actions(
+            np.array([action]), np.array([observation.last_level])
+        )
         if self._capture is not None:
             self._capture.append((state, action))
-        return decision
+        return Decision(level=int(levels[0]), proactive_stall_s=float(stalls[0]))
 
     # --------------------------------------------------------------- training
 

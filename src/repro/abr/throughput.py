@@ -4,18 +4,29 @@ Fugu's key ingredient is a probabilistic transmission-time predictor; the
 reproduction provides a discretised error-distribution predictor that learns
 the ratio between actual and predicted throughput online, plus the simpler
 harmonic-mean and EWMA predictors used by RobustMPC-style planners.
+
+The harmonic-mean and error-distribution predictors compute over rows: each
+``*_batch`` method is the one implementation, run by the lockstep engine on
+a shard's sessions, and the scalar ``predict``/``predict_distribution`` is
+its one-row call.
 """
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.abr.base import PlayerObservation
-from repro.utils.stats import harmonic_mean
 from repro.utils.validation import require
+
+
+#: The state row of a one-session predictor: what a scalar call (or the
+#: decision service, on a session's clone) reads and writes.
+ONE_ROW = np.zeros(1, dtype=int)
+ONE_ROW.flags.writeable = False
 
 
 class ThroughputPredictor(ABC):
@@ -49,11 +60,17 @@ class HarmonicMeanPredictor(ThroughputPredictor):
         self.default_mbps = float(default_mbps)
 
     def predict(self, observation: PlayerObservation) -> float:
-        history = observation.throughput_history_mbps
-        if history.size == 0:
-            return self.default_mbps
-        recent = history[-self.window:]
-        return harmonic_mean(recent)
+        return float(
+            self.predict_batch(observation.throughput_history_mbps[None, :])[0]
+        )
+
+    def predict_batch(self, histories: np.ndarray) -> np.ndarray:
+        """Predictions for a ``(rows, history)`` matrix of samples, oldest
+        first: one per row, each computed from that row alone."""
+        if histories.shape[1] == 0:
+            return np.full(histories.shape[0], self.default_mbps)
+        recent = histories[:, -self.window:]
+        return recent.shape[1] / np.add.reduce(1.0 / recent, axis=1)
 
 
 class EWMAPredictor(ThroughputPredictor):
@@ -100,12 +117,14 @@ class ErrorDistributionPredictor(ThroughputPredictor):
         self.ratio_range = (float(ratio_range[0]), float(ratio_range[1]))
         self.default_mbps = float(default_mbps)
         self._base = HarmonicMeanPredictor(window=window, default_mbps=default_mbps)
-        self._num_ratios = 0
-        self._last_prediction: float = 0.0
         # Constant per-instance arrays, hoisted out of the per-decision path.
         lo, hi = self.ratio_range
         self._bin_centers = np.linspace(lo, hi, self.num_bins)
         self._bin_edges = np.linspace(lo, hi, self.num_bins + 1)
+        # A clipped ratio's bin is the count of interior edges at or below
+        # it: right-open bins, the last one closed, as ``np.histogram``
+        # bins over ``_bin_edges``.
+        self._inner_edges = self._bin_edges[1:-1]
         # Seed template for up to five bins; resampled onto the bin grid
         # for larger num_bins (the seed truncated the template instead,
         # silently dropping the upper bins' probability mass).
@@ -119,49 +138,85 @@ class ErrorDistributionPredictor(ThroughputPredictor):
                 template,
             )
         self._cold_start_probs = cold / cold.sum()
-        self._bin_counts = np.zeros(self.num_bins, dtype=int)
+        self._allocate(1)
+
+    def _allocate(self, num_rows: int) -> None:
+        """Fresh per-row state: ratio count, last prediction, bin counts."""
+        self._num_ratios = np.zeros(num_rows, dtype=int)
+        self._last_prediction = np.zeros(num_rows)
+        self._bin_counts = np.zeros((num_rows, self.num_bins), dtype=int)
 
     def reset(self) -> None:
-        self._num_ratios = 0
-        self._last_prediction = 0.0
-        self._bin_counts = np.zeros(self.num_bins, dtype=int)
+        self._allocate(1)
+
+    def for_rows(self, num_rows: int) -> "ErrorDistributionPredictor":
+        """A reset copy with the same parameters holding per-row state for
+        ``num_rows`` sessions (row ``i`` is session ``i``'s predictor)."""
+        clone = copy.copy(self)
+        clone._allocate(num_rows)
+        return clone
 
     def predict(self, observation: PlayerObservation) -> float:
-        prediction = self._base.predict(observation)
-        self._record_ratio(observation, prediction)
-        self._last_prediction = prediction
-        return prediction
+        return float(
+            self.predict_batch(
+                ONE_ROW, observation.throughput_history_mbps[None, :]
+            )[0]
+        )
 
-    def _record_ratio(self, observation: PlayerObservation, prediction: float) -> None:
-        history = observation.throughput_history_mbps
-        if history.size == 0 or self._last_prediction <= 0:
-            return
-        actual = float(history[-1])
-        ratio = actual / self._last_prediction
-        lo, hi = self.ratio_range
-        clipped = min(max(ratio, lo), hi)
-        self._num_ratios += 1
-        # Maintain the histogram incrementally (same binning as
-        # ``np.histogram`` over ``self._bin_edges``: right-open bins, the
-        # last bin closed) so the distribution needs no per-decision pass
-        # over the whole history.
-        index = int(np.searchsorted(self._bin_edges, clipped, side="right")) - 1
-        self._bin_counts[min(max(index, 0), self.num_bins - 1)] += 1
+    def predict_batch(self, rows: np.ndarray, histories: np.ndarray) -> np.ndarray:
+        """Point predictions for the state rows ``rows`` (distinct), whose
+        throughput histories are the rows of ``histories``.
+
+        Each row's ratio between its latest sample and its *previous*
+        prediction is clipped to ``ratio_range`` and binned before the new
+        prediction replaces the previous one.
+        """
+        prediction = self._base.predict_batch(histories)
+        if histories.shape[1]:
+            recorded = rows
+            latest = histories[:, -1]
+            previous = self._last_prediction[rows]
+            if np.count_nonzero(previous) < rows.size:
+                seen = previous > 0
+                recorded, latest, previous = (
+                    rows[seen], latest[seen], previous[seen]
+                )
+            if recorded.size:
+                lo, hi = self.ratio_range
+                ratios = np.minimum(np.maximum(latest / previous, lo), hi)
+                bins = self._inner_edges.searchsorted(ratios, side="right")
+                self._num_ratios[recorded] += 1
+                self._bin_counts[recorded, bins] += 1
+        self._last_prediction[rows] = prediction
+        return prediction
 
     def predict_distribution(
         self, observation: PlayerObservation
     ) -> List[Tuple[float, float]]:
         """Discretised distribution over next-download throughput."""
-        prediction = self.predict(observation)
-        if self._num_ratios < 3:
-            # Cold start: concentrated near the point prediction with thin
-            # symmetric tails (strong pessimism here causes phantom stall
-            # risk and gratuitous hedging early in a session).
-            probabilities = self._cold_start_probs
+        throughputs, probabilities = self.predict_distribution_batch(
+            ONE_ROW, observation.throughput_history_mbps[None, :]
+        )
+        return list(zip(throughputs[0].tolist(), probabilities[0].tolist()))
+
+    def predict_distribution_batch(
+        self, rows: np.ndarray, histories: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(throughputs, probabilities)``, each ``(len(rows), num_bins)``:
+        :meth:`predict_batch` scaled by the bin centres, weighted by the
+        row's smoothed bin counts once it has recorded three ratios."""
+        prediction = self.predict_batch(rows, histories)
+        # Cold start: concentrated near the point prediction with thin
+        # symmetric tails (strong pessimism here causes phantom stall risk
+        # and gratuitous hedging early in a session).
+        cold = self._num_ratios[rows] < 3
+        if np.count_nonzero(cold) == rows.size:
+            probabilities = self._cold_start_probs[None, :].repeat(
+                rows.size, axis=0
+            )
         else:
-            smoothed = self._bin_counts + 0.5
-            probabilities = smoothed / float(smoothed.sum())
-        return [
-            (float(prediction * center), float(prob))
-            for center, prob in zip(self._bin_centers, probabilities)
-        ]
+            smoothed = self._bin_counts[rows] + 0.5
+            probabilities = smoothed / np.add.reduce(smoothed, axis=1)[:, None]
+            probabilities[cold] = self._cold_start_probs
+        return prediction[:, None] * self._bin_centers, probabilities
+

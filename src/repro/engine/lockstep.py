@@ -14,8 +14,8 @@ shard of work orders together, chunk-step by chunk-step:
   per-session Python loop;
 * for the planner ABR families (MPC, Fugu, SENSEI-Fugu) the per-decision
   hot path — throughput prediction and candidate scoring — is evaluated
-  *across sessions*: predictor state is kept as arrays over the shard,
-  planner inputs (buffer levels, histories, previous levels) are sliced
+  *across sessions*: the predictor's own batched method runs on the
+  group's rows (its state kept as arrays over the shard), planner inputs (buffer levels, histories, previous levels) are sliced
   straight out of the SoA arrays, and each family's batched *planner
   round* (:func:`plan_round`, :func:`sensei_round` — the latter holding
   SENSEI's stall gate and budgets) emits plan requests that
@@ -26,18 +26,28 @@ shard of work orders together, chunk-step by chunk-step:
   same rounds through the same :func:`plan_batch`, with a flush's stacked
   observations in place of the shard;
 * the Pensieve-family RL policies (greedy *and* exploration mode) run
-  through a dedicated batched driver: per-session states are encoded
-  straight off the SoA shard arrays, the actor MLP runs one forward per
+  through a dedicated batched driver: :meth:`PensieveABR.encode_states`
+  encodes per-session states straight off the SoA shard arrays, the
+  actor MLP runs one forward per
   decision round across the whole group (row-stable matmuls — see
   :func:`repro.ml.nn.row_matmul`), greedy actions are per-row argmaxes
   and sampled actions draw from per-session RNG streams pinned by each
-  order's ``exploration_seed``;
-* every other ABR (BBA, rate-based, RL subclasses with overridden
+  order's ``exploration_seed``, and
+  :meth:`PensieveABR.decisions_for_actions` maps actions to levels and
+  stalls;
+* BBA maps the group's buffer array through
+  :meth:`BufferBasedABR.levels_for_buffers`;
+* every other ABR (rate-based, RL subclasses with overridden
   ``decide``, …) runs through a generic per-session driver: one reset
   clone of the ABR per session, decisions taken one session at a time
   against observations served from the shard rows — the exact
   observations the serial path builds — still amortising the shared SoA
   chunk-step.
+
+No driver keeps a copy of an ABR's per-decision arithmetic: each batched
+method lives on its ABR class, and the scalar method serial ``decide``
+calls is its one-row call (checked against the scalar bodies kept in
+``tests/abr_oracle.py`` by ``tests/test_abr_batch.py``).
 
 Bit-identity rests on elementwise-only numpy arithmetic: the planners
 route through the same batch kernel as serial with a one-session stack,
@@ -85,7 +95,6 @@ from repro.abr.throughput import (
     ErrorDistributionPredictor,
     HarmonicMeanPredictor,
 )
-from repro.abr import pensieve as _pensieve
 from repro.abr.pensieve import PensieveABR
 from repro.core.sensei_abr import SenseiFuguABR, SenseiPensieveABR
 from repro.ml.rl import ActorCriticAgent
@@ -161,8 +170,10 @@ def _run_shards(
     Every exploration-mode order must pin an ``exploration_seed``
     (:meth:`~repro.engine.runner.WorkOrder.require_seeded`) and use a
     stock Pensieve-family policy, whose batched driver gives the row its
-    own stream; anything else is rejected before any shard runs, so a
-    rejection is never mistaken for a shard fault.
+    own stream, and a stock Pensieve-family policy's ladder must fit its
+    state (:meth:`PensieveABR.check_ladder`, the check its encoder runs);
+    anything else is rejected before any shard runs, so a rejection is
+    never mistaken for a shard fault.
 
     Returns ``(results, trajectories)`` aligned with ``orders``; the
     trajectories are the captured ``(state, action)`` lists when
@@ -184,11 +195,14 @@ def _run_shards(
     orders = list(orders)
     for order in orders:
         order.require_seeded()
-        require(
-            not order.explores or _is_batched_rl(order.abr),
-            "exploration-mode orders need a stock Pensieve-family policy "
-            f"to run in lockstep, got {type(order.abr).__name__}",
-        )
+        if _is_batched_rl(order.abr):
+            order.abr.check_ladder(order.encoded.ladder.num_levels)
+        else:
+            require(
+                not order.explores,
+                "exploration-mode orders need a stock Pensieve-family "
+                f"policy to run in lockstep, got {type(order.abr).__name__}",
+            )
     results: List[Optional[StreamResult]] = [None] * len(orders)
     trajectories: list = [None] * len(orders)
     shards: Dict[object, List[int]] = {}
@@ -401,40 +415,19 @@ class _PerSessionDriver:
 
 
 class _BBADriver:
-    """Buffer-based adaptation straight off the SoA buffer array.
-
-    BBA's chunk map reads exactly one dynamic input — the buffer level — so
-    the lockstep driver applies :meth:`BufferBasedABR.decide`'s arithmetic
-    to the whole shard's buffer array at once.  The operations (and
-    therefore the chosen levels) are identical to the serial path.
-    """
+    """Buffer-based adaptation straight off the SoA buffer array: BBA's
+    chunk map reads exactly one dynamic input, so
+    :meth:`BufferBasedABR.levels_for_buffers` maps the whole group's
+    buffer levels at once."""
 
     def __init__(self, abr: BufferBasedABR, shard: ShardState) -> None:
         self.abr = abr
         self.shard = shard
-        self.lowest = np.array(
-            [encoded.ladder.lowest_level for encoded in shard.encoded],
-            dtype=int,
-        )
-        self.highest = np.array(
-            [encoded.ladder.highest_level for encoded in shard.encoded],
-            dtype=int,
-        )
 
     def decide(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         shard = self.shard
-        reservoir = self.abr.reservoir_s
-        cushion = self.abr.cushion_s
-        buffer_s = shard.buffer_s[rows]
-        num_levels = shard.num_levels[rows]
-        fraction = (buffer_s - reservoir) / cushion
-        ramp = np.floor(fraction * (num_levels - 1) + 1e-9).astype(int)
-        # Inlined ABRAlgorithm.clamp_level on the ramp segment.
-        ramp = np.minimum(np.maximum(ramp, 0), num_levels - 1)
-        levels = np.where(
-            buffer_s <= reservoir,
-            self.lowest[rows],
-            np.where(buffer_s >= reservoir + cushion, self.highest[rows], ramp),
+        levels = self.abr.levels_for_buffers(
+            shard.buffer_s[rows], shard.num_levels[rows]
         )
         return levels, np.zeros(rows.size)
 
@@ -442,12 +435,11 @@ class _BBADriver:
 class _RLDriver:
     """Batched Pensieve-family actor–critic policies over the shard rows.
 
-    Mirrors :meth:`PensieveABR.decide` exactly, batched:
+    Runs :meth:`PensieveABR.decide` for the whole group, batched:
 
-    * the state rows are encoded straight off the SoA shard arrays with
-      the same elementwise arithmetic :meth:`PensieveABR.encode_state`
-      applies to one observation (padding included — the shard's zero
-      padding coincides with the scalar encoder's zero fills);
+    * :meth:`PensieveABR.encode_states` encodes the state rows straight off
+      the SoA shard arrays (the scalar ``encode_state`` is its one-row
+      call);
     * one :meth:`ActorCriticAgent.action_probabilities_batch` call per
       decision round replaces per-session forwards; its rows are bitwise
       the scalar probabilities because every actor matmul is row-stable
@@ -458,7 +450,9 @@ class _RLDriver:
       action from a private ``rng_from_seed(order.exploration_seed)``
       stream — the very generator state the serial ``WorkOrder.run``
       samples from, consuming bitwise-equal probability rows, hence
-      identical trajectories.
+      identical trajectories;
+    * :meth:`PensieveABR.decisions_for_actions` maps the actions to
+      levels and proactive stalls.
 
     The agent is read-only here: clones are unnecessary (greedy decide
     touches no mutable agent state, and sampling never touches the shared
@@ -479,15 +473,11 @@ class _RLDriver:
         self.abr = abr
         self.shard = shard
         self.agent = abr.agent
-        self.cfg = abr.config
         self.greedy = bool(abr.greedy)
-        self.stall_options = np.asarray(self.cfg.stall_actions_s, dtype=float)
-        self.obs_horizon = shard.config.observation_horizon
-        # The scalar encoder writes the ladder's sizes into a
-        # cfg.num_levels-wide slot (and would raise on a wider ladder).
-        require(
-            int(shard.num_levels.max()) <= self.cfg.num_levels,
-            "ladder wider than the agent's next-chunk-size slot",
+        # Upcoming weights the state reads: the agent's horizon, cut to
+        # what an observation carries.
+        self.weight_span = min(
+            abr.config.weight_horizon, shard.config.observation_horizon
         )
         self.capture: Optional[List[List[Tuple[np.ndarray, int]]]] = None
         self.rngs: Dict[int, object] = {}
@@ -496,175 +486,41 @@ class _RLDriver:
                 if order.abr is abr:
                     self.rngs[row] = rng_from_seed(int(order.exploration_seed))
 
-    def _padded_history(self, history, rows: np.ndarray) -> np.ndarray:
-        """Rectangular histories left-padded/truncated to the agent's
-        window — the batched :func:`repro.abr.base.pad_history`."""
-        matrix = history.matrix(rows)
-        width = matrix.shape[1]
-        length = self.cfg.history_length
-        if width >= length:
-            return matrix[:, width - length:]
-        padded = np.zeros((rows.size, length))
-        if width:
-            padded[:, length - width:] = matrix
-        return padded
-
-    def _encode_batch(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), state_dim) states, row ``i`` bitwise equal to the
-        scalar ``encode_state(shard.observe(rows[i]))``."""
-        shard = self.shard
-        cfg = self.cfg
-        chunk = shard.step_index
-        n = rows.size
-        throughput = (
-            self._padded_history(shard.throughput_history, rows)
-            / _pensieve._THROUGHPUT_SCALE_MBPS
-        )
-        download_times = (
-            self._padded_history(shard.download_time_history, rows)
-            / _pensieve._DOWNLOAD_TIME_SCALE_S
-        )
-        next_sizes = np.zeros((n, cfg.num_levels))
-        filled = shard.sizes_all.shape[2]
-        next_sizes[:, :filled] = (
-            shard.sizes_all[shard.video_of[rows], chunk]
-            / _pensieve._CHUNK_SIZE_SCALE_BYTES
-        )
-        num_chunks = shard.num_chunks[rows]
-        scalars = np.empty((n, 3))
-        scalars[:, 0] = shard.buffer_s[rows] / _pensieve._BUFFER_SCALE_S
-        scalars[:, 1] = (shard.last_levels(rows) + 1) / shard.num_levels[rows]
-        scalars[:, 2] = (num_chunks - chunk) / num_chunks
-        parts = [throughput, download_times, next_sizes, scalars]
-        if cfg.weight_horizon > 0:
-            weights = np.ones((n, cfg.weight_horizon))
-            weights_all = shard.weights_all
-            for offset in range(min(cfg.weight_horizon, self.obs_horizon)):
-                valid = chunk + offset < num_chunks
-                if not np.any(valid):
-                    break
-                weights[valid, offset] = weights_all[
-                    rows[valid], chunk + offset
-                ]
-            parts.append(weights)
-        states = np.concatenate(parts, axis=1)
-        require(
-            states.shape[1] == cfg.state_dim, "state encoding size mismatch"
-        )
-        return states
-
     def decide(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        states = self._encode_batch(rows)
+        shard = self.shard
+        chunk = shard.step_index
+        num_chunks = shard.num_chunks[rows]
+        last_levels = shard.last_levels(rows)
+        states = self.abr.encode_states(
+            shard.throughput_history.matrix(rows),
+            shard.download_time_history.matrix(rows),
+            shard.sizes_all[shard.video_of[rows], chunk],
+            shard.num_levels[rows],
+            shard.buffer_s[rows],
+            last_levels,
+            num_chunks - chunk,
+            num_chunks,
+            shard.weights_all[rows, chunk:chunk + self.weight_span],
+            np.minimum(self.weight_span, num_chunks - chunk),
+        )
         probabilities = self.agent.action_probabilities_batch(states)
-        cfg = self.cfg
         if self.greedy:
             actions = np.argmax(probabilities, axis=1)
         else:
             actions = np.empty(rows.size, dtype=int)
-            num_actions = cfg.num_actions
+            num_actions = probabilities.shape[1]
             for position, row in enumerate(rows):
                 actions[position] = int(
                     self.rngs[int(row)].choice(
                         num_actions, p=probabilities[position]
                     )
                 )
-        # A stall action keeps streaming at the previously chosen level —
-        # the scalar decide()'s post-processing, vectorised.
-        is_stall = actions >= cfg.num_levels
-        levels = np.where(
-            is_stall, np.maximum(self.shard.last_levels(rows), 0), actions
-        )
-        stalls = np.zeros(rows.size)
-        if self.stall_options.size and np.any(is_stall):
-            stalls[is_stall] = self.stall_options[
-                actions[is_stall] - cfg.num_levels
-            ]
         if self.capture is not None:
             for position, row in enumerate(rows):
                 self.capture[int(row)].append(
                     (states[position].copy(), int(actions[position]))
                 )
-        return levels, stalls
-
-
-class _HarmonicMeanState:
-    """Vectorised :class:`HarmonicMeanPredictor` over a shard of sessions.
-
-    Stateless like its scalar counterpart; ``predict`` maps a rectangular
-    (session, history) matrix to per-session predictions with the same
-    arithmetic the scalar predictor applies to each row alone (the axis
-    reduction of a <= ``history_length``-wide row is the same fixed-order
-    sum ``harmonic_mean`` computes).
-    """
-
-    def __init__(self, predictor: HarmonicMeanPredictor) -> None:
-        self.window = predictor.window
-        self.default_mbps = predictor.default_mbps
-
-    def predict(self, histories: np.ndarray) -> np.ndarray:
-        if histories.shape[1] == 0:
-            return np.full(histories.shape[0], self.default_mbps)
-        recent = histories[:, -self.window:]
-        return recent.shape[1] / np.sum(1.0 / recent, axis=1)
-
-
-class _ErrorDistributionState:
-    """Vectorised :class:`ErrorDistributionPredictor` over a shard.
-
-    The scalar predictor's per-session state — ratio count, last
-    prediction, histogram counts — lives here as arrays indexed by session.
-    ``predict_distribution`` replicates the scalar update order exactly:
-    base prediction from the history, ratio recorded against the *previous*
-    prediction, then the binned distribution around the new prediction.
-    """
-
-    def __init__(
-        self, predictor: ErrorDistributionPredictor, num_sessions: int
-    ) -> None:
-        self.base = _HarmonicMeanState(predictor._base)
-        self.num_bins = predictor.num_bins
-        self.ratio_range = predictor.ratio_range
-        self.bin_centers = predictor._bin_centers
-        self.bin_edges = predictor._bin_edges
-        self.cold_start_probs = predictor._cold_start_probs
-        self.num_ratios = np.zeros(num_sessions, dtype=int)
-        self.last_prediction = np.zeros(num_sessions)
-        self.bin_counts = np.zeros((num_sessions, self.num_bins), dtype=int)
-
-    def predict_distribution(
-        self, live: np.ndarray, histories: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(throughputs, probabilities), each (len(live), num_bins)."""
-        prediction = self.base.predict(histories)
-        self._record_ratios(live, histories, prediction)
-        self.last_prediction[live] = prediction
-
-        smoothed = self.bin_counts[live] + 0.5
-        learned = smoothed / smoothed.sum(axis=1)[:, None]
-        cold = self.num_ratios[live] < 3
-        probabilities = np.where(
-            cold[:, None], self.cold_start_probs[None, :], learned
-        )
-        throughputs = prediction[:, None] * self.bin_centers[None, :]
-        return throughputs, probabilities
-
-    def _record_ratios(
-        self, live: np.ndarray, histories: np.ndarray, prediction: np.ndarray
-    ) -> None:
-        if histories.shape[1] == 0:
-            return
-        previous = self.last_prediction[live]
-        mask = previous > 0
-        if not np.any(mask):
-            return
-        ratios = histories[mask, -1] / previous[mask]
-        low, high = self.ratio_range
-        clipped = np.minimum(np.maximum(ratios, low), high)
-        indices = np.searchsorted(self.bin_edges, clipped, side="right") - 1
-        indices = np.minimum(np.maximum(indices, 0), self.num_bins - 1)
-        recorded = live[mask]
-        self.num_ratios[recorded] += 1
-        np.add.at(self.bin_counts, (recorded, indices), 1)
+        return self.abr.decisions_for_actions(actions, last_levels)
 
 
 class _PlanOutputs:
@@ -1142,14 +998,11 @@ class _MPCDriver(_PlannerDriverBase):
     """Batched :class:`ModelPredictiveABR`: conservative point prediction,
     one scenario, no stalls."""
 
-    def __init__(self, abr: ModelPredictiveABR, shard: ShardState) -> None:
-        super().__init__(abr, shard)
-        self.predictor = _HarmonicMeanState(abr.predictor)
-
     def begin_round(self, rows: np.ndarray):
         histories, buffer_s, last_levels, horizons = self._inputs(rows)
-        predicted = self.predictor.predict(histories)
-        conservative = predicted / (1.0 + self.abr.robustness_discount)
+        conservative = self.abr.conservative(
+            self.abr.predictor.predict_batch(histories)
+        )
         return plan_round(
             self.abr, self.shard, rows, horizons, last_levels, buffer_s,
             conservative[:, None], np.ones((rows.size, 1)),
@@ -1162,14 +1015,13 @@ class _FuguDriver(_PlannerDriverBase):
 
     def __init__(self, abr: FuguABR, shard: ShardState) -> None:
         super().__init__(abr, shard)
-        self.predictor = _ErrorDistributionState(
-            abr.predictor, shard.num_sessions
-        )
+        # One predictor state row per shard row.
+        self.predictor = abr.predictor.for_rows(shard.num_sessions)
 
     def begin_round(self, rows: np.ndarray):
         histories, buffer_s, last_levels, horizons = self._inputs(rows)
-        scenario_tputs, scenario_probs = self.predictor.predict_distribution(
-            rows, histories
+        scenario_tputs, scenario_probs = (
+            self.predictor.predict_distribution_batch(rows, histories)
         )
         return plan_round(
             self.abr, self.shard, rows, horizons, last_levels, buffer_s,
@@ -1187,8 +1039,8 @@ class _SenseiFuguDriver(_FuguDriver):
 
     def begin_round(self, rows: np.ndarray):
         histories, buffer_s, last_levels, horizons = self._inputs(rows)
-        scenario_tputs, scenario_probs = self.predictor.predict_distribution(
-            rows, histories
+        scenario_tputs, scenario_probs = (
+            self.predictor.predict_distribution_batch(rows, histories)
         )
         levels, stalls, spent = yield from sensei_round(
             self.abr, self.shard, rows, horizons, last_levels, buffer_s,

@@ -44,7 +44,6 @@ from repro.service.sessions import (
     SessionEntry,
     SessionKey,
     SessionTable,
-    planner_kind,
 )
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "bench_payload",
     "decide_batch",
     "default_tenants",
-    "planner_kind",
     "register_load",
     "run_load",
     "verify_online_offline",

@@ -4,11 +4,12 @@
 the lockstep engine's planning path:
 
 * Planner-eligible requests (MPC / Fugu / SENSEI-Fugu with their stock
-  predictors, classified by :func:`~repro.service.sessions.planner_kind`)
-  run their clone's own predictor — exactly once per decision, in request
-  order, on the observation the serial path would see (the error
-  distribution predictor is stateful) — and MPC's scenario is its serial
-  conservative ``predicted / (1 + robustness_discount)``.  The flush's
+  predictors, classified by the lockstep engine's
+  :func:`~repro.engine.lockstep.decision_kind`) run their clone's own
+  predictor's batched method on its one state row — exactly once per
+  decision, in request order, on the observation the serial path would
+  see (the error distribution predictor is stateful) — and MPC's
+  scenario is :meth:`~repro.abr.mpc.ModelPredictiveABR.conservative`.  The flush's
   observations are stacked into the lockstep shard's padded planner-input
   layout (:class:`_FlushInputs`), and rows whose clones share every
   parameter a planner round reads go through one
@@ -25,6 +26,9 @@ the lockstep engine's planning path:
   policy** and takes per-row argmaxes — bitwise the serial ``decide``
   because the actor's matmuls are row-stable
   (:func:`repro.ml.nn.row_matmul`).
+* BBA rows are grouped by ``(reservoir_s, cushion_s)``; each group's
+  buffer levels go through one
+  :meth:`~repro.abr.bba.BufferBasedABR.levels_for_buffers` call.
 * Everything else falls back to the clone's own ``decide`` — still exact,
   just not batched.
 
@@ -42,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation
+from repro.abr.throughput import ONE_ROW
 from repro.engine.lockstep import (
     coefficient_key,
     plan_batch,
@@ -49,6 +54,7 @@ from repro.engine.lockstep import (
     sensei_round,
 )
 from repro.service.sessions import (
+    KIND_BBA,
     KIND_FUGU,
     KIND_MPC,
     KIND_RL,
@@ -128,6 +134,8 @@ def decide_batch(
     decisions: List[Optional[Decision]] = [None] * len(requests)
     planned: List[Tuple[int, ABRAlgorithm, PlayerObservation]] = []
     rounds: Dict[tuple, list] = {}
+    # (reservoir, cushion) -> (clone, [(request index, observation)])
+    bba_groups: dict = {}
     # agent id -> (agent, [(request index, clone, observation, state)])
     rl_groups: dict = {}
     for index, (clone, kind, observation) in enumerate(requests):
@@ -137,19 +145,39 @@ def decide_batch(
             group[1].append(
                 (index, clone, observation, clone.encode_state(observation))
             )
+        elif kind == KIND_BBA:
+            group = bba_groups.setdefault(
+                (clone.reservoir_s, clone.cushion_s), (clone, [])
+            )
+            group[1].append((index, observation))
         elif kind in (KIND_MPC, KIND_FUGU, KIND_SENSEI):
+            history = observation.throughput_history_mbps[None, :]
             if kind == KIND_MPC:
-                predicted = clone.predictor.predict(observation)
-                conservative = predicted / (1.0 + clone.robustness_discount)
-                scenarios = [(conservative, 1.0)]
+                tputs = clone.conservative(
+                    clone.predictor.predict_batch(history)
+                )[:, None]
+                probs = _POINT_MASS
             else:
-                scenarios = clone.predictor.predict_distribution(observation)
+                tputs, probs = clone.predictor.predict_distribution_batch(
+                    ONE_ROW, history
+                )
             rounds.setdefault(
-                _round_key(clone, kind, len(scenarios)), []
-            ).append((len(planned), scenarios))
+                _round_key(clone, kind, tputs.shape[1]), []
+            ).append((len(planned), tputs, probs))
             planned.append((index, clone, observation))
         else:
             decisions[index] = clone.decide(observation)
+
+    # One chunk map per BBA parameterisation.
+    for clone, group in bba_groups.values():
+        levels = clone.levels_for_buffers(
+            np.array([observation.buffer_s for _, observation in group]),
+            np.array(
+                [observation.ladder.num_levels for _, observation in group]
+            ),
+        )
+        for (index, _), level in zip(group, levels.tolist()):
+            decisions[index] = Decision(level=level)
 
     # One stacked actor forward per distinct policy, then a per-row argmax
     # — exactly ``select_action(state, greedy=True)`` for each row, since
@@ -170,7 +198,7 @@ def decide_batch(
     source = _FlushInputs([observation for _, _, observation in planned])
     batches = []
     for key, members in rounds.items():
-        rows = np.array([row for row, _ in members])
+        rows = np.array([row for row, _, _ in members])
         clones = [planned[row][1] for row in rows.tolist()]
         observations = [planned[row][2] for row in rows.tolist()]
         args = (
@@ -181,14 +209,8 @@ def decide_batch(
             ],
             np.array([obs.last_level for obs in observations]),
             np.array([obs.buffer_s for obs in observations]),
-            np.array(
-                [[t for t, _ in scenarios] for _, scenarios in members],
-                dtype=float,
-            ),
-            np.array(
-                [[p for _, p in scenarios] for _, scenarios in members],
-                dtype=float,
-            ),
+            np.concatenate([tputs for _, tputs, _ in members]),
+            np.concatenate([probs for _, _, probs in members]),
         )
         if key[0] == KIND_SENSEI:
             spent = np.array([clone._proactive_spent_s for clone in clones])
@@ -207,3 +229,7 @@ def decide_batch(
                 level=levels[position], proactive_stall_s=stalls[position]
             )
     return decisions
+
+
+#: MPC's one scenario carries all the probability.
+_POINT_MASS = np.ones((1, 1))

@@ -14,6 +14,12 @@ The order's *original* ABR instance is never stepped online: it is what
 the offline engine runs for the golden online ≡ offline comparison
 (:meth:`SessionEntry.work_order`; ``WorkOrder.run`` resets it first,
 exactly like any grid cell).
+
+Each entry's :attr:`~SessionEntry.kind` is the lockstep engine's own
+:func:`~repro.engine.lockstep.decision_kind`, the one classifier of which
+batched decide path reproduces an ABR.  :meth:`SessionTable.register`
+refuses up front what no path could serve: exploration-mode RL and a
+Pensieve-family policy on a ladder wider than its state.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm
 from repro.engine.lockstep import (
+    KIND_BBA,
     KIND_FUGU,
     KIND_GENERIC,
     KIND_MPC,
@@ -38,6 +45,7 @@ from repro.player.session import SessionConfig, SessionState, StreamResult
 from repro.video.encoder import EncodedVideo
 
 __all__ = [
+    "KIND_BBA",
     "KIND_FUGU",
     "KIND_GENERIC",
     "KIND_MPC",
@@ -46,29 +54,9 @@ __all__ = [
     "SessionEntry",
     "SessionKey",
     "SessionTable",
-    "planner_kind",
 ]
 
 SessionKey = Tuple[str, str]
-
-def planner_kind(abr: ABRAlgorithm) -> str:
-    """Which batched decide path (if any) reproduces ``abr.decide``.
-
-    The lockstep engine's :func:`~repro.engine.lockstep.decision_kind`,
-    narrowed to the paths the service batches: the three planner families
-    and *greedy* stock Pensieve-family policies, which decide via an
-    argmax over a row-stable actor forward (repro.ml.nn.row_matmul).
-    Everything else (BBA, rate-based, subclasses) stays generic, deciding
-    on its own clone.  Exploration-mode RL never gets here: the service
-    has no ``exploration_seed`` to pin, so :meth:`SessionTable.register`
-    rejects it.
-    """
-    kind = decision_kind(abr)
-    if kind in (KIND_MPC, KIND_FUGU, KIND_SENSEI) or (
-        kind == KIND_RL and abr.greedy
-    ):
-        return kind
-    return KIND_GENERIC
 
 
 class SessionEntry:
@@ -89,7 +77,7 @@ class SessionEntry:
         # private predictor state.
         self.clone = copy.deepcopy(abr)
         self.clone.reset()
-        self.kind = planner_kind(abr)
+        self.kind = decision_kind(abr)
         if self.kind == KIND_RL:
             # Greedy decide only *reads* the agent (one actor forward +
             # argmax), so every clone of the same policy can share the
@@ -145,7 +133,13 @@ class SessionTable:
         config: Optional[SessionConfig] = None,
         chunk_weights: Optional[np.ndarray] = None,
     ) -> SessionEntry:
-        """Register a new session; duplicate keys are an error."""
+        """Register a new session; duplicate keys are an error.
+
+        A session no decide path could serve is refused here, before any
+        decision: an exploration-mode RL policy (the service has no
+        ``exploration_seed`` to pin) or a Pensieve-family policy on a
+        ladder wider than its state.
+        """
         key = (tenant, session_id)
         if key in self._entries:
             raise ValueError(f"session already registered: {key}")
@@ -155,6 +149,8 @@ class SessionTable:
         )
         order.require_seeded()
         entry = SessionEntry(tenant, session_id, order)
+        if entry.kind == KIND_RL:
+            abr.check_ladder(encoded.ladder.num_levels)
         self._entries[key] = entry
         return entry
 

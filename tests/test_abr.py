@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.abr.base import Decision, PlayerObservation, pad_history
+from repro.abr.base import Decision, PlayerObservation
 from repro.abr.bba import BufferBasedABR
 from repro.abr.fugu import FuguABR
 from repro.abr.mpc import ModelPredictiveABR
@@ -68,9 +68,18 @@ class TestBaseTypes:
             Decision(level=0, proactive_stall_s=-1.0)
 
     def test_pad_history(self):
-        padded = pad_history([1.0, 2.0], 4)
-        assert list(padded) == [0.0, 0.0, 1.0, 2.0]
-        assert list(pad_history([1, 2, 3, 4, 5], 3)) == [3.0, 4.0, 5.0]
+        # The RL state's throughput inputs are the history left-padded with
+        # zeros (or cut) to the agent's window, in units of 6 Mbps.
+        def padded(history, length):
+            abr = PensieveABR(config=PensieveConfig(history_length=length))
+            state = abr.encode_state(make_observation(throughput=history))
+            return list(state[:length])
+
+        def scaled(values):
+            return [value / 6.0 for value in values]
+
+        assert padded([1.0, 2.0], 4) == scaled([0.0, 0.0, 1.0, 2.0])
+        assert padded([1, 2, 3, 4, 5], 3) == scaled([3.0, 4.0, 5.0])
 
     def test_observation_helpers(self):
         obs = make_observation()
@@ -280,9 +289,15 @@ class TestPensieve:
     def test_action_mapping(self):
         config = PensieveConfig(stall_actions_s=(1.0, 2.0))
         abr = PensieveABR(config=config)
-        assert abr.action_to_decision(3).level == 3
-        stall_decision = abr.action_to_decision(config.num_levels + 1)
+        observation = make_observation(last_level=2)
+        state = abr.encode_state(observation)
+        assert abr.decision_for_action(observation, state, 3).level == 3
+        stall_decision = abr.decision_for_action(
+            observation, state, config.num_levels + 1
+        )
         assert stall_decision.proactive_stall_s == 2.0
+        # A stall keeps streaming at the previously played level.
+        assert stall_decision.level == 2
 
     def test_decide_returns_valid_decision(self, small_encoded, constant_trace):
         result = WorkOrder(PensieveABR(), small_encoded, constant_trace).run()

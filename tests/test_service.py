@@ -24,12 +24,17 @@ plain ``asyncio.run`` inside a synchronous test.
 from __future__ import annotations
 
 import asyncio
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.abr.bba import BufferBasedABR
+from repro.abr.fugu import FuguABR
+from repro.abr.mpc import ModelPredictiveABR
 from repro.abr.pensieve import PensieveABR, PensieveConfig
-from repro.engine.runner import BatchRunner
+from repro.core.sensei_abr import SenseiFuguABR
+from repro.engine.runner import BatchRunner, WorkOrder
 from repro.experiments.common import ExperimentContext
 from repro.experiments.spec import resolve_scale
 from repro.obs import MetricsRegistry, use_registry
@@ -47,8 +52,12 @@ from repro.service import (
     verify_online_offline,
 )
 from repro.service import loadgen
+from repro.service import service as service_module
+from repro.service.decisions import decide_batch
 from repro.service.loadgen import synthetic_weights
-from repro.service.sessions import KIND_RL
+from repro.service.sessions import KIND_BBA, KIND_RL
+from repro.video.chunk import EncodingLadder
+from repro.video.encoder import SyntheticEncoder
 
 pytestmark = pytest.mark.service
 
@@ -456,7 +465,7 @@ class TestOnlineOfflineIdentity:
         assert report["finished_sessions"] == len(entries) == 10
         assert report["degraded"] == 0
         kinds = {entry.kind for entry in entries}
-        assert kinds == {"generic", "mpc", "fugu", "sensei"}
+        assert kinds == {"generic", "bba", "mpc", "fugu", "sensei"}
         assert verdict["checked"] == 10
         assert verdict["identical"], verdict["mismatches"]
         # The online stall gate actually opened: some SENSEI session took
@@ -501,6 +510,79 @@ class TestOnlineOfflineIdentity:
         assert verdict["checked"] == 2
         assert verdict["identical"], verdict["mismatches"]
 
+    def test_bba_rows_take_one_chunk_map_per_parameterisation(
+        self, context, monkeypatch
+    ):
+        """One flush mixes two BBA parameterisations with MPC, Fugu,
+        SENSEI-Fugu and greedy Pensieve: each parameterisation's rows go
+        through one batched chunk map (no BBA clone's ``decide`` runs),
+        and every session still finishes bit-identical offline."""
+        encoded = context.videos()[0]
+        traces = context.traces()
+        policy = PensieveABR(PensieveConfig(seed=3), greedy=True)
+        abrs = [
+            BufferBasedABR(), BufferBasedABR(),
+            BufferBasedABR(reservoir_s=3.0, cushion_s=20.0),
+            BufferBasedABR(reservoir_s=3.0, cushion_s=20.0),
+            ModelPredictiveABR(), FuguABR(), SenseiFuguABR(), policy,
+        ]
+        flushes = []
+
+        def recording_decide_batch(requests):
+            flushes.append([
+                (kind, getattr(clone, "reservoir_s", None))
+                for clone, kind, _ in requests
+            ])
+            return decide_batch(requests)
+
+        monkeypatch.setattr(
+            service_module, "decide_batch", recording_decide_batch
+        )
+
+        async def scenario():
+            service = DecisionService(
+                max_batch=len(abrs), max_delay_s=0.05, capacity=64,
+                shed_timeout_s=None,
+            )
+            entries = [
+                service.register(
+                    tenant="mix", session_id=f"s{index}", abr=abr,
+                    encoded=encoded, trace=traces[index % len(traces)],
+                    chunk_weights=(synthetic_weights(encoded.num_chunks)
+                                   if isinstance(abr, SenseiFuguABR)
+                                   else None),
+                )
+                for index, abr in enumerate(abrs)
+            ]
+            clones = {id(entry.clone) for entry in entries}
+            decided = []
+            original = BufferBasedABR.decide
+
+            def spy(self, observation):
+                decided.append(id(self))
+                return original(self, observation)
+
+            with mock.patch.object(BufferBasedABR, "decide", spy):
+                report = await run_load(service, entries)
+            verdict = verify_online_offline(service, entries)
+            await service.close()
+            return entries, report, verdict, clones.intersection(decided)
+
+        entries, report, verdict, bba_clone_decides = asyncio.run(scenario())
+        assert [entry.kind for entry in entries[:4]] == [KIND_BBA] * 4
+        assert report["degraded"] == 0
+        assert not bba_clone_decides
+        assert verdict["checked"] == len(abrs)
+        assert verdict["identical"], verdict["mismatches"]
+        # Some flush carried both parameterisations next to every other
+        # batched family.
+        assert any(
+            {("bba", 5.0), ("bba", 3.0)} <= set(flush)
+            and {"mpc", "fugu", "sensei", KIND_RL}
+            <= {kind for kind, _ in flush}
+            for flush in flushes
+        )
+
     def test_exploring_rl_session_is_rejected_at_registration(self, context):
         """The service has no exploration seed to pin, so an
         exploration-mode policy is refused up front rather than served
@@ -513,6 +595,45 @@ class TestOnlineOfflineIdentity:
                 encoded=context.videos()[0], trace=context.traces()[0],
             )
         assert len(service.table) == 0
+
+    def test_rl_ladder_wider_than_agent_is_refused_everywhere(self, context):
+        """A 5-level agent on a 6-level ladder: ``register`` refuses the
+        session up front (so it cannot fail a shared flush), and the
+        serial and lockstep engines raise the same message."""
+        source = context.library.source(context.video_ids()[0])
+        wide = SyntheticEncoder(seed=3).encode(source, EncodingLadder(
+            bitrates_kbps=(300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0)
+        ))
+        trace = context.traces()[0]
+
+        async def scenario():
+            service = DecisionService(max_batch=4, max_delay_s=0.01)
+            others = [
+                service.register(tenant="t", session_id=kind, abr=abr,
+                                 encoded=wide, trace=trace)
+                for kind, abr in (("fugu", FuguABR()),
+                                  ("bba", BufferBasedABR()))
+            ]
+            with pytest.raises(ValueError) as refused:
+                service.register(tenant="t", session_id="rl",
+                                 abr=PensieveABR(), encoded=wide, trace=trace)
+            responses = await asyncio.gather(
+                *(service.decide("t", entry.session_id) for entry in others)
+            )
+            await service.close()
+            return str(refused.value), len(service.table), responses
+
+        message, registered, responses = asyncio.run(scenario())
+        assert "6-level ladder is wider" in message
+        assert registered == 2
+        assert all(not response.degraded for response in responses)
+        with pytest.raises(ValueError) as serial:
+            WorkOrder(PensieveABR(), wide, trace).run()
+        with pytest.raises(ValueError) as lockstep:
+            BatchRunner(backend="lockstep").run_orders(
+                [WorkOrder(PensieveABR(), wide, trace)]
+            )
+        assert str(serial.value) == str(lockstep.value) == message
 
     def test_degraded_sessions_are_excluded_from_verification(self, context):
         async def scenario():
