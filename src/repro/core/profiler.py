@@ -12,7 +12,7 @@ for campaign cost so that the cost/accuracy trade-off experiments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from repro.crowd.worker import WorkerPool
 from repro.qoe.base import AdditiveQoEModel
 from repro.qoe.ground_truth import GroundTruthOracle
 from repro.qoe.ksqi import KSQIModel
-from repro.utils.validation import require
 from repro.video.encoder import EncodedVideo
-from repro.video.rendering import RenderedVideo, render_pristine
+from repro.video.rendering import RenderingBatch, render_pristine
 
 
 @dataclass
@@ -147,15 +146,13 @@ class SenseiProfiler:
         return campaign.run(schedule.renderings, reference=reference)
 
     def _fit_base_model(
-        self, renderings: Sequence[RenderedVideo], result: CampaignResult
+        self, renderings: RenderingBatch, result: CampaignResult
     ) -> None:
         """Optionally fit the base model's coefficients on campaign ratings."""
-        if not self.refit_base_model:
-            return
-        rated = [r for r in renderings if r.render_id in result.mos]
-        mos = [result.mos[r.render_id] for r in rated]
-        if len(rated) >= 4:
-            self.base_model.fit(rated, mos)
+        if self.refit_base_model and len(renderings) >= 4:
+            self.base_model.fit(
+                renderings, [result.mos[i] for i in renderings.render_ids]
+            )
 
     def _profile_two_step(self, encoded: EncodedVideo) -> ProfilingResult:
         # --- Step 1: coarse probing of every chunk.
@@ -209,19 +206,17 @@ class SenseiProfiler:
     def _infer_from_results(
         self,
         encoded: EncodedVideo,
-        schedules: Sequence,
+        campaigns: Sequence,
     ) -> SensitivityProfile:
-        renderings: List[RenderedVideo] = []
-        mos: List[float] = []
-        for schedule_renderings, result in schedules:
-            for rendering in schedule_renderings:
-                if rendering.render_id in result.mos:
-                    renderings.append(rendering)
-                    mos.append(result.mos[rendering.render_id])
-        require(len(renderings) >= 2, "not enough rated renderings to infer weights")
+        """Weights from every rendering the campaigns rated (each rates all
+        of its schedule's renderings)."""
         return infer_weights(
-            renderings,
-            mos,
+            RenderingBatch.concat([renderings for renderings, _ in campaigns]),
+            [
+                result.mos[render_id]
+                for renderings, result in campaigns
+                for render_id in renderings.render_ids
+            ],
             base_model=self.base_model,
             video_id=encoded.source.video_id,
         )

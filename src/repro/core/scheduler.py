@@ -14,19 +14,14 @@ The paper's empirically chosen sweet spot is B=2, F=1, M1=10, M2=5, α=6%
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.validation import require, require_probability
 from repro.video.encoder import EncodedVideo
-from repro.video.rendering import (
-    QualityIncident,
-    RenderedVideo,
-    inject_incident,
-    render_pristine,
-)
+from repro.video.rendering import RenderingBatch, inject_incidents, render_pristine
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class SchedulerConfig:
 class RenderingSchedule:
     """A batch of renderings to publish, plus the ratings each should get."""
 
-    renderings: List[RenderedVideo] = field(default_factory=list)
+    renderings: RenderingBatch
     ratings_per_rendering: int = 10
     step: int = 1
 
@@ -84,7 +79,7 @@ class RenderingSchedule:
 
         This is the quantity campaign cost is proportional to (§4.3).
         """
-        per_view = sum(r.watch_duration_s for r in self.renderings)
+        per_view = sum(self.renderings.watch_duration_s.tolist())
         return float(per_view * self.ratings_per_rendering)
 
 
@@ -98,26 +93,14 @@ class TwoStepScheduler:
 
     def step1_schedule(self, encoded: EncodedVideo) -> RenderingSchedule:
         """One rendering per chunk with the probe stall, plus the reference."""
-        pristine = render_pristine(encoded)
-        renderings: List[RenderedVideo] = []
-        if self.config.include_reference:
-            renderings.append(pristine.with_render_id(
-                f"{encoded.source.video_id}/step1/reference"
-            ))
-        for chunk_index in range(encoded.num_chunks):
-            incident = QualityIncident.rebuffering(
-                chunk_index, self.config.step1_stall_s
-            )
-            renderings.append(
-                inject_incident(
-                    pristine, incident,
-                    render_id=(
-                        f"{encoded.source.video_id}/step1/stall@{chunk_index}"
-                    ),
-                )
-            )
         return RenderingSchedule(
-            renderings=renderings,
+            renderings=_probe_renderings(
+                encoded,
+                "step1",
+                range(encoded.num_chunks),
+                [("stall", self.config.step1_stall_s, 0, 0)],
+                lead="reference" if self.config.include_reference else "",
+            ),
             ratings_per_rendering=self.config.step1_ratings,
             step=1,
         )
@@ -137,15 +120,18 @@ class TwoStepScheduler:
     ) -> RenderingSchedule:
         """Renderings probing only the high/low-sensitivity chunks (step 2)."""
         config = self.config
-        renderings = _probe_renderings(
-            encoded,
-            "step2",
-            self.select_chunks_to_reprobe(step1_weights).tolist(),
-            range(config.step2_num_bitrate_levels),
-            config.step2_rebuffer_lengths_s[: config.step2_num_rebuffer_lengths],
-        )
         return RenderingSchedule(
-            renderings=renderings,
+            renderings=_probe_renderings(
+                encoded,
+                "step2",
+                self.select_chunks_to_reprobe(step1_weights).tolist(),
+                _grid_probes(
+                    range(config.step2_num_bitrate_levels),
+                    config.step2_rebuffer_lengths_s[
+                        : config.step2_num_rebuffer_lengths
+                    ],
+                ),
+            ),
             ratings_per_rendering=config.step2_ratings,
             step=2,
         )
@@ -164,46 +150,57 @@ class TwoStepScheduler:
         This is the "SENSEI w/o cost pruning" arm of Figure 12c, used to
         quantify how much the two-step scheduler saves.
         """
-        # Its own id: under the survey reference's id every rating of it
-        # would be discarded as a reference rating.
-        pristine = render_pristine(encoded).with_render_id(
-            f"{encoded.source.video_id}/full/pristine"
-        )
-        renderings = [pristine] + _probe_renderings(
-            encoded,
-            "full",
-            range(encoded.num_chunks),
-            range(num_bitrate_levels - 1),
-            rebuffer_lengths_s,
-        )
+        # The pristine row has its own id: under the survey reference's id
+        # every rating of it would be discarded as a reference rating.
         return RenderingSchedule(
-            renderings=renderings,
+            renderings=_probe_renderings(
+                encoded,
+                "full",
+                range(encoded.num_chunks),
+                _grid_probes(range(num_bitrate_levels - 1), rebuffer_lengths_s),
+                lead="pristine",
+            ),
             ratings_per_rendering=ratings_per_rendering,
             step=0,
         )
+
+
+#: A probe: ``(name, stall_s, drop_to_level, drop_chunks)``, the incidents
+#: of one row of :func:`~repro.video.rendering.inject_incidents`.
+Probe = Tuple[str, float, int, int]
+
+
+def _grid_probes(
+    drop_levels: Sequence[int], stalls_s: Sequence[float]
+) -> List[Probe]:
+    """One probe per reduced bitrate level, then one per stall length."""
+    require(
+        all(stall_s > 0 for stall_s in stalls_s),
+        "a rebuffering probe needs stall_s > 0",
+    )
+    return [(f"drop{level}", 0.0, level, 1) for level in drop_levels] + [
+        (f"stall{stall_s:g}", stall_s, 0, 0) for stall_s in stalls_s
+    ]
 
 
 def _probe_renderings(
     encoded: EncodedVideo,
     step: str,
     chunks: Sequence[int],
-    drop_levels: Sequence[int],
-    stalls_s: Sequence[float],
-) -> List[RenderedVideo]:
-    """Per chunk, one rendering per reduced bitrate level, then one per
-    stall length, each injected into the pristine rendering."""
-    pristine = render_pristine(encoded)
+    probes: Sequence[Probe],
+    lead: str = "",
+) -> RenderingBatch:
+    """Per chunk, one rendering per probe injected into the pristine
+    rendering, after an incident-free first row named ``lead`` if given."""
     prefix = f"{encoded.source.video_id}/{step}/"
-    renderings: List[RenderedVideo] = []
-    for chunk_index in chunks:
-        for level in drop_levels:
-            renderings.append(inject_incident(
-                pristine, QualityIncident.bitrate_drop(chunk_index, level),
-                render_id=f"{prefix}drop{level}@{chunk_index}",
-            ))
-        for stall_s in stalls_s:
-            renderings.append(inject_incident(
-                pristine, QualityIncident.rebuffering(chunk_index, stall_s),
-                render_id=f"{prefix}stall{stall_s:g}@{chunk_index}",
-            ))
-    return renderings
+    rows = [(f"{prefix}{lead}", 0, 0.0, 0, 0)] if lead else []
+    rows += [
+        (f"{prefix}{name}@{chunk}", chunk, stall_s, level, span)
+        for chunk in chunks
+        for name, stall_s, level, span in probes
+    ]
+    render_ids, chunk, stall_s, level, span = list(zip(*rows)) or [()] * 5
+    return inject_incidents(
+        render_pristine(encoded), render_ids, chunk,
+        stall_s=stall_s, drop_to_level=level, drop_chunks=span,
+    )

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.qoe.base import AdditiveQoEModel
 from repro.utils.validation import require
-from repro.video.rendering import RenderedVideo
+from repro.video.rendering import RenderedVideo, RenderingBatch
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class SensitivityProfile:
 
 
 def infer_weights(
-    renderings: Sequence[RenderedVideo],
+    renderings: Union[RenderingBatch, Sequence[RenderedVideo]],
     mos: Sequence[float],
     base_model: AdditiveQoEModel,
     video_id: Optional[str] = None,
@@ -133,11 +133,10 @@ def infer_weights(
     ----------
     renderings:
         Rendered videos of the *same* source video (the rows of the linear
-        system); typically one per injected incident position, plus the
-        pristine reference.
+        system), as a batch or a sequence; typically one per injected
+        incident position, plus the pristine reference.
     mos:
-        MOS of each rendering, either on the 1–5 Likert scale or already
-        normalised to [0, 1].
+        MOS of each rendering on the 1–5 Likert scale the surveys use.
     base_model:
         The additive base QoE model providing the per-chunk scores
         ``q_{i,j}`` (KSQI in the paper), typically fitted on the same
@@ -151,23 +150,21 @@ def infer_weights(
     require(len(renderings) == len(mos), "renderings and MOS must align")
     require(len(renderings) >= 2, "need at least two rated renderings")
     require(prior_strength >= 0, "prior_strength must be >= 0")
-    first = renderings[0]
-    resolved_video_id = video_id or first.source.video_id
-    num_chunks = first.num_chunks
-    for rendering in renderings:
-        require(
-            rendering.num_chunks == num_chunks,
-            "all renderings must come from the same source video",
-        )
+    renderings = RenderingBatch.of(renderings)
+    num_chunks = renderings.num_chunks
 
     mos_arr = np.asarray(list(mos), dtype=float)
-    targets = (mos_arr - 1.0) / 4.0 if float(mos_arr.max()) > 1.5 else mos_arr
+    require(
+        bool(np.all((mos_arr >= 1.0) & (mos_arr <= 5.0))),
+        "MOS must be on the 1-5 Likert scale",
+    )
+    targets = (mos_arr - 1.0) / 4.0
 
     # Design matrix: row j holds q_{i,j} / N so that the solution directly
-    # plays the role of the weights in Q = (1/N) Σ w_i q_i.
-    design = np.stack(
-        [base_model.chunk_scores(rendering) for rendering in renderings]
-    ) / num_chunks
+    # plays the role of the weights in Q = (1/N) Σ w_i q_i.  Divided in
+    # place: one rows-by-chunks temporary fewer left in the heap.
+    design = base_model.chunk_scores_batch(renderings)
+    design /= num_chunks
 
     # Shrink towards the uniform prior: substitute w = 1 + delta and solve a
     # standard ridge problem for delta.
@@ -181,7 +178,7 @@ def infer_weights(
     weights = np.maximum(weights, weight_floor)
     weights = weights / float(np.mean(weights))
     return SensitivityProfile(
-        video_id=resolved_video_id,
+        video_id=video_id or renderings.encoded.source.video_id,
         weights=weights,
         num_ratings=num_ratings,
         cost_usd=cost_usd,

@@ -18,7 +18,7 @@ and the ratings are kept as columns (:class:`RatingColumns`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.crowd.worker import WorkerPool, WorkerRating
 from repro.qoe.ground_truth import GroundTruthOracle
 from repro.utils.rand import spawn_rng
 from repro.utils.validation import require
-from repro.video.rendering import RenderedVideo, render_pristine
+from repro.video.rendering import RenderedVideo, RenderingBatch, render_pristine
 
 
 @dataclass(frozen=True)
@@ -153,19 +153,21 @@ class MTurkCampaign:
 
     def run(
         self,
-        renderings: Sequence[RenderedVideo],
+        renderings: Union[RenderingBatch, Sequence[RenderedVideo]],
         reference: Optional[RenderedVideo] = None,
     ) -> CampaignResult:
-        """Collect ratings for the given renderings and aggregate MOS."""
+        """Collect ratings for the renderings of one video (a batch or a
+        sequence) and aggregate MOS."""
         require(bool(renderings), "need at least one rendering")
+        renderings = RenderingBatch.of(renderings)
         if reference is None:
-            reference = render_pristine(renderings[0].encoded)
+            reference = render_pristine(renderings.encoded)
         # The oracle is a pure function of the rendering: score every
-        # rendering (and the reference, index ``ref``) once, in one batched
-        # call, and let the surveys look scores up by index.  Ratings are
+        # rendering (and the reference, row ``ref``) once, in one batched
+        # call, and let the surveys look scores up by row.  Ratings are
         # keyed by render id, so no id may name two renderings.
-        scored = [*renderings, reference]
-        render_ids = [r.render_id for r in scored]
+        scored = RenderingBatch.concat([renderings, RenderingBatch.of([reference])])
+        render_ids = list(scored.render_ids)
         index_of = {render_id: i for i, render_id in enumerate(render_ids)}
         for i, render_id in enumerate(render_ids):
             require(
@@ -175,10 +177,9 @@ class MTurkCampaign:
             )
         ref = len(renderings)
         true_mos = self.oracle.true_mos_batch(scored)
-        seconds = np.array([r.watch_duration_s for r in scored])
+        seconds = scored.watch_duration_s
         plan = build_survey_plan(
-            renderings,
-            reference,
+            ref,
             ratings_per_rendering=self.config.ratings_per_rendering,
             videos_per_survey=self.config.videos_per_survey,
             seed=self.config.seed,
@@ -189,10 +190,7 @@ class MTurkCampaign:
         # Row s: survey s in viewing order, padded with ``ref``; column k:
         # the participant's k-th rating, from the worker's k-th draws.
         order_rng = spawn_rng(self.config.seed, "viewing-order")
-        rows = [
-            [index_of[v.render_id] for v in survey.presentation_order(order_rng)]
-            for survey in plan.surveys
-        ]
+        rows = [survey.presentation_order(order_rng) for survey in plan.surveys]
         width = max(map(len, rows))
         valid = np.arange(width) < np.array([len(row) for row in rows])[:, None]
         shown = np.array([row + [ref] * (width - len(row)) for row in rows])

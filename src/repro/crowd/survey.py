@@ -16,36 +16,38 @@ import numpy as np
 
 from repro.utils.rand import spawn_rng
 from repro.utils.validation import require
-from repro.video.rendering import RenderedVideo
 
 
 @dataclass
 class Survey:
     """One participant's assignment: a handful of renderings plus a reference.
 
+    Videos are positions in the campaign's rendering list, the reference
+    being the position after the last rendering.
+
     Attributes
     ----------
     survey_id: stable identifier.
-    renderings: the rendered videos to rate (reference excluded).
-    reference: the pristine reference rendering.
+    indices: the positions of the renderings to rate (reference excluded).
+    reference: the position of the pristine reference rendering.
     """
 
     survey_id: str
-    renderings: List[RenderedVideo]
-    reference: RenderedVideo
+    indices: List[int]
+    reference: int
 
     def __post_init__(self) -> None:
-        require(bool(self.renderings), "a survey needs at least one rendering")
+        require(bool(self.indices), "a survey needs at least one rendering")
 
-    def presentation_order(self, rng: np.random.Generator) -> List[RenderedVideo]:
+    def presentation_order(self, rng: np.random.Generator) -> List[int]:
         """All videos (including the reference) in a randomised viewing order."""
-        videos = list(self.renderings) + [self.reference]
+        videos = self.indices + [self.reference]
         return [videos[i] for i in rng.permutation(len(videos)).tolist()]
 
-    def total_video_seconds(self) -> float:
-        """Total length of video a participant watches in this survey."""
-        videos = list(self.renderings) + [self.reference]
-        return float(sum(v.watch_duration_s for v in videos))
+    def total_video_seconds(self, watch_seconds: Sequence[float]) -> float:
+        """Total length of video a participant watches in this survey, given
+        the watch seconds of every position."""
+        return float(sum(watch_seconds[i] for i in self.indices + [self.reference]))
 
 
 @dataclass
@@ -59,34 +61,37 @@ class SurveyPlan:
         """Each survey is answered by exactly one participant."""
         return len(self.surveys)
 
-    def total_video_seconds(self) -> float:
+    def total_video_seconds(self, watch_seconds: Sequence[float]) -> float:
         """Total video-seconds watched across the whole plan."""
-        return float(sum(survey.total_video_seconds() for survey in self.surveys))
+        return float(
+            sum(survey.total_video_seconds(watch_seconds) for survey in self.surveys)
+        )
 
 
 def build_survey_plan(
-    renderings: Sequence[RenderedVideo],
-    reference: RenderedVideo,
+    num_renderings: int,
     ratings_per_rendering: int,
     videos_per_survey: int = 5,
     seed: int = 29,
 ) -> SurveyPlan:
-    """Spread renderings across surveys so each gets the requested ratings.
+    """Spread ``num_renderings`` renderings (positions ``0 .. n-1``; the
+    reference is position ``n``) across surveys so each gets the requested
+    ratings.
 
     Every rendering appears in exactly ``ratings_per_rendering`` surveys;
     every survey contains at most ``videos_per_survey`` renderings (plus the
     reference video).  Assignment is randomised but seeded.
     """
-    require(bool(renderings), "need at least one rendering to rate")
+    require(num_renderings >= 1, "need at least one rendering to rate")
     require(ratings_per_rendering >= 1, "ratings_per_rendering must be >= 1")
     require(videos_per_survey >= 1, "videos_per_survey must be >= 1")
-    rng = spawn_rng(seed, "survey-plan", len(renderings), ratings_per_rendering)
+    rng = spawn_rng(seed, "survey-plan", num_renderings, ratings_per_rendering)
 
     # Build the multiset of rendering slots and shuffle it, then cut into
     # surveys of at most ``videos_per_survey`` slots, avoiding duplicates of
     # the same rendering within one survey where possible.
     slots: List[int] = []
-    for index in range(len(renderings)):
+    for index in range(num_renderings):
         slots.extend([index] * ratings_per_rendering)
     shuffled = [slots[i] for i in rng.permutation(len(slots)).tolist()]
 
@@ -99,7 +104,7 @@ def build_survey_plan(
         else:
             current.append(slot)
         if len(current) >= videos_per_survey:
-            surveys.append(_make_survey(len(surveys), current, renderings, reference))
+            surveys.append(_make_survey(len(surveys), current, num_renderings))
             current = []
             # Retry pending slots into the fresh survey.
             still_pending: List[int] = []
@@ -119,20 +124,13 @@ def build_survey_plan(
                 batch.append(slot)
             else:
                 remaining.append(slot)
-        surveys.append(_make_survey(len(surveys), batch, renderings, reference))
+        surveys.append(_make_survey(len(surveys), batch, num_renderings))
         leftovers = remaining
 
     return SurveyPlan(surveys=surveys, ratings_per_rendering=ratings_per_rendering)
 
 
-def _make_survey(
-    index: int,
-    slot_indices: Sequence[int],
-    renderings: Sequence[RenderedVideo],
-    reference: RenderedVideo,
-) -> Survey:
+def _make_survey(index: int, slot_indices: List[int], reference: int) -> Survey:
     return Survey(
-        survey_id=f"survey-{index:04d}",
-        renderings=[renderings[i] for i in slot_indices],
-        reference=reference,
+        survey_id=f"survey-{index:04d}", indices=slot_indices, reference=reference
     )

@@ -28,7 +28,7 @@ from repro.player.manifest import SenseiManifest, manifest_to_xml
 from repro.qoe.ksqi import KSQIModel
 from repro.utils.stats import spearman_correlation
 from repro.video.encoder import SyntheticEncoder
-from repro.video.rendering import render_pristine
+from repro.video.rendering import RenderingBatch, render_pristine
 from repro.video.video import SourceVideo
 
 
@@ -212,23 +212,18 @@ def profile_video(
           f"${result1.total_paid_usd:.1f} paid")
 
     base_model = KSQIModel()
-    rated = [r for r in step1.renderings if r.render_id in result1.mos]
-    mos = [result1.mos[r.render_id] for r in rated]
-    step1_profile = infer_weights(rated, mos, base_model=base_model)
+    mos = [result1.mos[render_id] for render_id in step1.renderings.render_ids]
+    step1_profile = infer_weights(step1.renderings, mos, base_model=base_model)
 
     reprobe = scheduler.select_chunks_to_reprobe(step1_profile.weights)
     print(f"\nStep 2 re-probes {len(reprobe)} chunks: {list(map(int, reprobe))}")
     step2 = scheduler.step2_schedule(encoded, step1_profile.weights)
     result2 = campaign.run(step2.renderings, reference=render_pristine(encoded))
-
-    all_renderings = rated + [
-        r for r in step2.renderings if r.render_id in result2.mos
-    ]
-    all_mos = mos + [
-        result2.mos[r.render_id]
-        for r in step2.renderings if r.render_id in result2.mos
-    ]
-    profile = infer_weights(all_renderings, all_mos, base_model=base_model)
+    profile = infer_weights(
+        RenderingBatch.concat([step1.renderings, step2.renderings]),
+        mos + [result2.mos[render_id] for render_id in step2.renderings.render_ids],
+        base_model=base_model,
+    )
 
     truth = context.oracle.normalized_sensitivity(video)
     print("\nchunk  label             weight   latent sensitivity")

@@ -15,7 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.utils.validation import require
-from repro.video.rendering import RenderedVideo
+from repro.video.rendering import RenderedVideo, RenderingBatch
 
 #: Per-chunk feature names produced by :func:`chunk_feature_matrix`.
 CHUNK_FEATURE_NAMES = (
@@ -72,15 +72,22 @@ class QoEModel(ABC):
 class AdditiveQoEModel(QoEModel):
     """A QoE model of the additive form ``Q = (1/N) Σ q_i`` (Eq. 1).
 
-    Subclasses implement :meth:`chunk_scores`; :meth:`score` averages them.
+    Subclasses implement :meth:`chunk_scores_batch`, the scores of a
+    :class:`~repro.video.rendering.RenderingBatch`; :meth:`chunk_scores` is
+    its one-row call and :meth:`score` averages it.
     SENSEI's reweighting (Eq. 2) replaces the uniform average with a
     sensitivity-weighted one — see
     :class:`repro.core.qoe_model.SenseiQoEModel`.
     """
 
     @abstractmethod
+    def chunk_scores_batch(self, renderings: RenderingBatch) -> np.ndarray:
+        """``(rows, chunks)`` per-chunk QoE contributions ``q_i``, one row
+        per rendering, as a new array the caller may modify."""
+
     def chunk_scores(self, rendered: RenderedVideo) -> np.ndarray:
-        """Per-chunk QoE contributions ``q_i``."""
+        """Per-chunk QoE contributions ``q_i`` of one rendering."""
+        return self.chunk_scores_batch(RenderingBatch.of([rendered]))[0]
 
     def score(self, rendered: RenderedVideo) -> float:
         scores = self.chunk_scores(rendered)

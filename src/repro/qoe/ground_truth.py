@@ -22,13 +22,14 @@ exactly as the paper treats real users.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.obs.trace import trace_span
 from repro.utils.validation import require, require_non_negative
-from repro.video.rendering import RenderedVideo
+from repro.video.encoder import EncodedVideo
+from repro.video.rendering import BLOCK_ROWS, RenderedVideo, RenderingBatch
 from repro.video.video import SourceVideo
 
 
@@ -98,12 +99,6 @@ class SensitivityParameters:
         require(self.penalty_saturation > 0, "penalty_saturation must be positive")
 
 
-#: Renderings :meth:`GroundTruthOracle.true_qoe_batch` scores at a time.
-#: Its temporaries (a dozen rendering-by-chunk arrays and the 7-chunk
-#: median windows) peak at 1.2 MB for the longest (149-chunk) video.
-BLOCK_ROWS = 64
-
-
 class GroundTruthOracle:
     """Latent dynamic-sensitivity model standing in for real viewers."""
 
@@ -129,35 +124,43 @@ class GroundTruthOracle:
 
     # -------------------------------------------------------------------- QoE
 
-    def true_qoe_batch(self, renderings: Sequence[RenderedVideo]) -> np.ndarray:
+    def true_qoe_batch(
+        self, renderings: Union[RenderingBatch, Sequence[RenderedVideo]]
+    ) -> np.ndarray:
         """True QoE in [0, 1] — what MOS estimates — of renderings of one
-        encoded video, in input order.  Per-video inputs are computed once
-        and every term row-wise over rendering-by-chunk matrices; each value
-        is bit-identical to scoring that rendering alone."""
+        video on one ladder (a batch or a sequence), in row order.
+        Per-video inputs are computed once and every term row-wise over
+        the batch's rendering-by-chunk matrices; each value is
+        bit-identical to scoring that rendering alone."""
         with trace_span("qoe.oracle"):
-            require(
-                len({(r.source.video_id, r.encoded.ladder) for r in renderings})
-                == 1,
-                "true_qoe_batch scores renderings of one video and one ladder",
-            )
-            sensitivity = self.normalized_sensitivity(renderings[0].source)
+            batch = RenderingBatch.of(renderings)
+            sensitivity = self.normalized_sensitivity(batch.encoded.source)
             return np.concatenate([
-                self._true_qoe_rows(renderings[start:start + BLOCK_ROWS], sensitivity)
-                for start in range(0, len(renderings), BLOCK_ROWS)
+                self._true_qoe_rows(
+                    batch.encoded,
+                    batch.levels[start:start + BLOCK_ROWS],
+                    batch.stalls_s[start:start + BLOCK_ROWS],
+                    batch.startup_delay_s[start:start + BLOCK_ROWS],
+                    sensitivity,
+                )
+                for start in range(0, len(batch), BLOCK_ROWS)
             ])
 
     def _true_qoe_rows(
-        self, renderings: Sequence[RenderedVideo], sensitivity: np.ndarray
+        self,
+        encoded: EncodedVideo,
+        levels: np.ndarray,
+        stalls: np.ndarray,
+        startup_delay: np.ndarray,
+        sensitivity: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`true_qoe_batch` over one block of at most ``BLOCK_ROWS``."""
+        """:meth:`true_qoe_batch` over one block of at most ``BLOCK_ROWS``.
+        Its temporaries (a dozen rendering-by-chunk arrays and the 7-chunk
+        median windows) peak at 1.2 MB for the longest (149-chunk) video."""
         params = self.parameters
-        encoded = renderings[0].encoded
         ladder = encoded.ladder
         top_bitrate = ladder.bitrates_kbps[-1]
         quality_matrix = encoded.quality_matrix()
-        levels = np.stack([r.levels for r in renderings])
-        stalls = np.stack([r.stalls_s for r in renderings])
-        startup_delay = np.array([r.startup_delay_s for r in renderings])
         num_chunks = levels.shape[1]
 
         # Salient incidents: rebuffering, bitrate switches and time spent at

@@ -17,7 +17,8 @@ import numpy as np
 from repro.ml.linreg import RidgeRegression
 from repro.qoe.base import AdditiveQoEModel
 from repro.utils.validation import require, require_non_negative
-from repro.video.rendering import RenderedVideo
+from repro.video.encoder import EncodedVideo
+from repro.video.rendering import BLOCK_ROWS, RenderedVideo, RenderingBatch
 
 
 @dataclass
@@ -63,18 +64,40 @@ class KSQIModel(AdditiveQoEModel):
 
     # ---------------------------------------------------------- per-chunk q_i
 
-    def chunk_scores(self, rendered: RenderedVideo) -> np.ndarray:
-        """Per-chunk contributions ``q_i``.
+    def chunk_scores_batch(self, renderings: RenderingBatch) -> np.ndarray:
+        """Per-chunk contributions ``q_i``, one row per rendering, computed
+        ``BLOCK_ROWS`` rows at a time.
 
         Deliberately not clipped per chunk: a chunk hit by a long stall can
         contribute a large negative term, exactly as in the original additive
         formulation; only the aggregate is clipped to [0, 1].
         """
+        scores = np.empty(renderings.levels.shape)
+        for start in range(0, len(renderings), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            scores[rows] = self._chunk_score_rows(
+                renderings.encoded,
+                renderings.levels[rows],
+                renderings.stalls_s[rows],
+                renderings.startup_delay_s[rows],
+            )
+        return scores
+
+    def _chunk_score_rows(
+        self,
+        encoded: EncodedVideo,
+        levels: np.ndarray,
+        stalls: np.ndarray,
+        startup_delay: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`chunk_scores_batch` over one block of rows."""
         coeffs = self.coefficients
-        quality = rendered.quality_curve() / 100.0
-        stalls = rendered.stalls_s
-        top_bitrate = rendered.encoded.ladder.bitrates_kbps[-1]
-        switches = rendered.switch_magnitudes_kbps() / top_bitrate
+        quality = encoded.quality_matrix()[np.arange(encoded.num_chunks), levels] / 100.0
+        bitrates = np.asarray(encoded.ladder.bitrates_kbps, dtype=float)[levels]
+        # |bitrate change| entering each chunk, none entering the first.
+        switches = np.zeros_like(bitrates)
+        switches[:, 1:] = np.abs(np.diff(bitrates, axis=1))
+        switches = switches / encoded.ladder.bitrates_kbps[-1]
         scores = (
             coeffs.intercept
             + coeffs.quality_weight * quality
@@ -82,8 +105,7 @@ class KSQIModel(AdditiveQoEModel):
             - coeffs.switch_weight * switches
         )
         # The startup penalty is charged to the first chunk.
-        scores = scores.copy()
-        scores[0] -= coeffs.startup_weight * rendered.startup_delay_s
+        scores[:, 0] -= coeffs.startup_weight * startup_delay
         return scores
 
     def chunk_quality_function(

@@ -22,10 +22,11 @@ the lockstep engine's planning path:
 * Greedy stock Pensieve-family sessions (``KIND_RL``) share one
   :class:`~repro.ml.rl.ActorCriticAgent` per policy (see
   :class:`~repro.service.sessions.SessionEntry`), so the flush groups them
-  by agent, stacks their encoded states, runs **one actor forward per
-  policy** and takes per-row argmaxes — bitwise the serial ``decide``
-  because the actor's matmuls are row-stable
-  (:func:`repro.ml.nn.row_matmul`).
+  by agent (and encoder configuration), encodes each group's states in
+  one :meth:`~repro.abr.pensieve.PensieveABR.encode_states` call, runs
+  **one actor forward per policy** and takes per-row argmaxes — bitwise
+  the serial ``decide`` because the encoder is elementwise per row and
+  the actor's matmuls are row-stable (:func:`repro.ml.nn.row_matmul`).
 * BBA rows are grouped by ``(reservoir_s, cushion_s)``; each group's
   buffer levels go through one
   :meth:`~repro.abr.bba.BufferBasedABR.levels_for_buffers` call.
@@ -136,15 +137,16 @@ def decide_batch(
     rounds: Dict[tuple, list] = {}
     # (reservoir, cushion) -> (clone, [(request index, observation)])
     bba_groups: dict = {}
-    # agent id -> (agent, [(request index, clone, observation, state)])
+    # (agent id, encoder shape) -> [(request index, clone, observation)]
     rl_groups: dict = {}
     for index, (clone, kind, observation) in enumerate(requests):
         if kind == KIND_RL:
-            agent = clone.agent
-            group = rl_groups.setdefault(id(agent), (agent, []))
-            group[1].append(
-                (index, clone, observation, clone.encode_state(observation))
+            config = clone.config
+            key = (
+                id(clone.agent), config.history_length, config.num_levels,
+                config.weight_horizon,
             )
+            rl_groups.setdefault(key, []).append((index, clone, observation))
         elif kind == KIND_BBA:
             group = bba_groups.setdefault(
                 (clone.reservoir_s, clone.cushion_s), (clone, [])
@@ -179,14 +181,17 @@ def decide_batch(
         for (index, _), level in zip(group, levels.tolist()):
             decisions[index] = Decision(level=level)
 
-    # One stacked actor forward per distinct policy, then a per-row argmax
-    # — exactly ``select_action(state, greedy=True)`` for each row, since
-    # the batched forward is row-bitwise-stable.
-    for agent, group in rl_groups.values():
-        states = np.stack([state for _, _, _, state in group])
-        actions = np.argmax(agent.action_probabilities_batch(states), axis=1)
-        for (index, clone, observation, state), action in zip(
-            group, actions.tolist()
+    # One state encoding and one actor forward per distinct policy, then a
+    # per-row argmax — exactly ``select_action(state, greedy=True)`` for
+    # each row, since both are row-bitwise-stable.
+    for group in rl_groups.values():
+        policy = group[0][1]
+        states = _encode_rl_states(
+            policy, [observation for _, _, observation in group]
+        )
+        probabilities = policy.agent.action_probabilities_batch(states)
+        for (index, clone, observation), state, action in zip(
+            group, states, np.argmax(probabilities, axis=1).tolist()
         ):
             decisions[index] = clone.decision_for_action(
                 observation, state, action
@@ -233,3 +238,43 @@ def decide_batch(
 
 #: MPC's one scenario carries all the probability.
 _POINT_MASS = np.ones((1, 1))
+
+
+def _encode_rl_states(
+    clone: ABRAlgorithm, observations: Sequence[PlayerObservation]
+) -> np.ndarray:
+    """:meth:`~repro.abr.pensieve.PensieveABR.encode_states` over the
+    observations, each row as ``encode_state`` encodes it: histories
+    left-padded with zeros (or cut) to the agent's window, next-chunk
+    sizes and upcoming weights right-padded."""
+    window = clone.config.history_length
+    weights = [observation.upcoming_weights for observation in observations]
+    return clone.encode_states(
+        _padded([o.throughput_history_mbps for o in observations], window, True),
+        _padded([o.download_time_history_s for o in observations], window, True),
+        _padded([o.next_chunk_sizes() for o in observations]),
+        np.array([o.ladder.num_levels for o in observations]),
+        np.array([o.buffer_s for o in observations]),
+        np.array([o.last_level for o in observations]),
+        np.array([o.chunks_remaining for o in observations]),
+        np.array([o.num_chunks for o in observations]),
+        _padded(weights),
+        np.array([w.size for w in weights]),
+    )
+
+
+def _padded(
+    rows: Sequence[np.ndarray], width: Optional[int] = None, left: bool = False
+) -> np.ndarray:
+    """``rows`` stacked, zero-padded on the right to the longest row, or
+    with ``left`` their last ``width`` values right-aligned."""
+    if width is None:
+        width = max(row.size for row in rows)
+    out = np.zeros((len(rows), width))
+    for position, row in enumerate(rows):
+        if left:
+            kept = row[row.size - min(row.size, width):]
+            out[position, width - kept.size:] = kept
+        else:
+            out[position, :row.size] = row
+    return out

@@ -17,8 +17,10 @@ from repro.video.library import VideoSpec, TEST_VIDEO_SPECS, VideoLibrary
 from repro.video.rendering import (
     QualityIncident,
     RenderedVideo,
+    RenderingBatch,
     render_pristine,
     inject_incident,
+    inject_incidents,
     make_video_series,
 )
 
@@ -36,7 +38,9 @@ __all__ = [
     "VideoLibrary",
     "QualityIncident",
     "RenderedVideo",
+    "RenderingBatch",
     "render_pristine",
     "inject_incident",
+    "inject_incidents",
     "make_video_series",
 ]

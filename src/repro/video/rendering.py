@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.utils.validation import require, require_non_negative
 from repro.video.encoder import EncodedVideo
@@ -229,30 +230,201 @@ def render_pristine(encoded: EncodedVideo, render_id: str = "") -> RenderedVideo
     )
 
 
+#: Rows a scorer of a :class:`RenderingBatch` (the ground-truth oracle,
+#: KSQI) takes at a time: it bounds their rows-by-chunks temporaries, which
+#: freed after every call would otherwise grow the heap.
+BLOCK_ROWS = 64
+
+
+def _video_key(encoded: EncodedVideo) -> tuple:
+    return encoded.source.video_id, encoded.ladder
+
+
+@dataclass(frozen=True)
+class RenderingBatch:
+    """Renderings of one video as columns: row ``r`` is one playback.
+
+    This is what the profiling pipeline schedules, rates, scores and infers
+    weights from.  Indexing or iterating builds a :class:`RenderedVideo`
+    per row on access.
+
+    Attributes
+    ----------
+    encoded:
+        The encoded video every row plays (any encoding of one video on
+        one ladder; the first row's when stacked).
+    levels:
+        ``(rows, chunks)`` bitrate level per chunk.
+    stalls_s:
+        ``(rows, chunks)`` rebuffering time right before each chunk.
+    startup_delay_s:
+        ``(rows,)`` delay before the first chunk plays.
+    render_ids:
+        One identifier per row.
+    """
+
+    encoded: EncodedVideo
+    levels: np.ndarray
+    stalls_s: np.ndarray
+    startup_delay_s: np.ndarray
+    render_ids: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        levels = np.asarray(self.levels, dtype=int)
+        stalls = np.asarray(self.stalls_s, dtype=float)
+        startup = np.asarray(self.startup_delay_s, dtype=float)
+        render_ids = tuple(self.render_ids)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "stalls_s", stalls)
+        object.__setattr__(self, "startup_delay_s", startup)
+        object.__setattr__(self, "render_ids", render_ids)
+        shape = (len(render_ids), self.encoded.num_chunks)
+        require(levels.shape == shape, "levels must be one row per rendering")
+        require(stalls.shape == shape, "stalls_s must be one row per rendering")
+        require(startup.shape == shape[:1], "one startup delay per rendering")
+        require(bool(np.all(levels >= 0)), "levels must be >= 0")
+        require(
+            bool(np.all(levels < self.encoded.ladder.num_levels)),
+            "levels must be valid ladder indices",
+        )
+        require(bool(np.all(stalls >= 0)), "stall times must be >= 0")
+        require(bool(np.all(startup >= 0)), "startup_delay_s must be >= 0")
+
+    @classmethod
+    def of(
+        cls, renderings: Union["RenderingBatch", Sequence[RenderedVideo]]
+    ) -> "RenderingBatch":
+        """``renderings`` as a batch: a batch as it is, a non-empty
+        sequence of renderings of one video and one ladder stacked."""
+        if isinstance(renderings, cls):
+            return renderings
+        require(bool(renderings), "a rendering batch needs at least one rendering")
+        require(
+            len({_video_key(r.encoded) for r in renderings}) == 1,
+            "a rendering batch holds renderings of one video and one ladder",
+        )
+        return cls(
+            encoded=renderings[0].encoded,
+            levels=np.stack([r.levels for r in renderings]),
+            stalls_s=np.stack([r.stalls_s for r in renderings]),
+            startup_delay_s=np.array([r.startup_delay_s for r in renderings]),
+            render_ids=[r.render_id for r in renderings],
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["RenderingBatch"]) -> "RenderingBatch":
+        """The rows of ``batches`` (of one video and one ladder), in order."""
+        require(
+            len({_video_key(b.encoded) for b in batches}) == 1,
+            "a rendering batch holds renderings of one video and one ladder",
+        )
+        return cls(
+            encoded=batches[0].encoded,
+            levels=np.concatenate([b.levels for b in batches]),
+            stalls_s=np.concatenate([b.stalls_s for b in batches]),
+            startup_delay_s=np.concatenate([b.startup_delay_s for b in batches]),
+            render_ids=[i for b in batches for i in b.render_ids],
+        )
+
+    def __len__(self) -> int:
+        return len(self.render_ids)
+
+    def __getitem__(self, row: int) -> RenderedVideo:
+        return RenderedVideo(
+            encoded=self.encoded,
+            levels=self.levels[row].copy(),
+            stalls_s=self.stalls_s[row].copy(),
+            startup_delay_s=float(self.startup_delay_s[row]),
+            render_id=self.render_ids[row],
+        )
+
+    def __iter__(self) -> Iterator[RenderedVideo]:
+        return (self[row] for row in range(len(self)))
+
+    @property
+    def num_chunks(self) -> int:
+        """Number of chunks per rendering."""
+        return self.encoded.num_chunks
+
+    @property
+    def watch_duration_s(self) -> np.ndarray:
+        """Per row, :attr:`RenderedVideo.watch_duration_s`."""
+        duration = self.num_chunks * self.encoded.chunk_duration_s
+        return duration + np.sum(self.stalls_s, axis=1) + self.startup_delay_s
+
+
+def inject_incidents(
+    rendering: RenderedVideo,
+    render_ids: Sequence[str],
+    chunk_index: ArrayLike,
+    stall_s: ArrayLike = 0.0,
+    drop_to_level: ArrayLike = 0,
+    drop_chunks: ArrayLike = 0,
+) -> RenderingBatch:
+    """``rendering`` once per render id, each row with its own incidents.
+
+    Row ``r`` gets ``stall_s[r]`` more seconds of rebuffering right before
+    chunk ``chunk_index[r]``, and its level capped at ``drop_to_level[r]``
+    for the ``drop_chunks[r]`` chunks from there (cut at the video's end).
+    A zero stall and zero drop chunks leave the row as ``rendering`` plays.
+    Scalars apply to every row.
+    """
+    rows = len(render_ids)
+    num_chunks = rendering.num_chunks
+    chunk, stall, drop, span = (
+        np.broadcast_to(np.asarray(values, dtype=dtype), (rows,))
+        for values, dtype in (
+            (chunk_index, int), (stall_s, float), (drop_to_level, int),
+            (drop_chunks, int),
+        )
+    )
+    require(
+        bool(np.all((chunk >= 0) & (chunk < num_chunks))),
+        "incident chunk index beyond video end",
+    )
+    require(
+        bool(np.all(drop[span > 0] < rendering.encoded.ladder.num_levels)),
+        "drop_to_level out of range",
+    )
+    stalls = np.tile(rendering.stalls_s, (rows, 1))
+    stalled = np.flatnonzero(stall)
+    stalls[stalled, chunk[stalled]] += stall[stalled]
+    levels = np.tile(rendering.levels, (rows, 1))
+    columns = np.arange(num_chunks)
+    dropped = (columns >= chunk[:, None]) & (columns < (chunk + span)[:, None])
+    np.minimum(levels, drop[:, None], out=levels, where=dropped)
+    return RenderingBatch(
+        encoded=rendering.encoded,
+        levels=levels,
+        stalls_s=stalls,
+        startup_delay_s=np.full(rows, rendering.startup_delay_s),
+        render_ids=render_ids,
+    )
+
+
+def _incident_columns(incident: QualityIncident) -> dict:
+    """An incident as :func:`inject_incidents` keywords."""
+    if incident.kind == INCIDENT_REBUFFERING:
+        return {"stall_s": incident.stall_s}
+    return {
+        "drop_to_level": incident.drop_to_level,
+        "drop_chunks": incident.duration_chunks,
+    }
+
+
 def inject_incident(
     rendering: RenderedVideo, incident: QualityIncident, render_id: str = ""
 ) -> RenderedVideo:
     """Return a copy of ``rendering`` with one quality incident injected."""
-    n = rendering.num_chunks
-    require(incident.chunk_index < n, "incident chunk index beyond video end")
-    levels = rendering.levels.copy()
-    stalls = rendering.stalls_s.copy()
-    if incident.kind == INCIDENT_REBUFFERING:
-        stalls[incident.chunk_index] += incident.stall_s
-    else:
-        require(
-            incident.drop_to_level < rendering.encoded.ladder.num_levels,
-            "drop_to_level out of range",
-        )
-        end = min(n, incident.chunk_index + incident.duration_chunks)
-        for i in range(incident.chunk_index, end):
-            levels[i] = min(int(levels[i]), incident.drop_to_level)
     if not render_id:
         render_id = (
             f"{rendering.encoded.source.video_id}/{incident.kind}"
             f"@{incident.chunk_index}"
         )
-    return replace(rendering, levels=levels, stalls_s=stalls, render_id=render_id)
+    return inject_incidents(
+        rendering, [render_id], incident.chunk_index,
+        **_incident_columns(incident),
+    )[0]
 
 
 def make_video_series(
@@ -265,12 +437,14 @@ def make_video_series(
     Every rendering has the same (pristine) content except for the incident
     from ``incident_template`` moved to a different chunk.
     """
-    pristine = render_pristine(encoded)
     if chunk_indices is None:
         chunk_indices = range(encoded.num_chunks)
-    series: List[RenderedVideo] = []
-    for chunk_index in chunk_indices:
-        incident = replace(incident_template, chunk_index=int(chunk_index))
-        series.append(inject_incident(pristine, incident))
-    require(bool(series), "video series must contain at least one rendering")
-    return series
+    chunks = [int(chunk_index) for chunk_index in chunk_indices]
+    require(bool(chunks), "video series must contain at least one rendering")
+    prefix = f"{encoded.source.video_id}/{incident_template.kind}@"
+    return list(inject_incidents(
+        render_pristine(encoded),
+        [f"{prefix}{chunk_index}" for chunk_index in chunks],
+        chunks,
+        **_incident_columns(incident_template),
+    ))

@@ -100,8 +100,7 @@ def run_campaign(
     mos_by_id = dict(zip((r.render_id for r in scored), true_mos))
     config = campaign.config
     plan = build_survey_plan(
-        renderings,
-        reference,
+        len(renderings),
         ratings_per_rendering=config.ratings_per_rendering,
         videos_per_survey=config.videos_per_survey,
         seed=config.seed,
@@ -115,7 +114,8 @@ def run_campaign(
     scores: Dict[str, List[float]] = {r.render_id: [] for r in renderings}
     for survey, worker in zip(plan.surveys, workers):
         records, accepted_participant, watch_seconds = _run_survey(
-            survey.presentation_order(order_rng), worker, reference, mos_by_id
+            [scored[i] for i in survey.presentation_order(order_rng)],
+            worker, reference, mos_by_id,
         )
         result.records.extend(records)
         result.num_participants += 1

@@ -65,35 +65,36 @@ class TestWorkers:
 
 
 class TestSurveyPlan:
-    def test_every_rendering_gets_requested_ratings(self, series, pristine):
-        plan = build_survey_plan(series, pristine, ratings_per_rendering=4,
+    def test_every_rendering_gets_requested_ratings(self, series):
+        plan = build_survey_plan(len(series), ratings_per_rendering=4,
                                  videos_per_survey=3, seed=1)
-        counts = {r.render_id: 0 for r in series}
+        counts = [0] * len(series)
         for survey in plan.surveys:
-            for rendering in survey.renderings:
-                counts[rendering.render_id] += 1
-        assert all(count == 4 for count in counts.values())
+            for index in survey.indices:
+                counts[index] += 1
+        assert all(count == 4 for count in counts)
 
-    def test_surveys_respect_size_limit(self, series, pristine):
-        plan = build_survey_plan(series, pristine, ratings_per_rendering=3,
+    def test_surveys_respect_size_limit(self, series):
+        plan = build_survey_plan(len(series), ratings_per_rendering=3,
                                  videos_per_survey=4, seed=1)
-        assert all(len(s.renderings) <= 4 for s in plan.surveys)
+        assert all(len(s.indices) <= 4 for s in plan.surveys)
 
-    def test_no_duplicate_rendering_within_survey(self, series, pristine):
-        plan = build_survey_plan(series, pristine, ratings_per_rendering=5,
+    def test_no_duplicate_rendering_within_survey(self, series):
+        plan = build_survey_plan(len(series), ratings_per_rendering=5,
                                  videos_per_survey=4, seed=2)
         for survey in plan.surveys:
-            ids = [r.render_id for r in survey.renderings]
-            assert len(ids) == len(set(ids))
+            assert len(survey.indices) == len(set(survey.indices))
 
-    def test_presentation_order_contains_reference(self, series, pristine):
-        plan = build_survey_plan(series, pristine, ratings_per_rendering=2, seed=1)
+    def test_presentation_order_contains_reference(self, series):
+        plan = build_survey_plan(len(series), ratings_per_rendering=2, seed=1)
         order = plan.surveys[0].presentation_order(np.random.default_rng(0))
-        assert pristine.render_id in [r.render_id for r in order]
+        # The reference is the position after the last rendering.
+        assert len(series) in order
 
     def test_total_video_seconds_positive(self, series, pristine):
-        plan = build_survey_plan(series, pristine, ratings_per_rendering=2, seed=1)
-        assert plan.total_video_seconds() > 0
+        plan = build_survey_plan(len(series), ratings_per_rendering=2, seed=1)
+        seconds = [r.watch_duration_s for r in [*series, pristine]]
+        assert plan.total_video_seconds(seconds) > 0
 
 
 class TestCostModel:

@@ -33,7 +33,7 @@ from repro.abr.bba import BufferBasedABR
 from repro.abr.fugu import FuguABR
 from repro.abr.mpc import ModelPredictiveABR
 from repro.abr.pensieve import PensieveABR, PensieveConfig
-from repro.core.sensei_abr import SenseiFuguABR
+from repro.core.sensei_abr import SenseiFuguABR, SenseiPensieveABR
 from repro.engine.runner import BatchRunner, WorkOrder
 from repro.experiments.common import ExperimentContext
 from repro.experiments.spec import resolve_scale
@@ -55,7 +55,7 @@ from repro.service import loadgen
 from repro.service import service as service_module
 from repro.service.decisions import decide_batch
 from repro.service.loadgen import synthetic_weights
-from repro.service.sessions import KIND_BBA, KIND_RL
+from repro.service.sessions import KIND_BBA, KIND_RL, SessionEntry
 from repro.video.chunk import EncodingLadder
 from repro.video.encoder import SyntheticEncoder
 
@@ -509,6 +509,63 @@ class TestOnlineOfflineIdentity:
         verdict = asyncio.run(scenario())
         assert verdict["checked"] == 2
         assert verdict["identical"], verdict["mismatches"]
+
+    def test_rl_flush_encodes_each_policy_once_bitwise(self, context):
+        """A flush of greedy Pensieve and SENSEI-Pensieve sessions at chunk
+        0 (empty histories), chunk 1 and past the history window (and, for
+        SENSEI, near the end, where fewer weights remain than its horizon):
+        one ``encode_states`` call per policy, whose rows equal each
+        session's one-row ``encode_state`` and whose decisions equal each
+        clone's own ``decide``, bit for bit."""
+        encoded = context.videos()[0]
+        traces = context.traces()
+        base = PensieveABR(PensieveConfig(seed=3), greedy=True)
+        sensei = SenseiPensieveABR()
+        steps = {
+            base: (0, 1, 12, 1, 0),
+            sensei: (0, 1, encoded.num_chunks - 2, 12),
+        }
+        requests = []
+        for policy, counts in steps.items():
+            weights = (synthetic_weights(encoded.num_chunks)
+                       if policy is sensei else None)
+            for position, count in enumerate(counts):
+                order = WorkOrder(
+                    policy, encoded, traces[position % len(traces)],
+                    chunk_weights=weights,
+                )
+                entry = SessionEntry("rl", f"s{len(requests)}", order)
+                for _ in range(count):
+                    entry.state.apply(entry.clone.decide(entry.state.observe()))
+                requests.append((entry.clone, KIND_RL, entry.state.observe()))
+        # Interleave the two policies within the flush.
+        requests = requests[::2] + requests[1::2]
+        expected_states = {
+            id(policy): np.stack([
+                clone.encode_state(observation)
+                for clone, _, observation in requests
+                if clone.agent is policy.agent
+            ])
+            for policy in steps
+        }
+        expected = [clone.decide(observation) for clone, _, observation in requests]
+        encoded_states = []
+        original = PensieveABR.encode_states
+
+        def spy(self, *args):
+            states = original(self, *args)
+            encoded_states.append((id(self.agent), states))
+            return states
+
+        with mock.patch.object(PensieveABR, "encode_states", spy):
+            decisions = decide_batch(requests)
+        assert decisions == expected
+        assert sorted(agent for agent, _ in encoded_states) == sorted(
+            id(policy.agent) for policy in steps
+        )
+        for agent, states in encoded_states:
+            policy = base if agent == id(base.agent) else sensei
+            assert states.tobytes() == expected_states[id(policy)].tobytes()
 
     def test_bba_rows_take_one_chunk_map_per_parameterisation(
         self, context, monkeypatch
