@@ -16,7 +16,7 @@ reward — see :mod:`repro.core.sensei_abr`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,23 @@ _BUFFER_SCALE_S = 60.0
 _DOWNLOAD_TIME_SCALE_S = 10.0
 _CHUNK_SIZE_SCALE_BYTES = 2_000_000.0
 
+
+
+def _rows(arrays: Sequence[np.ndarray], right: bool = False) -> np.ndarray:
+    """1-D ``arrays`` as the rows of one array, zero-padded to the longest
+    one on the right (or, with ``right``, on the left)."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    width = max(array.size for array in arrays)
+    if all(array.size == width for array in arrays):
+        return np.stack(arrays)
+    rows = np.zeros((len(arrays), width))
+    for row, array in zip(rows, arrays):
+        if right:
+            row[width - array.size:] = array
+        else:
+            row[:array.size] = array
+    return rows
 
 @dataclass(frozen=True)
 class PensieveConfig:
@@ -112,19 +129,26 @@ class PensieveABR(ABRAlgorithm):
 
     def encode_state(self, observation: PlayerObservation) -> np.ndarray:
         """Flatten a player observation into the agent's state vector."""
-        weights = observation.upcoming_weights
+        return self.encode_observations([observation])[0]
+
+    def encode_observations(
+        self, observations: Sequence[PlayerObservation]
+    ) -> np.ndarray:
+        """:meth:`encode_states` of player observations, one row each."""
+        window = self.config.history_length
+        weights = [observation.upcoming_weights for observation in observations]
         return self.encode_states(
-            observation.throughput_history_mbps[None, :],
-            observation.download_time_history_s[None, :],
-            observation.next_chunk_sizes()[None, :],
-            np.array([observation.ladder.num_levels]),
-            np.array([observation.buffer_s]),
-            np.array([observation.last_level]),
-            np.array([observation.chunks_remaining]),
-            np.array([observation.num_chunks]),
-            weights[None, :],
-            np.array([weights.size]),
-        )[0]
+            _rows([o.throughput_history_mbps[-window:] for o in observations], True),
+            _rows([o.download_time_history_s[-window:] for o in observations], True),
+            _rows([o.next_chunk_sizes() for o in observations]),
+            np.array([o.ladder.num_levels for o in observations]),
+            np.array([o.buffer_s for o in observations]),
+            np.array([o.last_level for o in observations]),
+            np.array([o.chunks_remaining for o in observations]),
+            np.array([o.num_chunks for o in observations]),
+            _rows(weights),
+            np.array([w.size for w in weights]),
+        )
 
     def encode_states(
         self,

@@ -15,7 +15,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.utils.validation import require
-from repro.video.rendering import RenderedVideo, RenderingBatch
+from repro.video.encoder import EncodedVideo
+from repro.video.rendering import BLOCK_ROWS, RenderedVideo, RenderingBatch
 
 #: Per-chunk feature names produced by :func:`chunk_feature_matrix`.
 CHUNK_FEATURE_NAMES = (
@@ -72,22 +73,50 @@ class QoEModel(ABC):
 class AdditiveQoEModel(QoEModel):
     """A QoE model of the additive form ``Q = (1/N) Σ q_i`` (Eq. 1).
 
-    Subclasses implement :meth:`chunk_scores_batch`, the scores of a
-    :class:`~repro.video.rendering.RenderingBatch`; :meth:`chunk_scores` is
-    its one-row call and :meth:`score` averages it.
+    Subclasses implement :meth:`chunk_score_rows`, the scores of rows of
+    levels and stalls; :meth:`chunk_scores_batch` feeds it a
+    :class:`~repro.video.rendering.RenderingBatch` ``BLOCK_ROWS`` rows at a
+    time, :meth:`chunk_scores` one rendering's row, and :meth:`score`
+    averages that.
     SENSEI's reweighting (Eq. 2) replaces the uniform average with a
     sensitivity-weighted one — see
     :class:`repro.core.qoe_model.SenseiQoEModel`.
     """
 
     @abstractmethod
+    def chunk_score_rows(
+        self,
+        encoded: EncodedVideo,
+        levels: np.ndarray,
+        stalls_s: np.ndarray,
+        startup_delay_s: np.ndarray,
+    ) -> np.ndarray:
+        """``(rows, chunks)`` per-chunk QoE contributions ``q_i`` of
+        renderings of ``encoded`` given as ``(rows, chunks)`` levels and
+        stalls and ``(rows,)`` startup delays, as a new array."""
+
     def chunk_scores_batch(self, renderings: RenderingBatch) -> np.ndarray:
-        """``(rows, chunks)`` per-chunk QoE contributions ``q_i``, one row
-        per rendering, as a new array the caller may modify."""
+        """Per-chunk contributions ``q_i``, one row per rendering of the
+        batch, scored ``BLOCK_ROWS`` rows at a time."""
+        scores = np.empty(renderings.levels.shape)
+        for start in range(0, len(renderings), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            scores[rows] = self.chunk_score_rows(
+                renderings.encoded,
+                renderings.levels[rows],
+                renderings.stalls_s[rows],
+                renderings.startup_delay_s[rows],
+            )
+        return scores
 
     def chunk_scores(self, rendered: RenderedVideo) -> np.ndarray:
         """Per-chunk QoE contributions ``q_i`` of one rendering."""
-        return self.chunk_scores_batch(RenderingBatch.of([rendered]))[0]
+        return self.chunk_score_rows(
+            rendered.encoded,
+            rendered.levels[None],
+            rendered.stalls_s[None],
+            np.array([rendered.startup_delay_s]),
+        )[0]
 
     def score(self, rendered: RenderedVideo) -> float:
         scores = self.chunk_scores(rendered)

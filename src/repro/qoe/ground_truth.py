@@ -29,7 +29,14 @@ import numpy as np
 from repro.obs.trace import trace_span
 from repro.utils.validation import require, require_non_negative
 from repro.video.encoder import EncodedVideo
-from repro.video.rendering import BLOCK_ROWS, RenderedVideo, RenderingBatch
+from repro.video.rendering import (
+    BLOCK_ROWS,
+    RenderedVideo,
+    RenderingBatch,
+    bitrate_switches_kbps,
+    played_bitrates_kbps,
+    played_quality,
+)
 from repro.video.video import SourceVideo
 
 
@@ -134,17 +141,30 @@ class GroundTruthOracle:
         bit-identical to scoring that rendering alone."""
         with trace_span("qoe.oracle"):
             batch = RenderingBatch.of(renderings)
-            sensitivity = self.normalized_sensitivity(batch.encoded.source)
-            return np.concatenate([
-                self._true_qoe_rows(
-                    batch.encoded,
-                    batch.levels[start:start + BLOCK_ROWS],
-                    batch.stalls_s[start:start + BLOCK_ROWS],
-                    batch.startup_delay_s[start:start + BLOCK_ROWS],
-                    sensitivity,
-                )
-                for start in range(0, len(batch), BLOCK_ROWS)
-            ])
+            return self._true_qoe_columns(
+                batch.encoded, batch.levels, batch.stalls_s, batch.startup_delay_s
+            )
+
+    def _true_qoe_columns(
+        self,
+        encoded: EncodedVideo,
+        levels: np.ndarray,
+        stalls: np.ndarray,
+        startup_delay: np.ndarray,
+    ) -> np.ndarray:
+        """True QoE of ``(rows, chunks)`` levels and stalls and ``(rows,)``
+        startup delays of ``encoded``, ``BLOCK_ROWS`` rows at a time."""
+        sensitivity = self.normalized_sensitivity(encoded.source)
+        return np.concatenate([
+            self._true_qoe_rows(
+                encoded,
+                levels[start:start + BLOCK_ROWS],
+                stalls[start:start + BLOCK_ROWS],
+                startup_delay[start:start + BLOCK_ROWS],
+                sensitivity,
+            )
+            for start in range(0, len(levels), BLOCK_ROWS)
+        ])
 
     def _true_qoe_rows(
         self,
@@ -160,16 +180,14 @@ class GroundTruthOracle:
         params = self.parameters
         ladder = encoded.ladder
         top_bitrate = ladder.bitrates_kbps[-1]
-        quality_matrix = encoded.quality_matrix()
         num_chunks = levels.shape[1]
 
         # Salient incidents: rebuffering, bitrate switches and time spent at
         # severely reduced bitrate.  They are *summed* over the video (with
         # saturation), not averaged, because a single incident stays
         # memorable regardless of how long the video is.
-        bitrates = np.asarray(ladder.bitrates_kbps, dtype=float)[levels]
-        switch_magnitudes = np.zeros_like(bitrates)
-        switch_magnitudes[:, 1:] = np.abs(np.diff(bitrates, axis=1))
+        bitrates = played_bitrates_kbps(encoded, levels)
+        switch_magnitudes = bitrate_switches_kbps(bitrates)
         stall_penalty = params.rebuffer_penalty_per_s * stalls
         switch_penalty = params.switch_penalty * (switch_magnitudes / top_bitrate)
         # Transient bitrate dips below the local (7-chunk median) bitrate.
@@ -204,8 +222,8 @@ class GroundTruthOracle:
         # Playing a highly sensitive chunk below its best achievable quality
         # is memorable in its own right (a blurry goal moment), independent
         # of how long the video is.
-        quality = quality_matrix[np.arange(num_chunks), levels]
-        best_quality = quality_matrix[:, ladder.highest_level]
+        quality = played_quality(encoded, levels)
+        best_quality = encoded.quality_matrix()[:, ladder.highest_level]
         key_quality_penalty = (
             params.key_quality_salience
             * np.maximum(sensitivity - 1.0, 0.0)
@@ -241,7 +259,13 @@ class GroundTruthOracle:
 
     def true_qoe(self, rendered: RenderedVideo) -> float:
         """True QoE of one rendering (hot callers use :meth:`true_qoe_batch`)."""
-        return float(self.true_qoe_batch([rendered])[0])
+        with trace_span("qoe.oracle"):
+            return float(self._true_qoe_columns(
+                rendered.encoded,
+                rendered.levels[None],
+                rendered.stalls_s[None],
+                np.array([rendered.startup_delay_s]),
+            )[0])
 
     def true_mos_batch(self, renderings: Sequence[RenderedVideo]) -> np.ndarray:
         """True QoE on the 1–5 Likert scale the surveys use, per rendering."""
@@ -249,4 +273,4 @@ class GroundTruthOracle:
 
     def true_mos(self, rendered: RenderedVideo) -> float:
         """True MOS of one rendering (hot callers use :meth:`true_mos_batch`)."""
-        return float(self.true_mos_batch([rendered])[0])
+        return 1.0 + 4.0 * self.true_qoe(rendered)

@@ -18,7 +18,12 @@ from repro.ml.linreg import RidgeRegression
 from repro.qoe.base import AdditiveQoEModel
 from repro.utils.validation import require, require_non_negative
 from repro.video.encoder import EncodedVideo
-from repro.video.rendering import BLOCK_ROWS, RenderedVideo, RenderingBatch
+from repro.video.rendering import (
+    RenderedVideo,
+    bitrate_switches_kbps,
+    played_bitrates_kbps,
+    played_quality,
+)
 
 
 @dataclass
@@ -64,48 +69,33 @@ class KSQIModel(AdditiveQoEModel):
 
     # ---------------------------------------------------------- per-chunk q_i
 
-    def chunk_scores_batch(self, renderings: RenderingBatch) -> np.ndarray:
-        """Per-chunk contributions ``q_i``, one row per rendering, computed
-        ``BLOCK_ROWS`` rows at a time.
+    def chunk_score_rows(
+        self,
+        encoded: EncodedVideo,
+        levels: np.ndarray,
+        stalls_s: np.ndarray,
+        startup_delay_s: np.ndarray,
+    ) -> np.ndarray:
+        """Per-chunk contributions ``q_i``, one row per rendering.
 
         Deliberately not clipped per chunk: a chunk hit by a long stall can
         contribute a large negative term, exactly as in the original additive
         formulation; only the aggregate is clipped to [0, 1].
         """
-        scores = np.empty(renderings.levels.shape)
-        for start in range(0, len(renderings), BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            scores[rows] = self._chunk_score_rows(
-                renderings.encoded,
-                renderings.levels[rows],
-                renderings.stalls_s[rows],
-                renderings.startup_delay_s[rows],
-            )
-        return scores
-
-    def _chunk_score_rows(
-        self,
-        encoded: EncodedVideo,
-        levels: np.ndarray,
-        stalls: np.ndarray,
-        startup_delay: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`chunk_scores_batch` over one block of rows."""
         coeffs = self.coefficients
-        quality = encoded.quality_matrix()[np.arange(encoded.num_chunks), levels] / 100.0
-        bitrates = np.asarray(encoded.ladder.bitrates_kbps, dtype=float)[levels]
-        # |bitrate change| entering each chunk, none entering the first.
-        switches = np.zeros_like(bitrates)
-        switches[:, 1:] = np.abs(np.diff(bitrates, axis=1))
-        switches = switches / encoded.ladder.bitrates_kbps[-1]
+        quality = played_quality(encoded, levels) / 100.0
+        top_bitrate = encoded.ladder.bitrates_kbps[-1]
+        switches = (
+            bitrate_switches_kbps(played_bitrates_kbps(encoded, levels)) / top_bitrate
+        )
         scores = (
             coeffs.intercept
             + coeffs.quality_weight * quality
-            - coeffs.rebuffer_weight * stalls
+            - coeffs.rebuffer_weight * stalls_s
             - coeffs.switch_weight * switches
         )
         # The startup penalty is charged to the first chunk.
-        scores[:, 0] -= coeffs.startup_weight * startup_delay
+        scores[:, 0] -= coeffs.startup_weight * startup_delay_s
         return scores
 
     def chunk_quality_function(

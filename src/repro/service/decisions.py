@@ -23,7 +23,7 @@ the lockstep engine's planning path:
   :class:`~repro.ml.rl.ActorCriticAgent` per policy (see
   :class:`~repro.service.sessions.SessionEntry`), so the flush groups them
   by agent (and encoder configuration), encodes each group's states in
-  one :meth:`~repro.abr.pensieve.PensieveABR.encode_states` call, runs
+  one :meth:`~repro.abr.pensieve.PensieveABR.encode_observations` call, runs
   **one actor forward per policy** and takes per-row argmaxes — bitwise
   the serial ``decide`` because the encoder is elementwise per row and
   the actor's matmuls are row-stable (:func:`repro.ml.nn.row_matmul`).
@@ -137,16 +137,13 @@ def decide_batch(
     rounds: Dict[tuple, list] = {}
     # (reservoir, cushion) -> (clone, [(request index, observation)])
     bba_groups: dict = {}
-    # (agent id, encoder shape) -> [(request index, clone, observation)]
+    # (agent id, encoder config) -> [(request index, clone, observation)]
     rl_groups: dict = {}
     for index, (clone, kind, observation) in enumerate(requests):
         if kind == KIND_RL:
-            config = clone.config
-            key = (
-                id(clone.agent), config.history_length, config.num_levels,
-                config.weight_horizon,
+            rl_groups.setdefault((id(clone.agent), clone.config), []).append(
+                (index, clone, observation)
             )
-            rl_groups.setdefault(key, []).append((index, clone, observation))
         elif kind == KIND_BBA:
             group = bba_groups.setdefault(
                 (clone.reservoir_s, clone.cushion_s), (clone, [])
@@ -186,8 +183,8 @@ def decide_batch(
     # each row, since both are row-bitwise-stable.
     for group in rl_groups.values():
         policy = group[0][1]
-        states = _encode_rl_states(
-            policy, [observation for _, _, observation in group]
+        states = policy.encode_observations(
+            [observation for _, _, observation in group]
         )
         probabilities = policy.agent.action_probabilities_batch(states)
         for (index, clone, observation), state, action in zip(
@@ -238,43 +235,3 @@ def decide_batch(
 
 #: MPC's one scenario carries all the probability.
 _POINT_MASS = np.ones((1, 1))
-
-
-def _encode_rl_states(
-    clone: ABRAlgorithm, observations: Sequence[PlayerObservation]
-) -> np.ndarray:
-    """:meth:`~repro.abr.pensieve.PensieveABR.encode_states` over the
-    observations, each row as ``encode_state`` encodes it: histories
-    left-padded with zeros (or cut) to the agent's window, next-chunk
-    sizes and upcoming weights right-padded."""
-    window = clone.config.history_length
-    weights = [observation.upcoming_weights for observation in observations]
-    return clone.encode_states(
-        _padded([o.throughput_history_mbps for o in observations], window, True),
-        _padded([o.download_time_history_s for o in observations], window, True),
-        _padded([o.next_chunk_sizes() for o in observations]),
-        np.array([o.ladder.num_levels for o in observations]),
-        np.array([o.buffer_s for o in observations]),
-        np.array([o.last_level for o in observations]),
-        np.array([o.chunks_remaining for o in observations]),
-        np.array([o.num_chunks for o in observations]),
-        _padded(weights),
-        np.array([w.size for w in weights]),
-    )
-
-
-def _padded(
-    rows: Sequence[np.ndarray], width: Optional[int] = None, left: bool = False
-) -> np.ndarray:
-    """``rows`` stacked, zero-padded on the right to the longest row, or
-    with ``left`` their last ``width`` values right-aligned."""
-    if width is None:
-        width = max(row.size for row in rows)
-    out = np.zeros((len(rows), width))
-    for position, row in enumerate(rows):
-        if left:
-            kept = row[row.size - min(row.size, width):]
-            out[position, width - kept.size:] = kept
-        else:
-            out[position, :row.size] = row
-    return out

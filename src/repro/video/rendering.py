@@ -82,6 +82,63 @@ class QualityIncident:
         )
 
 
+# ------------------------------------------------ renderings as level/stall rows
+#
+# The arithmetic of a rendering, once, over ``(rows, chunks)`` level and
+# stall arrays (a 1-D array is one row): a :class:`RenderedVideo` calls it
+# on its own row, a :class:`RenderingBatch` and the batched scorers on
+# their matrices, so every row's values are the same bits either way.
+
+
+def rendering_columns(
+    encoded: EncodedVideo,
+    levels: ArrayLike,
+    stalls_s: ArrayLike,
+    startup_delay_s: ArrayLike,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, chunks)`` levels and stalls and ``(rows,)`` startup delays
+    of renderings of ``encoded``, as int and float arrays, checked."""
+    levels = np.asarray(levels, dtype=int)
+    stalls = np.asarray(stalls_s, dtype=float)
+    startup = np.asarray(startup_delay_s, dtype=float)
+    shape = (startup.size, encoded.num_chunks)
+    require(levels.shape == shape, "levels must have one entry per chunk")
+    require(stalls.shape == shape, "stalls_s must have one entry per chunk")
+    require(bool(np.all(levels >= 0)), "levels must be >= 0")
+    require(
+        bool(np.all(levels < encoded.ladder.num_levels)),
+        "levels must be valid ladder indices",
+    )
+    require(bool(np.all(stalls >= 0)), "stall times must be >= 0")
+    require(not np.any(startup < 0), "startup_delay_s must be >= 0")
+    return levels, stalls, startup
+
+
+def watch_seconds(
+    encoded: EncodedVideo, stalls_s: np.ndarray, startup_delay_s: ArrayLike
+) -> np.ndarray:
+    """Per row, seconds of watching in full: playback, stalls and startup."""
+    duration = encoded.num_chunks * encoded.chunk_duration_s
+    return duration + np.sum(stalls_s, axis=-1) + startup_delay_s
+
+
+def played_quality(encoded: EncodedVideo, levels: np.ndarray) -> np.ndarray:
+    """Visual quality (0-100) of every chunk as played at ``levels``."""
+    return encoded.quality_matrix()[np.arange(encoded.num_chunks), levels]
+
+
+def played_bitrates_kbps(encoded: EncodedVideo, levels: np.ndarray) -> np.ndarray:
+    """Bitrate (kbps) of every chunk as played at ``levels``."""
+    return np.asarray(encoded.ladder.bitrates_kbps, dtype=float)[levels]
+
+
+def bitrate_switches_kbps(bitrates_kbps: np.ndarray) -> np.ndarray:
+    """|Bitrate change| (kbps) entering each chunk, none entering the first."""
+    switches = np.zeros_like(bitrates_kbps)
+    switches[..., 1:] = np.abs(np.diff(bitrates_kbps, axis=-1))
+    return switches
+
+
 @dataclass(frozen=True)
 class RenderedVideo:
     """One playback of an encoded video, as experienced by a viewer.
@@ -107,20 +164,14 @@ class RenderedVideo:
     render_id: str = ""
 
     def __post_init__(self) -> None:
-        levels = np.asarray(self.levels, dtype=int)
-        stalls = np.asarray(self.stalls_s, dtype=float)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "stalls_s", stalls)
-        n = self.encoded.num_chunks
-        require(levels.shape == (n,), "levels must have one entry per chunk")
-        require(stalls.shape == (n,), "stalls_s must have one entry per chunk")
-        require(bool(np.all(levels >= 0)), "levels must be >= 0")
-        require(
-            bool(np.all(levels < self.encoded.ladder.num_levels)),
-            "levels must be valid ladder indices",
+        levels, stalls, _ = rendering_columns(
+            self.encoded,
+            np.asarray(self.levels)[None],
+            np.asarray(self.stalls_s)[None],
+            [self.startup_delay_s],
         )
-        require(bool(np.all(stalls >= 0)), "stall times must be >= 0")
-        require_non_negative(self.startup_delay_s, "startup_delay_s")
+        object.__setattr__(self, "levels", levels[0])
+        object.__setattr__(self, "stalls_s", stalls[0])
 
     # ----------------------------------------------------------- accessors
 
@@ -145,8 +196,7 @@ class RenderedVideo:
 
     def bitrates_kbps(self) -> np.ndarray:
         """Bitrate per chunk in kbps."""
-        ladder_rates = np.asarray(self.encoded.ladder.bitrates_kbps, dtype=float)
-        return ladder_rates[np.asarray(self.levels, dtype=int)]
+        return played_bitrates_kbps(self.encoded, self.levels)
 
     def chunk_quality(self, chunk_index: int) -> float:
         """VMAF-like visual quality of a chunk as played."""
@@ -154,8 +204,7 @@ class RenderedVideo:
 
     def quality_curve(self) -> np.ndarray:
         """Visual quality per chunk as played (0-100)."""
-        levels = np.asarray(self.levels, dtype=int)
-        return self.encoded.quality_matrix()[np.arange(levels.size), levels]
+        return played_quality(self.encoded, self.levels)
 
     def total_stall_s(self) -> float:
         """Total rebuffering time excluding startup delay."""
@@ -164,8 +213,7 @@ class RenderedVideo:
     @cached_property
     def watch_duration_s(self) -> float:
         """Seconds of watching in full: playback, stalls and startup delay."""
-        duration = self.num_chunks * self.chunk_duration_s
-        return duration + self.total_stall_s() + self.startup_delay_s
+        return float(watch_seconds(self.encoded, self.stalls_s, self.startup_delay_s))
 
     def rebuffering_ratio(self) -> float:
         """Total stall time divided by playback duration."""
@@ -190,8 +238,7 @@ class RenderedVideo:
 
     def switch_magnitudes_kbps(self) -> np.ndarray:
         """Absolute bitrate change (kbps) at each chunk boundary; first is 0."""
-        rates = self.bitrates_kbps()
-        return np.concatenate([[0.0], np.abs(np.diff(rates))])
+        return bitrate_switches_kbps(self.bitrates_kbps())
 
     def incident_summary(self) -> str:
         """Human-readable summary of quality incidents in this rendering."""
@@ -270,25 +317,18 @@ class RenderingBatch:
     render_ids: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        levels = np.asarray(self.levels, dtype=int)
-        stalls = np.asarray(self.stalls_s, dtype=float)
-        startup = np.asarray(self.startup_delay_s, dtype=float)
         render_ids = tuple(self.render_ids)
+        require(
+            np.shape(self.startup_delay_s) == (len(render_ids),),
+            "one startup delay per rendering",
+        )
+        levels, stalls, startup = rendering_columns(
+            self.encoded, self.levels, self.stalls_s, self.startup_delay_s
+        )
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "stalls_s", stalls)
         object.__setattr__(self, "startup_delay_s", startup)
         object.__setattr__(self, "render_ids", render_ids)
-        shape = (len(render_ids), self.encoded.num_chunks)
-        require(levels.shape == shape, "levels must be one row per rendering")
-        require(stalls.shape == shape, "stalls_s must be one row per rendering")
-        require(startup.shape == shape[:1], "one startup delay per rendering")
-        require(bool(np.all(levels >= 0)), "levels must be >= 0")
-        require(
-            bool(np.all(levels < self.encoded.ladder.num_levels)),
-            "levels must be valid ladder indices",
-        )
-        require(bool(np.all(stalls >= 0)), "stall times must be >= 0")
-        require(bool(np.all(startup >= 0)), "startup_delay_s must be >= 0")
 
     @classmethod
     def of(
@@ -349,8 +389,7 @@ class RenderingBatch:
     @property
     def watch_duration_s(self) -> np.ndarray:
         """Per row, :attr:`RenderedVideo.watch_duration_s`."""
-        duration = self.num_chunks * self.encoded.chunk_duration_s
-        return duration + np.sum(self.stalls_s, axis=1) + self.startup_delay_s
+        return watch_seconds(self.encoded, self.stalls_s, self.startup_delay_s)
 
 
 def inject_incidents(

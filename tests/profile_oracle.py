@@ -4,8 +4,9 @@ These are the per-object bodies that :class:`repro.video.rendering.RenderingBatc
 and :func:`repro.video.rendering.inject_incidents` replaced: the two-step
 scheduler built one :class:`RenderedVideo` per probe with ``inject_incident``
 (a ``dataclasses.replace`` of the pristine rendering), KSQI scored one
-rendering at a time, and weight inference stacked those per-rendering scores
-into its design matrix.  ``tests/test_profile_batch.py`` requires the
+rendering at a time from the rendering's own quality curve and switch
+magnitudes, and weight inference stacked those per-rendering scores into its
+design matrix.  ``tests/test_profile_batch.py`` requires the
 batched forms to reproduce them bit for bit.  :func:`profile_video` runs the
 whole two-step pipeline on these bodies, rating through the per-rating
 campaign oracle of :mod:`tests.crowd_oracle`.
@@ -142,13 +143,32 @@ def _probe_renderings(
 # ------------------------------------------------------- scores and weights
 
 
+def quality_curve(rendered: RenderedVideo) -> np.ndarray:
+    """Visual quality per chunk as played (0-100)."""
+    levels = np.asarray(rendered.levels, dtype=int)
+    return rendered.encoded.quality_matrix()[np.arange(levels.size), levels]
+
+
+def switch_magnitudes_kbps(rendered: RenderedVideo) -> np.ndarray:
+    """Absolute bitrate change (kbps) at each chunk boundary; first is 0."""
+    ladder_rates = np.asarray(rendered.encoded.ladder.bitrates_kbps, dtype=float)
+    rates = ladder_rates[np.asarray(rendered.levels, dtype=int)]
+    return np.concatenate([[0.0], np.abs(np.diff(rates))])
+
+
+def watch_duration_s(rendered: RenderedVideo) -> float:
+    """Seconds of watching in full: playback, stalls and startup delay."""
+    duration = rendered.num_chunks * rendered.chunk_duration_s
+    return duration + float(np.sum(rendered.stalls_s)) + rendered.startup_delay_s
+
+
 def ksqi_chunk_scores(model: KSQIModel, rendered: RenderedVideo) -> np.ndarray:
     """KSQI's per-chunk contributions ``q_i`` of one rendering."""
     coeffs = model.coefficients
-    quality = rendered.quality_curve() / 100.0
+    quality = quality_curve(rendered) / 100.0
     stalls = rendered.stalls_s
     top_bitrate = rendered.encoded.ladder.bitrates_kbps[-1]
-    switches = rendered.switch_magnitudes_kbps() / top_bitrate
+    switches = switch_magnitudes_kbps(rendered) / top_bitrate
     scores = (
         coeffs.intercept
         + coeffs.quality_weight * quality

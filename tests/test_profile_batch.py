@@ -93,7 +93,9 @@ def _assert_same_renderings(batch: RenderingBatch, expected) -> None:
         [r.stalls_s for r in expected]
     ).tobytes()
     assert batch.startup_delay_s.tolist() == [r.startup_delay_s for r in expected]
-    assert batch.watch_duration_s.tolist() == [r.watch_duration_s for r in expected]
+    assert batch.watch_duration_s.tolist() == [
+        profile_oracle.watch_duration_s(r) for r in expected
+    ]
     for row, rendering in zip(batch, expected):
         assert row.render_id == rendering.render_id
         assert row.levels.tobytes() == rendering.levels.tobytes()
@@ -136,7 +138,7 @@ def test_schedules_match_per_object_schedules(seed):
                 (step2, expected),
             ):
                 assert schedule.total_video_seconds() == float(
-                    sum(r.watch_duration_s for r in oracle_rows)
+                    sum(profile_oracle.watch_duration_s(r) for r in oracle_rows)
                     * schedule.ratings_per_rendering
                 )
         exhaustive = TwoStepScheduler().exhaustive_schedule(encoded)
@@ -220,11 +222,35 @@ def test_one_row_chunk_scores_match_batched_row(seed):
             ).tobytes()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_rendering_arithmetic_matches_per_object_bodies(seed):
+    """A rendering's quality curve, switch magnitudes and watch seconds
+    (one row of the helpers the batch and the scorers share) equal the
+    per-object bodies, and a batch's watch seconds equal its rows'."""
+    renderings = _random_renderings(seed, 20)
+    for rendering in renderings:
+        assert rendering.quality_curve().tobytes() == profile_oracle.quality_curve(
+            rendering
+        ).tobytes()
+        assert rendering.switch_magnitudes_kbps().tobytes() == (
+            profile_oracle.switch_magnitudes_kbps(rendering).tobytes()
+        )
+        assert rendering.watch_duration_s == profile_oracle.watch_duration_s(
+            rendering
+        )
+    assert RenderingBatch.of(renderings).watch_duration_s.tolist() == [
+        r.watch_duration_s for r in renderings
+    ]
+
+
 def test_oracle_reads_batches_as_it_reads_objects():
     renderings = _random_renderings(5, 150)
     batch = RenderingBatch.of(renderings)
     assert ORACLE.true_qoe_batch(batch).tobytes() == np.array(
         [ORACLE.true_qoe(r) for r in renderings]
+    ).tobytes()
+    assert ORACLE.true_mos_batch(batch).tobytes() == np.array(
+        [ORACLE.true_mos(r) for r in renderings]
     ).tobytes()
 
 

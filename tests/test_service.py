@@ -58,6 +58,7 @@ from repro.service.loadgen import synthetic_weights
 from repro.service.sessions import KIND_BBA, KIND_RL, SessionEntry
 from repro.video.chunk import EncodingLadder
 from repro.video.encoder import SyntheticEncoder
+from tests import abr_oracle
 
 pytestmark = pytest.mark.service
 
@@ -515,8 +516,9 @@ class TestOnlineOfflineIdentity:
         0 (empty histories), chunk 1 and past the history window (and, for
         SENSEI, near the end, where fewer weights remain than its horizon):
         one ``encode_states`` call per policy, whose rows equal each
-        session's one-row ``encode_state`` and whose decisions equal each
-        clone's own ``decide``, bit for bit."""
+        session's state as the scalar encoder of :mod:`tests.abr_oracle`
+        builds it and whose decisions equal each clone's own ``decide``,
+        bit for bit."""
         encoded = context.videos()[0]
         traces = context.traces()
         base = PensieveABR(PensieveConfig(seed=3), greedy=True)
@@ -542,7 +544,7 @@ class TestOnlineOfflineIdentity:
         requests = requests[::2] + requests[1::2]
         expected_states = {
             id(policy): np.stack([
-                clone.encode_state(observation)
+                abr_oracle.encode_state(clone, observation)
                 for clone, _, observation in requests
                 if clone.agent is policy.agent
             ])
