@@ -148,10 +148,11 @@ class SenseiProfiler:
     def _fit_base_model(
         self, renderings: RenderingBatch, result: CampaignResult
     ) -> None:
-        """Optionally fit the base model's coefficients on campaign ratings."""
+        """Optionally fit the base model's coefficients on campaign ratings
+        (their MOS mapped to [0, 1], so the fit has no scale to guess)."""
         if self.refit_base_model and len(renderings) >= 4:
             self.base_model.fit(
-                renderings, [result.mos[i] for i in renderings.render_ids]
+                renderings, [result.normalized_mos[i] for i in renderings.render_ids]
             )
 
     def _profile_two_step(self, encoded: EncodedVideo) -> ProfilingResult:

@@ -9,7 +9,7 @@ and cost accounting at an hourly rate proportional to watched video time.
 """
 
 from repro.crowd.worker import WorkerProfile, WorkerPool, WorkerRating
-from repro.crowd.survey import Survey, SurveyPlan, build_survey_plan
+from repro.crowd.survey import SurveyPlan, build_survey_plan
 from repro.crowd.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -23,7 +23,6 @@ __all__ = [
     "WorkerProfile",
     "WorkerPool",
     "WorkerRating",
-    "Survey",
     "SurveyPlan",
     "build_survey_plan",
     "CampaignConfig",

@@ -189,13 +189,10 @@ class MTurkCampaign:
         )
         # Row s: survey s in viewing order, padded with ``ref``; column k:
         # the participant's k-th rating, from the worker's k-th draws.
-        order_rng = spawn_rng(self.config.seed, "viewing-order")
-        rows = [survey.presentation_order(order_rng) for survey in plan.surveys]
-        width = max(map(len, rows))
-        valid = np.arange(width) < np.array([len(row) for row in rows])[:, None]
-        shown = np.array([row + [ref] * (width - len(row)) for row in rows])
+        shown = plan.viewing_orders(spawn_rng(self.config.seed, "viewing-order"))
+        valid = plan.live
         slope, offset, noise, watched, confirmed, fraction = self.worker_pool.draws(
-            workers, width
+            workers, shown.shape[1]
         )
         # (mos + bias) + sigma * z when attentive, 0.3 * mos + 0.7 * u when
         # careless: the table's 1.0 and 0.0 terms leave both exact.
@@ -240,8 +237,8 @@ class MTurkCampaign:
                 *(grid[valid] for grid in (score, watched, confirmed, watch, rated)),
                 np.array(REJECTION_REASONS, object)[reasons[survey]],
             ),
-            num_participants=len(rows),
-            num_rejected_participants=int(len(rows) - accepted.sum()),
+            num_participants=len(accepted),
+            num_rejected_participants=int(len(accepted) - accepted.sum()),
             num_accepted_ratings=int(rated_ids.size),
             total_paid_usd=total_paid,
             total_watch_seconds=total_watch,

@@ -4,12 +4,13 @@ Each survey shows a participant K rendered videos (in randomised order) plus
 one pristine *reference* video used for calibration and rejection (Appendix
 B).  The plan builder spreads the required number of ratings per rendering
 across surveys while respecting the per-participant video limit that the
-paper uses to prevent fatigue.
+paper uses to prevent fatigue.  A plan is columnar: one row of positions
+per survey.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -18,54 +19,61 @@ from repro.utils.rand import spawn_rng
 from repro.utils.validation import require
 
 
-@dataclass
-class Survey:
-    """One participant's assignment: a handful of renderings plus a reference.
+@dataclass(frozen=True)
+class SurveyPlan:
+    """A full campaign plan, one row per survey.
 
     Videos are positions in the campaign's rendering list, the reference
-    being the position after the last rendering.
+    being the position ``n`` after the last rendering.
 
     Attributes
     ----------
-    survey_id: stable identifier.
-    indices: the positions of the renderings to rate (reference excluded).
-    reference: the position of the pristine reference rendering.
+    positions:
+        ``(surveys, width)`` positions.  Row ``s`` holds the renderings to
+        rate, then the reference in its last live column
+        ``lengths[s] - 1``, then padding with the reference; ``width`` is
+        the longest survey's length.
+    lengths:
+        Videos per survey, the reference included.
+    ratings_per_rendering:
+        The rating multiplicity the plan was built for.
     """
 
-    survey_id: str
-    indices: List[int]
-    reference: int
-
-    def __post_init__(self) -> None:
-        require(bool(self.indices), "a survey needs at least one rendering")
-
-    def presentation_order(self, rng: np.random.Generator) -> List[int]:
-        """All videos (including the reference) in a randomised viewing order."""
-        videos = self.indices + [self.reference]
-        return [videos[i] for i in rng.permutation(len(videos)).tolist()]
-
-    def total_video_seconds(self, watch_seconds: Sequence[float]) -> float:
-        """Total length of video a participant watches in this survey, given
-        the watch seconds of every position."""
-        return float(sum(watch_seconds[i] for i in self.indices + [self.reference]))
-
-
-@dataclass
-class SurveyPlan:
-    """A full campaign plan: surveys plus the required rating multiplicity."""
-
-    surveys: List[Survey] = field(default_factory=list)
+    positions: np.ndarray
+    lengths: np.ndarray
     ratings_per_rendering: int = 10
+
+    @property
+    def live(self) -> np.ndarray:
+        """``(surveys, width)`` mask of the columns each survey shows."""
+        return np.arange(self.positions.shape[1]) < self.lengths[:, None]
 
     def num_participants(self) -> int:
         """Each survey is answered by exactly one participant."""
-        return len(self.surveys)
+        return len(self.lengths)
 
     def total_video_seconds(self, watch_seconds: Sequence[float]) -> float:
-        """Total video-seconds watched across the whole plan."""
-        return float(
-            sum(survey.total_video_seconds(watch_seconds) for survey in self.surveys)
-        )
+        """Total video-seconds watched across the whole plan, given the
+        watch seconds of every position."""
+        return float(np.asarray(watch_seconds)[self.positions[self.live]].sum())
+
+    def viewing_orders(self, rng: np.random.Generator) -> np.ndarray:
+        """Every survey's videos (reference included) in a randomised viewing
+        order, padded as :attr:`positions` is.
+
+        Row ``s`` is its live videos reordered by ``rng.permutation``, drawn
+        survey after survey.  ``rng.permuted`` shuffles each row of a block
+        with the Fisher-Yates walk ``permutation`` uses, in row order, so
+        one call per run of equal-length surveys makes the same draws and
+        leaves ``rng`` in the same state."""
+        shown = self.positions.copy()
+        starts = (np.flatnonzero(np.diff(self.lengths)) + 1).tolist()
+        for start, stop in zip([0, *starts], [*starts, len(self.lengths)]):
+            width = int(self.lengths[start])
+            shown[start:stop, :width] = rng.permuted(
+                shown[start:stop, :width], axis=1
+            )
+        return shown
 
 
 def build_survey_plan(
@@ -86,30 +94,44 @@ def build_survey_plan(
     require(ratings_per_rendering >= 1, "ratings_per_rendering must be >= 1")
     require(videos_per_survey >= 1, "videos_per_survey must be >= 1")
     rng = spawn_rng(seed, "survey-plan", num_renderings, ratings_per_rendering)
+    size = videos_per_survey
 
     # Build the multiset of rendering slots and shuffle it, then cut into
     # surveys of at most ``videos_per_survey`` slots, avoiding duplicates of
     # the same rendering within one survey where possible.
-    slots: List[int] = []
-    for index in range(num_renderings):
-        slots.extend([index] * ratings_per_rendering)
-    shuffled = [slots[i] for i in rng.permutation(len(slots)).tolist()]
+    slots = np.repeat(np.arange(num_renderings), ratings_per_rendering)
+    shuffled = slots[rng.permutation(len(slots))]
+    # With no survey open (and so nothing pending: a fresh survey takes the
+    # first pending slot), ``size`` distinct slots in a row fill one survey
+    # on their own, so the loop jumps over them whole.
+    whole = _distinct_windows(shuffled, size).tolist()
 
-    surveys: List[Survey] = []
+    lengths: List[int] = []
+    taken: List[int] = []  # every survey's slots, survey after survey
     current: List[int] = []
     pending: List[int] = []
-    for slot in shuffled:
-        if slot in current or len(current) >= videos_per_survey:
+    values = shuffled.tolist()
+    index = 0
+    while index < len(values):
+        if not current and whole[index]:
+            taken += values[index:index + size]
+            lengths.append(size)
+            index += size
+            continue
+        slot = values[index]
+        index += 1
+        if slot in current or len(current) >= size:
             pending.append(slot)
         else:
             current.append(slot)
-        if len(current) >= videos_per_survey:
-            surveys.append(_make_survey(len(surveys), current, num_renderings))
+        if len(current) >= size:
+            taken += current
+            lengths.append(size)
             current = []
             # Retry pending slots into the fresh survey.
             still_pending: List[int] = []
             for pending_slot in pending:
-                if pending_slot not in current and len(current) < videos_per_survey:
+                if pending_slot not in current and len(current) < size:
                     current.append(pending_slot)
                 else:
                     still_pending.append(pending_slot)
@@ -120,17 +142,32 @@ def build_survey_plan(
         batch: List[int] = []
         remaining: List[int] = []
         for slot in leftovers:
-            if slot not in batch and len(batch) < videos_per_survey:
+            if slot not in batch and len(batch) < size:
                 batch.append(slot)
             else:
                 remaining.append(slot)
-        surveys.append(_make_survey(len(surveys), batch, num_renderings))
+        taken += batch
+        lengths.append(len(batch))
         leftovers = remaining
 
-    return SurveyPlan(surveys=surveys, ratings_per_rendering=ratings_per_rendering)
+    counts = np.array(lengths)
+    positions = np.full((len(counts), counts.max() + 1), num_renderings)
+    positions[:, :-1][np.arange(counts.max()) < counts[:, None]] = taken
+    return SurveyPlan(positions, counts + 1, ratings_per_rendering)
 
 
-def _make_survey(index: int, slot_indices: List[int], reference: int) -> Survey:
-    return Survey(
-        survey_id=f"survey-{index:04d}", indices=slot_indices, reference=reference
-    )
+def _distinct_windows(values: np.ndarray, size: int) -> np.ndarray:
+    """Whether the ``size`` values from each position on hold no value
+    twice (``False`` where fewer than ``size`` remain)."""
+    # Each value's previous occurrence, from one stable sort: a window is
+    # distinct when none of its values occurred since the window began.
+    order = np.argsort(values, kind="stable")
+    repeat = values[order[1:]] == values[order[:-1]]
+    previous = np.full(len(values), -1)
+    previous[order[1:][repeat]] = order[:-1][repeat]
+    latest = previous[:max(0, len(values) - size + 1)].copy()
+    for offset in range(1, size):
+        np.maximum(latest, previous[offset:len(latest) + offset], out=latest)
+    whole = np.zeros(len(values), dtype=bool)
+    whole[:len(latest)] = latest < np.arange(len(latest))
+    return whole

@@ -175,12 +175,12 @@ class GroundTruthOracle:
         sensitivity: np.ndarray,
     ) -> np.ndarray:
         """:meth:`true_qoe_batch` over one block of at most ``BLOCK_ROWS``.
-        Its temporaries (a dozen rendering-by-chunk arrays and the 7-chunk
-        median windows) peak at 1.2 MB for the longest (149-chunk) video."""
+        Its temporaries (a dozen rendering-by-chunk arrays, the median
+        network's wires among them) peak at 1.3 MB for the longest
+        (149-chunk) video."""
         params = self.parameters
         ladder = encoded.ladder
         top_bitrate = ladder.bitrates_kbps[-1]
-        num_chunks = levels.shape[1]
 
         # Salient incidents: rebuffering, bitrate switches and time spent at
         # severely reduced bitrate.  They are *summed* over the video (with
@@ -194,26 +194,7 @@ class GroundTruthOracle:
         # Sustained low bitrate produces no dip and is charged only via the
         # quality loss.
         bitrate_norm = bitrates / top_bitrate
-        dips = np.empty_like(bitrate_norm)
-        if num_chunks >= 7:
-            windows = np.lib.stride_tricks.sliding_window_view(bitrate_norm, 7, axis=1)
-            interior = slice(3, num_chunks - 3)
-            dips[:, interior] = np.maximum(
-                0.0, np.median(windows, axis=2) - bitrate_norm[:, interior]
-            )
-            edge_indices = [*range(3), *range(num_chunks - 3, num_chunks)]
-        else:
-            edge_indices = range(num_chunks)
-        for index in edge_indices:
-            # Windows clipped by the ends: the median as np.median computes
-            # it, from the sorted middle element(s).
-            window = np.sort(bitrate_norm[:, max(0, index - 3):index + 4], axis=1)
-            mid = window.shape[1] // 2
-            if window.shape[1] % 2:
-                local_reference = window[:, mid]
-            else:
-                local_reference = (window[:, mid - 1] + window[:, mid]) * 0.5
-            dips[:, index] = np.maximum(0.0, local_reference - bitrate_norm[:, index])
+        dips = np.maximum(0.0, _window_median(bitrate_norm) - bitrate_norm)
         # Quadratic in the dip magnitude: a one-rung wobble is barely
         # noticeable, a drop to the lowest rung at a key moment clearly is.
         low_bitrate_penalty = (
@@ -274,3 +255,77 @@ class GroundTruthOracle:
     def true_mos(self, rendered: RenderedVideo) -> float:
         """True MOS of one rendering (hot callers use :meth:`true_mos_batch`)."""
         return 1.0 + 4.0 * self.true_qoe(rendered)
+
+
+#: A sorting network for 7 inputs: 16 compare-exchanges ``(low, high)``
+#: that leave the minimum on wire ``low`` and the maximum on ``high``.
+_SORT7 = (
+    (0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5),
+    (3, 4), (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6),
+)
+
+
+def _median_steps(network, wires):
+    """The compare-exchanges of ``network`` that feed ``wires``, each with
+    whether its minimum and its maximum are read afterwards."""
+    steps = []
+    needed = set(wires)
+    for low, high in reversed(network):
+        if low in needed or high in needed:
+            steps.append((low, high, low in needed, high in needed))
+            needed |= {low, high}
+    return steps[::-1]
+
+
+#: Wires 3 (the median) and 4 of 7 inputs: 14 of the 16 compare-exchanges,
+#: 23 minima and maxima.
+_MEDIAN7 = _median_steps(_SORT7, (3, 4))
+
+#: Pads either side of a row.  A window clipped by an end gets 1, 2 or 3 of
+#: them and so 7 entries: a 5-value window as many ``-inf`` as ``inf``, so
+#: its median stays on wire 3, and a 4- or 6-value one an extra ``-inf``, so
+#: its middle two land on wires 3 and 4.
+_ENDS = (-np.inf, np.inf, -np.inf)
+
+
+def _window_median(values: np.ndarray) -> np.ndarray:
+    """The median of each entry's 7-entry window along the rows (3 either
+    side, clipped by the row's ends), as ``np.median`` computes it.
+
+    The rows, padded with :data:`_ENDS`, are laid end to end, and the
+    median network runs over 7 shifted views of that one array.  A median
+    is a selection, so the result is ``np.median``'s bit for bit; an even
+    window's is the mean of its middle two, ``(a + b) * 0.5``."""
+    rows, count = values.shape
+    if count < 6:
+        return _short_window_median(values)
+    padded = np.empty((rows, count + 6))
+    padded[:, :3] = padded[:, -3:] = _ENDS
+    padded[:, 3:-3] = values
+    flat = padded.ravel()
+    span = flat.size - 6
+    wires = [flat[k:k + span] for k in range(7)]
+    for low, high, keep_min, keep_max in _MEDIAN7:
+        a, b = wires[low], wires[high]
+        if keep_min:
+            wires[low] = np.minimum(a, b)
+        if keep_max:
+            wires[high] = np.maximum(a, b)
+    # Window j of the flat array is centred on row j // (count + 6), column
+    # j % (count + 6); the last 6 columns straddle two rows and are dropped.
+    middle = np.empty((2, flat.size))
+    middle[:, :span] = wires[3], wires[4]
+    middle = middle.reshape(2, rows, count + 6)[:, :, :count]
+    medians = middle[0]
+    even = [0, 2, count - 3, count - 1]
+    medians[:, even] = (medians[:, even] + middle[1][:, even]) * 0.5
+    return medians
+
+
+def _short_window_median(values: np.ndarray) -> np.ndarray:
+    """:func:`_window_median` of rows shorter than 6, whose windows can be
+    clipped at both ends: ``np.median`` one window at a time."""
+    return np.stack([
+        np.median(values[:, max(0, index - 3):index + 4], axis=1)
+        for index in range(values.shape[1])
+    ], axis=1)

@@ -8,6 +8,12 @@ survey loop applies the rejection rules to those objects one participant at
 a time.  The campaign is required to reproduce :func:`run_campaign` bit for
 bit (``tests/test_crowd_batch.py``).  Participants are sampled here from
 the pool's own draw stream exactly as the campaign samples them.
+
+The survey plan here is the one the columnar
+:func:`repro.crowd.survey.build_survey_plan` replaced: a greedy packer that
+places one shuffled slot at a time into lists of positions
+(:func:`build_survey_plan`), and one ``rng.permutation`` per survey for its
+viewing order (:func:`presentation_order`).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.crowd.campaign import MTurkCampaign, RatingRecord
-from repro.crowd.survey import build_survey_plan
 from repro.crowd.worker import WorkerPool, WorkerProfile, WorkerRating
 from repro.utils.rand import spawn_rng
 from repro.utils.validation import require
@@ -57,6 +62,62 @@ class SimulatedWorker:
             incident_confirmed=incident_confirmed,
             watch_time_s=watch_time,
         )
+
+
+def build_survey_plan(
+    num_renderings: int,
+    ratings_per_rendering: int,
+    videos_per_survey: int = 5,
+    seed: int = 29,
+) -> List[List[int]]:
+    """Each survey's rendering positions (reference excluded), packed one
+    shuffled slot at a time."""
+    rng = spawn_rng(seed, "survey-plan", num_renderings, ratings_per_rendering)
+    slots: List[int] = []
+    for index in range(num_renderings):
+        slots.extend([index] * ratings_per_rendering)
+    shuffled = [slots[i] for i in rng.permutation(len(slots)).tolist()]
+
+    surveys: List[List[int]] = []
+    current: List[int] = []
+    pending: List[int] = []
+    for slot in shuffled:
+        if slot in current or len(current) >= videos_per_survey:
+            pending.append(slot)
+        else:
+            current.append(slot)
+        if len(current) >= videos_per_survey:
+            surveys.append(current)
+            current = []
+            # Retry pending slots into the fresh survey.
+            still_pending: List[int] = []
+            for pending_slot in pending:
+                if pending_slot not in current and len(current) < videos_per_survey:
+                    current.append(pending_slot)
+                else:
+                    still_pending.append(pending_slot)
+            pending = still_pending
+    # Flush leftovers: keep appending surveys until every slot is placed.
+    leftovers = current + pending
+    while leftovers:
+        batch: List[int] = []
+        remaining: List[int] = []
+        for slot in leftovers:
+            if slot not in batch and len(batch) < videos_per_survey:
+                batch.append(slot)
+            else:
+                remaining.append(slot)
+        surveys.append(batch)
+        leftovers = remaining
+    return surveys
+
+
+def presentation_order(
+    indices: List[int], reference: int, rng: np.random.Generator
+) -> List[int]:
+    """A survey's videos, the reference last, in a randomised viewing order."""
+    videos = indices + [reference]
+    return [videos[i] for i in rng.permutation(len(videos)).tolist()]
 
 
 def sample_workers(
@@ -105,16 +166,15 @@ def run_campaign(
         videos_per_survey=config.videos_per_survey,
         seed=config.seed,
     )
-    workers = sample_workers(
-        campaign.worker_pool, plan.num_participants(), config.masters_only
-    )
+    workers = sample_workers(campaign.worker_pool, len(plan), config.masters_only)
     order_rng = spawn_rng(config.seed, "viewing-order")
 
     result = OracleResult()
     scores: Dict[str, List[float]] = {r.render_id: [] for r in renderings}
-    for survey, worker in zip(plan.surveys, workers):
+    for survey, worker in zip(plan, workers):
+        order = presentation_order(survey, len(renderings), order_rng)
         records, accepted_participant, watch_seconds = _run_survey(
-            [scored[i] for i in survey.presentation_order(order_rng)],
+            [scored[i] for i in order],
             worker, reference, mos_by_id,
         )
         result.records.extend(records)

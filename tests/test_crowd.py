@@ -64,37 +64,51 @@ class TestWorkers:
             WorkerProfile("w", bias=0.0, noise_sigma=0.1, attention=1.5)
 
 
+def _rated(plan, survey):
+    """The rendering positions one survey (a plan row) shows, reference
+    excluded."""
+    return plan.positions[survey, :plan.lengths[survey] - 1].tolist()
+
+
 class TestSurveyPlan:
     def test_every_rendering_gets_requested_ratings(self, series):
         plan = build_survey_plan(len(series), ratings_per_rendering=4,
                                  videos_per_survey=3, seed=1)
-        counts = [0] * len(series)
-        for survey in plan.surveys:
-            for index in survey.indices:
-                counts[index] += 1
-        assert all(count == 4 for count in counts)
+        rated = plan.positions[plan.live & (plan.positions != len(series))]
+        assert np.bincount(rated, minlength=len(series)).tolist() == [4] * len(series)
 
     def test_surveys_respect_size_limit(self, series):
         plan = build_survey_plan(len(series), ratings_per_rendering=3,
                                  videos_per_survey=4, seed=1)
-        assert all(len(s.indices) <= 4 for s in plan.surveys)
+        assert plan.positions.shape[1] <= 4 + 1
+        for survey in range(plan.num_participants()):
+            assert 1 <= len(_rated(plan, survey)) <= 4
 
     def test_no_duplicate_rendering_within_survey(self, series):
         plan = build_survey_plan(len(series), ratings_per_rendering=5,
                                  videos_per_survey=4, seed=2)
-        for survey in plan.surveys:
-            assert len(survey.indices) == len(set(survey.indices))
+        for survey in range(plan.num_participants()):
+            indices = _rated(plan, survey)
+            assert len(indices) == len(set(indices))
 
     def test_presentation_order_contains_reference(self, series):
         plan = build_survey_plan(len(series), ratings_per_rendering=2, seed=1)
-        order = plan.surveys[0].presentation_order(np.random.default_rng(0))
-        # The reference is the position after the last rendering.
-        assert len(series) in order
+        orders = plan.viewing_orders(np.random.default_rng(0))
+        # The reference is the position after the last rendering: shown once
+        # by every survey, padding aside, beside that survey's renderings.
+        for survey, order in enumerate(orders):
+            shown = order[:plan.lengths[survey]].tolist()
+            assert sorted(shown) == sorted(_rated(plan, survey) + [len(series)])
 
     def test_total_video_seconds_positive(self, series, pristine):
         plan = build_survey_plan(len(series), ratings_per_rendering=2, seed=1)
         seconds = [r.watch_duration_s for r in [*series, pristine]]
-        assert plan.total_video_seconds(seconds) > 0
+        total = plan.total_video_seconds(seconds)
+        assert total > 0
+        # Each rendering is watched twice, the reference once per survey.
+        assert total == pytest.approx(
+            2 * sum(seconds[:-1]) + plan.num_participants() * seconds[-1]
+        )
 
 
 class TestCostModel:

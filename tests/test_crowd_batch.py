@@ -4,7 +4,9 @@
 the worker pool's per-worker draw table and keeps the ratings as columns.
 It must reproduce, bit for bit, what the per-rating loop kept in
 :mod:`tests.crowd_oracle` computes: a worker built per survey rates one
-rendering at a time, and the rejection rules run over those ratings.
+rendering at a time, and the rejection rules run over those ratings.  The
+columnar survey plan and its viewing orders must equal the oracle's
+per-slot packer and per-survey permutations, draw for draw.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.core.profiler import SenseiProfiler
 from repro.core.scheduler import SchedulerConfig, TwoStepScheduler
 from repro.crowd import worker as worker_module
 from repro.crowd.campaign import CampaignConfig, MTurkCampaign
+from repro.crowd.survey import build_survey_plan
 from repro.crowd.worker import WorkerPool
 from repro.qoe.ground_truth import GroundTruthOracle
 from repro.video.chunk import DEFAULT_LADDER
@@ -78,6 +81,73 @@ def _campaigns(pool_args, config):
         MTurkCampaign(ORACLE, WorkerPool(**pool_args), config=config),
         MTurkCampaign(ORACLE, WorkerPool(**pool_args), config=config),
     )
+
+
+def _assert_same_plan(num_renderings, ratings_per_rendering, videos_per_survey, seed):
+    """The columnar plan and its viewing orders against the oracle's."""
+    plan = build_survey_plan(
+        num_renderings, ratings_per_rendering, videos_per_survey, seed=seed
+    )
+    surveys = crowd_oracle.build_survey_plan(
+        num_renderings, ratings_per_rendering, videos_per_survey, seed=seed
+    )
+    lengths = plan.lengths.tolist()
+    assert [
+        row[:length - 1] for row, length in zip(plan.positions.tolist(), lengths)
+    ] == surveys
+    assert lengths == [len(survey) + 1 for survey in surveys]
+    assert plan.positions.shape[1] == max(lengths)
+    # The reference is each row's last live column and pads the rest.
+    assert (plan.positions[~plan.live] == num_renderings).all()
+    assert (plan.positions[np.arange(len(lengths)), plan.lengths - 1]
+            == num_renderings).all()
+    columnar_rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+    shown = plan.viewing_orders(columnar_rng)
+    assert [row[:length] for row, length in zip(shown.tolist(), lengths)] == [
+        crowd_oracle.presentation_order(survey, num_renderings, oracle_rng)
+        for survey in surveys
+    ]
+    assert (shown[~plan.live] == num_renderings).all()
+    # The order stream is left where one permutation per survey leaves it.
+    assert columnar_rng.integers(2**63) == oracle_rng.integers(2**63)
+    return plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_renderings=st.integers(1, 200),
+    ratings_per_rendering=st.integers(1, 12),
+    videos_per_survey=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_survey_plan_and_orders_match_per_slot_oracle(
+    num_renderings, ratings_per_rendering, videos_per_survey, seed
+):
+    _assert_same_plan(num_renderings, ratings_per_rendering, videos_per_survey, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 29, 31])
+@pytest.mark.parametrize(
+    "num_renderings, ratings_per_rendering, videos_per_survey",
+    [
+        (1, 1, 1),   # one slot
+        (1, 12, 5),  # one rendering: every survey holds one video
+        (3, 4, 7),   # fewer renderings than a survey holds
+        (6, 5, 7),
+        (40, 3, 1),  # one video per survey: every window is whole
+        (7, 3, 5),   # 21 slots: a ragged final survey
+        (53, 11, 5), # the step-1 shape of a long video
+        (200, 12, 7),
+    ],
+)
+def test_survey_plan_edge_shapes_match_per_slot_oracle(
+    num_renderings, ratings_per_rendering, videos_per_survey, seed
+):
+    plan = _assert_same_plan(
+        num_renderings, ratings_per_rendering, videos_per_survey, seed
+    )
+    if num_renderings < videos_per_survey:
+        assert plan.positions.shape[1] <= num_renderings + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -344,3 +344,17 @@ def test_mos_off_the_likert_scale_is_rejected():
         )
     with pytest.raises(ValueError, match="1-5"):
         infer_weights(renderings, [5.5] * len(mos), base_model=KSQIModel())
+
+
+def test_refit_reads_an_all_low_campaign_on_the_likert_scale():
+    encoded = _encoded()
+    harsh = GroundTruthOracle(SensitivityParameters(quality_loss_weight=10.0))
+    profiler = SenseiProfiler(oracle=harsh, refit_base_model=True, campaign_seed=3)
+    mos = profiler.profile_video(encoded).step1_result.mos
+    assert max(mos.values()) <= 1.5
+    # The base model is refitted on step 1's ratings, mapped from 1–5 once.
+    renderings = profiler.scheduler.step1_schedule(encoded).renderings
+    expected = KSQIModel().fit(
+        renderings, [(mos[i] - 1.0) / 4.0 for i in renderings.render_ids]
+    )
+    assert profiler.base_model.coefficients == expected.coefficients
